@@ -7,10 +7,10 @@
 //! bids.
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use defi_chain::{AuctionPhase, Blockchain, ChainEvent};
-use defi_types::{BlockNumber, TimeMap};
+use defi_types::{Address, BlockNumber, TimeMap};
 
 use crate::records::{LiquidationKind, LiquidationRecord};
 
@@ -78,87 +78,49 @@ pub struct AuctionStats {
     pub durations: Vec<AuctionDurationPoint>,
 }
 
-/// Compute the auction statistics from the liquidation ledger and the raw bid
-/// events in the chain log.
+/// Compute the auction statistics from the liquidation ledger (finalised
+/// auctions) and the raw `AuctionStarted`/`AuctionBid` events in the chain
+/// log.
 pub fn auction_stats(
     chain: &Blockchain,
     records: &[LiquidationRecord],
     time_map: &TimeMap,
 ) -> AuctionStats {
-    let mut collector = AuctionCollector::default();
-    collector.set_time_map(*time_map);
-    for logged in chain.events().iter() {
-        collector.observe_event(logged);
-    }
+    let mut terminated_in_tend = 0;
+    let mut terminated_in_dent = 0;
+    let mut bids_per_auction = Vec::new();
+    let mut tend_bids = Vec::new();
+    let mut dent_bids = Vec::new();
+    let mut durations = Vec::new();
     for record in records {
-        collector.observe_record(record);
-    }
-    collector.finish()
-}
-
-/// Incremental §4.3.3 collector: folds finalised-auction records and raw
-/// `AuctionStarted`/`AuctionBid` events as they stream past, computing the
-/// mean/std aggregates once at [`finish`](AuctionCollector::finish).
-#[derive(Debug, Default)]
-pub struct AuctionCollector {
-    time_map: Option<TimeMap>,
-    terminated_in_tend: u32,
-    terminated_in_dent: u32,
-    bids_per_auction: Vec<f64>,
-    tend_bids: Vec<f64>,
-    dent_bids: Vec<f64>,
-    durations_hours: Vec<f64>,
-    durations: Vec<AuctionDurationPoint>,
-    start_block: BTreeMap<u64, BlockNumber>,
-    bids_by_auction: BTreeMap<u64, Vec<(BlockNumber, defi_types::Address)>>,
-}
-
-impl AuctionCollector {
-    /// An empty collector.
-    pub fn new() -> Self {
-        AuctionCollector::default()
-    }
-
-    pub(crate) fn set_time_map(&mut self, time_map: TimeMap) {
-        self.time_map = Some(time_map);
-    }
-
-    fn time_map(&self) -> TimeMap {
-        self.time_map.unwrap_or_else(TimeMap::paper_study_window)
-    }
-
-    /// Fold one finalised-auction record (fixed-spread records are ignored).
-    pub fn observe_record(&mut self, record: &LiquidationRecord) {
         match record.kind {
-            LiquidationKind::Auction(AuctionPhase::Tend) => self.terminated_in_tend += 1,
-            LiquidationKind::Auction(AuctionPhase::Dent) => self.terminated_in_dent += 1,
-            LiquidationKind::FixedSpread => return,
+            LiquidationKind::Auction(AuctionPhase::Tend) => terminated_in_tend += 1,
+            LiquidationKind::Auction(AuctionPhase::Dent) => terminated_in_dent += 1,
+            LiquidationKind::FixedSpread => continue,
         }
-        self.bids_per_auction
-            .push((record.tend_bids + record.dent_bids) as f64);
-        self.tend_bids.push(record.tend_bids as f64);
-        self.dent_bids.push(record.dent_bids as f64);
-        let hours = self.time_map().hours_between(
-            record.auction_started_at.unwrap_or(record.block),
-            record.block,
-        );
-        self.durations_hours.push(hours);
-        self.durations.push(AuctionDurationPoint {
+        bids_per_auction.push((record.tend_bids + record.dent_bids) as f64);
+        tend_bids.push(record.tend_bids as f64);
+        dent_bids.push(record.dent_bids as f64);
+        durations.push(AuctionDurationPoint {
             block: record.block,
-            duration_hours: hours,
+            duration_hours: time_map.hours_between(
+                record.auction_started_at.unwrap_or(record.block),
+                record.block,
+            ),
         });
     }
 
-    /// Fold one raw chain event (only auction initiations and bids matter).
-    pub fn observe_event(&mut self, logged: &defi_chain::LoggedEvent) {
+    let mut start_block: BTreeMap<u64, BlockNumber> = BTreeMap::new();
+    let mut bids_by_auction: BTreeMap<u64, Vec<(BlockNumber, Address)>> = BTreeMap::new();
+    for logged in chain.events().iter() {
         match &logged.event {
             ChainEvent::AuctionStarted { auction_id, .. } => {
-                self.start_block.insert(*auction_id, logged.block);
+                start_block.insert(*auction_id, logged.block);
             }
             ChainEvent::AuctionBid {
                 auction_id, bidder, ..
             } => {
-                self.bids_by_auction
+                bids_by_auction
                     .entry(*auction_id)
                     .or_default()
                     .push((logged.block, *bidder));
@@ -167,64 +129,43 @@ impl AuctionCollector {
         }
     }
 
-    /// Finalise the mean/std aggregates.
-    pub fn finish(&self) -> AuctionStats {
-        let time_map = self.time_map();
-        let mut first_bid_delays = Vec::new();
-        let mut bid_intervals = Vec::new();
-        let mut bidder_counts = Vec::new();
-        let mut auctions_with_multiple_bids = 0;
-        for (auction_id, bids) in &self.bids_by_auction {
-            let mut blocks: Vec<BlockNumber> = bids.iter().map(|(b, _)| *b).collect();
-            blocks.sort_unstable();
-            if bids.len() > 1 {
-                auctions_with_multiple_bids += 1;
-            }
-            let bidders: std::collections::BTreeSet<_> = bids.iter().map(|(_, a)| *a).collect();
-            bidder_counts.push(bidders.len() as f64);
-            if let Some(start) = self.start_block.get(auction_id) {
-                if let Some(first) = blocks.first() {
-                    first_bid_delays.push(time_map.hours_between(*start, *first) * 60.0);
-                }
-            }
-            for pair in blocks.windows(2) {
-                bid_intervals.push(time_map.hours_between(pair[0], pair[1]) * 60.0);
-            }
+    let mut first_bid_delays = Vec::new();
+    let mut bid_intervals = Vec::new();
+    let mut bidder_counts = Vec::new();
+    let mut auctions_with_multiple_bids = 0;
+    for (auction_id, bids) in &bids_by_auction {
+        let mut blocks: Vec<BlockNumber> = bids.iter().map(|(b, _)| *b).collect();
+        blocks.sort_unstable();
+        if bids.len() > 1 {
+            auctions_with_multiple_bids += 1;
         }
-
-        AuctionStats {
-            terminated_in_tend: self.terminated_in_tend,
-            terminated_in_dent: self.terminated_in_dent,
-            average_bidders: if bidder_counts.is_empty() {
-                0.0
-            } else {
-                bidder_counts.iter().sum::<f64>() / bidder_counts.len() as f64
-            },
-            bids_per_auction: MeanStd::from_samples(&self.bids_per_auction),
-            tend_bids_per_auction: MeanStd::from_samples(&self.tend_bids),
-            dent_bids_per_auction: MeanStd::from_samples(&self.dent_bids),
-            duration_hours: MeanStd::from_samples(&self.durations_hours),
-            first_bid_delay_minutes: MeanStd::from_samples(&first_bid_delays),
-            bid_interval_minutes: MeanStd::from_samples(&bid_intervals),
-            auctions_with_multiple_bids,
-            durations: self.durations.clone(),
+        let bidders: BTreeSet<_> = bids.iter().map(|(_, a)| *a).collect();
+        bidder_counts.push(bidders.len() as f64);
+        if let (Some(start), Some(first)) = (start_block.get(auction_id), blocks.first()) {
+            first_bid_delays.push(time_map.hours_between(*start, *first) * 60.0);
+        }
+        for pair in blocks.windows(2) {
+            bid_intervals.push(time_map.hours_between(pair[0], pair[1]) * 60.0);
         }
     }
-}
 
-impl defi_sim::SimObserver for AuctionCollector {
-    fn on_run_start(&mut self, run: &defi_sim::RunStart<'_>) {
-        self.set_time_map(run.time_map);
-    }
-
-    fn on_event(&mut self, logged: &defi_chain::LoggedEvent) {
-        self.observe_event(logged);
-    }
-
-    fn on_liquidation(&mut self, liquidation: &defi_sim::LiquidationObservation<'_>) {
-        if let Some(record) = crate::records::observed_record(self.time_map, liquidation) {
-            self.observe_record(&record);
-        }
+    let durations_hours: Vec<f64> = durations.iter().map(|d| d.duration_hours).collect();
+    AuctionStats {
+        terminated_in_tend,
+        terminated_in_dent,
+        average_bidders: if bidder_counts.is_empty() {
+            0.0
+        } else {
+            bidder_counts.iter().sum::<f64>() / bidder_counts.len() as f64
+        },
+        bids_per_auction: MeanStd::from_samples(&bids_per_auction),
+        tend_bids_per_auction: MeanStd::from_samples(&tend_bids),
+        dent_bids_per_auction: MeanStd::from_samples(&dent_bids),
+        duration_hours: MeanStd::from_samples(&durations_hours),
+        first_bid_delay_minutes: MeanStd::from_samples(&first_bid_delays),
+        bid_interval_minutes: MeanStd::from_samples(&bid_intervals),
+        auctions_with_multiple_bids,
+        durations,
     }
 }
 

@@ -57,37 +57,6 @@ pub fn table2(positions_by_platform: &BTreeMap<Platform, Vec<Position>>) -> Tabl
     Table2 { rows }
 }
 
-/// Observer wrapper around [`table2`]: Table 2 is a property of the final
-/// snapshot, so the measurement runs once in `on_run_end` over the position
-/// books the session hands over.
-#[derive(Debug, Default)]
-pub struct BadDebtCollector {
-    table: Option<Table2>,
-}
-
-impl BadDebtCollector {
-    /// An empty collector.
-    pub fn new() -> Self {
-        BadDebtCollector::default()
-    }
-
-    /// The measured table (available after the run ended).
-    pub fn table(&self) -> Option<&Table2> {
-        self.table.as_ref()
-    }
-
-    /// Consume the collector, returning the table.
-    pub fn into_table(self) -> Option<Table2> {
-        self.table
-    }
-}
-
-impl defi_sim::SimObserver for BadDebtCollector {
-    fn on_run_end(&mut self, end: &defi_sim::RunEnd<'_>) {
-        self.table = Some(table2(end.final_positions));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 use defi_chain::{Blockchain, ChainEvent};
-use defi_types::{Platform, Wad};
+use defi_types::{Platform, TxHash, Wad};
 
 /// One Table 4 row: flash loans from `flash_pool` funding liquidations on
 /// `liquidation_platform`.
@@ -51,88 +51,58 @@ impl Table4 {
     }
 }
 
-/// Compute Table 4 from the chain event log.
+/// Compute Table 4 from the chain event log: index flash loans and
+/// liquidations by transaction hash, then join them.
 pub fn table4(chain: &Blockchain) -> Table4 {
-    let mut collector = FlashLoanCollector::default();
+    let mut flash_by_tx: BTreeMap<TxHash, Vec<(Platform, Wad)>> = BTreeMap::new();
+    let mut liquidation_platform_by_tx: BTreeMap<TxHash, Platform> = BTreeMap::new();
     for logged in chain.events().iter() {
-        collector.observe_event(logged);
-    }
-    collector.finish()
-}
-
-/// Incremental Table 4 collector: indexes flash loans and liquidations by
-/// transaction hash as events stream past, joining them at
-/// [`finish`](FlashLoanCollector::finish).
-#[derive(Debug, Default)]
-pub struct FlashLoanCollector {
-    flash_by_tx: BTreeMap<defi_types::TxHash, Vec<(Platform, Wad)>>,
-    liquidation_platform_by_tx: BTreeMap<defi_types::TxHash, Platform>,
-}
-
-impl FlashLoanCollector {
-    /// An empty collector.
-    pub fn new() -> Self {
-        FlashLoanCollector::default()
-    }
-
-    /// Fold one raw chain event (only flash loans and liquidations matter).
-    pub fn observe_event(&mut self, logged: &defi_chain::LoggedEvent) {
         match &logged.event {
             ChainEvent::FlashLoan {
                 pool, amount_usd, ..
             } => {
-                self.flash_by_tx
+                flash_by_tx
                     .entry(logged.tx_hash)
                     .or_default()
                     .push((*pool, *amount_usd));
             }
             ChainEvent::Liquidation(event) => {
-                self.liquidation_platform_by_tx
-                    .insert(logged.tx_hash, event.platform);
+                liquidation_platform_by_tx.insert(logged.tx_hash, event.platform);
             }
             _ => {}
         }
     }
 
-    /// Join flash loans with the liquidations sharing their transaction.
-    pub fn finish(&self) -> Table4 {
-        let mut aggregate: BTreeMap<(Platform, Platform), (u32, Wad)> = BTreeMap::new();
-        let mut total = 0u32;
-        let mut total_amount = Wad::ZERO;
-        for (tx, loans) in &self.flash_by_tx {
-            let Some(platform) = self.liquidation_platform_by_tx.get(tx) else {
-                continue; // a flash loan not used for a liquidation
-            };
-            for (pool, amount) in loans {
-                let entry = aggregate
-                    .entry((*platform, *pool))
-                    .or_insert((0, Wad::ZERO));
-                entry.0 += 1;
-                entry.1 = entry.1.saturating_add(*amount);
-                total += 1;
-                total_amount = total_amount.saturating_add(*amount);
-            }
-        }
-
-        Table4 {
-            rows: aggregate
-                .into_iter()
-                .map(|((liq, pool), (count, amount))| FlashLoanUsageRow {
-                    liquidation_platform: liq,
-                    flash_pool: pool,
-                    count,
-                    cumulative_amount_usd: amount,
-                })
-                .collect(),
-            total_flash_loans: total,
-            total_amount_usd: total_amount,
+    let mut aggregate: BTreeMap<(Platform, Platform), (u32, Wad)> = BTreeMap::new();
+    let mut total = 0u32;
+    let mut total_amount = Wad::ZERO;
+    for (tx, loans) in &flash_by_tx {
+        let Some(platform) = liquidation_platform_by_tx.get(tx) else {
+            continue; // a flash loan not used for a liquidation
+        };
+        for (pool, amount) in loans {
+            let entry = aggregate
+                .entry((*platform, *pool))
+                .or_insert((0, Wad::ZERO));
+            entry.0 += 1;
+            entry.1 = entry.1.saturating_add(*amount);
+            total += 1;
+            total_amount = total_amount.saturating_add(*amount);
         }
     }
-}
 
-impl defi_sim::SimObserver for FlashLoanCollector {
-    fn on_event(&mut self, logged: &defi_chain::LoggedEvent) {
-        self.observe_event(logged);
+    Table4 {
+        rows: aggregate
+            .into_iter()
+            .map(|((liq, pool), (count, amount))| FlashLoanUsageRow {
+                liquidation_platform: liq,
+                flash_pool: pool,
+                count,
+                cumulative_amount_usd: amount,
+            })
+            .collect(),
+        total_flash_loans: total,
+        total_amount_usd: total_amount,
     }
 }
 

@@ -69,31 +69,30 @@ fn average_at(series: &[(BlockNumber, f64)], block: BlockNumber) -> f64 {
     }
 }
 
-/// Core of the Figure 6 computation, shared by the batch function and the
-/// streaming collector: join raw liquidation gas bids against the header
-/// moving average.
-fn competition_from_bids(
+/// Compute the Figure 6 dataset: join each fixed-spread liquidation's gas
+/// bid against the header moving average. Only fixed-spread liquidations are
+/// included (the figure covers Aave, Compound and dYdX).
+pub fn gas_competition(
     chain: &Blockchain,
-    bids: &[(BlockNumber, Platform, GweiPrice)],
+    records: &[LiquidationRecord],
     window_blocks: u64,
 ) -> GasCompetition {
     let average_series = moving_average_series(chain, window_blocks);
-    let mut points = Vec::new();
-    let mut above = 0usize;
-    for &(block, platform, gas_price) in bids {
-        let average = average_at(&average_series, block);
-        let above_average = (gas_price as f64) > average;
-        if above_average {
-            above += 1;
-        }
-        points.push(GasPoint {
-            block,
-            platform,
-            gas_price,
-            average_gas_price: average,
-            above_average,
-        });
-    }
+    let points: Vec<GasPoint> = records
+        .iter()
+        .filter(|r| r.kind == LiquidationKind::FixedSpread)
+        .map(|r| {
+            let average = average_at(&average_series, r.block);
+            GasPoint {
+                block: r.block,
+                platform: r.platform,
+                gas_price: r.gas_price,
+                average_gas_price: average,
+                above_average: (r.gas_price as f64) > average,
+            }
+        })
+        .collect();
+    let above = points.iter().filter(|p| p.above_average).count();
     let share = if points.is_empty() {
         0.0
     } else {
@@ -106,79 +105,8 @@ fn competition_from_bids(
     }
 }
 
-/// Compute the Figure 6 dataset. Only fixed-spread liquidations are included
-/// (the figure covers Aave, Compound and dYdX).
-pub fn gas_competition(
-    chain: &Blockchain,
-    records: &[LiquidationRecord],
-    window_blocks: u64,
-) -> GasCompetition {
-    let bids: Vec<(BlockNumber, Platform, GweiPrice)> = records
-        .iter()
-        .filter(|r| r.kind == LiquidationKind::FixedSpread)
-        .map(|r| (r.block, r.platform, r.gas_price))
-        .collect();
-    competition_from_bids(chain, &bids, window_blocks)
-}
-
 /// The paper's moving-average window (blocks) for the Figure 6 comparison.
 pub const GAS_WINDOW_BLOCKS: u64 = 6_000;
-
-/// Incremental Figure 6 collector: buffers each fixed-spread liquidation's
-/// gas bid as it settles, then joins against the header moving average once
-/// the run's headers are complete. The per-event work happens in-stream; only
-/// the (cheap, header-count-sized) average join is deferred to
-/// [`finish`](GasCollector::finish).
-#[derive(Debug)]
-pub struct GasCollector {
-    time_map: Option<defi_types::TimeMap>,
-    window_blocks: u64,
-    bids: Vec<(BlockNumber, Platform, GweiPrice)>,
-}
-
-impl GasCollector {
-    /// A collector with the given moving-average window (the paper uses
-    /// 6,000 blocks).
-    pub fn new(window_blocks: u64) -> Self {
-        GasCollector {
-            time_map: None,
-            window_blocks,
-            bids: Vec::new(),
-        }
-    }
-
-    /// Buffer one settled liquidation's gas bid (auctions are excluded, as in
-    /// the figure).
-    pub fn observe_record(&mut self, record: &LiquidationRecord) {
-        if record.kind == LiquidationKind::FixedSpread {
-            self.bids
-                .push((record.block, record.platform, record.gas_price));
-        }
-    }
-
-    /// Join against the chain's header moving average.
-    pub fn finish(&self, chain: &Blockchain) -> GasCompetition {
-        competition_from_bids(chain, &self.bids, self.window_blocks)
-    }
-}
-
-impl Default for GasCollector {
-    fn default() -> Self {
-        GasCollector::new(GAS_WINDOW_BLOCKS)
-    }
-}
-
-impl defi_sim::SimObserver for GasCollector {
-    fn on_run_start(&mut self, run: &defi_sim::RunStart<'_>) {
-        self.time_map = Some(run.time_map);
-    }
-
-    fn on_liquidation(&mut self, liquidation: &defi_sim::LiquidationObservation<'_>) {
-        if let Some(record) = crate::records::observed_record(self.time_map, liquidation) {
-            self.observe_record(&record);
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {

@@ -20,12 +20,13 @@
 //! | [`price_movement`] | Appendix A post-liquidation price movements, Table 7 |
 //! | [`study`] | one-call [`StudyAnalysis`] bundling all of the above |
 //!
-//! Each module ships two equivalent faces: pure batch functions over the
-//! ledger/report, and an incremental *collector* implementing
-//! [`SimObserver`](defi_sim::SimObserver) so the same artefact computes in a
-//! single pass while the simulation streams. [`StudyCollector`] composes the
-//! streaming collectors (building each record once and fanning it out) and
-//! measures the snapshot-bound artefacts at run end.
+//! Each artefact has exactly one implementation: a pure batch function over
+//! the ledger, the chain, the market oracle, the final position books or the
+//! volume samples. [`StudyAnalysis`] calls all of them from one assembly
+//! step, which both pipelines reach: [`StudyAnalysis::from_report`] after the
+//! run, and [`StudyCollector`] — the crate's one
+//! [`SimObserver`](defi_sim::SimObserver) — at the end of a live session or a
+//! journal replay, having built the ledger while the run streamed.
 
 #![forbid(unsafe_code)]
 
@@ -42,14 +43,5 @@ pub mod stablecoin;
 pub mod study;
 pub mod unprofitable;
 
-pub use auctions::AuctionCollector;
-pub use bad_debt::BadDebtCollector;
-pub use flashloan::FlashLoanCollector;
-pub use gas::GasCollector;
-pub use overall::{OverallArtifacts, OverallCollector};
-pub use price_movement::PriceMovementCollector;
-pub use profit_volume::ProfitVolumeCollector;
-pub use records::{LiquidationKind, LiquidationRecord, RecordsCollector};
-pub use stablecoin::StablecoinCollector;
+pub use records::{LiquidationKind, LiquidationRecord};
 pub use study::{StudyAnalysis, StudyCollector};
-pub use unprofitable::UnprofitableCollector;

@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
-use defi_types::{Address, BlockNumber, MonthTag, Platform, SignedWad, TimeMap, Wad};
+use defi_types::{BlockNumber, MonthTag, Platform, SignedWad, Wad};
 
 use crate::records::LiquidationRecord;
 
@@ -38,7 +38,7 @@ pub struct Table1 {
 /// Compute Table 1 from the liquidation ledger.
 pub fn table1(records: &[LiquidationRecord]) -> Table1 {
     let mut rows = Vec::new();
-    let mut all_liquidators: std::collections::BTreeSet<_> = std::collections::BTreeSet::new();
+    let mut all_liquidators: BTreeSet<_> = BTreeSet::new();
     let mut total_profit = SignedWad::ZERO;
     for platform in Platform::ALL {
         let platform_records: Vec<&LiquidationRecord> =
@@ -46,8 +46,7 @@ pub fn table1(records: &[LiquidationRecord]) -> Table1 {
         if platform_records.is_empty() {
             continue;
         }
-        let liquidators: std::collections::BTreeSet<_> =
-            platform_records.iter().map(|r| r.liquidator).collect();
+        let liquidators: BTreeSet<_> = platform_records.iter().map(|r| r.liquidator).collect();
         let profit: SignedWad = platform_records.iter().map(|r| r.gross_profit()).sum();
         total_profit = total_profit.add(profit);
         all_liquidators.extend(liquidators.iter().copied());
@@ -158,7 +157,7 @@ pub fn headline(records: &[LiquidationRecord]) -> HeadlineStats {
         .map(|r| r.collateral_received_usd)
         .fold(Wad::ZERO, |acc, v| acc.saturating_add(v));
     let total_profit: SignedWad = records.iter().map(|r| r.gross_profit()).sum();
-    let liquidators: std::collections::BTreeSet<_> = records.iter().map(|r| r.liquidator).collect();
+    let liquidators: BTreeSet<_> = records.iter().map(|r| r.liquidator).collect();
     let unprofitable: Vec<&LiquidationRecord> = records
         .iter()
         .filter(|r| r.gross_profit().is_negative())
@@ -207,186 +206,6 @@ pub fn top_liquidators(records: &[LiquidationRecord]) -> Option<TopLiquidators> 
         most_profitable_profit: most_profitable.1,
         most_profitable_count: most_profitable.0,
     })
-}
-
-/// Per-platform running totals behind Table 1.
-#[derive(Debug, Clone)]
-struct PlatformTally {
-    count: u32,
-    liquidators: BTreeSet<Address>,
-    profit: SignedWad,
-}
-
-/// Everything the overall-statistics collector produces at the end of a run.
-#[derive(Debug)]
-pub struct OverallArtifacts {
-    /// §4.2 headline statistics.
-    pub headline: HeadlineStats,
-    /// Table 1.
-    pub table1: Table1,
-    /// §4.3.1 call-outs.
-    pub top_liquidators: Option<TopLiquidators>,
-    /// Figure 4 series per platform.
-    pub figure4: BTreeMap<Platform, Vec<AccumulativePoint>>,
-    /// Figure 5 monthly profit per platform.
-    pub figure5: BTreeMap<Platform, BTreeMap<MonthTag, SignedWad>>,
-}
-
-/// Incremental computation of the §4.2/§4.3.1 artefacts (headline, Table 1,
-/// Figures 4–5, top liquidators): one [`observe_record`] call per settled
-/// liquidation instead of a post-hoc scan of the ledger. Folding records in
-/// settlement order reproduces the batch functions exactly, including their
-/// accumulation order.
-///
-/// [`observe_record`]: OverallCollector::observe_record
-#[derive(Debug, Default)]
-pub struct OverallCollector {
-    time_map: Option<TimeMap>,
-    count: u32,
-    total_collateral_sold: Wad,
-    total_profit: Option<SignedWad>,
-    unprofitable: u32,
-    unprofitable_loss: Wad,
-    by_liquidator: BTreeMap<Address, (u32, SignedWad)>,
-    per_platform: BTreeMap<Platform, PlatformTally>,
-    figure4: BTreeMap<Platform, Vec<AccumulativePoint>>,
-    figure5: BTreeMap<Platform, BTreeMap<MonthTag, SignedWad>>,
-}
-
-impl OverallCollector {
-    /// An empty collector.
-    pub fn new() -> Self {
-        OverallCollector::default()
-    }
-
-    pub(crate) fn set_time_map(&mut self, time_map: TimeMap) {
-        self.time_map = Some(time_map);
-    }
-
-    /// Fold one settled liquidation into every running aggregate.
-    pub fn observe_record(&mut self, record: &LiquidationRecord) {
-        let gross = record.gross_profit();
-        self.count += 1;
-        self.total_collateral_sold = self
-            .total_collateral_sold
-            .saturating_add(record.collateral_received_usd);
-        self.total_profit = Some(self.total_profit.unwrap_or(SignedWad::ZERO).add(gross));
-        if gross.is_negative() {
-            self.unprofitable += 1;
-            self.unprofitable_loss = self.unprofitable_loss.saturating_add(gross.magnitude);
-        }
-        let liquidator = self
-            .by_liquidator
-            .entry(record.liquidator)
-            .or_insert((0, SignedWad::ZERO));
-        liquidator.0 += 1;
-        liquidator.1 = liquidator.1.add(gross);
-
-        let tally = self
-            .per_platform
-            .entry(record.platform)
-            .or_insert_with(|| PlatformTally {
-                count: 0,
-                liquidators: BTreeSet::new(),
-                profit: SignedWad::ZERO,
-            });
-        tally.count += 1;
-        tally.liquidators.insert(record.liquidator);
-        tally.profit = tally.profit.add(gross);
-
-        let series = self.figure4.entry(record.platform).or_default();
-        let cumulative = series
-            .last()
-            .map(|point| point.cumulative_usd)
-            .unwrap_or(Wad::ZERO)
-            .saturating_add(record.collateral_received_usd);
-        series.push(AccumulativePoint {
-            block: record.block,
-            cumulative_usd: cumulative,
-        });
-
-        let monthly = self
-            .figure5
-            .entry(record.platform)
-            .or_default()
-            .entry(record.month)
-            .or_insert(SignedWad::ZERO);
-        *monthly = monthly.add(gross);
-    }
-
-    /// Finalise into the same artefacts the batch functions compute.
-    pub fn finish(self) -> OverallArtifacts {
-        let mut rows = Vec::new();
-        let mut total_profit = SignedWad::ZERO;
-        for platform in Platform::ALL {
-            let Some(tally) = self.per_platform.get(&platform) else {
-                continue;
-            };
-            total_profit = total_profit.add(tally.profit);
-            let average = if tally.count > 0 {
-                SignedWad {
-                    negative: tally.profit.negative,
-                    magnitude: tally
-                        .profit
-                        .magnitude
-                        .checked_div_int(tally.count as u128)
-                        .unwrap_or(Wad::ZERO),
-                }
-            } else {
-                SignedWad::ZERO
-            };
-            rows.push(Table1Row {
-                platform,
-                liquidations: tally.count,
-                liquidators: tally.liquidators.len() as u32,
-                average_profit: average,
-            });
-        }
-        let table1 = Table1 {
-            total_liquidations: rows.iter().map(|r| r.liquidations).sum(),
-            total_liquidators: self.by_liquidator.len() as u32,
-            total_profit,
-            rows,
-        };
-        let headline = HeadlineStats {
-            total_collateral_sold: self.total_collateral_sold,
-            total_profit: self.total_profit.unwrap_or(SignedWad::ZERO),
-            liquidation_count: self.count,
-            liquidator_count: self.by_liquidator.len() as u32,
-            unprofitable_liquidations: self.unprofitable,
-            unprofitable_loss: self.unprofitable_loss,
-        };
-        let most_active = self.by_liquidator.values().max_by_key(|(count, _)| *count);
-        let most_profitable = self.by_liquidator.values().max_by(|a, b| a.1.cmp(&b.1));
-        let top_liquidators = match (most_active, most_profitable) {
-            (Some(active), Some(profitable)) => Some(TopLiquidators {
-                most_active_count: active.0,
-                most_active_profit: active.1,
-                most_profitable_profit: profitable.1,
-                most_profitable_count: profitable.0,
-            }),
-            _ => None,
-        };
-        OverallArtifacts {
-            headline,
-            table1,
-            top_liquidators,
-            figure4: self.figure4,
-            figure5: self.figure5,
-        }
-    }
-}
-
-impl defi_sim::SimObserver for OverallCollector {
-    fn on_run_start(&mut self, run: &defi_sim::RunStart<'_>) {
-        self.set_time_map(run.time_map);
-    }
-
-    fn on_liquidation(&mut self, liquidation: &defi_sim::LiquidationObservation<'_>) {
-        if let Some(record) = crate::records::observed_record(self.time_map, liquidation) {
-            self.observe_record(&record);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -515,72 +334,5 @@ mod tests {
         let table = table1(&[]);
         assert_eq!(table.total_liquidations, 0);
         assert!(table.rows.is_empty());
-    }
-
-    #[test]
-    fn incremental_collector_matches_batch_functions() {
-        let records = vec![
-            record(Platform::Compound, 1, 10, 1_000, 1_080),
-            record(Platform::MakerDao, 2, 11, 1_000, 900),
-            record(Platform::Compound, 1, 12, 1_000, 1_040),
-            record(Platform::DyDx, 3, 13, 2_000, 2_100),
-        ];
-        let mut collector = OverallCollector::new();
-        for r in &records {
-            collector.observe_record(r);
-        }
-        let artifacts = collector.finish();
-
-        let batch_table1 = table1(&records);
-        assert_eq!(
-            artifacts.table1.total_liquidations,
-            batch_table1.total_liquidations
-        );
-        assert_eq!(
-            artifacts.table1.total_liquidators,
-            batch_table1.total_liquidators
-        );
-        assert_eq!(artifacts.table1.total_profit, batch_table1.total_profit);
-        assert_eq!(artifacts.table1.rows.len(), batch_table1.rows.len());
-        for (a, b) in artifacts.table1.rows.iter().zip(&batch_table1.rows) {
-            assert_eq!(a.platform, b.platform);
-            assert_eq!(a.liquidations, b.liquidations);
-            assert_eq!(a.liquidators, b.liquidators);
-            assert_eq!(a.average_profit, b.average_profit);
-        }
-
-        let batch_headline = headline(&records);
-        assert_eq!(
-            artifacts.headline.liquidation_count,
-            batch_headline.liquidation_count
-        );
-        assert_eq!(artifacts.headline.total_profit, batch_headline.total_profit);
-        assert_eq!(
-            artifacts.headline.total_collateral_sold,
-            batch_headline.total_collateral_sold
-        );
-        assert_eq!(
-            artifacts.headline.unprofitable_liquidations,
-            batch_headline.unprofitable_liquidations
-        );
-
-        let batch_fig4 = accumulative_collateral_sold(&records);
-        assert_eq!(artifacts.figure4.len(), batch_fig4.len());
-        for (platform, series) in &artifacts.figure4 {
-            let batch_series = &batch_fig4[platform];
-            assert_eq!(series.len(), batch_series.len());
-            for (a, b) in series.iter().zip(batch_series) {
-                assert_eq!(a.block, b.block);
-                assert_eq!(a.cumulative_usd, b.cumulative_usd);
-            }
-        }
-
-        let batch_fig5 = monthly_profit(&records);
-        assert_eq!(artifacts.figure5, batch_fig5);
-
-        let batch_top = top_liquidators(&records).unwrap();
-        let top = artifacts.top_liquidators.unwrap();
-        assert_eq!(top.most_active_count, batch_top.most_active_count);
-        assert_eq!(top.most_profitable_profit, batch_top.most_profitable_profit);
     }
 }

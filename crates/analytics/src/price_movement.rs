@@ -186,55 +186,6 @@ pub fn table7_window(tick_blocks: u64) -> u64 {
     1_440.max(4 * tick_blocks)
 }
 
-/// Observer collecting the liquidation ledger in-stream and classifying the
-/// post-liquidation trajectories in `on_run_end` — each record's observation
-/// window extends *past* its settlement block, so the classification can
-/// only happen once the price history is complete.
-#[derive(Debug, Default)]
-pub struct PriceMovementCollector {
-    time_map: Option<defi_types::TimeMap>,
-    records: Vec<LiquidationRecord>,
-    table: Option<Table7>,
-}
-
-impl PriceMovementCollector {
-    /// An empty collector.
-    pub fn new() -> Self {
-        PriceMovementCollector::default()
-    }
-
-    /// The measured table (available after the run ended).
-    pub fn table(&self) -> Option<&Table7> {
-        self.table.as_ref()
-    }
-
-    /// Consume the collector, returning the table.
-    pub fn into_table(self) -> Option<Table7> {
-        self.table
-    }
-}
-
-impl defi_sim::SimObserver for PriceMovementCollector {
-    fn on_run_start(&mut self, run: &defi_sim::RunStart<'_>) {
-        self.time_map = Some(run.time_map);
-    }
-
-    fn on_liquidation(&mut self, liquidation: &defi_sim::LiquidationObservation<'_>) {
-        if let Some(record) = crate::records::observed_record(self.time_map, liquidation) {
-            self.records.push(record);
-        }
-    }
-
-    fn on_run_end(&mut self, end: &defi_sim::RunEnd<'_>) {
-        self.table = Some(table7(
-            &self.records,
-            end.market_oracle,
-            table7_window(end.config.tick_blocks),
-            end.config.tick_blocks,
-        ));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -47,11 +47,16 @@ impl Table8 {
 
 /// Compute Table 8 from the liquidation ledger.
 pub fn table8(records: &[LiquidationRecord]) -> Table8 {
-    let mut collector = ProfitVolumeCollector::default();
-    for record in records {
-        collector.observe_record(record);
+    let mut table = Table8::default();
+    for record in records.iter().filter(|r| r.is_dai_eth()) {
+        *table
+            .counts
+            .entry(record.month)
+            .or_default()
+            .entry(record.platform)
+            .or_insert(0) += 1;
     }
-    collector.finish().0
+    table
 }
 
 /// Build the Figure 9 dataset: one [`ProfitVolumeRatio`] observation per
@@ -62,114 +67,44 @@ pub fn figure9(
     volume_samples: &[VolumeSample],
     time_map: &TimeMap,
 ) -> MechanismComparison {
-    let mut collector = ProfitVolumeCollector::default();
-    collector.set_time_map(*time_map);
-    for record in records {
-        collector.observe_record(record);
-    }
-    for sample in volume_samples {
-        collector.observe_sample(sample);
-    }
-    collector.finish().1
-}
-
-/// Incremental §5.1 collector: folds DAI/ETH liquidation profits (numerator)
-/// and collateral-volume samples (denominator) as they stream past, joining
-/// them per platform-month at [`finish`](ProfitVolumeCollector::finish).
-#[derive(Debug, Default)]
-pub struct ProfitVolumeCollector {
-    time_map: Option<TimeMap>,
-    table8: Table8,
-    profit: BTreeMap<(Platform, MonthTag), Wad>,
-    counts: BTreeMap<(Platform, MonthTag), u32>,
-    volume_sum: BTreeMap<(Platform, MonthTag), (Wad, u32)>,
-}
-
-impl ProfitVolumeCollector {
-    /// An empty collector.
-    pub fn new() -> Self {
-        ProfitVolumeCollector::default()
-    }
-
-    pub(crate) fn set_time_map(&mut self, time_map: TimeMap) {
-        self.time_map = Some(time_map);
-    }
-
-    /// Fold one settled liquidation (non-DAI/ETH records are ignored).
-    pub fn observe_record(&mut self, record: &LiquidationRecord) {
-        if !record.is_dai_eth() {
-            return;
-        }
-        *self
-            .table8
-            .counts
-            .entry(record.month)
-            .or_default()
-            .entry(record.platform)
-            .or_insert(0) += 1;
-        let key = (record.platform, record.month);
+    // Numerator: non-negative gross profit and liquidation count per
+    // platform-month.
+    let mut liquidations: BTreeMap<(Platform, MonthTag), (Wad, u32)> = BTreeMap::new();
+    for record in records.iter().filter(|r| r.is_dai_eth()) {
+        let entry = liquidations
+            .entry((record.platform, record.month))
+            .or_insert((Wad::ZERO, 0));
         let gross = record.gross_profit();
         if !gross.is_negative() {
-            let entry = self.profit.entry(key).or_insert(Wad::ZERO);
-            *entry = entry.saturating_add(gross.magnitude);
+            entry.0 = entry.0.saturating_add(gross.magnitude);
         }
-        *self.counts.entry(key).or_insert(0) += 1;
+        entry.1 += 1;
     }
-
-    /// Fold one collateral-volume sample.
-    pub fn observe_sample(&mut self, sample: &VolumeSample) {
-        let month = self
-            .time_map
-            .unwrap_or_else(TimeMap::paper_study_window)
-            .month(sample.block);
-        let entry = self
-            .volume_sum
-            .entry((sample.platform, month))
+    // Denominator: the sampled collateral volume per platform-month.
+    let mut volume_sum: BTreeMap<(Platform, MonthTag), (Wad, u32)> = BTreeMap::new();
+    for sample in volume_samples {
+        let entry = volume_sum
+            .entry((sample.platform, time_map.month(sample.block)))
             .or_insert((Wad::ZERO, 0));
         entry.0 = entry.0.saturating_add(sample.dai_eth_collateral_usd);
         entry.1 += 1;
     }
 
-    /// Join numerator and denominator into Table 8 and the Figure 9 dataset.
-    pub fn finish(&self) -> (Table8, MechanismComparison) {
-        let mut comparison = MechanismComparison::new();
-        for (&(platform, month), &(sum, n)) in &self.volume_sum {
-            if n == 0 {
-                continue;
-            }
-            let average_volume = sum.checked_div_int(n as u128).unwrap_or(Wad::ZERO);
-            let monthly_profit = self
-                .profit
-                .get(&(platform, month))
-                .copied()
-                .unwrap_or(Wad::ZERO);
-            let liquidation_count = self.counts.get(&(platform, month)).copied().unwrap_or(0);
-            comparison.push(ProfitVolumeRatio {
-                month,
-                platform,
-                monthly_profit,
-                average_collateral_volume: average_volume,
-                liquidation_count,
-            });
-        }
-        (self.table8.clone(), comparison)
+    let mut comparison = MechanismComparison::new();
+    for (&(platform, month), &(sum, n)) in &volume_sum {
+        let (monthly_profit, liquidation_count) = liquidations
+            .get(&(platform, month))
+            .copied()
+            .unwrap_or((Wad::ZERO, 0));
+        comparison.push(ProfitVolumeRatio {
+            month,
+            platform,
+            monthly_profit,
+            average_collateral_volume: sum.checked_div_int(n as u128).unwrap_or(Wad::ZERO),
+            liquidation_count,
+        });
     }
-}
-
-impl defi_sim::SimObserver for ProfitVolumeCollector {
-    fn on_run_start(&mut self, run: &defi_sim::RunStart<'_>) {
-        self.set_time_map(run.time_map);
-    }
-
-    fn on_liquidation(&mut self, liquidation: &defi_sim::LiquidationObservation<'_>) {
-        if let Some(record) = crate::records::observed_record(self.time_map, liquidation) {
-            self.observe_record(&record);
-        }
-    }
-
-    fn on_volume_sample(&mut self, sample: &VolumeSample) {
-        self.observe_sample(sample);
-    }
+    comparison
 }
 
 #[cfg(test)]

@@ -93,8 +93,8 @@ impl LiquidationRecord {
 /// Build a [`LiquidationRecord`] from one logged settlement event, valuing
 /// the transaction fee at the given ETH price. Returns `None` for events
 /// that are not settlements. Both the batch [`collect_records`] scan and the
-/// streaming [`RecordsCollector`] go through this one constructor, so the two
-/// paths produce identical ledgers.
+/// streaming [`StudyCollector`](crate::StudyCollector) go through this one
+/// constructor, so the two paths produce identical ledgers.
 pub fn record_from_logged(
     logged: &defi_chain::LoggedEvent,
     eth_price: Wad,
@@ -175,66 +175,6 @@ pub fn collect_records(chain: &Blockchain, market_oracle: &PriceOracle) -> Vec<L
             record_from_logged(logged, eth_price, time_map)
         })
         .collect()
-}
-
-/// Streaming builder of the liquidation ledger: the observer equivalent of
-/// [`collect_records`], accumulating one record per settlement as the run
-/// produces it.
-#[derive(Debug, Default)]
-pub struct RecordsCollector {
-    time_map: Option<TimeMap>,
-    records: Vec<LiquidationRecord>,
-}
-
-impl RecordsCollector {
-    /// An empty collector.
-    pub fn new() -> Self {
-        RecordsCollector::default()
-    }
-
-    /// The ledger accumulated so far.
-    pub fn records(&self) -> &[LiquidationRecord] {
-        &self.records
-    }
-
-    /// Consume the collector, returning the ledger.
-    pub fn into_records(self) -> Vec<LiquidationRecord> {
-        self.records
-    }
-
-    pub(crate) fn set_time_map(&mut self, time_map: TimeMap) {
-        self.time_map = Some(time_map);
-    }
-
-    pub(crate) fn observe(
-        &mut self,
-        liquidation: &defi_sim::LiquidationObservation<'_>,
-    ) -> Option<&LiquidationRecord> {
-        let record = observed_record(self.time_map, liquidation)?;
-        self.records.push(record);
-        self.records.last()
-    }
-}
-
-/// Build a record from a streamed observation, falling back to the paper's
-/// study-window calendar when the observer was attached without seeing
-/// `on_run_start`. The one helper every streaming collector routes through.
-pub(crate) fn observed_record(
-    time_map: Option<TimeMap>,
-    liquidation: &defi_sim::LiquidationObservation<'_>,
-) -> Option<LiquidationRecord> {
-    let time_map = time_map.unwrap_or_else(TimeMap::paper_study_window);
-    record_from_logged(liquidation.logged, liquidation.eth_price, &time_map)
-}
-
-impl defi_sim::SimObserver for RecordsCollector {
-    fn on_run_start(&mut self, run: &defi_sim::RunStart<'_>) {
-        self.set_time_map(run.time_map);
-    }
-
-    fn on_liquidation(&mut self, liquidation: &defi_sim::LiquidationObservation<'_>) {
-        self.observe(liquidation);
-    }
 }
 
 #[cfg(test)]

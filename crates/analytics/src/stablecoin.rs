@@ -85,57 +85,6 @@ pub fn stablecoin_stability(
     }
 }
 
-/// Observer wrapper around [`stablecoin_stability`]: the statistic scans the
-/// (tick-resolution) market price history, so it runs once in `on_run_end`
-/// over the window the configuration defines.
-#[derive(Debug)]
-pub struct StablecoinCollector {
-    tokens: Vec<Token>,
-    threshold: f64,
-    stats: Option<StablecoinStability>,
-}
-
-impl StablecoinCollector {
-    /// A collector comparing `tokens` with the given pairwise threshold.
-    pub fn new(tokens: Vec<Token>, threshold: f64) -> Self {
-        StablecoinCollector {
-            tokens,
-            threshold,
-            stats: None,
-        }
-    }
-
-    /// The measured statistics (available after the run ended).
-    pub fn stats(&self) -> Option<&StablecoinStability> {
-        self.stats.as_ref()
-    }
-
-    /// Consume the collector, returning the statistics.
-    pub fn into_stats(self) -> Option<StablecoinStability> {
-        self.stats
-    }
-}
-
-impl Default for StablecoinCollector {
-    /// The paper's setup: DAI/USDC/USDT within 5 %.
-    fn default() -> Self {
-        StablecoinCollector::new(vec![Token::DAI, Token::USDC, Token::USDT], 0.05)
-    }
-}
-
-impl defi_sim::SimObserver for StablecoinCollector {
-    fn on_run_end(&mut self, end: &defi_sim::RunEnd<'_>) {
-        self.stats = Some(stablecoin_stability(
-            end.market_oracle,
-            &self.tokens,
-            end.config.start_block,
-            end.snapshot_block,
-            end.config.tick_blocks,
-            self.threshold,
-        ));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

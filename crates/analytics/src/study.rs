@@ -1,36 +1,39 @@
 //! One-call analysis of a full simulation run.
 //!
-//! Two equivalent pipelines produce the same [`StudyAnalysis`]:
+//! Every artefact is computed by exactly one function, and both ways of
+//! building a [`StudyAnalysis`] reach those functions through one private
+//! assembly step over the liquidation ledger, the volume samples and the
+//! run-end state. They differ only in where those inputs come from:
 //!
 //! * **streaming** — [`StudyCollector`] is a
-//!   [`SimObserver`](defi_sim::SimObserver) composing the incremental
-//!   collectors of every module; attach it to a
-//!   [`Session`](defi_sim::Session) (or call [`StudyAnalysis::stream`]) and
-//!   the study computes in a single pass *during* the simulation;
-//! * **batch** — [`StudyAnalysis::from_report`] re-scans a materialised
-//!   [`SimulationReport`] after the fact (the legacy path, kept as the
+//!   [`SimObserver`](defi_sim::SimObserver) that builds the ledger and keeps
+//!   the volume samples while the run executes, then assembles the study in
+//!   `on_run_end`; attach it to a [`Session`](defi_sim::Session), replay a
+//!   journal into it, or call [`StudyAnalysis::stream`];
+//! * **batch** — [`StudyAnalysis::from_report`] rebuilds the ledger from a
+//!   materialised [`SimulationReport`]'s event log after the fact (the
 //!   reference the streaming path is tested against).
 
 use serde::Serialize;
 
 use defi_core::comparison::MechanismComparison;
 use defi_sim::{
-    LiquidationObservation, MultiObserver, RunEnd, RunStart, SimError, SimObserver,
+    LiquidationObservation, MultiObserver, NullObserver, RunEnd, RunStart, SimError, SimObserver,
     SimulationEngine, SimulationReport, VolumeSample,
 };
 use defi_types::{TimeMap, Token};
 
-use crate::auctions::{auction_stats, AuctionCollector, AuctionStats};
+use crate::auctions::{auction_stats, AuctionStats};
 use crate::bad_debt::{table2, Table2};
-use crate::flashloan::{table4, FlashLoanCollector, Table4};
-use crate::gas::{gas_competition, GasCollector, GasCompetition, GAS_WINDOW_BLOCKS};
+use crate::flashloan::{table4, Table4};
+use crate::gas::{gas_competition, GasCompetition, GAS_WINDOW_BLOCKS};
 use crate::overall::{
     accumulative_collateral_sold, headline, monthly_profit, table1, top_liquidators,
-    AccumulativePoint, HeadlineStats, OverallCollector, Table1, TopLiquidators,
+    AccumulativePoint, HeadlineStats, Table1, TopLiquidators,
 };
 use crate::price_movement::{table7, table7_window, Table7};
-use crate::profit_volume::{figure9, table8, ProfitVolumeCollector, Table8};
-use crate::records::{collect_records, observed_record, LiquidationRecord};
+use crate::profit_volume::{figure9, table8, Table8};
+use crate::records::{collect_records, record_from_logged, LiquidationRecord};
 use crate::sensitivity::{figure8, PlatformSensitivity};
 use crate::stablecoin::{stablecoin_stability, StablecoinStability};
 use crate::unprofitable::{table3, Table3};
@@ -80,40 +83,54 @@ pub struct StudyAnalysis {
 
 impl StudyAnalysis {
     /// Run the full measurement pipeline over a simulation report (the batch
-    /// path: a post-hoc scan of `report.chain.events()`).
+    /// path: the ledger is rebuilt from `report.chain.events()`).
     pub fn from_report(report: &SimulationReport) -> Self {
-        let time_map = *report.chain.time_map();
         let records = collect_records(&report.chain, &report.market_oracle);
+        let end = RunEnd {
+            config: &report.config,
+            snapshot_block: report.snapshot_block,
+            final_positions: &report.final_positions,
+            chain: &report.chain,
+            market_oracle: &report.market_oracle,
+        };
+        Self::assemble(records, &report.volume_samples, &end)
+    }
 
-        let stablecoins = stablecoin_stability(
-            &report.market_oracle,
-            &[Token::DAI, Token::USDC, Token::USDT],
-            report.config.start_block,
-            report.snapshot_block,
-            report.config.tick_blocks,
-            0.05,
-        );
-
+    /// Compute every artefact from the ledger, the volume samples and the
+    /// run-end state — the one place both pipelines meet.
+    fn assemble(
+        records: Vec<LiquidationRecord>,
+        volume_samples: &[VolumeSample],
+        end: &RunEnd<'_>,
+    ) -> Self {
+        let time_map = *end.chain.time_map();
         StudyAnalysis {
             headline: headline(&records),
             table1: table1(&records),
             top_liquidators: top_liquidators(&records),
             figure4: accumulative_collateral_sold(&records),
             figure5: monthly_profit(&records),
-            gas: gas_competition(&report.chain, &records, GAS_WINDOW_BLOCKS),
-            auctions: auction_stats(&report.chain, &records, &time_map),
-            table2: table2(&report.final_positions),
-            table3: table3(&report.final_positions),
-            table4: table4(&report.chain),
-            figure8: figure8(&report.final_positions, FIGURE8_STEPS),
-            stablecoins,
-            figure9: figure9(&records, &report.volume_samples, &time_map),
+            gas: gas_competition(end.chain, &records, GAS_WINDOW_BLOCKS),
+            auctions: auction_stats(end.chain, &records, &time_map),
+            table2: table2(end.final_positions),
+            table3: table3(end.final_positions),
+            table4: table4(end.chain),
+            figure8: figure8(end.final_positions, FIGURE8_STEPS),
+            stablecoins: stablecoin_stability(
+                end.market_oracle,
+                &[Token::DAI, Token::USDC, Token::USDT],
+                end.config.start_block,
+                end.snapshot_block,
+                end.config.tick_blocks,
+                0.05,
+            ),
+            figure9: figure9(&records, volume_samples, &time_map),
             table8: table8(&records),
             table7: table7(
                 &records,
-                &report.market_oracle,
-                table7_window(report.config.tick_blocks),
-                report.config.tick_blocks,
+                end.market_oracle,
+                table7_window(end.config.tick_blocks),
+                end.config.tick_blocks,
             ),
             records,
         }
@@ -123,12 +140,7 @@ impl StudyAnalysis {
     /// single pass during the simulation. Returns the analysis together with
     /// the report.
     pub fn stream(engine: SimulationEngine) -> Result<(StudyAnalysis, SimulationReport), SimError> {
-        let mut collector = StudyCollector::new();
-        let report = engine.session().run_to_end(&mut collector)?;
-        let analysis = collector
-            .into_analysis()
-            .expect("run_to_end dispatched on_run_end");
-        Ok((analysis, report))
+        Self::stream_with(engine, &mut NullObserver)
     }
 
     /// Replay-driven construction: `drive` feeds an already-recorded
@@ -165,20 +177,15 @@ impl StudyAnalysis {
     }
 }
 
-/// The streaming counterpart of [`StudyAnalysis::from_report`]: composes the
-/// per-module incremental collectors behind one [`SimObserver`], building
-/// each liquidation record exactly once and fanning it out. Snapshot-bound
-/// artefacts (Tables 2–3, Figure 8, stablecoins, Table 7) are measured in
-/// `on_run_end` over the final state the session hands over.
+/// The streaming counterpart of [`StudyAnalysis::from_report`]: builds each
+/// liquidation record as it settles and keeps every volume sample, then
+/// computes the study in `on_run_end` over the final state the session (or
+/// a journal replay) hands over.
 #[derive(Debug, Default)]
 pub struct StudyCollector {
     time_map: Option<TimeMap>,
     records: Vec<LiquidationRecord>,
-    overall: OverallCollector,
-    gas: GasCollector,
-    auctions: AuctionCollector,
-    flash_loans: FlashLoanCollector,
-    profit_volume: ProfitVolumeCollector,
+    volume_samples: Vec<VolumeSample>,
     analysis: Option<StudyAnalysis>,
 }
 
@@ -203,65 +210,27 @@ impl StudyCollector {
 impl SimObserver for StudyCollector {
     fn on_run_start(&mut self, run: &RunStart<'_>) {
         self.time_map = Some(run.time_map);
-        self.overall.set_time_map(run.time_map);
-        self.auctions.set_time_map(run.time_map);
-        self.profit_volume.set_time_map(run.time_map);
-    }
-
-    fn on_event(&mut self, logged: &defi_chain::LoggedEvent) {
-        self.flash_loans.observe_event(logged);
-        self.auctions.observe_event(logged);
     }
 
     fn on_liquidation(&mut self, liquidation: &LiquidationObservation<'_>) {
-        let Some(record) = observed_record(self.time_map, liquidation) else {
-            return;
-        };
-        self.overall.observe_record(&record);
-        self.gas.observe_record(&record);
-        self.auctions.observe_record(&record);
-        self.profit_volume.observe_record(&record);
-        self.records.push(record);
+        // Fall back to the paper's study-window calendar when the collector
+        // was attached without seeing `on_run_start`.
+        let time_map = self.time_map.unwrap_or_else(TimeMap::paper_study_window);
+        self.records.extend(record_from_logged(
+            liquidation.logged,
+            liquidation.eth_price,
+            &time_map,
+        ));
     }
 
     fn on_volume_sample(&mut self, sample: &VolumeSample) {
-        self.profit_volume.observe_sample(sample);
+        self.volume_samples.push(*sample);
     }
 
     fn on_run_end(&mut self, end: &RunEnd<'_>) {
-        let overall = std::mem::take(&mut self.overall).finish();
-        let (table8, figure9) = self.profit_volume.finish();
         let records = std::mem::take(&mut self.records);
-        self.analysis = Some(StudyAnalysis {
-            headline: overall.headline,
-            table1: overall.table1,
-            top_liquidators: overall.top_liquidators,
-            figure4: overall.figure4,
-            figure5: overall.figure5,
-            gas: self.gas.finish(end.chain),
-            auctions: self.auctions.finish(),
-            table2: table2(end.final_positions),
-            table3: table3(end.final_positions),
-            table4: self.flash_loans.finish(),
-            figure8: figure8(end.final_positions, FIGURE8_STEPS),
-            stablecoins: stablecoin_stability(
-                end.market_oracle,
-                &[Token::DAI, Token::USDC, Token::USDT],
-                end.config.start_block,
-                end.snapshot_block,
-                end.config.tick_blocks,
-                0.05,
-            ),
-            figure9,
-            table8,
-            table7: table7(
-                &records,
-                end.market_oracle,
-                table7_window(end.config.tick_blocks),
-                end.config.tick_blocks,
-            ),
-            records,
-        });
+        let volume_samples = std::mem::take(&mut self.volume_samples);
+        self.analysis = Some(StudyAnalysis::assemble(records, &volume_samples, end));
     }
 }
 

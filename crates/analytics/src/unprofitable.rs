@@ -101,36 +101,6 @@ pub fn table3(positions_by_platform: &BTreeMap<Platform, Vec<Position>>) -> Tabl
     Table3 { rows }
 }
 
-/// Observer wrapper around [`table3`]: unprofitable opportunities are a
-/// property of the final snapshot, measured once in `on_run_end`.
-#[derive(Debug, Default)]
-pub struct UnprofitableCollector {
-    table: Option<Table3>,
-}
-
-impl UnprofitableCollector {
-    /// An empty collector.
-    pub fn new() -> Self {
-        UnprofitableCollector::default()
-    }
-
-    /// The measured table (available after the run ended).
-    pub fn table(&self) -> Option<&Table3> {
-        self.table.as_ref()
-    }
-
-    /// Consume the collector, returning the table.
-    pub fn into_table(self) -> Option<Table3> {
-        self.table
-    }
-}
-
-impl defi_sim::SimObserver for UnprofitableCollector {
-    fn on_run_end(&mut self, end: &defi_sim::RunEnd<'_>) {
-        self.table = Some(table3(end.final_positions));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

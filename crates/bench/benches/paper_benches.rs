@@ -318,12 +318,18 @@ fn bench_session_loop(c: &mut Criterion) {
     group.finish();
 }
 
-/// Single-pass streaming analytics vs. the legacy run-then-rescan pipeline.
+/// Single-pass streaming analytics vs. the run-then-rescan pipeline. In CI's
+/// `--test` quick mode the streaming body doubles as a check: it must render
+/// the same headline as the batch pipeline.
 fn bench_streaming_vs_batch_analytics(c: &mut Criterion) {
     use defi_analytics::StudyAnalysis;
+    use defi_bench::render::render_headline;
 
     let mut group = c.benchmark_group("study_pipeline");
     group.sample_size(10);
+    let expected = render_headline(&StudyAnalysis::from_report(
+        &SimulationEngine::new(SimConfig::smoke_test(6)).run(),
+    ));
     group.bench_function("batch_run_then_from_report", |b| {
         b.iter(|| {
             let report = SimulationEngine::new(SimConfig::smoke_test(6)).run();
@@ -331,7 +337,16 @@ fn bench_streaming_vs_batch_analytics(c: &mut Criterion) {
         })
     });
     group.bench_function("streaming_single_pass", |b| {
-        b.iter(|| StudyAnalysis::stream(SimulationEngine::new(SimConfig::smoke_test(6))).unwrap())
+        b.iter(|| {
+            let (streamed, report) =
+                StudyAnalysis::stream(SimulationEngine::new(SimConfig::smoke_test(6))).unwrap();
+            assert_eq!(
+                render_headline(&streamed),
+                expected,
+                "streamed analysis diverged from the batch pipeline"
+            );
+            (streamed, report)
+        })
     });
     group.finish();
 }

@@ -10,11 +10,13 @@
 //! ```
 //!
 //! Without `--smoke` the harness runs the full two-year scenario
-//! (`SimConfig::paper_default`), which takes on the order of a minute in
-//! release mode; `--smoke` runs the ~3-month crash window used by the test
+//! (`SimConfig::paper_default`), which takes about 5–8 s in release mode on
+//! a 2-CPU host; `--smoke` runs the ~3-month crash window used by the test
 //! suite. Artefact names: `headline`, `table1`…`table8`, `fig4`…`fig9`,
 //! `auction-stats`, `stablecoins`, `mitigation`, `configs`, `case-study`
-//! (alias of `table5`/`table6`), or `all`.
+//! (alias of `table5`/`table6`), or `all` (the list lives in
+//! `defi_bench::artefacts`). An unknown artefact name, or `--workers`
+//! without `--sweep`, is rejected with exit status 2.
 //!
 //! The study computes in a single pass: the simulation streams through the
 //! analytics crate's `StudyCollector` observer instead of materialising a
@@ -29,6 +31,7 @@ use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 use defi_analytics::{StudyAnalysis, StudyCollector};
+use defi_bench::artefacts::{self, STUDY_ARTEFACTS};
 use defi_bench::case_study::{run_case_study, CaseStudyInput};
 use defi_bench::{json, render};
 use defi_core::config::is_sound_fixed_spread_config;
@@ -43,7 +46,8 @@ use defi_types::Platform;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: repro [--smoke] [--seed N] [--json DIR] [--scenario NAME] [--scenario-file PATH]\n             [--list-scenarios] [--check-invariants] [--sweep seeds=N|scenarios] [--workers N]\n             [--timings] [--journal FILE] [--replay FILE] <artefact>...\n       artefacts: all headline table1 table2 table3 table4 table5 table6 table7 table8\n                  fig4 fig5 fig6 fig7 fig8 fig9 auction-stats stablecoins mitigation configs case-study\n       --scenario NAME runs a named catalog scenario (see --list-scenarios); names compose\n                  with '+', e.g. --scenario liquidation-spiral+stablecoin-depeg\n       --scenario-file PATH loads user-defined scenario entries into the catalog\n       --check-invariants attaches the InvariantObserver and fails on any violation\n       --sweep seeds=N runs N seeds through the SweepRunner and prints per-run summaries instead;\n       --sweep scenarios fans the whole scenario catalog across the workers\n       --timings prints each protocol book's per-phase tick-time breakdown after the run\n       --journal FILE records the run's observation stream as a replayable journal\n       --replay FILE renders artefacts from a recorded journal instead of simulating"
+        "usage: repro [--smoke] [--seed N] [--json DIR] [--scenario NAME] [--scenario-file PATH]\n             [--list-scenarios] [--check-invariants] [--sweep seeds=N|scenarios] [--workers N]\n             [--timings] [--journal FILE] [--replay FILE] <artefact>...\n       artefacts: {}\n       --scenario NAME runs a named catalog scenario (see --list-scenarios); names compose\n                  with '+', e.g. --scenario liquidation-spiral+stablecoin-depeg\n       --scenario-file PATH loads user-defined scenario entries into the catalog\n       --check-invariants attaches the InvariantObserver and fails on any violation\n       --sweep seeds=N runs N seeds through the SweepRunner and prints per-run summaries instead;\n       --sweep scenarios fans the whole scenario catalog across the workers\n       --timings prints each protocol book's per-phase tick-time breakdown after the run\n       --journal FILE records the run's observation stream as a replayable journal\n       --replay FILE renders artefacts from a recorded journal instead of simulating",
+        artefacts::valid_names().join(" ")
     );
     std::process::exit(2)
 }
@@ -235,7 +239,7 @@ fn main() {
     let mut journal_path: Option<PathBuf> = None;
     let mut replay_path: Option<PathBuf> = None;
     let mut timings = false;
-    let mut artefacts: BTreeSet<String> = BTreeSet::new();
+    let mut requested: BTreeSet<String> = BTreeSet::new();
 
     let mut args = std::env::args().skip(1).peekable();
     while let Some(arg) = args.next() {
@@ -284,11 +288,28 @@ fn main() {
             }
             "--help" | "-h" => usage(),
             other => {
-                artefacts.insert(other.to_ascii_lowercase());
+                requested.insert(other.to_ascii_lowercase());
             }
         }
     }
 
+    let valid_names = artefacts::valid_names();
+    if let Some(unknown) = requested
+        .iter()
+        .find(|name| !valid_names.contains(&name.as_str()))
+    {
+        eprintln!(
+            "unknown artefact '{unknown}'; valid names: {}",
+            valid_names.join(", ")
+        );
+        std::process::exit(2);
+    }
+    if workers.is_some() && sweep.is_none() {
+        // Only the sweep fans runs across workers; a single run would
+        // silently ignore the flag.
+        eprintln!("--workers requires --sweep seeds=N or --sweep scenarios");
+        std::process::exit(2);
+    }
     if check_invariants && sweep.is_some() {
         // The sweep path runs its own summarising observer per worker; it
         // does not audit invariants, so refuse instead of silently ignoring
@@ -380,21 +401,25 @@ fn main() {
         return;
     }
 
-    if artefacts.is_empty() {
-        artefacts.insert("all".to_string());
+    if requested.is_empty() {
+        requested.insert(artefacts::ALL_NAME.to_string());
     }
-    let all = artefacts.contains("all");
-    let wanted = |names: &[&str]| all || names.iter().any(|n| artefacts.contains(*n));
+    let all = requested.contains(artefacts::ALL_NAME);
+    let wanted = |names: &[&str]| all || names.iter().any(|n| requested.contains(*n));
+    let selected: Vec<_> = STUDY_ARTEFACTS
+        .iter()
+        .filter(|artefact| all || requested.iter().any(|name| artefact.answers_to(name)))
+        .collect();
 
     // Pure (no-simulation) artefacts first.
-    if wanted(&["table5", "table6", "case-study", "mitigation"]) {
+    if wanted(&artefacts::CASE_STUDY_NAMES) {
         let study = run_case_study(&CaseStudyInput::default());
         println!("{}", render::render_case_study(&study));
         if let Some(dir) = &json_dir {
             write_json(dir, "case-study", &json::case_study_json(&study));
         }
     }
-    if wanted(&["configs"]) {
+    if wanted(&[artefacts::CONFIGS_NAME]) {
         println!("== Appendix C: fixed-spread configuration soundness ==");
         for platform in Platform::ALL {
             let params = RiskParams::platform_default(platform);
@@ -410,23 +435,7 @@ fn main() {
         println!();
     }
 
-    let needs_simulation = wanted(&[
-        "headline",
-        "table1",
-        "table2",
-        "table3",
-        "table4",
-        "table7",
-        "table8",
-        "fig4",
-        "fig5",
-        "fig6",
-        "fig7",
-        "fig8",
-        "fig9",
-        "auction-stats",
-        "stablecoins",
-    ]) || journal_path.is_some();
+    let needs_simulation = !selected.is_empty() || journal_path.is_some();
     if !needs_simulation && replay_path.is_none() {
         return;
     }
@@ -598,99 +607,10 @@ fn main() {
     };
 
     // Render (and JSON-encode) lazily: only the selected artefacts are built.
-    macro_rules! emit {
-        ($names:expr, $file:literal, $render:expr, $json:expr) => {
-            if wanted(&$names) {
-                println!("{}", $render);
-                if let Some(dir) = &json_dir {
-                    write_json(dir, $file, &$json);
-                }
-            }
-        };
+    for artefact in selected {
+        println!("{}", (artefact.render)(&analysis));
+        if let Some(dir) = &json_dir {
+            write_json(dir, artefact.name, &(artefact.json)(&analysis));
+        }
     }
-
-    emit!(
-        ["headline"],
-        "headline",
-        render::render_headline(&analysis),
-        json::headline_json(&analysis)
-    );
-    emit!(
-        ["table1"],
-        "table1",
-        render::render_table1(&analysis),
-        json::table1_json(&analysis)
-    );
-    emit!(
-        ["fig4"],
-        "fig4",
-        render::render_figure4(&analysis),
-        json::figure4_json(&analysis)
-    );
-    emit!(
-        ["fig5"],
-        "fig5",
-        render::render_figure5(&analysis),
-        json::figure5_json(&analysis)
-    );
-    emit!(
-        ["fig6"],
-        "fig6",
-        render::render_figure6(&analysis),
-        json::figure6_json(&analysis)
-    );
-    emit!(
-        ["fig7", "auction-stats"],
-        "fig7",
-        render::render_auctions(&analysis),
-        json::auctions_json(&analysis)
-    );
-    emit!(
-        ["table2"],
-        "table2",
-        render::render_table2(&analysis),
-        json::table2_json(&analysis)
-    );
-    emit!(
-        ["table3"],
-        "table3",
-        render::render_table3(&analysis),
-        json::table3_json(&analysis)
-    );
-    emit!(
-        ["table4"],
-        "table4",
-        render::render_table4(&analysis),
-        json::table4_json(&analysis)
-    );
-    emit!(
-        ["fig8"],
-        "fig8",
-        render::render_figure8(&analysis),
-        json::figure8_json(&analysis)
-    );
-    emit!(
-        ["stablecoins"],
-        "stablecoins",
-        render::render_stablecoins(&analysis),
-        json::stablecoins_json(&analysis)
-    );
-    emit!(
-        ["fig9"],
-        "fig9",
-        render::render_figure9(&analysis),
-        json::figure9_json(&analysis)
-    );
-    emit!(
-        ["table8"],
-        "table8",
-        render::render_table8(&analysis),
-        json::table8_json(&analysis)
-    );
-    emit!(
-        ["table7"],
-        "table7",
-        render::render_table7(&analysis),
-        json::table7_json(&analysis)
-    );
 }

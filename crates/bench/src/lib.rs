@@ -11,6 +11,9 @@
 //!   Algorithm 2 closed forms, liquidation calls, auction rounds, the
 //!   analytics pipeline) on fixed-size inputs.
 //!
+//! [`artefacts`] is the one list of the study's artefacts (CLI names,
+//! renderer, JSON encoder) that `repro` and the tests share.
+//!
 //! The [`case_study`] module reconstructs the §5.2.2 position (Table 5) and
 //! replays the three liquidation strategies against the Compound
 //! implementation (Table 6), which is the simulation-substrate equivalent of
@@ -18,6 +21,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod artefacts;
 pub mod case_study;
 pub mod json;
 pub mod render;

@@ -2,17 +2,38 @@
 //!
 //! The committed files under `tests/golden/` are the byte-exact JSON the
 //! harness writes for the default smoke run (`repro --smoke --json <dir>
-//! headline table1`, seed 20 211 102). Any drift in the simulation, the
-//! analytics pipeline or the hand-rolled JSON encoder shows up here as a
-//! byte diff — regenerate the files deliberately (and explain why) rather
-//! than loosening the comparison.
+//! all`, seed 20 211 102), one file per study artefact. Any drift in the
+//! simulation, the analytics pipeline or the hand-rolled JSON encoder shows
+//! up here as a byte diff — regenerate the files deliberately (and explain
+//! why) rather than loosening the comparison. Streaming parity and replay
+//! parity compare two paths through the same analytics functions, so a bug
+//! in a shared function is invisible to them; only these files catch it.
 
 use defi_analytics::StudyAnalysis;
+use defi_bench::artefacts::STUDY_ARTEFACTS;
 use defi_bench::json;
 use defi_sim::{SimConfig, SimulationEngine};
 
 /// The `repro` binary's default seed (the paper's publication date).
 const REPRO_DEFAULT_SEED: u64 = 20_211_102;
+
+/// One committed file per study artefact, keyed by the artefact's name.
+const GOLDEN: [(&str, &str); 14] = [
+    ("headline", include_str!("golden/headline.json")),
+    ("table1", include_str!("golden/table1.json")),
+    ("fig4", include_str!("golden/fig4.json")),
+    ("fig5", include_str!("golden/fig5.json")),
+    ("fig6", include_str!("golden/fig6.json")),
+    ("fig7", include_str!("golden/fig7.json")),
+    ("table2", include_str!("golden/table2.json")),
+    ("table3", include_str!("golden/table3.json")),
+    ("table4", include_str!("golden/table4.json")),
+    ("fig8", include_str!("golden/fig8.json")),
+    ("stablecoins", include_str!("golden/stablecoins.json")),
+    ("fig9", include_str!("golden/fig9.json")),
+    ("table8", include_str!("golden/table8.json")),
+    ("table7", include_str!("golden/table7.json")),
+];
 
 fn rendered(value: &json::Json) -> String {
     // `repro --json` writes `format!("{value}\n")`; match it exactly.
@@ -25,20 +46,14 @@ fn smoke_json_artefacts_match_the_committed_golden_files() {
     let (analysis, _report) =
         StudyAnalysis::stream(SimulationEngine::new(config)).expect("smoke run");
 
-    let cases: [(&str, json::Json, &str); 2] = [
-        (
-            "headline",
-            json::headline_json(&analysis),
-            include_str!("golden/headline.json"),
-        ),
-        (
-            "table1",
-            json::table1_json(&analysis),
-            include_str!("golden/table1.json"),
-        ),
-    ];
-    for (name, value, golden) in cases {
-        let actual = rendered(&value);
+    let golden_names: Vec<&str> = GOLDEN.iter().map(|(name, _)| *name).collect();
+    let artefact_names: Vec<&str> = STUDY_ARTEFACTS.iter().map(|a| a.name).collect();
+    assert_eq!(
+        golden_names, artefact_names,
+        "every study artefact needs exactly one golden file"
+    );
+    for (artefact, (name, golden)) in STUDY_ARTEFACTS.iter().zip(GOLDEN) {
+        let actual = rendered(&(artefact.json)(&analysis));
         assert!(
             actual == golden,
             "{name}.json drifted from the golden file.\n--- expected ---\n{golden}\n--- actual ---\n{actual}"

@@ -4,27 +4,9 @@
 //! computed — the acceptance bar for `repro --replay`.
 
 use defi_analytics::StudyAnalysis;
-use defi_bench::render;
+use defi_bench::artefacts::STUDY_ARTEFACTS;
 use defi_journal::{JournalReader, JournalWriter};
 use defi_sim::{ScenarioCatalog, SimConfig, SimulationEngine};
-
-type Renderer = fn(&StudyAnalysis) -> String;
-const ARTEFACTS: [(&str, Renderer); 14] = [
-    ("headline", render::render_headline),
-    ("table1", render::render_table1),
-    ("fig4", render::render_figure4),
-    ("fig5", render::render_figure5),
-    ("fig6", render::render_figure6),
-    ("fig7", render::render_auctions),
-    ("table2", render::render_table2),
-    ("table3", render::render_table3),
-    ("table4", render::render_table4),
-    ("fig8", render::render_figure8),
-    ("stablecoins", render::render_stablecoins),
-    ("fig9", render::render_figure9),
-    ("table8", render::render_table8),
-    ("table7", render::render_table7),
-];
 
 fn assert_replay_parity(scenario_name: &str) {
     let dir = std::env::temp_dir().join("djrn-replay-differential");
@@ -52,11 +34,12 @@ fn assert_replay_parity(scenario_name: &str) {
         .expect("replay")
         .expect("replay reaches the run end");
 
-    for (name, renderer) in ARTEFACTS {
+    for artefact in STUDY_ARTEFACTS {
         assert_eq!(
-            renderer(&live),
-            renderer(&replayed),
-            "{scenario_name}: artefact {name} diverged between live run and journal replay"
+            (artefact.render)(&live),
+            (artefact.render)(&replayed),
+            "{scenario_name}: artefact {} diverged between live run and journal replay",
+            artefact.name
         );
     }
     std::fs::remove_file(&path).ok();

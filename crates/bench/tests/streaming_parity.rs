@@ -1,12 +1,15 @@
-//! Streaming-vs-batch parity: the `StudyAnalysis` built incrementally by
-//! `StudyCollector` observers during the run must render byte-identically to
-//! the legacy post-hoc `StudyAnalysis::from_report` scan — the guarantee that
-//! migrating `repro` to the session API did not change a single printed
-//! digit. Checked on the smoke default and on a scenario-catalog entry
+//! Streaming-vs-batch parity: the `StudyAnalysis` a `StudyCollector` builds
+//! during the run must render (and JSON-encode) byte-identically to the
+//! post-hoc `StudyAnalysis::from_report` scan. Both compute every artefact
+//! through the same functions; what this checks is their inputs — the
+//! ledger built live from liquidation observations against the one rebuilt
+//! from the event log, and the session's run-end state against the report.
+//! A bug inside a shared function is invisible here; the golden files catch
+//! that. Checked on the smoke default and on a scenario-catalog entry
 //! (`stablecoin-depeg`), so catalog plumbing cannot skew either pipeline.
 
 use defi_analytics::StudyAnalysis;
-use defi_bench::render;
+use defi_bench::artefacts::STUDY_ARTEFACTS;
 use defi_sim::{ScenarioCatalog, SimConfig, SimulationEngine};
 
 fn assert_parity(config: SimConfig) {
@@ -28,28 +31,17 @@ fn assert_parity(config: SimConfig) {
     );
     assert_eq!(batch.records.len(), streamed.records.len());
 
-    type Renderer = fn(&StudyAnalysis) -> String;
-    let artefacts: [(&str, Renderer); 14] = [
-        ("headline", render::render_headline),
-        ("table1", render::render_table1),
-        ("fig4", render::render_figure4),
-        ("fig5", render::render_figure5),
-        ("fig6", render::render_figure6),
-        ("fig7", render::render_auctions),
-        ("table2", render::render_table2),
-        ("table3", render::render_table3),
-        ("table4", render::render_table4),
-        ("fig8", render::render_figure8),
-        ("stablecoins", render::render_stablecoins),
-        ("fig9", render::render_figure9),
-        ("table8", render::render_table8),
-        ("table7", render::render_table7),
-    ];
-    for (name, renderer) in artefacts {
+    for artefact in STUDY_ARTEFACTS {
+        let name = artefact.name;
         assert_eq!(
-            renderer(&batch),
-            renderer(&streamed),
+            (artefact.render)(&batch),
+            (artefact.render)(&streamed),
             "{scenario}: artefact {name} diverged between the batch and streaming pipelines"
+        );
+        assert_eq!(
+            (artefact.json)(&batch).to_string(),
+            (artefact.json)(&streamed).to_string(),
+            "{scenario}: {name}.json diverged between the batch and streaming pipelines"
         );
     }
 }

@@ -4,8 +4,8 @@
 //! produced* — ticks, chain events, settled liquidations, collateral-volume
 //! samples and the end-of-run snapshot — instead of scanning a materialised
 //! [`SimulationReport`](crate::SimulationReport) after the fact. The analytics
-//! crate's collectors are observers, which is what lets a full study compute
-//! in a single pass over the run (see `defi_analytics::StudyCollector`).
+//! crate's `StudyCollector` is an observer, which is what lets a full study
+//! compute in a single pass over the run.
 //!
 //! Observers are driven by a [`Session`](crate::Session): every hook has a
 //! default empty body, so an implementation only overrides what it consumes.
