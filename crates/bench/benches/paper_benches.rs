@@ -664,6 +664,14 @@ fn bench_band_index(c: &mut Criterion) {
             "accrual-only tick re-valued {revalued} of {} accounts — the band index absorbed nothing",
             after.cached_accounts
         );
+        // A one-block accrual stays inside every certified cap, so the cap
+        // index must answer it without examining the debtors one by one.
+        let examined = after.envelope_checks - before.envelope_checks;
+        assert!(
+            (examined as usize) * 100 < after.cached_accounts,
+            "accrual-only tick examined {examined} of {} accounts one by one — the cap index is not absorbing accrual",
+            after.cached_accounts
+        );
         assert!(
             after.envelope_skips > before.envelope_skips,
             "no envelope held the measured accrual move"

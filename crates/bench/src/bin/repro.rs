@@ -214,12 +214,13 @@ fn print_book_timings(session: &mut Session) {
             stats.envelope_derives,
         );
         println!(
-            "  {:<10} revaluations {} (term reprices {} | light refreshes {} | envelope skips {}) | scratch grows {}",
+            "  {:<10} revaluations {} (term reprices {} | light refreshes {} | envelope skips {} | envelope checks {}) | scratch grows {}",
             "",
             stats.revaluations,
             stats.term_reprices,
             stats.light_refreshes,
             stats.envelope_skips,
+            stats.envelope_checks,
             stats.scratch_grows,
         );
     }

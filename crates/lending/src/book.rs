@@ -35,14 +35,21 @@
 //! certified envelope ([`BookSource::hf_envelope`]): per-token raw price
 //! bounds plus per-market borrow-index ceilings within which the health
 //! factor *provably* stays in its current band. The bounds are additionally
-//! kept in a per-token **interval index** (`lo`-ordered and `hi`-ordered
-//! `BTreeMap`s over the envelope price bounds), so "which envelopes does
-//! this oracle write break?" is answered by two range scans — accounts whose
-//! envelope survives a price move are never even visited, and a flush costs
-//! proportional to the accounts it actually re-values. Survivors' cached
-//! valuations freshen lazily: discovery re-values exactly the members it
-//! returns, and full refreshes walk the holders of moved tokens comparing
-//! each valuation's oracle epoch against the token's write epoch. Where the
+//! kept in a per-token **interval index** (ordered sets of `(lo, account)`
+//! and `(hi, account)` pairs), so "which envelopes does this oracle write
+//! break?" is answered by two range scans, and the index caps in a
+//! per-market **cap index** (ordered `(cap, account)` pairs), so "which
+//! caps does this accrual break?" is one: an index write to `I` re-values
+//! exactly the debtors with `cap < I` plus the debtors that carry no cap.
+//! Accounts whose envelope survives a price move or an accrual are never
+//! even visited, and a flush costs proportional to the accounts it actually
+//! re-values. Survivors' cached valuations freshen lazily. Staleness is
+//! epoch-based on both axes: each valuation records the oracle write epoch
+//! and the book's borrow-index epoch it was computed at, and it is stale
+//! once a token it holds is written, or a market it owes accrues, after
+//! that. Discovery re-values exactly the members it returns, and full
+//! refreshes walk the holders of moved tokens and the debtors of moved
+//! markets, comparing each valuation's epochs against theirs. Where the
 //! certified envelope still covers the current prices and indexes, that
 //! freshening takes a cheap **light refresh** (rebuild the position, fold the
 //! valuation delta) instead of re-deriving the envelope — the band verdict,
@@ -112,6 +119,10 @@ pub const RESCUE_BAND_HF: f64 = 1.05;
 /// quiet band.
 pub const RELEVERAGE_BAND_HF: f64 = 2.2;
 
+/// The greatest address: `(bound, LAST_ADDRESS)` sorts after every
+/// `(bound, account)` pair of an interval or cap index.
+const LAST_ADDRESS: Address = Address([u8::MAX; 20]);
+
 /// Number of fixed address-range shards a book is split into. Independent of
 /// the worker count: workers only decide how many shards flush concurrently,
 /// never how accounts partition, so results cannot depend on parallelism.
@@ -151,6 +162,15 @@ impl HfEnvelope {
     pub fn clear(&mut self) {
         self.price_bounds.clear();
         self.index_caps.clear();
+    }
+
+    /// The cap certified for debt market `token`, if any — which regime of
+    /// the cap index a debtor holding this envelope sits in.
+    fn index_cap(&self, token: Token) -> Option<u128> {
+        self.index_caps
+            .iter()
+            .find(|(capped, _)| *capped == token)
+            .map(|&(_, cap)| cap)
     }
 }
 
@@ -250,9 +270,16 @@ pub struct BookStats {
     /// Re-valuations avoided because a band envelope held, since the book was
     /// created.
     pub envelope_skips: u64,
-    /// Times the always-on stale-flag invariant (every rewind and full drain
-    /// must leave zero lazily-stale valuations) was found violated — and
-    /// repaired. Must stay 0; the band-differential harness asserts it.
+    /// Accounts the invalidation pass of a flush examined one by one, since
+    /// the book was created: dirty accounts plus every account a price or
+    /// index move's range scans could not clear. Survivors of the interval
+    /// and cap indexes are counted in `envelope_skips` by subtraction and
+    /// never examined.
+    pub envelope_checks: u64,
+    /// Times the always-on stale invariant (after every rewind and full
+    /// drain, no valuation may lag a price or index epoch) was found
+    /// violated — and repaired. Must stay 0; the band-differential harness
+    /// asserts it.
     pub stale_violations: u64,
     /// Freshenings served by the O(moved-token) term path
     /// ([`BookSource::reprice_position`]): only the moved tokens' USD value
@@ -363,8 +390,8 @@ pub trait BookSource: Sync {
     ///
     /// The book only calls this when it can prove every *other* input is
     /// unchanged since the position was last filled: the account was not
-    /// mutated (not dirty), no borrow index it owes moved (not
-    /// lazily-stale), and only oracle prices advanced — so token amounts,
+    /// mutated (not dirty), no borrow index it owes moved (its index epoch
+    /// is current), and only oracle prices advanced — so token amounts,
     /// thresholds, spreads and the holding sets themselves are still exact,
     /// and repricing the moved tokens' `value_usd` terms reproduces
     /// `fill_position` bit for bit (see CONTRACTS.md, "The term-cache
@@ -398,14 +425,14 @@ struct Entry {
     /// Certified envelope within which `band` provably holds (`None`: the
     /// account rides the exact path and re-values on every relevant change).
     envelope: Option<HfEnvelope>,
-    /// A borrow index moved but the envelope capped it: the band verdict is
-    /// certified, the cached valuation is stale until a full refresh or a
-    /// query that hands this account out re-values it. (Price-move staleness
-    /// is tracked epoch-wise instead: `valued_epoch` lags the token's write
-    /// epoch.)
-    stale: bool,
     /// Oracle write epoch the valuation was computed at.
     valued_epoch: u64,
+    /// Book index epoch ([`BookClock::index_epoch`]) the valuation was
+    /// computed at. A debt market whose index moved later, under a cap that
+    /// held, leaves the band verdict certified and the cached valuation
+    /// stale until a full refresh or a query that hands this account out
+    /// re-values it.
+    index_epoch: u64,
     /// Price-sensitive exposure at the last re-valuation.
     tokens: Vec<Token>,
     /// Index-accruing debt exposure at the last re-valuation.
@@ -423,59 +450,52 @@ impl Entry {
             critical: None,
             band: HfBand::Quiet,
             envelope: None,
-            stale: false,
             valued_epoch: 0,
+            index_epoch: 0,
             tokens: Vec::new(),
             debt_tokens: Vec::new(),
         }
     }
 
-    /// Whether any price this valuation depends on was written after it was
+    /// Whether a borrow index this valuation owes moved after it was
     /// computed.
-    fn is_stale(&self, oracle: &PriceOracle) -> bool {
-        self.tokens
+    fn index_stale(&self, clock: &BookClock) -> bool {
+        self.debt_tokens
             .iter()
-            .any(|&token| oracle.token_epoch(token) > self.valued_epoch)
+            .any(|&token| clock.market_epoch(token) > self.index_epoch)
     }
 
-    /// Whether this entry's certified envelope survives the given input
-    /// changes: every changed price the account is sensitive to must sit
-    /// inside its bound and every moved debt index below its cap. Conditions
-    /// the envelope does not name fail conservatively.
-    fn envelope_holds(&self, prices: &[(Token, u128)], indexes: &[(Token, Option<u128>)]) -> bool {
-        let Some(envelope) = &self.envelope else {
-            return false;
-        };
-        for &(token, raw) in prices {
-            if !self.tokens.contains(&token) {
-                continue;
-            }
-            match envelope.price_bounds.iter().find(|(t, _, _)| *t == token) {
-                Some(&(_, lo, hi)) => {
-                    if raw < lo || raw > hi {
-                        return false;
-                    }
-                }
-                None => return false,
-            }
-        }
-        for &(token, current) in indexes {
-            if !self.debt_tokens.contains(&token) {
-                continue;
-            }
-            let Some(current) = current else {
-                return false;
-            };
-            match envelope.index_caps.iter().find(|(t, _)| *t == token) {
-                Some(&(_, cap)) => {
-                    if current > cap {
-                        return false;
-                    }
-                }
-                None => return false,
-            }
-        }
-        true
+    /// Whether any price or borrow index this valuation depends on moved
+    /// after it was computed.
+    fn is_stale(&self, oracle: &PriceOracle, clock: &BookClock) -> bool {
+        self.index_stale(clock)
+            || self
+                .tokens
+                .iter()
+                .any(|&token| oracle.token_epoch(token) > self.valued_epoch)
+    }
+}
+
+/// Book-wide valuation inputs the shards read but never write: the band
+/// thresholds and the borrow-index clock. Index staleness is derived from
+/// the clock the way price staleness is derived from the oracle's write
+/// epochs.
+#[derive(Debug, Clone)]
+struct BookClock {
+    /// The (rescue, releverage) HF thresholds the bands are classified by.
+    bands: (Wad, Wad),
+    /// Bumped once by every flush that consumes borrow-index moves.
+    index_epoch: u64,
+    /// `(market, index epoch of its last borrow-index move)`.
+    market_epochs: Vec<(Token, u64)>,
+}
+
+impl BookClock {
+    fn market_epoch(&self, token: Token) -> u64 {
+        self.market_epochs
+            .iter()
+            .find(|(market, _)| *market == token)
+            .map_or(0, |&(_, epoch)| epoch)
     }
 }
 
@@ -501,8 +521,11 @@ struct FlushCtx<'a> {
     /// `(token, write epoch)` for every token whose price changed since the
     /// last *full* refresh — drives the lazy-valuation freshening pass.
     full_changed: &'a [(Token, u64)],
-    /// The (rescue, releverage) band thresholds.
-    bands: (Wad, Wad),
+    /// `(market, index epoch)` for every market whose borrow index moved
+    /// since the last *full* refresh — the index half of the same pass.
+    full_index_changed: &'a [(Token, u64)],
+    /// Band thresholds and the index clock.
+    clock: &'a BookClock,
     /// Bring every cached valuation exact (drain lazy staleness).
     full: bool,
     /// The oracle epoch ran backwards: nothing can be trusted.
@@ -523,37 +546,43 @@ struct BookShard {
     /// token → critical-price-indexed accounts exposed to it (walked only by
     /// full refreshes to freshen lazily staled valuations).
     indexed_holders: HashMap<Token, BTreeSet<Address>>,
-    /// token → accounts owing index-accruing debt in it.
+    /// token → accounts owing index-accruing debt in it. Each debtor sits in
+    /// exactly one regime per debt token: `index_caps` or `index_uncovered`.
     debtors: HashMap<Token, BTreeSet<Address>>,
+    /// Cap index: token → `(certified borrow-index cap, debtor)` in cap
+    /// order. An index write `I` breaks exactly the caps with `cap < I`.
+    index_caps: HashMap<Token, BTreeSet<(u128, Address)>>,
+    /// token → debtors whose valuation carries *no* cap for it (no envelope,
+    /// or an envelope without that market) — re-valued on every move of the
+    /// market's index.
+    index_uncovered: HashMap<Token, BTreeSet<Address>>,
     /// token → (critical raw price → accounts); liquidatable ⇔ price < crit.
     critical: HashMap<Token, BTreeMap<u128, BTreeSet<Address>>>,
-    /// Interval index, lower edges: token → (envelope `lo` bound → banded
-    /// holders). A price write `p` breaks exactly the bounds with `lo > p`.
-    env_lo: HashMap<Token, BTreeMap<u128, BTreeSet<Address>>>,
-    /// Interval index, upper edges: token → (envelope `hi` bound → banded
-    /// holders). A price write `p` breaks exactly the bounds with `hi < p`.
-    env_hi: HashMap<Token, BTreeMap<u128, BTreeSet<Address>>>,
+    /// Interval index, lower edges: token → `(envelope lo bound, banded
+    /// holder)` in bound order, one pair per bounded holder. A price write
+    /// `p` breaks exactly the bounds with `lo > p`.
+    env_lo: HashMap<Token, BTreeSet<(u128, Address)>>,
+    /// Interval index, upper edges: token → `(envelope hi bound, banded
+    /// holder)`. A price write `p` breaks exactly the bounds with `hi < p`.
+    env_hi: HashMap<Token, BTreeSet<(u128, Address)>>,
     /// token → banded accounts sensitive to it whose envelope carries *no*
     /// bound for it — conservatively re-valued on every move (a compliant
     /// derivation leaves this empty).
     env_uncovered: HashMap<Token, BTreeSet<Address>>,
-    /// token → number of envelope bounds currently in the interval index
-    /// (for the envelope-skip statistics without walking survivors).
-    env_bounded: HashMap<Token, usize>,
     /// Liquidatable accounts among the non-indexed population.
     live: BTreeSet<Address>,
     /// Non-indexed observable-book accounts in an at-risk band (below
     /// `rescue` or above `releverage`) — the banded borrower-management
     /// iteration set.
     at_risk: BTreeSet<Address>,
-    /// Number of entries whose `stale` flag is set (index moved, cap held).
-    stale_count: usize,
     /// Always-on invariant failures (see [`BookStats::stale_violations`]).
     stale_violations: u64,
     totals: Totals,
     revaluations: u64,
     /// Re-valuations avoided because an envelope held.
     envelope_skips: u64,
+    /// Accounts the invalidation pass examined one by one.
+    envelope_checks: u64,
     /// Freshenings served by the O(moved-token) term path.
     term_reprices: u64,
     /// Freshenings served by the light path's full position rebuild.
@@ -571,7 +600,6 @@ struct BookShard {
     scratch_tokens: Vec<Token>,
     scratch_debt_tokens: Vec<Token>,
     scratch_addresses: Vec<Address>,
-    scratch_affected: Vec<Address>,
     scratch_moved: Vec<Token>,
     scratch_envelope: HfEnvelope,
 }
@@ -594,174 +622,185 @@ impl BookShard {
             self.dirty.clear();
             batch.sort_unstable();
             batch.dedup();
+            self.envelope_checks += batch.len() as u64;
             for &address in &batch {
-                self.revalue(source, oracle, address, ctx.bands);
+                self.revalue(source, oracle, address, ctx.clock);
             }
+            self.check_stale_invariant(source, oracle, ctx.clock, &batch);
             self.scratch_grows += (batch.capacity() > batch_cap) as u64;
             self.scratch_addresses = batch;
-            self.check_stale_invariant();
             return;
         }
 
         if !self.dirty.is_empty() || !ctx.changed_prices.is_empty() || !ctx.index_moves.is_empty() {
-            let mut affected = std::mem::take(&mut self.scratch_affected);
-            let affected_cap = affected.capacity();
-            affected.clear();
+            let mut batch = std::mem::take(&mut self.scratch_addresses);
+            let batch_cap = batch.capacity();
+            batch.clear();
             // Price moves: the interval index turns "whose envelope does
             // this write break?" into two range scans — survivors are never
             // visited at all, their skip is accounted by subtraction.
             for &(token, raw) in ctx.changed_prices {
                 let mut broken_bounded = 0usize;
-                if let Some(map) = self.env_lo.get(&token) {
-                    for holders in map
-                        .range((Bound::Excluded(raw), Bound::Unbounded))
-                        .map(|(_, holders)| holders)
+                let lo_bounds = self.env_lo.get(&token);
+                if let Some(bounds) = lo_bounds {
+                    for &(_, address) in
+                        bounds.range((Bound::Excluded((raw, LAST_ADDRESS)), Bound::Unbounded))
                     {
-                        broken_bounded += holders.len();
-                        affected.extend(holders.iter().copied());
+                        broken_bounded += 1;
+                        batch.push(address);
                     }
                 }
-                if let Some(map) = self.env_hi.get(&token) {
-                    for holders in map
-                        .range((Bound::Unbounded, Bound::Excluded(raw)))
-                        .map(|(_, holders)| holders)
+                if let Some(bounds) = self.env_hi.get(&token) {
+                    for &(_, address) in
+                        bounds.range((Bound::Unbounded, Bound::Excluded((raw, Address::ZERO))))
                     {
-                        broken_bounded += holders.len();
-                        affected.extend(holders.iter().copied());
+                        broken_bounded += 1;
+                        batch.push(address);
                     }
                 }
-                let bounded = self.env_bounded.get(&token).copied().unwrap_or(0);
+                let bounded = lo_bounds.map_or(0, BTreeSet::len);
                 self.envelope_skips += bounded.saturating_sub(broken_bounded) as u64;
                 if let Some(holders) = self.env_uncovered.get(&token) {
-                    affected.extend(holders.iter().copied());
+                    batch.extend(holders.iter().copied());
                 }
                 if let Some(holders) = self.multi_unbanded.get(&token) {
-                    affected.extend(holders.iter().copied());
+                    batch.extend(holders.iter().copied());
                 }
             }
-            // Index moves: walk the market's debtors, letting certified caps
-            // park survivors in the lazy-stale set.
-            for &(token, _) in ctx.index_moves {
-                if let Some(holders) = self.debtors.get(&token) {
-                    affected.extend(holders.iter().copied());
-                }
-            }
-            affected.sort_unstable();
-            affected.dedup();
-
-            let mut batch = std::mem::take(&mut self.scratch_addresses);
-            let batch_cap = batch.capacity();
-            batch.clear();
-            batch.extend(self.dirty.iter().copied());
-            for &address in &affected {
-                if self.dirty.contains(&address) {
-                    continue;
-                }
-                let Some(entry) = self.entries.get_mut(&address) else {
-                    batch.push(address);
+            // Index moves, the same way: the cap index turns "whose cap does
+            // this accrual break?" into one range scan plus the debtors that
+            // carry no cap. Every debtor sits in exactly one of the two
+            // regimes, so the survivors are the capped debtors the scan did
+            // not return.
+            for &(token, current) in ctx.index_moves {
+                let Some(index) = current else {
+                    // No index to compare caps against: every debtor
+                    // re-values.
+                    if let Some(holders) = self.debtors.get(&token) {
+                        batch.extend(holders.iter().copied());
+                    }
                     continue;
                 };
-                if entry.envelope_holds(ctx.changed_prices, ctx.index_moves) {
-                    // The band verdict is certified; the valuation freshens
-                    // lazily.
-                    if !entry.stale {
-                        entry.stale = true;
-                        self.stale_count += 1;
+                let mut broken_capped = 0usize;
+                if let Some(caps) = self.index_caps.get(&token) {
+                    for &(_, address) in
+                        caps.range((Bound::Unbounded, Bound::Excluded((index, Address::ZERO))))
+                    {
+                        broken_capped += 1;
+                        batch.push(address);
                     }
-                    self.envelope_skips += 1;
-                } else {
-                    batch.push(address);
+                }
+                let uncovered = self.index_uncovered.get(&token);
+                let debtors = self.debtors.get(&token).map_or(0, BTreeSet::len);
+                let capped = debtors.saturating_sub(uncovered.map_or(0, BTreeSet::len));
+                self.envelope_skips += capped.saturating_sub(broken_capped) as u64;
+                if let Some(holders) = uncovered {
+                    batch.extend(holders.iter().copied());
                 }
             }
+            batch.extend(self.dirty.iter().copied());
             self.dirty.clear();
             batch.sort_unstable();
             batch.dedup();
+            self.envelope_checks += batch.len() as u64;
             for &address in &batch {
-                self.revalue(source, oracle, address, ctx.bands);
+                self.revalue(source, oracle, address, ctx.clock);
             }
             self.scratch_grows += (batch.capacity() > batch_cap) as u64;
-            self.scratch_grows += (affected.capacity() > affected_cap) as u64;
             self.scratch_addresses = batch;
-            self.scratch_affected = affected;
         }
 
-        if ctx.full && self.stale_count > 0 {
-            // Drain the lazily staled valuations so every cached position is
-            // exact at current prices and indexes.
+        if ctx.full && (!ctx.full_changed.is_empty() || !ctx.full_index_changed.is_empty()) {
+            // Freshen the valuations the indexes left untouched: debtors of
+            // moved markets whose index epoch lags the market's, and holders
+            // of moved tokens whose valuation epoch lags the token's write
+            // epoch. Their band verdicts never went stale. One market's or
+            // token's candidates are disjoint and are freshened, in address
+            // order, before the next source is collected — so an account
+            // lagging on several axes is freshened once.
             let mut batch = std::mem::take(&mut self.scratch_addresses);
             let batch_cap = batch.capacity();
             batch.clear();
-            batch.extend(
-                self.entries
-                    .iter()
-                    .filter(|(_, entry)| entry.stale)
-                    .map(|(address, _)| *address),
-            );
-            for &address in &batch {
-                self.refresh(source, oracle, address, ctx.bands);
+            for &(token, market_epoch) in ctx.full_index_changed {
+                let start = batch.len();
+                if let Some(debtors) = self.debtors.get(&token) {
+                    let entries = &self.entries;
+                    batch.extend(debtors.iter().copied().filter(|address| {
+                        entries
+                            .get(address)
+                            .is_some_and(|e| e.index_epoch < market_epoch)
+                    }));
+                }
+                for &address in batch.get(start..).unwrap_or_default() {
+                    self.refresh(source, oracle, address, ctx.clock);
+                }
             }
-            self.scratch_grows += (batch.capacity() > batch_cap) as u64;
-            self.scratch_addresses = batch;
-            self.check_stale_invariant();
-        }
-
-        if ctx.full && !ctx.full_changed.is_empty() {
-            // Freshen valuations the interval index left untouched: holders
-            // of moved tokens whose valuation epoch lags the token's write
-            // epoch. Their liquidatable status never went stale.
-            let mut batch = std::mem::take(&mut self.scratch_addresses);
-            let batch_cap = batch.capacity();
             for &(token, token_epoch) in ctx.full_changed {
-                batch.clear();
+                let start = batch.len();
                 {
                     let entries = &self.entries;
-                    let lagging = |address: &&Address| {
+                    let lagging = |address: &Address| {
                         entries
                             .get(address)
                             .is_some_and(|e| e.valued_epoch < token_epoch)
                     };
                     if let Some(holders) = self.indexed_holders.get(&token) {
-                        batch.extend(holders.iter().filter(lagging).copied());
+                        batch.extend(holders.iter().copied().filter(lagging));
                     }
-                    if let Some(map) = self.env_lo.get(&token) {
-                        for holders in map.values() {
-                            batch.extend(holders.iter().filter(lagging).copied());
-                        }
+                    if let Some(bounds) = self.env_lo.get(&token) {
+                        batch.extend(bounds.iter().map(|&(_, address)| address).filter(lagging));
                     }
                     if let Some(holders) = self.env_uncovered.get(&token) {
-                        batch.extend(holders.iter().filter(lagging).copied());
+                        batch.extend(holders.iter().copied().filter(lagging));
                     }
                     if let Some(holders) = self.multi_unbanded.get(&token) {
-                        batch.extend(holders.iter().filter(lagging).copied());
+                        batch.extend(holders.iter().copied().filter(lagging));
                     }
                 }
-                batch.sort_unstable();
-                batch.dedup();
-                for &address in &batch {
-                    self.refresh(source, oracle, address, ctx.bands);
+                if let Some(segment) = batch.get_mut(start..) {
+                    segment.sort_unstable();
+                }
+                for &address in batch.get(start..).unwrap_or_default() {
+                    self.refresh(source, oracle, address, ctx.clock);
                 }
             }
+            self.check_stale_invariant(source, oracle, ctx.clock, &batch);
             self.scratch_grows += (batch.capacity() > batch_cap) as u64;
             self.scratch_addresses = batch;
         }
     }
 
-    /// Always-on replacement for the old debug-only stale-flag invariant:
-    /// after a rewind or a full drain every `stale` flag must be clear. In
-    /// release builds (where benches and `repro` run) a violation is counted
-    /// — the band-differential harness asserts the counter stays zero — and
-    /// the flags are repaired so the book cannot keep serving stale
-    /// valuations. The check itself is O(1) on the healthy path.
-    fn check_stale_invariant(&mut self) {
-        debug_assert_eq!(self.stale_count, 0, "flush left stale flags");
-        if self.stale_count != 0 {
-            self.stale_violations += 1;
-            for entry in self.entries.values_mut() {
-                entry.stale = false;
+    /// The always-on stale invariant: after a rewind or a full drain, no
+    /// valuation may lag a price or index epoch. Checks the accounts the
+    /// pass just brought current, so the healthy path costs no extra walk;
+    /// in release builds (where benches and `repro` run) a lagging one is
+    /// counted — the band-differential harness asserts the counter stays
+    /// zero — and repaired by a full revalue, so the book cannot keep
+    /// serving it. Debug builds also check every entry of the shard, which
+    /// catches an account missing from the membership sets the drain walks.
+    fn check_stale_invariant<S: BookSource>(
+        &mut self,
+        source: &S,
+        oracle: &PriceOracle,
+        clock: &BookClock,
+        checked: &[Address],
+    ) {
+        for &address in checked {
+            let lagging = self
+                .entries
+                .get(&address)
+                .is_some_and(|entry| entry.is_stale(oracle, clock));
+            if lagging {
+                self.stale_violations += 1;
+                self.revalue(source, oracle, address, clock);
             }
-            self.stale_count = 0;
-            self.version += 1;
         }
+        debug_assert!(
+            self.entries
+                .values()
+                .all(|entry| !entry.is_stale(oracle, clock)),
+            "a full drain left a lagging valuation"
+        );
     }
 
     // ----------------------------------------------------------- revaluation
@@ -774,18 +813,18 @@ impl BookShard {
         source: &S,
         oracle: &PriceOracle,
         address: Address,
-        bands: (Wad, Wad),
+        clock: &BookClock,
     ) {
-        if !self.light_refresh(source, oracle, address) {
-            self.revalue(source, oracle, address, bands);
+        if !self.light_refresh(source, oracle, address, clock) {
+            self.revalue(source, oracle, address, clock);
         }
     }
 
     /// Cheap freshening for an account whose verdict bookkeeping provably
     /// cannot have changed, in two tiers:
     ///
-    /// * **term path** — the entry is *price*-stale only (its `stale` flag
-    ///   is clear, so no borrow index moved under a cap and every cached
+    /// * **term path** — the entry is *price*-stale only (its index epoch
+    ///   is current, so no borrow index it owes moved and every cached
     ///   amount/threshold is still exact) and either the critical-price
     ///   index covers it (the critical price reads no oracle input) or its
     ///   certified envelope covers the current state: ask the source to
@@ -804,6 +843,7 @@ impl BookShard {
         source: &S,
         oracle: &PriceOracle,
         address: Address,
+        clock: &BookClock,
     ) -> bool {
         let Some(entry) = self.entries.get_mut(&address) else {
             return false;
@@ -838,7 +878,7 @@ impl BookShard {
         });
 
         let mut termed = false;
-        if !entry.stale && (entry.critical.is_some() || holds_now) {
+        if !entry.index_stale(clock) && (entry.critical.is_some() || holds_now) {
             // Term path. The holding sets are invariant under pure price
             // moves (amounts belong to the account state, which is not
             // dirty), so the exposure lists and membership indexes need no
@@ -903,10 +943,6 @@ impl BookShard {
         } else {
             self.light_refreshes += 1;
         }
-        if entry.stale {
-            entry.stale = false;
-            self.stale_count -= 1;
-        }
         entry.collateral_usd = entry.position.total_collateral_value();
         entry.debt_usd = entry.position.total_debt_value();
         entry.dai_eth_usd = if entry.position.has_debt_in(Token::DAI) {
@@ -918,6 +954,7 @@ impl BookShard {
             Wad::ZERO
         };
         entry.valued_epoch = oracle.epoch();
+        entry.index_epoch = clock.index_epoch;
         let new_collateral = entry.collateral_usd;
         let new_debt = entry.debt_usd;
         let new_dai_eth = entry.dai_eth_usd;
@@ -958,7 +995,7 @@ impl BookShard {
         source: &S,
         oracle: &PriceOracle,
         address: Address,
-        bands: (Wad, Wad),
+        clock: &BookClock,
     ) {
         self.revaluations += 1;
         self.version += 1;
@@ -966,10 +1003,6 @@ impl BookShard {
             .entries
             .entry(address)
             .or_insert_with(|| Entry::new(address));
-        if entry.stale {
-            entry.stale = false;
-            self.stale_count -= 1;
-        }
         let old_in_book = entry.in_book;
         let old_collateral = entry.collateral_usd;
         let old_debt = entry.debt_usd;
@@ -1015,24 +1048,11 @@ impl BookShard {
             }
         } else if let Some(env) = &old_envelope {
             for &(token, lo, hi) in &env.price_bounds {
-                if let Some(map) = self.env_lo.get_mut(&token) {
-                    if let Some(holders) = map.get_mut(&lo) {
-                        holders.remove(&address);
-                        if holders.is_empty() {
-                            map.remove(&lo);
-                        }
-                    }
+                if let Some(bounds) = self.env_lo.get_mut(&token) {
+                    bounds.remove(&(lo, address));
                 }
-                if let Some(map) = self.env_hi.get_mut(&token) {
-                    if let Some(holders) = map.get_mut(&hi) {
-                        holders.remove(&address);
-                        if holders.is_empty() {
-                            map.remove(&hi);
-                        }
-                    }
-                }
-                if let Some(count) = self.env_bounded.get_mut(&token) {
-                    *count = count.saturating_sub(1);
+                if let Some(bounds) = self.env_hi.get_mut(&token) {
+                    bounds.remove(&(hi, address));
                 }
             }
             for token in &old_tokens {
@@ -1049,9 +1069,21 @@ impl BookShard {
                 }
             }
         }
-        for token in &old_debt_list {
-            if let Some(debtors) = self.debtors.get_mut(token) {
+        for &token in &old_debt_list {
+            if let Some(debtors) = self.debtors.get_mut(&token) {
                 debtors.remove(&address);
+            }
+            match old_envelope.as_ref().and_then(|env| env.index_cap(token)) {
+                Some(cap) => {
+                    if let Some(caps) = self.index_caps.get_mut(&token) {
+                        caps.remove(&(cap, address));
+                    }
+                }
+                None => {
+                    if let Some(holders) = self.index_uncovered.get_mut(&token) {
+                        holders.remove(&address);
+                    }
+                }
             }
         }
 
@@ -1076,7 +1108,7 @@ impl BookShard {
             let critical = source.critical_price(address, &entry.position);
             liquidatable = critical.is_none() && entry.position.is_liquidatable();
             if critical.is_none() {
-                let (rescue, releverage) = bands;
+                let (rescue, releverage) = clock.bands;
                 match entry.position.health_factor() {
                     None => {
                         // A debt-free account has no health factor at *any*
@@ -1122,6 +1154,7 @@ impl BookShard {
             };
             entry.critical = critical;
             entry.valued_epoch = oracle.epoch();
+            entry.index_epoch = clock.index_epoch;
         }
         entry.band = band;
         let new_in_book = exists && entry.in_book;
@@ -1147,19 +1180,8 @@ impl BookShard {
                 }
             } else if let Some(env) = &entry.envelope {
                 for &(token, lo, hi) in &env.price_bounds {
-                    self.env_lo
-                        .entry(token)
-                        .or_default()
-                        .entry(lo)
-                        .or_default()
-                        .insert(address);
-                    self.env_hi
-                        .entry(token)
-                        .or_default()
-                        .entry(hi)
-                        .or_default()
-                        .insert(address);
-                    *self.env_bounded.entry(token).or_default() += 1;
+                    self.env_lo.entry(token).or_default().insert((lo, address));
+                    self.env_hi.entry(token).or_default().insert((hi, address));
                 }
                 for token in &new_tokens {
                     if !env.price_bounds.iter().any(|(t, _, _)| t == token) {
@@ -1177,8 +1199,22 @@ impl BookShard {
                         .insert(address);
                 }
             }
-            for token in &new_debt_tokens {
-                self.debtors.entry(*token).or_default().insert(address);
+            for &token in &new_debt_tokens {
+                self.debtors.entry(token).or_default().insert(address);
+                match entry.envelope.as_ref().and_then(|env| env.index_cap(token)) {
+                    Some(cap) => {
+                        self.index_caps
+                            .entry(token)
+                            .or_default()
+                            .insert((cap, address));
+                    }
+                    None => {
+                        self.index_uncovered
+                            .entry(token)
+                            .or_default()
+                            .insert(address);
+                    }
+                }
             }
         }
 
@@ -1280,7 +1316,7 @@ impl BookShard {
         &mut self,
         source: &S,
         oracle: &PriceOracle,
-        bands: (Wad, Wad),
+        clock: &BookClock,
         out: &mut Vec<Address>,
     ) {
         // Reuse the shard's address scratch instead of cloning the live set
@@ -1318,9 +1354,9 @@ impl BookShard {
             let stale = self
                 .entries
                 .get(&address)
-                .is_some_and(|entry| entry.stale || entry.is_stale(oracle));
+                .is_some_and(|entry| entry.is_stale(oracle, clock));
             if stale {
-                self.refresh(source, oracle, address, bands);
+                self.refresh(source, oracle, address, clock);
             }
         }
     }
@@ -1334,7 +1370,7 @@ impl BookShard {
         &mut self,
         source: &S,
         oracle: &PriceOracle,
-        bands: (Wad, Wad),
+        clock: &BookClock,
     ) {
         let mut batch = std::mem::take(&mut self.scratch_addresses);
         let batch_cap = batch.capacity();
@@ -1344,9 +1380,9 @@ impl BookShard {
             let stale = self
                 .entries
                 .get(&address)
-                .is_some_and(|entry| entry.stale || entry.is_stale(oracle));
+                .is_some_and(|entry| entry.is_stale(oracle, clock));
             if stale {
-                self.refresh(source, oracle, address, bands);
+                self.refresh(source, oracle, address, clock);
             }
         }
         self.scratch_grows += (batch.capacity() > batch_cap) as u64;
@@ -1359,7 +1395,7 @@ impl BookShard {
         &mut self,
         source: &S,
         oracle: &PriceOracle,
-        bands: (Wad, Wad),
+        clock: &BookClock,
         visit: &mut dyn FnMut(&Position),
     ) {
         let mut batch = std::mem::take(&mut self.scratch_addresses);
@@ -1370,13 +1406,13 @@ impl BookShard {
             let stale = self
                 .entries
                 .get(&address)
-                .is_some_and(|entry| entry.stale || entry.is_stale(oracle));
+                .is_some_and(|entry| entry.is_stale(oracle, clock));
             if stale {
                 // Freshening cannot change the verdict: the account either
                 // re-valued in the flush above or its envelope certifies the
                 // band — so the light refresh applies whenever the envelope
                 // still covers current prices, and the full revalue otherwise.
-                self.refresh(source, oracle, address, bands);
+                self.refresh(source, oracle, address, clock);
             }
             if let Some(entry) = self.entries.get(&address) {
                 if entry.in_book {
@@ -1430,13 +1466,16 @@ pub struct PositionBook {
     shards: Vec<BookShard>,
     /// Markets whose borrow index changed since the last flush.
     pending_index_tokens: Vec<Token>,
-    /// The (rescue, releverage) HF thresholds the bands are classified by.
-    bands: (Wad, Wad),
+    /// Band thresholds and the borrow-index clock every shard reads.
+    clock: BookClock,
     /// Oracle epoch consumed by every flush (multivariate dirty marking).
     synced_epoch: u64,
     /// Oracle epoch up to which lazily staled valuations were freshened by a
     /// full refresh.
     full_synced_epoch: u64,
+    /// Index epoch up to which lazily staled valuations were freshened by a
+    /// full refresh.
+    full_synced_index_epoch: u64,
     /// How many `std::thread::scope` workers flushes fan shards across
     /// (1 = serial; results are identical either way).
     workers: usize,
@@ -1448,6 +1487,7 @@ pub struct PositionBook {
     scratch_prices: Vec<(Token, u128)>,
     scratch_index_moves: Vec<(Token, Option<u128>)>,
     scratch_full_changed: Vec<(Token, u64)>,
+    scratch_full_index_changed: Vec<(Token, u64)>,
     /// Flushes that found work, and nanoseconds spent doing it (phase
     /// attribution for the tick breakdown; see [`BookStats`]).
     flush_count: u64,
@@ -1466,20 +1506,26 @@ impl Default for PositionBook {
                 .map(|_| BookShard::default())
                 .collect(),
             pending_index_tokens: Vec::new(),
-            bands: (
-                // lint:allow(fixed-float) band edges are config-space constants quantized once at construction, not per-valuation
-                Wad::from_f64(RESCUE_BAND_HF),
-                // lint:allow(fixed-float) band edges are config-space constants quantized once at construction, not per-valuation
-                Wad::from_f64(RELEVERAGE_BAND_HF),
-            ),
+            clock: BookClock {
+                bands: (
+                    // lint:allow(fixed-float) band edges are config-space constants quantized once at construction, not per-valuation
+                    Wad::from_f64(RESCUE_BAND_HF),
+                    // lint:allow(fixed-float) band edges are config-space constants quantized once at construction, not per-valuation
+                    Wad::from_f64(RELEVERAGE_BAND_HF),
+                ),
+                index_epoch: 0,
+                market_epochs: Vec::new(),
+            },
             synced_epoch: 0,
             full_synced_epoch: 0,
+            full_synced_index_epoch: 0,
             workers: 1,
             snapshot_cache: (0..BOOK_SHARD_COUNT).map(|_| None).collect(),
             scratch_changed: Vec::new(),
             scratch_prices: Vec::new(),
             scratch_index_moves: Vec::new(),
             scratch_full_changed: Vec::new(),
+            scratch_full_index_changed: Vec::new(),
             flush_count: 0,
             flush_nanos: 0,
             freshen_nanos: 0,
@@ -1520,8 +1566,9 @@ impl PositionBook {
         }
     }
 
-    /// Record that a market's borrow index advanced: every account owing
-    /// `token` re-values (or proves its cap) before the next query.
+    /// Record that a market's borrow index advanced: before the next query,
+    /// every account owing `token` whose certified cap the new index breaks
+    /// (or that carries no cap) re-values, and the rest go index-stale.
     pub fn note_index_change(&mut self, token: Token) {
         if !self.pending_index_tokens.contains(&token) {
             self.pending_index_tokens.push(token);
@@ -1556,6 +1603,7 @@ impl PositionBook {
                 .count();
             stats.at_risk_accounts += shard.at_risk.len();
             stats.envelope_skips += shard.envelope_skips;
+            stats.envelope_checks += shard.envelope_checks;
             stats.stale_violations += shard.stale_violations;
             stats.term_reprices += shard.term_reprices;
             stats.light_refreshes += shard.light_refreshes;
@@ -1585,7 +1633,7 @@ impl PositionBook {
     /// Fold every pending invalidation into re-valuations, fanning the
     /// shards across the configured worker count. With `full`, also freshen
     /// lazily staled valuations so every cached position is exact at current
-    /// prices.
+    /// prices and borrow indexes.
     fn flush<S: BookSource>(&mut self, source: &S, oracle: &PriceOracle, full: bool) {
         let epoch = oracle.epoch();
         let rewind = epoch < self.synced_epoch;
@@ -1597,12 +1645,16 @@ impl PositionBook {
         index_moves.clear();
         let mut full_changed = std::mem::take(&mut self.scratch_full_changed);
         full_changed.clear();
+        let mut full_index_changed = std::mem::take(&mut self.scratch_full_index_changed);
+        full_index_changed.clear();
         let mut index_tokens = std::mem::take(&mut self.pending_index_tokens);
 
         if rewind {
+            // Every account re-values at the current indexes below.
             index_tokens.clear();
             self.synced_epoch = epoch;
             self.full_synced_epoch = epoch;
+            self.full_synced_index_epoch = self.clock.index_epoch;
         } else {
             if epoch > self.synced_epoch {
                 oracle.collect_changed_since(self.synced_epoch, &mut changed);
@@ -1613,11 +1665,34 @@ impl PositionBook {
                 );
             }
             self.synced_epoch = epoch;
-            index_moves.extend(
-                index_tokens
-                    .iter()
-                    .map(|&token| (token, source.borrow_index(token))),
-            );
+            if !index_tokens.is_empty() {
+                // One index epoch per flush: every market that moved since
+                // the last flush is stamped with it.
+                self.clock.index_epoch += 1;
+                let index_epoch = self.clock.index_epoch;
+                for &token in &index_tokens {
+                    match self
+                        .clock
+                        .market_epochs
+                        .iter_mut()
+                        .find(|(market, _)| *market == token)
+                    {
+                        Some(slot) => slot.1 = index_epoch,
+                        None => self.clock.market_epochs.push((token, index_epoch)),
+                    }
+                    index_moves.push((token, source.borrow_index(token)));
+                }
+            }
+            if full && self.clock.index_epoch > self.full_synced_index_epoch {
+                let synced = self.full_synced_index_epoch;
+                full_index_changed.extend(
+                    self.clock
+                        .market_epochs
+                        .iter()
+                        .filter(|&&(_, market_epoch)| market_epoch > synced),
+                );
+                self.full_synced_index_epoch = self.clock.index_epoch;
+            }
             if full && epoch > self.full_synced_epoch {
                 changed.clear();
                 oracle.collect_changed_since(self.full_synced_epoch, &mut changed);
@@ -1634,15 +1709,16 @@ impl PositionBook {
             || !changed_prices.is_empty()
             || !index_moves.is_empty()
             || !full_changed.is_empty()
-            || self.shards.iter().any(|shard| !shard.dirty.is_empty())
-            || (full && self.shards.iter().any(|shard| shard.stale_count > 0));
+            || !full_index_changed.is_empty()
+            || self.shards.iter().any(|shard| !shard.dirty.is_empty());
         if any_work {
             let flush_start = std::time::Instant::now();
             let ctx = FlushCtx {
                 changed_prices: &changed_prices,
                 index_moves: &index_moves,
                 full_changed: &full_changed,
-                bands: self.bands,
+                full_index_changed: &full_index_changed,
+                clock: &self.clock,
                 full,
                 rewind,
             };
@@ -1677,6 +1753,7 @@ impl PositionBook {
         self.scratch_prices = changed_prices;
         self.scratch_index_moves = index_moves;
         self.scratch_full_changed = full_changed;
+        self.scratch_full_index_changed = full_index_changed;
     }
 
     // --------------------------------------------------------------- queries
@@ -1759,7 +1836,7 @@ impl PositionBook {
 
     /// The (rescue, releverage) HF thresholds the bands are classified by.
     pub fn band_thresholds(&self) -> (Wad, Wad) {
-        self.bands
+        self.clock.bands
     }
 
     /// Freeze the observable book into an immutable, index-carrying
@@ -1774,7 +1851,7 @@ impl PositionBook {
     /// (`Arc::ptr_eq`) instead of re-cloning its entries.
     pub fn snapshot<S: BookSource>(&mut self, source: &S, oracle: &PriceOracle) -> BookSnapshot {
         self.flush(source, oracle, true);
-        let (rescue, releverage) = self.bands;
+        let (rescue, releverage) = self.clock.bands;
         let mut shards = Vec::with_capacity(self.shards.len());
         for (shard, cache) in self.shards.iter().zip(self.snapshot_cache.iter_mut()) {
             match cache {
@@ -1830,10 +1907,10 @@ impl PositionBook {
         oracle: &PriceOracle,
     ) -> Vec<Address> {
         self.flush(source, oracle, false);
-        let bands = self.bands;
+        let clock = &self.clock;
         let mut out = Vec::new();
         for shard in &mut self.shards {
-            shard.collect_liquidatable(source, oracle, bands, &mut out);
+            shard.collect_liquidatable(source, oracle, clock, &mut out);
         }
         out
     }
@@ -1857,8 +1934,8 @@ impl PositionBook {
         releverage: Wad,
         visit: &mut dyn FnMut(&Position),
     ) {
-        if (rescue, releverage) != self.bands {
-            self.bands = (rescue, releverage);
+        if (rescue, releverage) != self.clock.bands {
+            self.clock.bands = (rescue, releverage);
             self.invalidate_all();
         }
         self.flush(source, oracle, false);
@@ -1888,7 +1965,7 @@ impl PositionBook {
             self.visit_nanos += visit_start.elapsed().as_nanos() as u64;
             return;
         }
-        let bands = self.bands;
+        let clock = &self.clock;
         let workers = self.workers.clamp(1, BOOK_SHARD_COUNT);
         if workers > 1 {
             // Phase 1 (parallel): freshen each shard's stale at-risk members.
@@ -1900,7 +1977,7 @@ impl PositionBook {
                 for shard_chunk in self.shards.chunks_mut(chunk) {
                     scope.spawn(move || {
                         for shard in shard_chunk {
-                            shard.freshen_at_risk(source, oracle, bands);
+                            shard.freshen_at_risk(source, oracle, clock);
                         }
                     });
                 }
@@ -1913,7 +1990,7 @@ impl PositionBook {
         // phase attribution lands in `visit_nanos`.
         let visit_start = std::time::Instant::now();
         for shard in &mut self.shards {
-            shard.visit_at_risk(source, oracle, bands, visit);
+            shard.visit_at_risk(source, oracle, clock, visit);
         }
         self.visit_nanos += visit_start.elapsed().as_nanos() as u64;
     }
@@ -2144,7 +2221,7 @@ mod tests {
         assert!(positions
             .iter()
             .all(|p| p.total_collateral_value() == Wad::from_int(2_500)));
-        // The always-on stale-flag invariant held through rewind + drain.
+        // The always-on stale invariant held through rewind + drain.
         assert_eq!(book.stats().stale_violations, 0);
     }
 

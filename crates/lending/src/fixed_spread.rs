@@ -15,7 +15,7 @@ use defi_chain::{ChainEvent, Ledger, LiquidationEvent};
 use defi_core::params::RiskParams;
 use defi_core::position::{CollateralHolding, DebtHolding, Position};
 use defi_oracle::PriceOracle;
-use defi_types::{mul_div_floor, Address, BlockNumber, Platform, Token, Wad, WAD};
+use defi_types::{mul_div_ceil, mul_div_floor, Address, BlockNumber, Platform, Token, Wad, WAD};
 
 use crate::book::{BookSource, BookStats, BookTotals, EnvelopeAnchor, HfEnvelope, PositionBook};
 use crate::error::ProtocolError;
@@ -302,6 +302,18 @@ const ENVELOPE_VALUE_FLOOR: u128 = 1_000_000_000_000;
 /// (exact path) when the position is too close to a band edge, too small, or
 /// holds a token without a listed market.
 ///
+/// # Collateral-free bad debt
+///
+/// A position whose collateral was seized in full but whose debt remains
+/// (the paper's Type I bad debt) has borrowing capacity zero, so its health
+/// factor is `Some(0)` at *any* price and index as long as some debt value
+/// stays positive. With no floor to protect, such a position is certified
+/// without interval arithmetic: every index cap is `u128::MAX` (accrual only
+/// grows the debt), and each debt token gets the bounds `[lo, u128::MAX]`,
+/// where `lo = ⌈WAD / amount⌉` is the smallest raw price at which the
+/// truncating `amount × price` stays above zero. A dust holding whose value
+/// already truncates to zero — `lo` above the current price — is refused.
+///
 /// # Re-anchor hysteresis
 ///
 /// `anchor` records how the previous envelope broke. On a non-[`Fresh`]
@@ -330,6 +342,9 @@ pub fn derive_hf_envelope(
     out: &mut HfEnvelope,
 ) -> bool {
     out.clear();
+    if floor.is_none() && position.collateral.is_empty() {
+        return certify_collateral_free(oracle, position, out);
+    }
     let capacity = position.borrowing_capacity();
     let debt = position.total_debt_value();
     if capacity.raw() < ENVELOPE_VALUE_FLOOR || debt.raw() < ENVELOPE_VALUE_FLOOR {
@@ -445,6 +460,31 @@ pub fn derive_hf_envelope(
             continue;
         }
         out.index_caps.push((d.token, cap));
+    }
+    true
+}
+
+/// The collateral-free branch of [`derive_hf_envelope`]: certify `HF = 0`
+/// for as long as every debt holding's USD value stays positive.
+fn certify_collateral_free(
+    oracle: &PriceOracle,
+    position: &Position,
+    out: &mut HfEnvelope,
+) -> bool {
+    if position.debt.is_empty() {
+        return false;
+    }
+    for d in &position.debt {
+        // `amount × lo ≥ WAD`, so the truncating product is at least one
+        // raw unit at every price from `lo` up (and saturates upward on
+        // overflow in `fill_position_from`).
+        let lo = mul_div_ceil(WAD, 1, d.amount.raw()).unwrap_or(u128::MAX);
+        if lo > oracle.price_or_zero(d.token).raw() {
+            out.clear();
+            return false;
+        }
+        out.price_bounds.push((d.token, lo, u128::MAX));
+        out.index_caps.push((d.token, u128::MAX));
     }
     true
 }
@@ -1690,6 +1730,140 @@ mod tests {
                 .collect();
             filtered
         });
+    }
+
+    /// A debtor without a certified cap rides the exact path on accrual:
+    /// the walkthrough borrower sits at HF exactly 1 — too close to the band
+    /// edge for an envelope — so the next accrual alone must re-value it
+    /// and flag it, and it is the only account the flush examines.
+    #[test]
+    fn accrual_revalues_a_debtor_without_a_cap() {
+        let (mut protocol, mut ledger, oracle, mut events) = setup();
+        let borrower = paper_borrower(&mut protocol, &mut ledger, &oracle, &mut events);
+        assert!(protocol.cached_liquidatable_accounts(&oracle).is_empty());
+        assert_eq!(protocol.book_stats().banded_accounts, 1, "only the lender");
+        let before = protocol.book_stats().envelope_checks;
+        protocol.accrue_all(100);
+        assert_eq!(
+            protocol.cached_liquidatable_accounts(&oracle),
+            vec![borrower]
+        );
+        assert_eq!(protocol.liquidatable_accounts(&oracle), vec![borrower]);
+        assert_eq!(protocol.book_stats().envelope_checks, before + 1);
+    }
+
+    /// Type I bad debt — collateral seized in full, debt left — has HF 0 at
+    /// any price and index, so `derive_hf_envelope` with no floor certifies
+    /// it instead of leaving it to re-value on every accrual: HF stays
+    /// `Some(0)` and the position stays in the book at the envelope's `lo`
+    /// prices with the index at `u128::MAX`, and a dust holding whose value
+    /// truncates to zero is refused.
+    #[test]
+    fn collateral_free_bad_debt_is_certified() {
+        let (mut protocol, mut ledger, mut oracle, mut events) = setup();
+        let borrower = paper_borrower(&mut protocol, &mut ledger, &oracle, &mut events);
+        // ETH crashes to 1,000: one close-factor liquidation claims more
+        // than the 3 ETH held, so the repayment shrinks and every unit of
+        // collateral is seized.
+        oracle.set_price(2, Token::ETH, Wad::from_int(1_000));
+        protocol.accrue_all(2);
+        let max_repay = protocol
+            .debt_of(borrower, Token::USDC)
+            .checked_mul(protocol.config().close_factor)
+            .unwrap();
+        let liquidator = Address::from_seed(99);
+        ledger.mint(liquidator, Token::USDC, max_repay);
+        protocol
+            .liquidation_call(
+                &mut ledger,
+                &mut events,
+                &oracle,
+                2,
+                liquidator,
+                borrower,
+                Token::USDC,
+                Token::ETH,
+                max_repay,
+                false,
+            )
+            .unwrap();
+        let position = protocol.position(&oracle, borrower).unwrap();
+        assert!(position.collateral.is_empty());
+        assert_eq!(position.health_factor(), Some(Wad::ZERO));
+
+        let mut envelope = HfEnvelope::default();
+        assert!(derive_hf_envelope(
+            &protocol.markets,
+            &oracle,
+            &position,
+            None,
+            Some(Wad::ONE),
+            EnvelopeAnchor::Fresh,
+            &mut envelope,
+        ));
+        assert_eq!(envelope.index_caps, vec![(Token::USDC, u128::MAX)]);
+        let &[(token, lo, hi)] = envelope.price_bounds.as_slice() else {
+            panic!("one bound per debt token: {:?}", envelope.price_bounds);
+        };
+        assert_eq!((token, hi), (Token::USDC, u128::MAX));
+        assert!(lo <= oracle.price_or_zero(Token::USDC).raw());
+
+        // In the book, the certified account costs an accrual nothing: no
+        // examination, no re-derivation — only the freshen of the
+        // valuation discovery hands out.
+        assert_eq!(
+            protocol.cached_liquidatable_accounts(&oracle),
+            vec![borrower]
+        );
+        let before = protocol.book_stats();
+        protocol.accrue_all(500);
+        assert_eq!(
+            protocol.cached_liquidatable_accounts(&oracle),
+            vec![borrower]
+        );
+        let after = protocol.book_stats();
+        assert_eq!(after.envelope_checks, before.envelope_checks);
+        assert_eq!(after.envelope_derives, before.envelope_derives);
+        assert_eq!(
+            protocol.cached_position(borrower),
+            protocol.position(&oracle, borrower).as_ref()
+        );
+
+        // The envelope's corner: the debt price at `lo`, the index at its
+        // cap. HF is still 0 and the position still in the book.
+        oracle.set_price(3, Token::USDC, Wad::from_raw(lo));
+        if let Some(market) = protocol.markets.get_mut(&Token::USDC) {
+            market.index.index = defi_types::Ray::from_raw(u128::MAX);
+        }
+        let corner = protocol.position(&oracle, borrower).unwrap();
+        assert_eq!(corner.health_factor(), Some(Wad::ZERO));
+        let view = FixedSpreadView {
+            platform: protocol.platform(),
+            markets: &protocol.markets,
+            accounts: &protocol.accounts,
+        };
+        assert!(view.in_book(&corner));
+
+        // One raw unit of DAI owed just below the peg is worth zero: no
+        // `lo` at or below the current price keeps it positive, so the
+        // envelope is refused.
+        oracle.set_price(3, Token::DAI, Wad::from_f64(0.999));
+        let mut dusty = position.clone();
+        dusty.debt.push(DebtHolding {
+            token: Token::DAI,
+            amount: Wad::from_raw(1),
+            value_usd: Wad::ZERO,
+        });
+        assert!(!derive_hf_envelope(
+            &protocol.markets,
+            &oracle,
+            &dusty,
+            None,
+            Some(Wad::ONE),
+            EnvelopeAnchor::Fresh,
+            &mut envelope,
+        ));
+        assert!(envelope.price_bounds.is_empty() && envelope.index_caps.is_empty());
     }
 
     /// The `debt_dust` knob controls the residual write-off threshold that

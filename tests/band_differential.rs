@@ -509,14 +509,14 @@ fn toy_differential_with(
         ));
     }
 
-    // The always-on stale-flag invariant (release builds repair and count
+    // The always-on stale invariant (release builds repair and count
     // instead of debug_assert-ing): any non-zero counter is a flush that left
     // stale valuations behind, surfaced through the same error path as a
     // divergence.
     let violations = book.stats().stale_violations;
     if violations != 0 {
         return Err(format!(
-            "flush left {violations} stale-flag violation(s) — repaired, but the drain contract broke"
+            "flush left {violations} stale valuation(s) — repaired, but the drain contract broke"
         ));
     }
     Ok(())

@@ -355,8 +355,13 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 mod incremental_book {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
     use defi_liquidations_suite::chain::Ledger;
-    use defi_liquidations_suite::lending::{compound, maker_protocol, LendingProtocol};
+    use defi_liquidations_suite::lending::{
+        compound, maker_protocol, FixedSpreadProtocol, LendingProtocol, RELEVERAGE_BAND_HF,
+        RESCUE_BAND_HF,
+    };
     use defi_liquidations_suite::oracle::{OracleConfig, PriceOracle};
     use defi_liquidations_suite::prelude::*;
     use proptest::prelude::*;
@@ -365,13 +370,55 @@ mod incremental_book {
         Address::from_seed(7_000 + (i % 6) as u64)
     }
 
+    /// Cases of `fixed_spread_cache_equals_scratch_rebuild` that reached a
+    /// collateral-free debtor (Type I bad debt).
+    static COLLATERAL_FREE_CASES: AtomicUsize = AtomicUsize::new(0);
+
+    /// The lazy surfaces — discovery and the banded at-risk visit — against
+    /// the from-scratch rebuild, with no full query in between: they must
+    /// hand out exactly the reference accounts, freshened byte for byte.
+    fn lazy_surfaces_match_scratch(
+        protocol: &mut FixedSpreadProtocol,
+        oracle: &PriceOracle,
+    ) -> Result<(), prop::TestCaseError> {
+        let rescue = Wad::from_f64(RESCUE_BAND_HF);
+        let releverage = Wad::from_f64(RELEVERAGE_BAND_HF);
+        let scratch_at_risk: Vec<Position> = protocol
+            .positions(oracle)
+            .into_iter()
+            .filter(|p| {
+                p.health_factor()
+                    .is_some_and(|hf| hf < rescue || hf > releverage)
+            })
+            .collect();
+        let scratch_liquidatable = protocol.liquidatable_accounts(oracle);
+        prop_assert_eq!(
+            protocol.cached_liquidatable_accounts(oracle),
+            scratch_liquidatable
+        );
+        let mut visited = Vec::new();
+        protocol.for_each_at_risk(oracle, rescue, releverage, &mut |p| visited.push(p.clone()));
+        prop_assert_eq!(visited, scratch_at_risk);
+        Ok(())
+    }
+
+    /// Fixed-spread pools: cache ≡ rebuild after arbitrary op sequences,
+    /// and the sequences reach collateral-free debtors.
+    #[test]
+    fn fixed_spread_cache_equals_scratch_rebuild() {
+        fixed_spread_cache_equals_scratch_rebuild_cases();
+        assert!(
+            COLLATERAL_FREE_CASES.load(Ordering::Relaxed) > 0,
+            "no generated case left a collateral-free debtor"
+        );
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Fixed-spread pools: cache ≡ rebuild after arbitrary op sequences.
-        #[test]
-        fn fixed_spread_cache_equals_scratch_rebuild(
-            ops in prop::collection::vec((0u8..7, 0u8..6, 1u32..30_000, 0u16..1_000), 1..40),
+        /// The cases of `fixed_spread_cache_equals_scratch_rebuild`.
+        fn fixed_spread_cache_equals_scratch_rebuild_cases(
+            ops in prop::collection::vec((0u8..8, 0u8..6, 1u32..30_000, 0u16..1_000), 1..40),
         ) {
             let mut protocol = compound();
             let mut ledger = Ledger::new();
@@ -385,6 +432,7 @@ mod incremental_book {
                 .deposit(&mut ledger, &mut events, lender, Token::USDC, Wad::from_int(50_000_000))
                 .unwrap();
             let mut block: u64 = 1;
+            let mut collateral_free = false;
 
             for (selector, who, magnitude, tweak) in ops {
                 let address = account(who);
@@ -429,33 +477,53 @@ mod incremental_book {
                         }
                     }
                     5 => {
-                        // Interest accrual.
-                        block += (tweak % 500) as u64 + 1;
-                        protocol.accrue_all(block);
+                        // A run of consecutive accruals, each checked on the
+                        // lazy surfaces only, so index staleness piles up
+                        // across them before the full query below.
+                        for _ in 0..=(tweak % 4) {
+                            block += (tweak % 500) as u64 + 1;
+                            protocol.accrue_all(block);
+                            lazy_surfaces_match_scratch(&mut protocol, &oracle)?;
+                        }
                     }
                     _ => {
-                        // Liquidation attempt (close-factor sized).
-                        let outstanding = protocol.debt_of(address, Token::USDC);
-                        let repay = outstanding
-                            .checked_mul(protocol.config().close_factor)
-                            .unwrap_or(Wad::ZERO);
-                        if !repay.is_zero() {
-                            let liquidator = Address::from_seed(9_999);
-                            ledger.mint(liquidator, Token::USDC, repay);
-                            let _ = protocol.liquidation_call(
-                                &mut ledger, &mut events, &oracle, block,
-                                liquidator, address, Token::USDC, Token::ETH, repay, false,
-                            );
+                        // Liquidation attempts (close-factor sized). Selector
+                        // 7 first crashes ETH so far that every claim exceeds
+                        // the ETH held — all of it is seized and the debt
+                        // stays behind — and then sweeps every account.
+                        let targets = if selector == 7 {
+                            oracle.set_price(block, Token::ETH, Wad::from_f64(3_000.0 * 0.02));
+                            0..6
+                        } else {
+                            who..who + 1
+                        };
+                        for target in targets {
+                            let address = account(target);
+                            let outstanding = protocol.debt_of(address, Token::USDC);
+                            let repay = outstanding
+                                .checked_mul(protocol.config().close_factor)
+                                .unwrap_or(Wad::ZERO);
+                            if !repay.is_zero() {
+                                let liquidator = Address::from_seed(9_999);
+                                ledger.mint(liquidator, Token::USDC, repay);
+                                let _ = protocol.liquidation_call(
+                                    &mut ledger, &mut events, &oracle, block,
+                                    liquidator, address, Token::USDC, Token::ETH, repay, false,
+                                );
+                            }
                         }
                     }
                 }
 
-                // Cache ≡ from-scratch rebuild, after every single op.
+                // Cache ≡ from-scratch rebuild, after every single op: the
+                // lazy surfaces first, then the full queries that drain.
+                lazy_surfaces_match_scratch(&mut protocol, &oracle)?;
                 let scratch_book: Vec<_> = protocol
                     .positions(&oracle)
                     .into_iter()
                     .filter(|p| !p.total_debt_value().is_zero())
                     .collect();
+                collateral_free |= scratch_book.iter().any(|p| p.collateral.is_empty());
                 let scratch_liquidatable = protocol.liquidatable_accounts(&oracle);
                 let scratch_total = protocol
                     .positions(&oracle)
@@ -465,6 +533,9 @@ mod incremental_book {
                 prop_assert_eq!(protocol.cached_book(&oracle), scratch_book);
                 prop_assert_eq!(protocol.cached_liquidatable_accounts(&oracle), scratch_liquidatable);
                 prop_assert_eq!(protocol.total_collateral_value(&oracle), scratch_total);
+            }
+            if collateral_free {
+                COLLATERAL_FREE_CASES.fetch_add(1, Ordering::Relaxed);
             }
         }
 
