@@ -191,7 +191,7 @@ fn stream_study(
 }
 
 /// Per-phase tick-time breakdown of every protocol's incremental book: where
-/// the wall-clock went (flush, at-risk freshen, visit, envelope re-derive)
+/// the wall-clock went (flush, at-risk visit, envelope re-derive)
 /// and which cache path served the freshenings (term reprices vs light
 /// refreshes vs full revaluations) — wall-clock attribution for perf work
 /// without a profiler.
@@ -204,11 +204,10 @@ fn print_book_timings(session: &mut Session) {
         };
         let ms = |nanos: u64| nanos as f64 / 1e6;
         println!(
-            "  {:<10} flush {:>9.3} ms ({} flushes) | freshen {:>9.3} ms | visit {:>9.3} ms | envelope {:>9.3} ms ({} derives)",
+            "  {:<10} flush {:>9.3} ms ({} flushes) | visit {:>9.3} ms | envelope {:>9.3} ms ({} derives)",
             platform.name(),
             ms(stats.flush_nanos),
             stats.flush_count,
-            ms(stats.freshen_nanos),
             ms(stats.visit_nanos),
             ms(stats.envelope_derive_nanos),
             stats.envelope_derives,

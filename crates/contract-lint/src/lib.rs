@@ -202,9 +202,8 @@ fn is_hot_path(path: &str) -> bool {
         // The behavioural layer runs inside the tick loop (inventory checks,
         // latency queues, panic draws) — a panic there kills the run.
         || path == "crates/sim/src/behavior.rs"
-        // The sweep runner's scoped-thread fan-out is the pattern the sharded
-        // book's tick-internal workers follow; a panic there tears down every
-        // in-flight run.
+        // The sweep runner fans whole runs across scoped threads; a panic
+        // there tears down every in-flight run.
         || path == "crates/sim/src/sweep.rs"
         // The risk service's concurrent read/publish paths and the journal
         // reader (which parses untrusted file bytes) must not panic.

@@ -564,12 +564,7 @@ fn get_config(dec: &mut Decoder<'_>) -> Result<SimConfig, CodecError> {
         scenario,
         scenario_applied,
         extra_congestion_episodes,
-        // Deliberately not journaled: the worker count is a throughput knob
-        // with byte-identical results for every value (the frame layout is
-        // frozen, and replay must not depend on the recording host's core
-        // count). Replays run serially unless the replaying caller re-tunes.
-        book_workers: 1,
-        // Also deliberately not journaled: journals carry the *observed*
+        // Deliberately not journaled: journals carry the *observed*
         // event stream, and behavioural agent state is reconstructed from
         // the config on a live re-run, not replayed (see CONTRACTS.md).
         // Journals written before the layer existed replay unchanged.

@@ -82,15 +82,16 @@
 //! ([`shard_of`]: the top four bits of the address's first byte). Every
 //! per-account structure — entries, dirty set, critical-price index, interval
 //! index, band membership, running totals — lives in the owning shard, and
-//! shards share nothing, so a flush fans out across `std::thread::scope`
-//! workers with no locks. Determinism is by construction, not by scheduling:
-//! the partition is a function of the address alone, each shard's work is
-//! internally ordered, and queries merge shards in ascending address-range
-//! order — so `book_positions`, `book_totals` and `liquidatable_accounts`
-//! are byte-identical for *any* worker count (proven by the harness's
-//! workers=1 vs workers=N differential). [`PositionBook::snapshot`] freezes
-//! each shard behind its own `Arc` and caches it against a per-shard version
-//! counter, so an unchanged shard is never re-cloned between snapshots.
+//! every flush and query walks the shards serially. The shards stay for
+//! serial cache locality: each flush touches sixteen small ordered maps
+//! rather than one large one. Merge order is fixed by construction: the
+//! partition is a function of the address alone, each shard's work is
+//! internally ordered, and queries concatenate shards in ascending
+//! address-range order, so `book_positions`, `book_totals` and
+//! `liquidatable_accounts` come out in global address order without sorting.
+//! [`PositionBook::snapshot`] freezes each shard behind its own `Arc` and
+//! caches it against a per-shard version counter, so an unchanged shard is
+//! never re-cloned between snapshots.
 //!
 //! The book is *exact by construction*: a cached entry is byte-identical to a
 //! from-scratch [`Position`] rebuild because the owning protocol's
@@ -123,14 +124,16 @@ pub const RELEVERAGE_BAND_HF: f64 = 2.2;
 /// `(bound, account)` pair of an interval or cap index.
 const LAST_ADDRESS: Address = Address([u8::MAX; 20]);
 
-/// Number of fixed address-range shards a book is split into. Independent of
-/// the worker count: workers only decide how many shards flush concurrently,
-/// never how accounts partition, so results cannot depend on parallelism.
+/// Number of fixed address-range shards a book is split into. Flushes and
+/// queries walk them serially; the split buys cache locality (sixteen small
+/// ordered maps per flush instead of one large one) and per-shard snapshot
+/// reuse.
 pub const BOOK_SHARD_COUNT: usize = 16;
 
-/// The shard owning an address: its top four bits. [`Address`] orders
-/// lexicographically, so shard `i` owns a contiguous address range and
-/// concatenating shards in index order preserves global address order.
+/// The shard owning an address: its top four bits, a pure function of the
+/// address. [`Address`] orders lexicographically, so shard `i` owns a
+/// contiguous address range and concatenating shards in index order
+/// preserves global address order.
 #[inline]
 pub(crate) fn shard_of(address: &Address) -> usize {
     (address.0[0] >> 4) as usize
@@ -298,11 +301,12 @@ pub struct BookStats {
     pub flush_count: u64,
     /// Wall-clock nanoseconds spent in flushes that found work.
     pub flush_nanos: u64,
-    /// Wall-clock nanoseconds spent in the parallel at-risk freshen phase
-    /// (zero in serial mode, where the visit pass fuses the freshening).
+    /// Always 0: the book has no separate freshen phase any more (the visit
+    /// pass fuses freshening). Kept only because the `perfbench/` harness
+    /// still sums it; remove it with the next benchmark change.
     pub freshen_nanos: u64,
-    /// Wall-clock nanoseconds spent in the at-risk visit phase (in serial
-    /// mode this is the fused freshen + visit pass).
+    /// Wall-clock nanoseconds spent in the at-risk visit pass, which fuses
+    /// freshening each visited valuation with the visit.
     pub visit_nanos: u64,
     /// Times a reusable scratch buffer had to grow its capacity. Stops
     /// increasing once the tick hot loop is warm — the bench bodies assert
@@ -314,15 +318,13 @@ pub struct BookStats {
 /// account. Implemented on a cheap borrow-view of the protocol's state so the
 /// book (a sibling field) can be mutated while the view is read.
 ///
-/// # Shard-safety
+/// # Determinism
 ///
-/// Flushes fan out across threads, each holding `&Self` — so every
-/// implementation must be [`Sync`] and its methods must be **pure reads** of
-/// the protocol state captured by the view: no interior mutability, no
-/// account-order-dependent side effects, and the same inputs must produce the
-/// same outputs within one flush (see CONTRACTS.md, "The sharding
-/// contract").
-pub trait BookSource: Sync {
+/// Every method must be a deterministic function of the view's state, the
+/// oracle and the account: no account-order-dependent side effects, and the
+/// same inputs must produce the same outputs within one flush (see
+/// CONTRACTS.md, "The book-index contract").
+pub trait BookSource {
     /// Rebuild `slot` in place as the account's fresh valuation snapshot,
     /// reusing the slot's allocations. Returns `false` when the account has
     /// no observable state any more (it is then dropped from the book) —
@@ -509,8 +511,7 @@ struct Totals {
     all_debt_usd: Wad,
 }
 
-/// Per-flush global context, computed once and shared read-only by every
-/// shard worker.
+/// Per-flush global context, computed once and read by every shard's flush.
 struct FlushCtx<'a> {
     /// `(token, current raw price)` for every token whose price changed since
     /// the last flush.
@@ -533,7 +534,7 @@ struct FlushCtx<'a> {
 }
 
 /// One address-range shard: every per-account structure of the book, owned
-/// whole so shard flushes share nothing and can run on independent threads.
+/// whole so shard flushes share nothing.
 #[derive(Debug, Clone, Default)]
 struct BookShard {
     entries: BTreeMap<Address, Entry>,
@@ -608,8 +609,7 @@ impl BookShard {
     // ------------------------------------------------------------------ flush
 
     /// Fold this shard's share of the pending invalidations into
-    /// re-valuations. Runs on a worker thread; touches nothing outside the
-    /// shard.
+    /// re-valuations. Touches nothing outside the shard.
     fn flush<S: BookSource>(&mut self, source: &S, oracle: &PriceOracle, ctx: &FlushCtx<'_>) {
         if ctx.rewind {
             // The book is being driven by a different (or rewound) oracle
@@ -1361,34 +1361,6 @@ impl BookShard {
         }
     }
 
-    /// Freshen every stale at-risk member of this shard without visiting —
-    /// the parallelisable half of [`visit_at_risk`](Self::visit_at_risk).
-    /// Re-valuing cannot change any verdict (same state, same prices), so
-    /// shards can freshen concurrently and the serial visit pass that
-    /// follows observes exactly what a serial freshen would have produced.
-    fn freshen_at_risk<S: BookSource>(
-        &mut self,
-        source: &S,
-        oracle: &PriceOracle,
-        clock: &BookClock,
-    ) {
-        let mut batch = std::mem::take(&mut self.scratch_addresses);
-        let batch_cap = batch.capacity();
-        batch.clear();
-        batch.extend(self.at_risk.iter().copied());
-        for &address in &batch {
-            let stale = self
-                .entries
-                .get(&address)
-                .is_some_and(|entry| entry.is_stale(oracle, clock));
-            if stale {
-                self.refresh(source, oracle, address, clock);
-            }
-        }
-        self.scratch_grows += (batch.capacity() > batch_cap) as u64;
-        self.scratch_addresses = batch;
-    }
-
     /// Visit this shard's at-risk members in address order, freshening each
     /// visited valuation.
     fn visit_at_risk<S: BookSource>(
@@ -1476,9 +1448,6 @@ pub struct PositionBook {
     /// Index epoch up to which lazily staled valuations were freshened by a
     /// full refresh.
     full_synced_index_epoch: u64,
-    /// How many `std::thread::scope` workers flushes fan shards across
-    /// (1 = serial; results are identical either way).
-    workers: usize,
     /// Per-shard `(version, frozen snapshot)` from the last
     /// [`snapshot`](Self::snapshot) call: an unchanged shard hands out the
     /// same `Arc` instead of re-cloning its entries.
@@ -1492,10 +1461,7 @@ pub struct PositionBook {
     /// attribution for the tick breakdown; see [`BookStats`]).
     flush_count: u64,
     flush_nanos: u64,
-    /// Nanoseconds in the parallel at-risk freshen phase (workers > 1 only).
-    freshen_nanos: u64,
-    /// Nanoseconds in the at-risk visit pass (fused freshen + visit when
-    /// serial).
+    /// Nanoseconds in the at-risk visit pass (fused freshen + visit).
     visit_nanos: u64,
 }
 
@@ -1519,7 +1485,6 @@ impl Default for PositionBook {
             synced_epoch: 0,
             full_synced_epoch: 0,
             full_synced_index_epoch: 0,
-            workers: 1,
             snapshot_cache: (0..BOOK_SHARD_COUNT).map(|_| None).collect(),
             scratch_changed: Vec::new(),
             scratch_prices: Vec::new(),
@@ -1528,7 +1493,6 @@ impl Default for PositionBook {
             scratch_full_index_changed: Vec::new(),
             flush_count: 0,
             flush_nanos: 0,
-            freshen_nanos: 0,
             visit_nanos: 0,
         }
     }
@@ -1539,19 +1503,6 @@ impl PositionBook {
     /// ([`RESCUE_BAND_HF`], [`RELEVERAGE_BAND_HF`]) band thresholds.
     pub fn new() -> Self {
         PositionBook::default()
-    }
-
-    /// Set how many `std::thread::scope` workers flushes fan the shards
-    /// across (clamped to `1..=BOOK_SHARD_COUNT`). Purely a throughput knob:
-    /// the shard partition and merge order are fixed, so every query result
-    /// is byte-identical for any worker count.
-    pub fn set_workers(&mut self, workers: usize) {
-        self.workers = workers.clamp(1, BOOK_SHARD_COUNT);
-    }
-
-    /// The configured flush worker count.
-    pub fn workers(&self) -> usize {
-        self.workers
     }
 
     fn shard_mut(&mut self, account: &Address) -> Option<&mut BookShard> {
@@ -1613,7 +1564,6 @@ impl PositionBook {
         }
         stats.flush_count = self.flush_count;
         stats.flush_nanos = self.flush_nanos;
-        stats.freshen_nanos = self.freshen_nanos;
         stats.visit_nanos = self.visit_nanos;
         stats
     }
@@ -1630,10 +1580,9 @@ impl PositionBook {
 
     // ------------------------------------------------------------------ flush
 
-    /// Fold every pending invalidation into re-valuations, fanning the
-    /// shards across the configured worker count. With `full`, also freshen
-    /// lazily staled valuations so every cached position is exact at current
-    /// prices and borrow indexes.
+    /// Fold every pending invalidation into re-valuations, shard by shard in
+    /// address order. With `full`, also freshen lazily staled valuations so
+    /// every cached position is exact at current prices and borrow indexes.
     fn flush<S: BookSource>(&mut self, source: &S, oracle: &PriceOracle, full: bool) {
         let epoch = oracle.epoch();
         let rewind = epoch < self.synced_epoch;
@@ -1722,26 +1671,8 @@ impl PositionBook {
                 full,
                 rewind,
             };
-            let workers = self.workers.clamp(1, BOOK_SHARD_COUNT);
-            if workers == 1 {
-                for shard in &mut self.shards {
-                    shard.flush(source, oracle, &ctx);
-                }
-            } else {
-                // Fan the shards across scoped workers. Each shard is
-                // self-contained and internally ordered, so scheduling
-                // cannot influence any result — only wall-clock.
-                let chunk = BOOK_SHARD_COUNT.div_ceil(workers);
-                let ctx = &ctx;
-                std::thread::scope(|scope| {
-                    for shard_chunk in self.shards.chunks_mut(chunk) {
-                        scope.spawn(move || {
-                            for shard in shard_chunk {
-                                shard.flush(source, oracle, ctx);
-                            }
-                        });
-                    }
-                });
+            for shard in &mut self.shards {
+                shard.flush(source, oracle, &ctx);
             }
             self.flush_count += 1;
             self.flush_nanos += flush_start.elapsed().as_nanos() as u64;
@@ -1965,29 +1896,9 @@ impl PositionBook {
             self.visit_nanos += visit_start.elapsed().as_nanos() as u64;
             return;
         }
+        // One fused pass in shard order (= address order): freshen each
+        // stale at-risk member, then visit it.
         let clock = &self.clock;
-        let workers = self.workers.clamp(1, BOOK_SHARD_COUNT);
-        if workers > 1 {
-            // Phase 1 (parallel): freshen each shard's stale at-risk members.
-            // Freshening is per-shard-local and verdict-preserving, so the
-            // fan only changes wall-clock, never results.
-            let freshen_start = std::time::Instant::now();
-            let chunk = BOOK_SHARD_COUNT.div_ceil(workers);
-            std::thread::scope(|scope| {
-                for shard_chunk in self.shards.chunks_mut(chunk) {
-                    scope.spawn(move || {
-                        for shard in shard_chunk {
-                            shard.freshen_at_risk(source, oracle, clock);
-                        }
-                    });
-                }
-            });
-            self.freshen_nanos += freshen_start.elapsed().as_nanos() as u64;
-        }
-        // Phase 2 (serial, shard order = address order): visit. After a
-        // parallel freshen this finds nothing stale and is pure iteration;
-        // in serial mode this fused pass does the freshening too, so the
-        // phase attribution lands in `visit_nanos`.
         let visit_start = std::time::Instant::now();
         for shard in &mut self.shards {
             shard.visit_at_risk(source, oracle, clock, visit);
@@ -2010,7 +1921,7 @@ mod tests {
     struct ToySource {
         accounts: BTreeMap<Address, (Wad, Wad)>, // collateral ETH, par debt
         /// Suppress critical prices: accounts then ride the multivariate
-        /// (live-set) path, which is what the shard-parallel flush fans out.
+        /// (live-set) path.
         multivariate: bool,
     }
 
@@ -2256,43 +2167,6 @@ mod tests {
             "a saturated (astronomically healthy) account must not be flagged"
         );
         assert_eq!(book.stats().stale_violations, 0);
-    }
-
-    /// Tentpole invariant, small scale: every book surface is byte-identical
-    /// for any worker count, across mutations, price moves and removals.
-    #[test]
-    fn worker_counts_produce_identical_books() {
-        let run = |workers: usize| {
-            let (mut source, mut book, mut oracle) = setup(64);
-            source.multivariate = true;
-            book.set_workers(workers);
-            let mut log = Vec::new();
-            for step in 0u64..12 {
-                // Wiggle the price and mutate a few accounts each step.
-                let price = 100.0 - step as f64 * 2.5;
-                oracle.set_price(step + 1, Token::ETH, Wad::from_f64(price));
-                let touched = Address::from_seed(step % 64);
-                if let Some(slot) = source.accounts.get_mut(&touched) {
-                    slot.1 = slot.1.saturating_add(Wad::from_int(1));
-                }
-                book.mark_dirty(touched);
-                if step == 7 {
-                    let gone = Address::from_seed(11);
-                    source.accounts.remove(&gone);
-                    book.mark_dirty(gone);
-                }
-                log.push((
-                    book.liquidatable_accounts(&source, &oracle),
-                    book.totals(&source, &oracle),
-                    book.book_positions(&source, &oracle),
-                ));
-            }
-            log
-        };
-        let serial = run(1);
-        for workers in [2, 4, 16] {
-            assert_eq!(run(workers), serial, "workers={workers} diverged");
-        }
     }
 
     /// Tentpole invariant: an unchanged shard hands out the same `Arc` on

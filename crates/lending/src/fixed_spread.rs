@@ -1026,12 +1026,6 @@ impl FixedSpreadProtocol {
         self.book.stats()
     }
 
-    /// Worker threads the book may fan re-valuation across (see
-    /// [`PositionBook::set_workers`]).
-    pub fn set_book_workers(&mut self, workers: usize) {
-        self.book.set_workers(workers);
-    }
-
     /// Total USD value of collateral deposited in the pool (running total
     /// maintained by the incremental book).
     pub fn total_collateral_value(&mut self, oracle: &PriceOracle) -> Wad {

@@ -654,12 +654,6 @@ impl MakerProtocol {
         self.book.stats()
     }
 
-    /// Worker threads the book may fan re-valuation across (see
-    /// [`PositionBook::set_workers`]).
-    pub fn set_book_workers(&mut self, workers: usize) {
-        self.book.set_workers(workers);
-    }
-
     /// Total USD value of locked collateral (running total maintained by the
     /// incremental book).
     pub fn total_collateral_value(&mut self, oracle: &PriceOracle) -> Wad {

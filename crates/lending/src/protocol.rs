@@ -332,19 +332,14 @@ pub trait LendingProtocol {
         )
     }
 
-    /// Set how many worker threads the protocol's incremental book may fan
-    /// re-valuation across within a tick (clamped to the shard count).
-    /// Results are byte-identical for every worker count — the shard
-    /// partition is a pure function of the account address and shards merge
-    /// in fixed index order — so this is purely a throughput knob. The
-    /// default is a no-op for cache-less implementations that have no book
-    /// to parallelise.
+    /// A no-op: books flush serially. Kept only because the `perfbench/`
+    /// harness still forwards it; remove it with the next benchmark change.
     fn set_book_workers(&mut self, _workers: usize) {}
 
     /// Cache-maintenance and per-phase timing counters of the protocol's
     /// incremental book ([`BookStats`]). Counters are monotone within a run,
     /// so the difference between two reads attributes wall-clock
-    /// (flush / at-risk freshen / visit / envelope re-derive) and cache-path
+    /// (flush / at-risk visit / envelope re-derive) and cache-path
     /// traffic (term reprices, light refreshes, full revaluations) to the
     /// interval between them. The default returns zeroed stats for
     /// cache-less implementations.
@@ -532,10 +527,6 @@ impl LendingProtocol for FixedSpreadProtocol {
         FixedSpreadProtocol::book_snapshot(self, oracle)
     }
 
-    fn set_book_workers(&mut self, workers: usize) {
-        FixedSpreadProtocol::set_book_workers(self, workers);
-    }
-
     fn book_stats(&self) -> BookStats {
         FixedSpreadProtocol::book_stats(self)
     }
@@ -697,10 +688,6 @@ impl LendingProtocol for MakerProtocol {
 
     fn book_snapshot(&mut self, oracle: &PriceOracle) -> crate::snapshot::BookSnapshot {
         MakerProtocol::book_snapshot(self, oracle)
-    }
-
-    fn set_book_workers(&mut self, workers: usize) {
-        MakerProtocol::set_book_workers(self, workers);
     }
 
     fn book_stats(&self) -> BookStats {

@@ -5,9 +5,8 @@
 //! deterministically from the scenario seed so a simulation run is fully
 //! reproducible — and *order-independently*: every sampling function derives
 //! its own RNG from `(seed, role, platform[, index])`, so the agents a
-//! platform gets do not depend on which other platforms are registered, in
-//! what order the populations are listed, or how many `book_workers` the run
-//! uses. The property tests pin this down.
+//! platform gets do not depend on which other platforms are registered or in
+//! what order the populations are listed. The property tests pin this down.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -20,9 +20,9 @@
 //!   the DEX and adding to the spiral's sell pressure.
 //!
 //! Everything here is deterministic: the layer owns its own `StdRng` derived
-//! from the run seed, and no decision depends on map iteration order or
-//! `book_workers`. None of this state is journaled — like the worker count it
-//! is reconstructed from `SimConfig` on replay (see CONTRACTS.md).
+//! from the run seed, and no decision depends on map iteration order. None of
+//! this state is journaled — it is reconstructed from `SimConfig` on a re-run
+//! (see CONTRACTS.md, "The agent-state contract").
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 

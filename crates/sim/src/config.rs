@@ -99,22 +99,11 @@ pub struct SimConfig {
     /// Additional scripted gas-congestion episodes layered on top of the
     /// paper's (used by stress scenarios such as `gas-spike-congestion`).
     pub extra_congestion_episodes: Vec<CongestionEpisode>,
-    /// Worker threads each protocol's position book may fan re-valuation
-    /// across within a tick (clamped to the book's shard count). Purely a
-    /// throughput knob: results are byte-identical for every value, which the
-    /// band-differential harness proves per tick. Defaults to 1 (serial) so
-    /// journals written before the knob existed replay unchanged.
-    #[serde(default = "default_book_workers")]
-    pub book_workers: usize,
     /// Behavioural agent layer: capital-constrained liquidators, latency
     /// staggering and borrower panic exits. Disabled by default, in which
     /// case the engine behaves exactly as the baseline model.
     #[serde(default)]
     pub behavior: BehaviorConfig,
-}
-
-fn default_book_workers() -> usize {
-    1
 }
 
 /// Default gas cost of a fixed-spread liquidation call.
@@ -171,7 +160,6 @@ impl SimConfig {
             scenario: None,
             scenario_applied: false,
             extra_congestion_episodes: Vec::new(),
-            book_workers: default_book_workers(),
             behavior: BehaviorConfig::default(),
         }
     }

@@ -156,15 +156,10 @@ impl SimulationEngine {
     /// [`EngineBuilder::build`](crate::EngineBuilder::build)).
     pub(crate) fn from_parts(
         config: SimConfig,
-        mut protocols: ProtocolRegistry,
+        protocols: ProtocolRegistry,
         scenario: MarketScenario,
         dex_setup: DexSetup,
     ) -> Self {
-        // Fan each protocol's book re-valuation across the configured worker
-        // count (byte-identical results for every value — a throughput knob).
-        for protocol in protocols.values_mut() {
-            protocol.set_book_workers(config.book_workers);
-        }
         let rng = StdRng::seed_from_u64(config.seed);
         let mut chain_config = ChainConfig {
             start_block: config.start_block,
@@ -200,7 +195,7 @@ impl SimulationEngine {
         // Agent populations: liquidator bots for fixed-spread platforms,
         // keeper bots for auction platforms. Sampling is seed-derived per
         // platform (not drawn from the engine RNG), so the populations are
-        // independent of registry iteration order and `book_workers`.
+        // independent of registry iteration order.
         let max_latency = config.behavior.max_latency_ticks;
         let mut liquidators = Vec::new();
         let mut keeper_count = 4;
@@ -2038,19 +2033,6 @@ mod tests {
             skipped.usd > Wad::ZERO,
             "skipped volume valued at the market price"
         );
-    }
-
-    #[test]
-    fn agent_populations_are_identical_across_book_workers() {
-        // Population sampling must not depend on the book-worker throughput
-        // knob (or anything else outside seed + identity).
-        let serial = SimConfig::smoke_test(23);
-        let mut sharded = SimConfig::smoke_test(23);
-        sharded.book_workers = 4;
-        let a = SimulationEngine::new(serial);
-        let b = SimulationEngine::new(sharded);
-        assert_eq!(a.liquidators, b.liquidators);
-        assert_eq!(a.keepers, b.keepers);
     }
 
     #[test]

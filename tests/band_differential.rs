@@ -162,92 +162,6 @@ fn banded_discovery_matches_shadow_scan_across_every_catalog_scenario() {
 }
 
 // ---------------------------------------------------------------------------
-// Worker-count differential: the sharded book must be byte-identical to the
-// serial book on every tick of every catalog scenario. The shard partition is
-// a pure function of the account address and shards merge in fixed index
-// order, so the worker count may only change scheduling — this test is the
-// proof. CI runs it under a BOOK_WORKERS matrix.
-// ---------------------------------------------------------------------------
-
-/// Worker count for the parallel side of the differential: the `BOOK_WORKERS`
-/// env var (the CI matrix axis), defaulting to 4.
-fn book_workers_under_test() -> usize {
-    std::env::var("BOOK_WORKERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4)
-}
-
-#[test]
-fn worker_counts_are_byte_identical_across_every_catalog_scenario() {
-    let workers = book_workers_under_test();
-    assert!(workers >= 2, "the differential needs a parallel side");
-    let catalog = ScenarioCatalog::standard();
-    assert!(catalog.names().len() >= 6);
-    for entry in catalog.entries() {
-        let mut serial_config = crash_window_config(2027);
-        serial_config.book_workers = 1;
-        let mut sharded_config = crash_window_config(2027);
-        sharded_config.book_workers = workers;
-        let mut serial = EngineBuilder::new(serial_config)
-            .with_named_scenario(&entry.name)
-            .build()
-            .session();
-        let mut sharded = EngineBuilder::new(sharded_config)
-            .with_named_scenario(&entry.name)
-            .build()
-            .session();
-        let mut observer = NullObserver;
-        let mut tick = 0u64;
-        loop {
-            let serial_status = serial
-                .step(&mut observer)
-                .unwrap_or_else(|e| panic!("{}: serial step failed: {e}", entry.name));
-            let sharded_status = sharded
-                .step(&mut observer)
-                .unwrap_or_else(|e| panic!("{}: sharded step failed: {e}", entry.name));
-            assert_eq!(
-                serial_status, sharded_status,
-                "{}: status diverged",
-                entry.name
-            );
-            tick += 1;
-            // Liquidatable set + running totals every tick, the whole cached
-            // book periodically (the expensive check).
-            let full = tick.is_multiple_of(5);
-            for platform in serial.platforms() {
-                let observe = |protocol: &mut dyn LendingProtocol, oracle: &PriceOracle| {
-                    (
-                        protocol
-                            .liquidatable(oracle)
-                            .into_iter()
-                            .map(|o| (o.borrower, o.position))
-                            .collect::<Vec<_>>(),
-                        protocol.book_totals(oracle),
-                        full.then(|| protocol.book_positions(oracle)),
-                    )
-                };
-                let lhs = serial
-                    .inspect_protocol(platform, observe)
-                    .expect("platform registered");
-                let rhs = sharded
-                    .inspect_protocol(platform, observe)
-                    .expect("platform registered");
-                assert_eq!(
-                    lhs, rhs,
-                    "{} tick {tick}: {platform} diverged between 1 and {workers} workers",
-                    entry.name
-                );
-            }
-            if serial_status == SessionStatus::TicksComplete {
-                break;
-            }
-        }
-        assert!(tick > 10, "{}: suspiciously short run", entry.name);
-    }
-}
-
-// ---------------------------------------------------------------------------
 // A toy multivariate pool with an explicit borrow index, small enough to
 // sabotage: the differential checker below is the "harness" whose teeth the
 // omitted-hook tests prove.

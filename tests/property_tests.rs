@@ -801,8 +801,8 @@ mod incremental_book {
 
 // ---------------------------------------------------------------------------
 // Behavioural agent layer (PR 10): population sampling is a pure function of
-// (seed, identity) — platform iteration order, prior draws and the
-// book-worker count cannot change who gets sampled — and `+`-composed
+// (seed, identity) — platform iteration order and prior draws cannot change
+// who gets sampled — and `+`-composed
 // catalog scenarios are tick-for-tick equal to their hand-built equivalents.
 // ---------------------------------------------------------------------------
 
@@ -819,9 +819,7 @@ mod behavioral_agents {
 
         /// Sampling the same identity twice — or with the platform list
         /// walked in the opposite order — yields byte-identical agents for
-        /// any seed. (The engine-level twin of this property, identical
-        /// populations across `book_workers`, is asserted in the sim crate's
-        /// unit tests; sampling never sees the worker knob at all.)
+        /// any seed.
         #[test]
         fn agent_sampling_is_order_independent(seed in 0u64..u64::MAX) {
             let config = SimConfig::smoke_test(seed ^ 1);
