@@ -576,25 +576,24 @@ fn bench_positions_scale(c: &mut Criterion) {
         );
 
         // Regression guard (quick mode too): a *crossing* move refreshes
-        // exactly the crossed CDPs, and every refresh is served by the
-        // term/light cache paths — full `fill_position` rebuilds inside
-        // Maker discovery are the regression this guards against.
+        // exactly the crossed CDPs, and every refresh is served by the term
+        // path — critical-price CDPs never take the light or the full
+        // `fill_position` rebuild inside Maker discovery.
         let stats_before = maker.book_stats();
         maker_oracle.set_price(maker_block + 2, Token::ETH, Wad::from_int(3_430));
         let _ = LendingProtocol::liquidatable(&mut maker, &maker_oracle);
         let stats_after = maker.book_stats();
         let revalued = stats_after.revaluations - stats_before.revaluations;
         let termed = stats_after.term_reprices - stats_before.term_reprices;
-        let lighted = stats_after.light_refreshes - stats_before.light_refreshes;
         assert!(
             revalued > 0,
             "the crossing move should refresh crossed CDPs"
         );
         assert_eq!(
             revalued,
-            termed + lighted,
-            "{} crossed CDPs took the full rebuild path instead of a cached refresh",
-            revalued - termed - lighted
+            termed,
+            "{} crossed CDPs took a rebuild path instead of the term reprice",
+            revalued - termed
         );
     }
     group.finish();
@@ -672,22 +671,38 @@ fn bench_band_index(c: &mut Criterion) {
         );
         assert!(after.banded_accounts > 0, "no account was ever certified");
 
+        let mut wiggle_tick = |protocol: &mut defi_lending::FixedSpreadProtocol,
+                               block: &mut u64| {
+            *block += 1;
+            let wiggle = 3_450.0 + (*block % 7) as f64 * 2.0;
+            oracle.set_price(*block, Token::ETH, Wad::from_f64(wiggle));
+            let mut at_risk = 0usize;
+            LendingProtocol::for_each_at_risk(protocol, &oracle, rescue, releverage, &mut |_| {
+                at_risk += 1
+            });
+            at_risk + LendingProtocol::liquidatable(protocol, &oracle).len()
+        };
         group.bench_function(format!("price_wiggle_discovery_{n}_accounts"), |b| {
-            b.iter(|| {
-                block += 1;
-                let wiggle = 3_450.0 + (block % 7) as f64 * 2.0;
-                oracle.set_price(block, Token::ETH, Wad::from_f64(wiggle));
-                let mut at_risk = 0usize;
-                LendingProtocol::for_each_at_risk(
-                    &mut protocol,
-                    &oracle,
-                    rescue,
-                    releverage,
-                    &mut |_| at_risk += 1,
-                );
-                at_risk + LendingProtocol::liquidatable(&mut protocol, &oracle).len()
-            })
+            b.iter(|| wiggle_tick(&mut protocol, &mut block))
         });
+
+        // Regression guard: fixed-spread accounts are envelope-held, so
+        // in-envelope wiggles freshen them through the light path and never
+        // through the critical-price term reprice. One full wiggle cycle, so
+        // the price really moves whichever tick the timed body stopped at.
+        let before = protocol.book_stats();
+        for _ in 0..7 {
+            wiggle_tick(&mut protocol, &mut block);
+        }
+        let after = protocol.book_stats();
+        assert_eq!(
+            after.term_reprices, before.term_reprices,
+            "a fixed-spread tick took the term path"
+        );
+        assert!(
+            after.light_refreshes > before.light_refreshes,
+            "the wiggles freshened no envelope-held account"
+        );
     }
     group.finish();
 }

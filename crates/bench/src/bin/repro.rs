@@ -192,9 +192,9 @@ fn stream_study(
 
 /// Per-phase tick-time breakdown of every protocol's incremental book: where
 /// the wall-clock went (flush, at-risk visit, envelope re-derive)
-/// and which cache path served the freshenings (term reprices vs light
-/// refreshes vs full revaluations) — wall-clock attribution for perf work
-/// without a profiler.
+/// and which cache path served the freshenings (term reprices of
+/// critical-price accounts vs light refreshes of envelope-held ones vs full
+/// revaluations) — wall-clock attribution for perf work without a profiler.
 fn print_book_timings(session: &mut Session) {
     println!("== book per-phase timings ==");
     for platform in session.platforms() {

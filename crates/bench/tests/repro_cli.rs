@@ -1,6 +1,7 @@
 //! The `repro` command line rejects input it would otherwise ignore: an
-//! unknown artefact name, or `--workers` without `--sweep`, exits with
-//! status 2 and names the valid choices instead of printing nothing.
+//! unknown artefact name, `--workers` without `--sweep`, or a scenario file
+//! with a value no run can use exits with status 2 and says why instead of
+//! printing nothing.
 
 use std::process::{Command, Output};
 
@@ -38,4 +39,27 @@ fn a_valid_artefact_name_still_runs() {
     let output = repro(&["configs"]);
     assert_eq!(output.status.code(), Some(0));
     assert!(String::from_utf8_lossy(&output.stdout).contains("Appendix C"));
+}
+
+#[test]
+fn a_nan_shock_in_a_scenario_file_exits_2_and_names_the_line() {
+    let path = std::env::temp_dir().join(format!("repro-nan-shock-{}.txt", std::process::id()));
+    std::fs::write(
+        &path,
+        "[scenario nan-shock]\nshock = ETH @ 9716000 NaN 1000\n",
+    )
+    .expect("write the scenario file");
+    let output = repro(&[
+        "--smoke",
+        "--scenario-file",
+        path.to_str().expect("utf-8 temp path"),
+        "--scenario",
+        "nan-shock",
+        "headline",
+    ]);
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(output.status.code(), Some(2));
+    assert!(output.stdout.is_empty(), "nothing is rendered");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("line 2"), "{stderr}");
 }

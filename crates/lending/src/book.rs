@@ -49,21 +49,26 @@
 //! once a token it holds is written, or a market it owes accrues, after
 //! that. Discovery re-values exactly the members it returns, and full
 //! refreshes walk the holders of moved tokens and the debtors of moved
-//! markets, comparing each valuation's epochs against theirs. Where the
-//! certified envelope still covers the current prices and indexes, that
-//! freshening takes a cheap **light refresh** (rebuild the position, fold the
-//! valuation delta) instead of re-deriving the envelope — the band verdict,
-//! critical status and index memberships provably cannot have changed. And
-//! when the *only* pending change is an oracle move (the account was not
-//! mutated and no borrow index it owes advanced), even the rebuild is
-//! avoided: the cached [`Position`] **is a term cache** — per token it holds
-//! the raw amount and the USD value term the last `fill_position` computed —
-//! so the owning protocol re-prices exactly the moved tokens' terms in place
-//! ([`BookSource::reprice_position`]), O(moved tokens) instead of O(account
-//! holdings), with arithmetic byte-identical by construction. Any account
-//! mutation (dirty mark) or index change drops the terms and falls back to
-//! the full `fill_position` path. Envelope re-derivation carries **re-anchor
-//! hysteresis**: when a bound breaks, the derivation learns the break
+//! markets, comparing each valuation's epochs against theirs. The lazy
+//! freshening path is picked by what certifies the verdict, one path each:
+//!
+//! * an **envelope-held** account whose certified envelope still covers the
+//!   current prices and indexes takes a cheap **light refresh**: rebuild the
+//!   position with `fill_position` and fold the valuation delta, instead of
+//!   re-deriving the envelope — the band verdict and index memberships
+//!   provably cannot have changed;
+//! * a **critical-price** account whose only pending change is an oracle
+//!   move (no borrow index it owes advanced) takes the **term path**: the
+//!   cached [`Position`] is a term cache — per token it holds the raw amount
+//!   and the USD value term the last `fill_position` computed — so the owning
+//!   protocol re-prices exactly the moved tokens' terms in place
+//!   ([`BookSource::reprice_position`]), O(moved tokens) instead of O(account
+//!   holdings), with arithmetic byte-identical by construction.
+//!
+//! Anything else — a dirty mark, an index move under a critical price, a
+//! broken envelope — takes the full re-valuation. Envelope re-derivation
+//! carries **re-anchor hysteresis**: when a bound breaks, the derivation
+//! learns the break
 //! direction ([`EnvelopeAnchor`]) and biases a widened — still proven —
 //! slack toward where the price came from, so an oscillating price stops
 //! re-deriving every tick. The
@@ -147,8 +152,8 @@ pub(crate) fn shard_of(address: &Address) -> usize {
 /// price sits inside its (inclusive) `[lo, hi]` bound **and** every debt
 /// market's current raw borrow index is at or below its cap. A derivation
 /// must emit a price bound for *every* price-sensitive token and an index cap
-/// for *every* index-accruing debt token — the book conservatively re-values
-/// on any condition it cannot find.
+/// for *every* index-accruing debt token — the book refuses an envelope that
+/// misses one, and the account rides the exact path.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HfEnvelope {
     /// `(token, lo, hi)`: inclusive raw oracle-price bounds per sensitive
@@ -284,13 +289,15 @@ pub struct BookStats {
     /// violated — and repaired. Must stay 0; the band-differential harness
     /// asserts it.
     pub stale_violations: u64,
-    /// Freshenings served by the O(moved-token) term path
-    /// ([`BookSource::reprice_position`]): only the moved tokens' USD value
-    /// terms were recomputed, the rest of the valuation was reused. Counted
-    /// inside `revaluations` as well.
+    /// Freshenings of critical-price accounts served by the O(moved-token)
+    /// term path ([`BookSource::reprice_position`]): only the moved tokens'
+    /// USD value terms were recomputed, the rest of the valuation was
+    /// reused. Always 0 for a book without critical prices. Counted inside
+    /// `revaluations` as well.
     pub term_reprices: u64,
-    /// Freshenings served by the light path's full `fill_position` rebuild
-    /// (envelope held but the term path was unavailable or declined).
+    /// Freshenings of envelope-held accounts served by the light path's
+    /// `fill_position` rebuild under an envelope that still holds. Counted
+    /// inside `revaluations` as well.
     pub light_refreshes: u64,
     /// Envelope derivations requested from the source
     /// ([`BookSource::hf_envelope`] calls), since the book was created.
@@ -366,8 +373,9 @@ pub trait BookSource {
     /// factor provably stays strictly inside `(floor, ceiling)` scaled by the
     /// derivation's guard band (an open edge is `None`). The derivation must
     /// bound **every** price the valuation is sensitive to and cap **every**
-    /// index-accruing debt market, and must round its integer bounds inward
-    /// so certification errs towards re-valuing. `anchor` reports how the
+    /// index-accruing debt market (the book refuses an envelope that misses
+    /// one), and must round its integer bounds inward so certification errs
+    /// towards re-valuing. `anchor` reports how the
     /// account's previous envelope broke (re-anchor hysteresis; see
     /// [`EnvelopeAnchor`]) — implementations may use it to bias a *sound*
     /// slack budget, or ignore it. Return `false` (the default) to ride the
@@ -390,18 +398,20 @@ pub trait BookSource {
     /// byte-identical to what [`fill_position`](Self::fill_position) would
     /// produce at the current oracle state — the O(moved-token) term path.
     ///
-    /// The book only calls this when it can prove every *other* input is
-    /// unchanged since the position was last filled: the account was not
-    /// mutated (not dirty), no borrow index it owes moved (its index epoch
-    /// is current), and only oracle prices advanced — so token amounts,
-    /// thresholds, spreads and the holding sets themselves are still exact,
-    /// and repricing the moved tokens' `value_usd` terms reproduces
-    /// `fill_position` bit for bit (see CONTRACTS.md, "The term-cache
-    /// contract").
+    /// The book calls this only for accounts that
+    /// [`critical_price`](Self::critical_price) covers, and only when it can
+    /// prove every *other* input is unchanged since the position was last
+    /// filled: the account was not mutated (not dirty), no borrow index it
+    /// owes moved (its index epoch is current), and only oracle prices
+    /// advanced — so token amounts, thresholds, spreads and the holding sets
+    /// themselves are still exact, and repricing the moved tokens'
+    /// `value_usd` terms reproduces `fill_position` bit for bit (see
+    /// CONTRACTS.md, "The term-cache contract"). Envelope-held accounts
+    /// always freshen through `fill_position`.
     ///
-    /// Return `false` (the default) to decline; the caller then falls back
-    /// to the full `fill_position` path. An implementation that returns
-    /// `false` must leave `position` unmodified.
+    /// Return `false` (the default) to decline; the caller then takes the
+    /// full re-valuation. An implementation that returns `false` must leave
+    /// `position` unmodified.
     fn reprice_position(
         &self,
         _oracle: &PriceOracle,
@@ -553,9 +563,9 @@ struct BookShard {
     /// Cap index: token → `(certified borrow-index cap, debtor)` in cap
     /// order. An index write `I` breaks exactly the caps with `cap < I`.
     index_caps: HashMap<Token, BTreeSet<(u128, Address)>>,
-    /// token → debtors whose valuation carries *no* cap for it (no envelope,
-    /// or an envelope without that market) — re-valued on every move of the
-    /// market's index.
+    /// token → debtors whose valuation carries *no* cap for it (no envelope:
+    /// an accepted envelope caps every debt market) — re-valued on every
+    /// move of the market's index.
     index_uncovered: HashMap<Token, BTreeSet<Address>>,
     /// token → (critical raw price → accounts); liquidatable ⇔ price < crit.
     critical: HashMap<Token, BTreeMap<u128, BTreeSet<Address>>>,
@@ -566,10 +576,6 @@ struct BookShard {
     /// Interval index, upper edges: token → `(envelope hi bound, banded
     /// holder)`. A price write `p` breaks exactly the bounds with `hi < p`.
     env_hi: HashMap<Token, BTreeSet<(u128, Address)>>,
-    /// token → banded accounts sensitive to it whose envelope carries *no*
-    /// bound for it — conservatively re-valued on every move (a compliant
-    /// derivation leaves this empty).
-    env_uncovered: HashMap<Token, BTreeSet<Address>>,
     /// Liquidatable accounts among the non-indexed population.
     live: BTreeSet<Address>,
     /// Non-indexed observable-book accounts in an at-risk band (below
@@ -660,9 +666,6 @@ impl BookShard {
                 }
                 let bounded = lo_bounds.map_or(0, BTreeSet::len);
                 self.envelope_skips += bounded.saturating_sub(broken_bounded) as u64;
-                if let Some(holders) = self.env_uncovered.get(&token) {
-                    batch.extend(holders.iter().copied());
-                }
                 if let Some(holders) = self.multi_unbanded.get(&token) {
                     batch.extend(holders.iter().copied());
                 }
@@ -750,9 +753,6 @@ impl BookShard {
                     if let Some(bounds) = self.env_lo.get(&token) {
                         batch.extend(bounds.iter().map(|&(_, address)| address).filter(lagging));
                     }
-                    if let Some(holders) = self.env_uncovered.get(&token) {
-                        batch.extend(holders.iter().copied().filter(lagging));
-                    }
                     if let Some(holders) = self.multi_unbanded.get(&token) {
                         batch.extend(holders.iter().copied().filter(lagging));
                     }
@@ -805,9 +805,8 @@ impl BookShard {
 
     // ----------------------------------------------------------- revaluation
 
-    /// Freshen one lazily stale valuation: a light refresh where the
-    /// certified envelope still covers the current state, the full revalue
-    /// path otherwise.
+    /// Freshen one lazily stale valuation: the term or light path where
+    /// the verdict's certifier still holds, the full revalue path otherwise.
     fn refresh<S: BookSource>(
         &mut self,
         source: &S,
@@ -821,23 +820,24 @@ impl BookShard {
     }
 
     /// Cheap freshening for an account whose verdict bookkeeping provably
-    /// cannot have changed, in two tiers:
+    /// cannot have changed. The path is picked by what certifies the
+    /// verdict:
     ///
-    /// * **term path** — the entry is *price*-stale only (its index epoch
-    ///   is current, so no borrow index it owes moved and every cached
-    ///   amount/threshold is still exact) and either the critical-price
-    ///   index covers it (the critical price reads no oracle input) or its
-    ///   certified envelope covers the current state: ask the source to
-    ///   recompute exactly the moved tokens' USD value terms in place
-    ///   ([`BookSource::reprice_position`]) and fold the delta — O(moved
-    ///   tokens) instead of a full position rebuild;
-    /// * **light path** — the certified envelope covers the current prices
-    ///   and indexes: rebuild the position via `fill_position` and fold the
-    ///   delta, keeping the band verdict, critical status, envelope and
-    ///   every index membership.
+    /// * **term path** — a critical-price account (its verdict lives in the
+    ///   critical index, which reads no oracle input) that is *price*-stale
+    ///   only (its index epoch is current, so every cached amount and
+    ///   threshold is still exact): ask the source to recompute exactly the
+    ///   moved tokens' USD value terms in place
+    ///   ([`BookSource::reprice_position`]) — O(moved tokens) instead of a
+    ///   full position rebuild;
+    /// * **light path** — an envelope-held account whose certified envelope
+    ///   covers the current prices and indexes: rebuild the position via
+    ///   `fill_position`, keeping the band verdict, envelope and every index
+    ///   membership.
     ///
-    /// Returns `false` (having made no bookkeeping change) when every tier's
-    /// precondition fails; the caller then takes the full revalue path.
+    /// Both fold the valuation delta into the totals. Returns `false`
+    /// (having made no bookkeeping change) when the path's precondition
+    /// fails; the caller then takes the full revalue path.
     fn light_refresh<S: BookSource>(
         &mut self,
         source: &S,
@@ -852,37 +852,16 @@ impl BookShard {
         let old_collateral = entry.collateral_usd;
         let old_debt = entry.debt_usd;
         let old_dai_eth = entry.dai_eth_usd;
-        // Whether the certified envelope covers the *current* oracle prices
-        // and borrow indexes (vacuously false for critical-indexed entries:
-        // they carry no envelope — their verdict lives in the critical
-        // index).
-        let holds_now = entry.envelope.as_ref().is_some_and(|envelope| {
-            envelope.price_bounds.iter().all(|&(token, lo, hi)| {
-                let raw = oracle.price(token).map_or(0, |p| p.raw());
-                raw >= lo && raw <= hi
-            }) && envelope.index_caps.iter().all(|&(token, cap)| {
-                source
-                    .borrow_index(token)
-                    .is_some_and(|current| current <= cap)
-            }) && entry.tokens.iter().all(|token| {
-                envelope
-                    .price_bounds
-                    .iter()
-                    .any(|(bounded, _, _)| bounded == token)
-            }) && entry.debt_tokens.iter().all(|token| {
-                envelope
-                    .index_caps
-                    .iter()
-                    .any(|(capped, _)| capped == token)
-            })
-        });
 
-        let mut termed = false;
-        if !entry.index_stale(clock) && (entry.critical.is_some() || holds_now) {
+        let termed = entry.critical.is_some();
+        if termed {
             // Term path. The holding sets are invariant under pure price
             // moves (amounts belong to the account state, which is not
             // dirty), so the exposure lists and membership indexes need no
             // comparison at all.
+            if entry.index_stale(clock) {
+                return false;
+            }
             let mut moved = std::mem::take(&mut self.scratch_moved);
             let moved_cap = moved.capacity();
             moved.clear();
@@ -893,21 +872,32 @@ impl BookShard {
                     .copied()
                     .filter(|&token| oracle.token_epoch(token) > entry.valued_epoch),
             );
-            if !moved.is_empty() {
-                termed = source.reprice_position(oracle, &mut entry.position, &moved);
-            }
+            let repriced =
+                !moved.is_empty() && source.reprice_position(oracle, &mut entry.position, &moved);
             self.scratch_grows += (moved.capacity() > moved_cap) as u64;
             self.scratch_moved = moved;
-            if termed && source.in_book(&entry.position) != old_in_book {
-                // A reprice flipped observability (possible only for exotic
-                // `in_book` rules): hand over to `revalue`, which re-fills
-                // the slot from scratch anyway.
+            // A reprice that flips observability (possible only for exotic
+            // `in_book` rules) hands over to `revalue`, which re-fills the
+            // slot from scratch anyway.
+            if !repriced || source.in_book(&entry.position) != old_in_book {
                 return false;
             }
-        }
-
-        if !termed {
-            if entry.critical.is_some() || !holds_now {
+        } else {
+            // Light path: the certified envelope must cover the *current*
+            // oracle prices and borrow indexes. An accepted envelope bounds
+            // every sensitive token and caps every debt market (`revalue`
+            // refuses one that does not), so these are all its conditions.
+            let holds_now = entry.envelope.as_ref().is_some_and(|envelope| {
+                envelope.price_bounds.iter().all(|&(token, lo, hi)| {
+                    let raw = oracle.price(token).map_or(0, |p| p.raw());
+                    raw >= lo && raw <= hi
+                }) && envelope.index_caps.iter().all(|&(token, cap)| {
+                    source
+                        .borrow_index(token)
+                        .is_some_and(|current| current <= cap)
+                })
+            });
+            if !holds_now {
                 return false;
             }
             // From here the slot is rebuilt in place; every bail-out path
@@ -1055,13 +1045,6 @@ impl BookShard {
                     bounds.remove(&(hi, address));
                 }
             }
-            for token in &old_tokens {
-                if !env.price_bounds.iter().any(|(t, _, _)| t == token) {
-                    if let Some(holders) = self.env_uncovered.get_mut(token) {
-                        holders.remove(&address);
-                    }
-                }
-            }
         } else {
             for token in &old_tokens {
                 if let Some(holders) = self.multi_unbanded.get_mut(token) {
@@ -1128,7 +1111,7 @@ impl BookShard {
                             HfBand::Releverage => (Some(releverage), None),
                         };
                         let derive_start = std::time::Instant::now();
-                        banded = source.hf_envelope(
+                        let derived = source.hf_envelope(
                             oracle,
                             &entry.position,
                             floor,
@@ -1138,6 +1121,17 @@ impl BookShard {
                         );
                         self.envelope_derives += 1;
                         self.envelope_derive_nanos += derive_start.elapsed().as_nanos() as u64;
+                        // Refuse an incomplete envelope: a sensitive token
+                        // without a price bound or a debt market without a
+                        // cap leaves a condition the indexes cannot watch,
+                        // so the account rides the exact path instead.
+                        banded = derived
+                            && new_tokens.iter().all(|&token| {
+                                envelope.price_bounds.iter().any(|&(t, _, _)| t == token)
+                            })
+                            && new_debt_tokens
+                                .iter()
+                                .all(|&token| envelope.index_cap(token).is_some());
                     }
                 }
             }
@@ -1182,14 +1176,6 @@ impl BookShard {
                 for &(token, lo, hi) in &env.price_bounds {
                     self.env_lo.entry(token).or_default().insert((lo, address));
                     self.env_hi.entry(token).or_default().insert((hi, address));
-                }
-                for token in &new_tokens {
-                    if !env.price_bounds.iter().any(|(t, _, _)| t == token) {
-                        self.env_uncovered
-                            .entry(*token)
-                            .or_default()
-                            .insert(address);
-                    }
                 }
             } else {
                 for token in &new_tokens {
@@ -1535,6 +1521,13 @@ impl PositionBook {
         }
     }
 
+    /// Whether any account sits in the critical-price index.
+    fn has_critical(&self) -> bool {
+        self.shards
+            .iter()
+            .any(|shard| shard.critical.values().any(|map| !map.is_empty()))
+    }
+
     /// Cache-maintenance counters, folded over the shards.
     pub fn stats(&self) -> BookStats {
         let mut stats = BookStats::default();
@@ -1765,11 +1758,6 @@ impl PositionBook {
         }
     }
 
-    /// The (rescue, releverage) HF thresholds the bands are classified by.
-    pub fn band_thresholds(&self) -> (Wad, Wad) {
-        self.clock.bands
-    }
-
     /// Freeze the observable book into an immutable, index-carrying
     /// [`BookSnapshot`] for concurrent readers: every valuation brought
     /// exact at current prices, plus each entry's sensitivity list,
@@ -1855,8 +1843,9 @@ impl PositionBook {
     /// full book walk by health factor.
     ///
     /// Changing the thresholds re-classifies the whole book (one-off full
-    /// re-valuation). Books containing critical-price-indexed accounts fall
-    /// back to the exact full walk — indexed accounts keep no HF band.
+    /// re-valuation). Books containing critical-price-indexed accounts (a
+    /// Maker CDP book) are served by the exact full walk — indexed accounts
+    /// keep no HF band. That walk is the only exact at-risk walk.
     pub fn for_each_at_risk<S: BookSource>(
         &mut self,
         source: &S,
@@ -1869,12 +1858,12 @@ impl PositionBook {
             self.clock.bands = (rescue, releverage);
             self.invalidate_all();
         }
-        self.flush(source, oracle, false);
-        if self
-            .shards
-            .iter()
-            .any(|shard| shard.critical.values().any(|map| !map.is_empty()))
-        {
+        // A flush can index new accounts, so a book without critical prices
+        // is checked again after its banded flush.
+        if !self.has_critical() {
+            self.flush(source, oracle, false);
+        }
+        if self.has_critical() {
             // Indexed (single-price) accounts read their liquidation status
             // off the critical-price maps and maintain no band — serve mixed
             // books through the exact full walk instead.

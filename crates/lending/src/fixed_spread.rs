@@ -232,33 +232,6 @@ impl BookSource for FixedSpreadView<'_> {
     ) -> bool {
         derive_hf_envelope(self.markets, oracle, position, floor, ceiling, anchor, out)
     }
-
-    fn reprice_position(
-        &self,
-        oracle: &PriceOracle,
-        position: &mut Position,
-        moved: &[Token],
-    ) -> bool {
-        // The term path: recompute exactly the moved tokens' USD value
-        // terms, with the same arithmetic `fill_position_from` uses on the
-        // same cached inputs (amounts, thresholds and spreads are unchanged
-        // — the book only calls this when the account is not dirty and no
-        // borrow index it owes moved), so the result is byte-identical to a
-        // full rebuild at the current oracle state.
-        for holding in &mut position.collateral {
-            if moved.contains(&holding.token) {
-                let price = oracle.price_or_zero(holding.token);
-                holding.value_usd = holding.amount.checked_mul(price).unwrap_or(Wad::MAX);
-            }
-        }
-        for holding in &mut position.debt {
-            if moved.contains(&holding.token) {
-                let price = oracle.price_or_zero(holding.token);
-                holding.value_usd = holding.amount.checked_mul(price).unwrap_or(Wad::MAX);
-            }
-        }
-        true
-    }
 }
 
 /// Relative shrink applied to the band margins before sizing an envelope.

@@ -630,6 +630,20 @@ impl MakerProtocol {
             .collect()
     }
 
+    /// Visit the at-risk slice of the CDP book — health factor below
+    /// `rescue` or above `releverage` — through the book's exact full walk
+    /// (critical-price accounts keep no band).
+    pub fn for_each_at_risk(
+        &mut self,
+        oracle: &PriceOracle,
+        rescue: Wad,
+        releverage: Wad,
+        visit: &mut dyn FnMut(&Position),
+    ) {
+        let (book, view) = self.split_book();
+        book.for_each_at_risk(&view, oracle, rescue, releverage, visit);
+    }
+
     /// Running aggregate totals over the CDP book (volume sampling).
     pub fn book_totals(&mut self, oracle: &PriceOracle) -> BookTotals {
         let (book, view) = self.split_book();

@@ -231,43 +231,12 @@ pub trait LendingProtocol {
 
     /// Visit every observable book position in the same deterministic order
     /// as [`book_positions`](LendingProtocol::book_positions) without
-    /// materialising a snapshot vector. Cache-backed implementations override
-    /// this to avoid the per-tick clone in the engine's hot loop.
-    fn for_each_position(&mut self, oracle: &PriceOracle, visit: &mut dyn FnMut(&Position)) {
-        for position in self.book_positions(oracle) {
-            visit(&position);
-        }
-    }
+    /// materialising a snapshot vector (the engine's hot loop).
+    fn for_each_position(&mut self, oracle: &PriceOracle, visit: &mut dyn FnMut(&Position));
 
-    /// Aggregate totals over the observable book (the volume-sampling pass).
-    /// The default computes them from
-    /// [`book_positions`](LendingProtocol::book_positions); cache-backed
-    /// implementations serve running sums instead.
-    fn book_totals(&mut self, oracle: &PriceOracle) -> BookTotals {
-        let positions = self.book_positions(oracle);
-        let collateral_usd = positions
-            .iter()
-            .map(|p| p.total_collateral_value())
-            .fold(Wad::ZERO, |acc, v| acc.saturating_add(v));
-        let debt_usd = positions
-            .iter()
-            .map(|p| p.total_debt_value())
-            .fold(Wad::ZERO, |acc, v| acc.saturating_add(v));
-        let dai_eth_collateral_usd = positions
-            .iter()
-            .filter(|p| p.has_debt_in(Token::DAI))
-            .map(|p| {
-                p.collateral_value_in(Token::ETH)
-                    .saturating_add(p.collateral_value_in(Token::WETH))
-            })
-            .fold(Wad::ZERO, |acc, v| acc.saturating_add(v));
-        BookTotals {
-            collateral_usd,
-            debt_usd,
-            dai_eth_collateral_usd,
-            open_positions: positions.len() as u32,
-        }
-    }
+    /// Aggregate totals over the observable book (the volume-sampling pass),
+    /// served from the book's running sums.
+    fn book_totals(&mut self, oracle: &PriceOracle) -> BookTotals;
 
     /// Visit the *at-risk* slice of the observable book — every position
     /// whose health factor is below `rescue` (including liquidatable ones)
@@ -275,11 +244,11 @@ pub trait LendingProtocol {
     /// [`for_each_position`](LendingProtocol::for_each_position), with every
     /// visited valuation exact at current prices.
     ///
-    /// The default is the exact path: walk the full book and filter by
-    /// health factor. Band-indexed implementations (fixed-spread pools)
-    /// override it to skip far-from-threshold accounts whose certified
-    /// envelope holds — the engine's borrower-management pass consumes this
-    /// surface every tick.
+    /// Served by [`PositionBook::for_each_at_risk`](crate::book::PositionBook::for_each_at_risk):
+    /// band-indexed books (fixed-spread pools) skip far-from-threshold
+    /// accounts whose certified envelope holds, critical-price books (Maker)
+    /// take the exact full walk — the engine's borrower-management pass
+    /// consumes this surface every tick.
     ///
     /// ```
     /// use defi_lending::book::{RELEVERAGE_BAND_HF, RESCUE_BAND_HF};
@@ -305,32 +274,12 @@ pub trait LendingProtocol {
         rescue: Wad,
         releverage: Wad,
         visit: &mut dyn FnMut(&Position),
-    ) {
-        self.for_each_position(oracle, &mut |position| {
-            if let Some(hf) = position.health_factor() {
-                if hf < rescue || hf > releverage {
-                    visit(position);
-                }
-            }
-        });
-    }
+    );
 
-    /// Freeze the observable book into an immutable
+    /// Freeze the observable book into an immutable, index-carrying
     /// [`BookSnapshot`](crate::snapshot::BookSnapshot) for concurrent
-    /// readers. The default materialises it from
-    /// [`book_positions`](LendingProtocol::book_positions) (every entry then
-    /// rides the snapshot's exact what-if path); cache-backed implementations
-    /// override this to carry their critical-price and envelope indexes into
-    /// the snapshot.
-    fn book_snapshot(&mut self, oracle: &PriceOracle) -> crate::snapshot::BookSnapshot {
-        let (rescue, releverage) = crate::book::PositionBook::new().band_thresholds();
-        crate::snapshot::BookSnapshot::from_positions(
-            self.book_positions(oracle),
-            oracle,
-            rescue,
-            releverage,
-        )
-    }
+    /// readers ([`PositionBook::snapshot`](crate::book::PositionBook::snapshot)).
+    fn book_snapshot(&mut self, oracle: &PriceOracle) -> crate::snapshot::BookSnapshot;
 
     /// A no-op: books flush serially. Kept only because the `perfbench/`
     /// harness still forwards it; remove it with the next benchmark change.
@@ -341,11 +290,8 @@ pub trait LendingProtocol {
     /// so the difference between two reads attributes wall-clock
     /// (flush / at-risk visit / envelope re-derive) and cache-path
     /// traffic (term reprices, light refreshes, full revaluations) to the
-    /// interval between them. The default returns zeroed stats for
-    /// cache-less implementations.
-    fn book_stats(&self) -> BookStats {
-        BookStats::default()
-    }
+    /// interval between them.
+    fn book_stats(&self) -> BookStats;
 
     /// The observable book rebuilt from scratch, bypassing every cache —
     /// the cache-less shadow the differential harness
@@ -675,6 +621,16 @@ impl LendingProtocol for MakerProtocol {
 
     fn for_each_position(&mut self, oracle: &PriceOracle, visit: &mut dyn FnMut(&Position)) {
         MakerProtocol::for_each_book_position(self, oracle, visit);
+    }
+
+    fn for_each_at_risk(
+        &mut self,
+        oracle: &PriceOracle,
+        rescue: Wad,
+        releverage: Wad,
+        visit: &mut dyn FnMut(&Position),
+    ) {
+        MakerProtocol::for_each_at_risk(self, oracle, rescue, releverage, visit);
     }
 
     fn reference_positions(&self, oracle: &PriceOracle) -> Vec<Position> {

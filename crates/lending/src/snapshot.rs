@@ -35,10 +35,9 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use defi_core::position::Position;
-use defi_oracle::PriceOracle;
 use defi_types::{mul_div_floor, Address, Token, Wad};
 
-use crate::book::{shard_of, BookStats, BookTotals, BOOK_SHARD_COUNT};
+use crate::book::{shard_of, BookStats, BookTotals};
 
 /// Health-factor band of one snapshot entry, delimited by 1 and the book's
 /// (`rescue`, `releverage`) thresholds — the public mirror of the book's
@@ -98,36 +97,6 @@ pub struct SnapshotEntry {
     pub envelope_bounds: Vec<(Token, u128, u128)>,
 }
 
-impl SnapshotEntry {
-    fn from_position(position: Position, rescue: Wad, releverage: Wad) -> SnapshotEntry {
-        let collateral_usd = position.total_collateral_value();
-        let debt_usd = position.total_debt_value();
-        let health_factor = position.health_factor();
-        let band = SnapshotBand::classify(health_factor, rescue, releverage);
-        let mut sensitive: Vec<Token> = Vec::new();
-        for holding in &position.collateral {
-            if !sensitive.contains(&holding.token) {
-                sensitive.push(holding.token);
-            }
-        }
-        for holding in &position.debt {
-            if !sensitive.contains(&holding.token) {
-                sensitive.push(holding.token);
-            }
-        }
-        SnapshotEntry {
-            collateral_usd,
-            debt_usd,
-            health_factor,
-            band,
-            sensitive,
-            critical: None,
-            envelope_bounds: Vec::new(),
-            position,
-        }
-    }
-}
-
 /// Which shortcut answered each account of a [`BookSnapshot::breach_under`]
 /// query (observability for the envelope-powered fast paths).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -183,10 +152,10 @@ impl ShardSnapshot {
 /// An immutable, self-contained snapshot of one protocol's observable book.
 ///
 /// Constructed by [`PositionBook::snapshot`](crate::book::PositionBook::snapshot)
-/// (index-carrying, per-shard `Arc`-cached) or
-/// [`BookSnapshot::from_positions`] (index-less fallback); all queries take
-/// `&self` and allocate nothing shared, so any number of threads can read one
-/// snapshot concurrently. Entries live in [`BOOK_SHARD_COUNT`] fixed
+/// (index-carrying, per-shard `Arc`-cached); all queries take `&self` and
+/// allocate nothing shared, so any number of threads can read one snapshot
+/// concurrently. Entries live in
+/// [`BOOK_SHARD_COUNT`](crate::book::BOOK_SHARD_COUNT) fixed
 /// address-range shards concatenated in ascending order, so iteration is
 /// still globally address-ordered.
 #[derive(Debug, Clone)]
@@ -197,63 +166,12 @@ pub struct BookSnapshot {
     pub(crate) rescue: Wad,
     pub(crate) releverage: Wad,
     /// Cache-maintenance and phase-timing counters of the producing book at
-    /// freeze time (zeroed for index-less [`from_positions`] snapshots) —
-    /// lets read-side observers report tick-phase breakdowns without a
-    /// handle on the live book.
-    ///
-    /// [`from_positions`]: BookSnapshot::from_positions
+    /// freeze time — lets read-side observers report tick-phase breakdowns
+    /// without a handle on the live book.
     pub stats: BookStats,
 }
 
 impl BookSnapshot {
-    /// Build an index-less snapshot from a materialised book (the default
-    /// [`LendingProtocol`](crate::LendingProtocol) path for implementations
-    /// without an incremental cache): every entry rides the exact projection
-    /// path of [`breach_under`](BookSnapshot::breach_under), with every
-    /// holding token treated as price-sensitive.
-    pub fn from_positions(
-        positions: Vec<Position>,
-        oracle: &PriceOracle,
-        rescue: Wad,
-        releverage: Wad,
-    ) -> BookSnapshot {
-        let mut shards: Vec<ShardSnapshot> = (0..BOOK_SHARD_COUNT)
-            .map(|_| ShardSnapshot::default())
-            .collect();
-        let mut totals = BookTotals::default();
-        for position in positions {
-            let entry = SnapshotEntry::from_position(position, rescue, releverage);
-            totals.collateral_usd = totals.collateral_usd.saturating_add(entry.collateral_usd);
-            totals.debt_usd = totals.debt_usd.saturating_add(entry.debt_usd);
-            if entry.position.has_debt_in(Token::DAI) {
-                let dai_eth = entry
-                    .position
-                    .collateral_value_in(Token::ETH)
-                    .saturating_add(entry.position.collateral_value_in(Token::WETH));
-                totals.dai_eth_collateral_usd =
-                    totals.dai_eth_collateral_usd.saturating_add(dai_eth);
-            }
-            totals.open_positions = totals.open_positions.saturating_add(1);
-            let owner = entry.position.owner;
-            if let Some(shard) = shards.get_mut(shard_of(&owner)) {
-                shard.entries.insert(owner, entry);
-            }
-        }
-        let prices = oracle
-            .tokens()
-            .into_iter()
-            .map(|token| (token, oracle.price_or_zero(token)))
-            .collect();
-        BookSnapshot {
-            shards: shards.into_iter().map(Arc::new).collect(),
-            totals,
-            prices,
-            rescue,
-            releverage,
-            stats: BookStats::default(),
-        }
-    }
-
     /// The frozen address-range shards in ascending order. Consecutive
     /// snapshots return pointer-equal `Arc`s for shards nothing touched in
     /// between — the reader-side contract the `RiskService` tests assert.

@@ -379,6 +379,11 @@ impl std::error::Error for ScenarioParseError {}
 /// flash_loan_probability = 0.0
 /// ```
 ///
+/// Numbers must be finite, a shock magnitude at least `-1`, and the
+/// probabilities and shares (`flash_loan_probability`, `stale_bot_share`,
+/// `behavior.panic_probability`, `behavior.panic_share`,
+/// `behavior.panic_deleverage_fraction`) inside `[0, 1]`.
+///
 /// Returns each spec with the line its `[scenario ...]` header appeared on.
 fn parse_user_specs(text: &str) -> Result<Vec<(usize, UserScenarioSpec)>, ScenarioParseError> {
     let mut specs: Vec<(usize, UserScenarioSpec)> = Vec::new();
@@ -481,14 +486,22 @@ fn parse_shock(value: &str) -> Result<UserShock, String> {
             rest.trim()
         ));
     };
+    let magnitude: f64 = magnitude
+        .parse()
+        .ok()
+        .filter(|m: &f64| m.is_finite())
+        .ok_or_else(|| format!("invalid magnitude '{magnitude}' (a finite number)"))?;
+    if magnitude < -1.0 {
+        return Err(format!(
+            "shock magnitude {magnitude} is below -1 (a price cannot fall more than 100%)"
+        ));
+    }
     Ok(UserShock {
         token,
         block: block
             .parse()
             .map_err(|_| format!("invalid block '{block}'"))?,
-        magnitude: magnitude
-            .parse()
-            .map_err(|_| format!("invalid magnitude '{magnitude}'"))?,
+        magnitude,
         duration_blocks: duration
             .parse()
             .map_err(|_| format!("invalid duration '{duration}'"))?,
@@ -504,30 +517,51 @@ fn apply_setting(config: &mut SimConfig, key: &str, value: &str) -> Result<(), S
             .parse()
             .map_err(|_| format!("invalid value '{value}' for '{key}'"))
     }
+    /// A finite `f64`: `NaN` and the infinities parse but configure nothing
+    /// meaningful.
+    fn finite(key: &str, value: &str) -> Result<f64, String> {
+        let parsed: f64 = parse(key, value)?;
+        if parsed.is_finite() {
+            Ok(parsed)
+        } else {
+            Err(format!(
+                "invalid value '{value}' for '{key}' (a finite number)"
+            ))
+        }
+    }
+    /// A probability or share: a finite `f64` in [0, 1].
+    fn unit(key: &str, value: &str) -> Result<f64, String> {
+        let parsed = finite(key, value)?;
+        if (0.0..=1.0).contains(&parsed) {
+            Ok(parsed)
+        } else {
+            Err(format!("value {parsed} for '{key}' is outside [0, 1]"))
+        }
+    }
     match key {
-        "flash_loan_probability" => config.flash_loan_probability = parse(key, value)?,
-        "stale_bot_share" => config.stale_bot_share = parse(key, value)?,
+        "flash_loan_probability" => config.flash_loan_probability = unit(key, value)?,
+        "stale_bot_share" => config.stale_bot_share = unit(key, value)?,
         "liquidation_gas" => config.liquidation_gas = parse(key, value)?,
         "auction_gas" => config.auction_gas = parse(key, value)?,
         "user_op_gas" => config.user_op_gas = parse(key, value)?,
         "behavior.enabled" => config.behavior.enabled = parse(key, value)?,
         "behavior.liquidator_inventory_usd" => {
-            config.behavior.liquidator_inventory_usd = parse(key, value)?;
+            config.behavior.liquidator_inventory_usd = finite(key, value)?;
         }
         "behavior.inventory_replenish_per_tick_usd" => {
-            config.behavior.inventory_replenish_per_tick_usd = parse(key, value)?;
+            config.behavior.inventory_replenish_per_tick_usd = finite(key, value)?;
         }
         "behavior.max_latency_ticks" => config.behavior.max_latency_ticks = parse(key, value)?,
         "behavior.opportunity_ttl_ticks" => {
             config.behavior.opportunity_ttl_ticks = parse(key, value)?;
         }
-        "behavior.panic_hf" => config.behavior.panic_hf = parse(key, value)?,
-        "behavior.panic_market_drop" => config.behavior.panic_market_drop = parse(key, value)?,
-        "behavior.panic_probability" => config.behavior.panic_probability = parse(key, value)?,
+        "behavior.panic_hf" => config.behavior.panic_hf = finite(key, value)?,
+        "behavior.panic_market_drop" => config.behavior.panic_market_drop = finite(key, value)?,
+        "behavior.panic_probability" => config.behavior.panic_probability = unit(key, value)?,
         "behavior.panic_deleverage_fraction" => {
-            config.behavior.panic_deleverage_fraction = parse(key, value)?;
+            config.behavior.panic_deleverage_fraction = unit(key, value)?;
         }
-        "behavior.panic_share" => config.behavior.panic_share = parse(key, value)?,
+        "behavior.panic_share" => config.behavior.panic_share = unit(key, value)?,
         _ => return Err(format!("unknown setting '{key}'")),
     }
     Ok(())
@@ -878,5 +912,34 @@ behavior.liquidator_inventory_usd = 50000
             .add_user_entries("[scenario w]\nshock = ETH 9716000 -0.2 1000\n")
             .unwrap_err();
         assert_eq!(err.line, 2, "shock without '@' is rejected");
+
+        // Non-finite and out-of-range values parse as f64 but configure
+        // nothing meaningful: each is rejected on its own line.
+        for bad in [
+            "shock = ETH @ 9716000 NaN 1000",
+            "shock = ETH @ 9716000 inf 1000",
+            "shock = ETH @ 9716000 -5.0 1000",
+            "flash_loan_probability = NaN",
+            "flash_loan_probability = 1.5",
+            "stale_bot_share = 7",
+            "stale_bot_share = -0.1",
+            "behavior.panic_probability = 2",
+            "behavior.panic_share = -1",
+            "behavior.panic_deleverage_fraction = 1.01",
+            "behavior.panic_hf = inf",
+            "behavior.liquidator_inventory_usd = NaN",
+        ] {
+            let err = catalog
+                .add_user_entries(&format!("[scenario v]\n{bad}\n"))
+                .expect_err(bad);
+            assert_eq!(err.line, 2, "{bad}: {err}");
+        }
+        // The range edges themselves are accepted.
+        catalog
+            .add_user_entries(
+                "[scenario edges]\nshock = ETH @ 9716000 -1.0 1000\n\
+                 stale_bot_share = 0\nflash_loan_probability = 1\n",
+            )
+            .expect("-1, 0 and 1 are in range");
     }
 }

@@ -27,11 +27,15 @@
 //!   re-anchor and still nothing diverges;
 //! * **full invalidation on epoch regression** — querying against an oracle
 //!   whose epoch sits behind the synced one re-values everything;
+//! * **incomplete envelopes ride the exact path** — a derivation that
+//!   omits a price bound or an index cap is refused, and the differential
+//!   stays clean across moves of the uncovered price and index;
 //! * **the harness has teeth** — for each of the three dirty-set
 //!   notification hooks (`mark_dirty`, `note_index_change`, the oracle
 //!   write epoch), a sabotaged clone omits exactly that hook and the
 //!   differential check must *fail*, proving the harness would catch a
-//!   protocol that forgets its contract.
+//!   protocol that forgets its contract; a critical-price source whose term
+//!   reprice skips the recomputation must be caught the same way.
 
 use std::collections::BTreeMap;
 
@@ -49,7 +53,7 @@ use defi_liquidations_suite::prelude::*;
 use defi_liquidations_suite::sim::{
     EngineBuilder, NullObserver, ScenarioCatalog, SessionStatus, SimConfig,
 };
-use defi_liquidations_suite::types::{Platform, Ray};
+use defi_liquidations_suite::types::{mul_div_ceil, Platform, Ray, WAD};
 use proptest::prelude::*;
 
 fn rescue() -> Wad {
@@ -215,17 +219,17 @@ impl ToyState {
     }
 }
 
-/// How the toy view answers the book's term-reprice hook. `Sabotaged`
-/// deliberately violates the hook contract (claims success without
-/// recomputing the moved terms) so the differential harness can prove it has
-/// teeth against a dishonest `reprice_position` implementation.
+/// Which conditions the toy view's envelope derivation emits. The two
+/// incomplete modes drop the USDC condition a compliant derivation must
+/// carry, so the book has to refuse their envelopes.
 #[derive(Clone, Copy, PartialEq, Eq)]
-enum ToyReprice {
-    Honest,
-    Sabotaged,
+enum ToyEnvelope {
+    Complete,
+    NoUsdcBound,
+    NoUsdcCap,
 }
 
-struct ToyView<'a>(&'a ToyState, ToyReprice);
+struct ToyView<'a>(&'a ToyState, ToyEnvelope);
 
 impl BookSource for ToyView<'_> {
     fn fill_position(&self, oracle: &PriceOracle, account: Address, slot: &mut Position) -> bool {
@@ -310,7 +314,7 @@ impl BookSource for ToyView<'_> {
         anchor: EnvelopeAnchor,
         out: &mut HfEnvelope,
     ) -> bool {
-        derive_hf_envelope(
+        let derived = derive_hf_envelope(
             &self.0.markets(),
             oracle,
             position,
@@ -318,35 +322,13 @@ impl BookSource for ToyView<'_> {
             ceiling,
             anchor,
             out,
-        )
-    }
-
-    fn reprice_position(
-        &self,
-        oracle: &PriceOracle,
-        position: &mut Position,
-        moved: &[Token],
-    ) -> bool {
-        if self.1 == ToyReprice::Sabotaged {
-            // Contract violation on purpose: claim the terms were updated
-            // while leaving the stale bytes in place.
-            return true;
+        );
+        match self.1 {
+            ToyEnvelope::Complete => {}
+            ToyEnvelope::NoUsdcBound => out.price_bounds.retain(|&(t, _, _)| t != Token::USDC),
+            ToyEnvelope::NoUsdcCap => out.index_caps.retain(|&(t, _)| t != Token::USDC),
         }
-        // Honest term path: same arithmetic as `fill_position` on the same
-        // cached amounts, restricted to the moved tokens.
-        for holding in &mut position.collateral {
-            if moved.contains(&holding.token) {
-                let price = oracle.price_or_zero(holding.token);
-                holding.value_usd = holding.amount.checked_mul(price).unwrap_or(Wad::ZERO);
-            }
-        }
-        for holding in &mut position.debt {
-            if moved.contains(&holding.token) {
-                let price = oracle.price_or_zero(holding.token);
-                holding.value_usd = holding.amount.checked_mul(price).unwrap_or(Wad::ZERO);
-            }
-        }
-        true
+        derived
     }
 }
 
@@ -365,18 +347,18 @@ fn toy_differential(
     book: &mut PositionBook,
     oracle: &PriceOracle,
 ) -> Result<(), String> {
-    toy_differential_with(state, book, oracle, ToyReprice::Honest)
+    toy_differential_with(state, book, oracle, ToyEnvelope::Complete)
 }
 
-/// Like [`toy_differential`] but with an explicit [`ToyReprice`] mode, so the
-/// teeth tests can run the same harness against a dishonest term path.
+/// Like [`toy_differential`] but with an explicit [`ToyEnvelope`] mode, so
+/// the same harness runs against incomplete envelope derivations.
 fn toy_differential_with(
     state: &ToyState,
     book: &mut PositionBook,
     oracle: &PriceOracle,
-    reprice: ToyReprice,
+    envelope: ToyEnvelope,
 ) -> Result<(), String> {
-    let view = ToyView(state, reprice);
+    let view = ToyView(state, envelope);
     let mut shadow: Vec<Position> = Vec::new();
     for &address in state.accounts.keys() {
         let mut slot = Position::new(address);
@@ -398,9 +380,8 @@ fn toy_differential_with(
     }
 
     // Byte-level comparison of the visited valuations, not just the visited
-    // owners: a freshening path that leaves stale value terms behind (e.g. a
-    // dishonest `reprice_position`) diverges here even when the membership
-    // sets happen to agree.
+    // owners: a freshening path that leaves stale value terms behind
+    // diverges here even when the membership sets happen to agree.
     let expected_at_risk: Vec<Position> = shadow
         .iter()
         .filter(|p| !p.total_debt_value().is_zero())
@@ -590,34 +571,202 @@ fn envelopes_absorb_accrual_until_their_caps_and_rewiden() {
     assert!(book.stats().envelope_skips > baseline.envelope_skips);
 }
 
+/// A Maker-shaped critical-price source: account `i` locks ETH against
+/// par-valued DAI debt and is liquidatable below 150 % collateralization, so
+/// every debtor carries an exact critical price and its price-stale
+/// freshening takes the term path. `sabotaged` makes `reprice_position`
+/// claim success without recomputing the moved terms — a deliberate
+/// violation of the term-cache contract.
+struct CdpToy {
+    cdps: BTreeMap<Address, (Wad, Wad)>,
+    sabotaged: bool,
+}
+
+impl CdpToy {
+    const RATIO: f64 = 1.5;
+
+    fn new(n: u64, sabotaged: bool) -> Self {
+        let cdps = (0..n)
+            .map(|i| {
+                // Collateralization spreads from 150.1 % upwards at 100 USD.
+                let debt = Wad::from_f64(10.0 * 100.0 / (1.501 + i as f64 * 0.05));
+                (Address::from_seed(50_000 + i), (Wad::from_int(10), debt))
+            })
+            .collect();
+        CdpToy { cdps, sabotaged }
+    }
+
+    /// Every CDP rebuilt from scratch through `fill_position`.
+    fn rebuild(&self, oracle: &PriceOracle) -> Vec<Position> {
+        let mut out = Vec::new();
+        for &owner in self.cdps.keys() {
+            let mut slot = Position::new(owner);
+            if self.fill_position(oracle, owner, &mut slot) {
+                out.push(slot);
+            }
+        }
+        out
+    }
+}
+
+impl BookSource for CdpToy {
+    fn fill_position(&self, oracle: &PriceOracle, account: Address, slot: &mut Position) -> bool {
+        let Some(&(collateral, debt)) = self.cdps.get(&account) else {
+            return false;
+        };
+        slot.owner = account;
+        slot.collateral.clear();
+        slot.debt.clear();
+        slot.collateral
+            .push(defi_liquidations_suite::core::position::CollateralHolding {
+                token: Token::ETH,
+                amount: collateral,
+                value_usd: collateral
+                    .checked_mul(oracle.price_or_zero(Token::ETH))
+                    .unwrap_or(Wad::MAX),
+                liquidation_threshold: Wad::ONE
+                    .checked_div(Wad::from_f64(Self::RATIO))
+                    .unwrap_or(Wad::ZERO),
+                liquidation_spread: Wad::from_f64(0.13),
+            });
+        slot.debt
+            .push(defi_liquidations_suite::core::position::DebtHolding {
+                token: Token::DAI,
+                amount: debt,
+                value_usd: debt,
+            });
+        true
+    }
+
+    fn in_book(&self, _position: &Position) -> bool {
+        true
+    }
+
+    fn sensitive_tokens(&self, _position: &Position, out: &mut Vec<Token>) {
+        out.push(Token::ETH);
+    }
+
+    fn debt_tokens(&self, _position: &Position, _out: &mut Vec<Token>) {}
+
+    fn critical_price(&self, account: Address, _position: &Position) -> Option<(Token, u128)> {
+        let &(collateral, debt) = self.cdps.get(&account)?;
+        let required = debt
+            .checked_mul(Wad::from_f64(Self::RATIO))
+            .unwrap_or(Wad::MAX);
+        let crit = mul_div_ceil(required.raw(), WAD, collateral.raw()).unwrap_or(u128::MAX);
+        Some((Token::ETH, crit))
+    }
+
+    fn reprice_position(
+        &self,
+        oracle: &PriceOracle,
+        position: &mut Position,
+        moved: &[Token],
+    ) -> bool {
+        if self.sabotaged {
+            // Contract violation on purpose: claim the terms were updated
+            // while leaving the stale bytes in place.
+            return true;
+        }
+        // Honest term path: same arithmetic as `fill_position` on the same
+        // cached amounts, restricted to the moved tokens.
+        for holding in &mut position.collateral {
+            if moved.contains(&holding.token) {
+                let price = oracle.price_or_zero(holding.token);
+                holding.value_usd = holding.amount.checked_mul(price).unwrap_or(Wad::MAX);
+            }
+        }
+        true
+    }
+}
+
 /// A `reprice_position` that claims success without recomputing the moved
-/// terms must be caught: after an in-envelope wobble the at-risk byte
-/// comparison sees the stale valuation terms even though every membership set
-/// still agrees. The honest twin stays clean — and proves the wobble really
-/// was served by the term path, so the sabotage was exercised.
+/// terms must be caught: after a move that crosses no critical price, the
+/// cached book of the sabotaged source differs from a from-scratch rebuild.
+/// The honest twin equals the rebuild — and both books served the move
+/// through the term path, so the sabotage was exercised.
 #[test]
 fn harness_catches_a_sabotaged_term_reprice() {
-    // Sabotaged book: the dishonest hook is inert at the anchor (nothing has
-    // moved yet), then leaves stale bytes behind on the wobble.
-    let (state, mut book, mut oracle) = toy_setup(30);
-    toy_differential_with(&state, &mut book, &oracle, ToyReprice::Sabotaged)
-        .expect("nothing to reprice at the anchor prices");
-    // +0.33 %: inside the envelopes of mid-rescue-band members (which freshen
-    // through the term path), outside the tightest ones (which re-anchor).
-    oracle.set_price(1, Token::ETH, Wad::from_f64(3_010.0));
-    let err = toy_differential_with(&state, &mut book, &oracle, ToyReprice::Sabotaged)
-        .expect_err("stale term bytes must not survive the differential");
-    assert!(err.contains("diverged"), "{err}");
+    for sabotaged in [false, true] {
+        let toy = CdpToy::new(20, sabotaged);
+        let mut book = PositionBook::new();
+        for &owner in toy.cdps.keys() {
+            book.mark_dirty(owner);
+        }
+        let mut oracle = PriceOracle::new(OracleConfig::every_update());
+        oracle.set_price(0, Token::ETH, Wad::from_int(100));
+        assert_eq!(
+            book.book_positions(&toy, &oracle),
+            toy.rebuild(&oracle),
+            "nothing to reprice at the anchor price"
+        );
 
-    // The honest twin of the same wobble.
-    let (state, mut book, mut oracle) = toy_setup(30);
+        // The tightest CDP's critical price is ≈ 99.93: 99.95 crosses
+        // nobody, so every CDP freshens lazily.
+        oracle.set_price(1, Token::ETH, Wad::from_f64(99.95));
+        assert!(book.liquidatable_accounts(&toy, &oracle).is_empty());
+        let before = book.stats().term_reprices;
+        let cached = book.book_positions(&toy, &oracle);
+        assert_eq!(
+            book.stats().term_reprices - before,
+            toy.cdps.len() as u64,
+            "every CDP must freshen through the term path"
+        );
+        if sabotaged {
+            assert_ne!(
+                cached,
+                toy.rebuild(&oracle),
+                "stale term bytes must not survive the differential"
+            );
+        } else {
+            assert_eq!(
+                cached,
+                toy.rebuild(&oracle),
+                "honest term path is byte-identical"
+            );
+        }
+    }
+}
+
+/// An envelope that misses the USDC price bound, or the USDC index cap, is
+/// refused at derivation: the debtors ride the exact path, never count as
+/// banded, and the differential stays clean while the uncovered USDC price
+/// and borrow index move.
+#[test]
+fn incomplete_envelopes_ride_the_exact_path() {
+    let (state, mut book, oracle) = toy_setup(30);
     toy_differential(&state, &mut book, &oracle).expect("clean at anchor");
-    oracle.set_price(1, Token::ETH, Wad::from_f64(3_010.0));
-    toy_differential(&state, &mut book, &oracle).expect("honest term path is byte-identical");
     assert!(
-        book.stats().term_reprices >= 1,
-        "the wobble was never served by the term path — the sabotage test has no teeth"
+        book.stats().banded_accounts > 0,
+        "complete envelopes must certify some of the same accounts"
     );
+
+    for mode in [ToyEnvelope::NoUsdcBound, ToyEnvelope::NoUsdcCap] {
+        let (mut state, mut book, mut oracle) = toy_setup(30);
+        toy_differential_with(&state, &mut book, &oracle, mode).expect("clean at anchor");
+        assert_eq!(
+            book.stats().banded_accounts,
+            0,
+            "every toy account owes USDC, so every envelope is incomplete"
+        );
+        for step in 1..=12u64 {
+            if step % 3 == 0 {
+                let growth = Ray::from_raw(
+                    defi_liquidations_suite::types::RAY + 2_000_000_000_000_000_000_000_000,
+                );
+                state.index = state.index.checked_mul(growth).unwrap();
+                book.note_index_change(Token::USDC);
+            } else {
+                // USDC wobbles ±3 % — far enough to carry the tightest
+                // debtors across a band edge.
+                let usdc = if step % 2 == 0 { 1.03 } else { 0.97 };
+                oracle.set_price(step, Token::USDC, Wad::from_f64(usdc));
+            }
+            toy_differential_with(&state, &mut book, &oracle, mode)
+                .unwrap_or_else(|e| panic!("step {step}: {e}"));
+            assert_eq!(book.stats().banded_accounts, 0, "step {step}");
+        }
+    }
 }
 
 /// An oscillating price whose swing exceeds the freshly-centred slack would
@@ -685,7 +834,7 @@ proptest! {
         oracle.set_price(0, Token::ETH, Wad::from_f64(price));
         oracle.set_price(0, Token::USDC, Wad::from_f64(usdc_wobble));
 
-        let view = ToyView(&state, ToyReprice::Honest);
+        let view = ToyView(&state, ToyEnvelope::Complete);
         let mut position = Position::new(address);
         prop_assume!(view.fill_position(&oracle, address, &mut position));
         let Some(hf) = position.health_factor() else { return Ok(()); };
@@ -720,7 +869,7 @@ proptest! {
             corner.set_price(0, Token::ETH, Wad::from_raw(eth_raw));
             corner.set_price(0, Token::USDC, Wad::from_raw(usdc_raw));
             let mut slot = Position::new(address);
-            if !ToyView(&state, ToyReprice::Honest).fill_position(&corner, address, &mut slot) {
+            if !ToyView(&state, ToyEnvelope::Complete).fill_position(&corner, address, &mut slot) {
                 return None;
             }
             slot.health_factor()
@@ -783,7 +932,7 @@ proptest! {
         };
         let (state, mut book, _) = toy_setup(40);
         let oracle = toy_oracle(eth);
-        let snapshot = book.snapshot(&ToyView(&state, ToyReprice::Honest), &oracle);
+        let snapshot = book.snapshot(&ToyView(&state, ToyEnvelope::Complete), &oracle);
         prop_assert!(!snapshot.is_empty());
         for token in [Token::ETH, Token::USDC] {
             if shock <= -10_000 {

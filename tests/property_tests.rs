@@ -607,86 +607,6 @@ mod incremental_book {
             }
         }
 
-        /// Oracle-move-only sequences: the per-account term cache must stay
-        /// byte-identical to the from-scratch rebuild after every move, and
-        /// the closing in-envelope wobble must actually be served by the
-        /// term path (reprice of the moved token only) — not vacuously by
-        /// full revaluations.
-        #[test]
-        fn fixed_spread_term_cache_is_exact_under_oracle_moves(
-            moves in prop::collection::vec((0u8..3, 0u16..1_000), 1..25),
-        ) {
-            let mut protocol = compound();
-            let mut ledger = Ledger::new();
-            let mut events = Vec::new();
-            let mut oracle = PriceOracle::new(OracleConfig::every_update());
-            oracle.set_price(0, Token::ETH, Wad::from_int(3_000));
-            oracle.set_price(0, Token::USDC, Wad::ONE);
-            let lender = Address::from_seed(1);
-            ledger.mint(lender, Token::USDC, Wad::from_int(50_000_000));
-            protocol
-                .deposit(&mut ledger, &mut events, lender, Token::USDC, Wad::from_int(50_000_000))
-                .unwrap();
-            // Borrowers spread from just above the rescue band to deep
-            // re-leverage (Compound ETH threshold is 0.75).
-            for i in 0..6u64 {
-                let borrower = Address::from_seed(7_100 + i);
-                ledger.mint(borrower, Token::ETH, Wad::from_int(10));
-                protocol
-                    .deposit(&mut ledger, &mut events, borrower, Token::ETH, Wad::from_int(10))
-                    .unwrap();
-                let usage = 0.90 - i as f64 * 0.12;
-                protocol
-                    .borrow(
-                        &mut ledger, &mut events, &oracle, 1, borrower,
-                        Token::USDC, Wad::from_f64(10.0 * 3_000.0 * 0.75 * usage),
-                    )
-                    .unwrap();
-            }
-
-            let mut block = 1u64;
-            let mut factor = 1.0f64;
-            for (kind, tweak) in moves {
-                block += 1;
-                // Tiny in-envelope wobbles, medium band-crossing moves, and
-                // large swings that break every envelope.
-                let step = match kind {
-                    0 => 0.999 + (tweak % 3) as f64 / 1_000.0,
-                    1 => 0.98 + (tweak % 41) as f64 / 1_000.0,
-                    _ => 0.70 + (tweak % 601) as f64 / 1_000.0,
-                };
-                factor = (factor * step).clamp(0.2, 5.0);
-                oracle.set_price(block, Token::ETH, Wad::from_f64(3_000.0 * factor));
-
-                let scratch_book: Vec<_> = protocol
-                    .positions(&oracle)
-                    .into_iter()
-                    .filter(|p| !p.total_debt_value().is_zero())
-                    .collect();
-                prop_assert_eq!(protocol.cached_book(&oracle), scratch_book);
-                prop_assert_eq!(
-                    protocol.cached_liquidatable_accounts(&oracle),
-                    protocol.liquidatable_accounts(&oracle)
-                );
-            }
-
-            // Deterministic tail: re-anchor every envelope at 3 000, then a
-            // 0.05 % wobble every surviving envelope absorbs — it must ride
-            // the term path, byte-identically.
-            oracle.set_price(block + 1, Token::ETH, Wad::from_int(3_000));
-            let _ = protocol.cached_book(&oracle);
-            let before = protocol.book_stats().term_reprices;
-            oracle.set_price(block + 2, Token::ETH, Wad::from_f64(3_001.5));
-            let scratch_book: Vec<_> = protocol
-                .positions(&oracle)
-                .into_iter()
-                .filter(|p| !p.total_debt_value().is_zero())
-                .collect();
-            prop_assert!(!scratch_book.is_empty());
-            prop_assert_eq!(protocol.cached_book(&oracle), scratch_book);
-            prop_assert!(protocol.book_stats().term_reprices > before);
-        }
-
         /// Maker: critical-price entries never consult the oracle for their
         /// liquidation verdict, so every price-stale walk of a valued CDP
         /// must be served by the term path — on every move of a random
