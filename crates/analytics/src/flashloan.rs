@@ -4,7 +4,7 @@
 //! the liquidation settled on and the pool the loan came from, reporting
 //! counts and the cumulative borrowed amount. In the event log, a flash loan
 //! and the liquidation it funds share a transaction hash, which is how we
-//! join them (the paper similarly "filter[s] the relevant events in the
+//! join them (the paper similarly "filter\[s\] the relevant events in the
 //! liquidation transactions that apply to flash loans").
 
 use serde::{Deserialize, Serialize};

@@ -5,11 +5,11 @@
 //! assembly step over the liquidation ledger, the volume samples and the
 //! run-end state. They differ only in where those inputs come from:
 //!
-//! * **streaming** — [`StudyCollector`] is a
-//!   [`SimObserver`](defi_sim::SimObserver) that builds the ledger and keeps
-//!   the volume samples while the run executes, then assembles the study in
-//!   `on_run_end`; attach it to a [`Session`](defi_sim::Session), replay a
-//!   journal into it, or call [`StudyAnalysis::stream`];
+//! * **streaming** — [`StudyCollector`] is a [`SimObserver`] that builds
+//!   the ledger and keeps the volume samples while the run executes, then
+//!   assembles the study in `on_run_end`; attach it to a
+//!   [`Session`](defi_sim::Session), replay a journal into it, or call
+//!   [`StudyAnalysis::stream`];
 //! * **batch** — [`StudyAnalysis::from_report`] rebuilds the ledger from a
 //!   materialised [`SimulationReport`]'s event log after the fact (the
 //!   reference the streaming path is tested against).

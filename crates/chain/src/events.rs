@@ -1,6 +1,6 @@
 //! Typed event logs.
 //!
-//! The paper's measurement setup "filter[s] the liquidation events emitted
+//! The paper's measurement setup "filter\[s\] the liquidation events emitted
 //! from the studied lending pools" (§4.1). This module is the simulator's
 //! equivalent of the EVM log: protocols emit [`ChainEvent`]s while executing
 //! inside a transaction; the [`EventLog`] records them together with the

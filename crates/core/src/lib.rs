@@ -29,7 +29,7 @@
 //!   `1 − LT(1 + LS) > 0`.
 //!
 //! Everything in this crate is pure computation over
-//! [`Position`](position::Position) snapshots — no chain, no protocols — so
+//! [`Position`] snapshots — no chain, no protocols — so
 //! it can be reused against real on-chain data as well as against the
 //! simulation substrate shipped in the sibling crates.
 

@@ -111,7 +111,7 @@ impl MitigationAnalysis {
     }
 
     /// Whether a miner with power `alpha` is incentivised to attempt the
-    /// optimal strategy (E[optimal] > E[up-to-close-factor]).
+    /// optimal strategy (E\[optimal\] > E\[up-to-close-factor\]).
     pub fn optimal_is_rational(&self, alpha: f64) -> bool {
         self.expected_optimal(alpha) > self.expected_close_factor(alpha)
     }

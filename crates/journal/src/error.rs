@@ -45,8 +45,8 @@ pub enum JournalError {
         detail: String,
     },
     /// The file ends mid-frame or without the end-of-journal trailer —
-    /// typically a run that crashed before [`JournalWriter::finish`]
-    /// (crate::JournalWriter::finish).
+    /// typically a run that crashed before
+    /// [`JournalWriter::finish`](crate::JournalWriter::finish).
     Truncated {
         /// File that was opened.
         path: PathBuf,

@@ -1,5 +1,4 @@
-//! Append-only run journal, deterministic replay, and the concurrent
-//! risk-read service.
+//! Append-only run journal and deterministic replay.
 //!
 //! The paper measures liquidation risk from a *recorded* stream of on-chain
 //! events; this crate gives the simulator the same production shape:
@@ -13,10 +12,6 @@
 //!   (chain archive + oracle history) so the full analytics
 //!   `StudyCollector` pipeline runs offline and renders byte-identical
 //!   artefacts.
-//! * [`RiskService`] — ticks a live [`Session`](defi_sim::Session) and
-//!   publishes immutable, epoch-stamped book snapshots that reader threads
-//!   query concurrently: point lookups, band listings, and envelope-powered
-//!   `breach_under(token, −8 %)` stress queries.
 //!
 //! Everything is hand-rolled on `std` — no crates.io dependencies — and the
 //! reader treats file contents as untrusted input: every failure is a typed
@@ -28,12 +23,10 @@ pub mod codec;
 pub mod error;
 pub mod frames;
 pub mod reader;
-pub mod service;
 pub mod writer;
 
 pub use codec::{crc32, CodecError, Decoder, Encoder};
 pub use error::JournalError;
 pub use frames::{EndFrame, Frame, HeaderFrame, LiquidationMetaFrame, TickFrame, MAGIC, VERSION};
 pub use reader::JournalReader;
-pub use service::{RiskService, ServiceSnapshot, SnapshotHandle};
 pub use writer::JournalWriter;

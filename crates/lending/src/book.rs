@@ -84,7 +84,7 @@
 //! # Sharding
 //!
 //! The book is split into [`BOOK_SHARD_COUNT`] fixed **address-range shards**
-//! ([`shard_of`]: the top four bits of the address's first byte). Every
+//! (`shard_of`: the top four bits of the address's first byte). Every
 //! per-account structure — entries, dirty set, critical-price index, interval
 //! index, band membership, running totals — lives in the owning shard, and
 //! every flush and query walks the shards serially. The shards stay for
@@ -94,9 +94,6 @@
 //! internally ordered, and queries concatenate shards in ascending
 //! address-range order, so `book_positions`, `book_totals` and
 //! `liquidatable_accounts` come out in global address order without sorting.
-//! [`PositionBook::snapshot`] freezes each shard behind its own `Arc` and
-//! caches it against a per-shard version counter, so an unchanged shard is
-//! never re-cloned between snapshots.
 //!
 //! The book is *exact by construction*: a cached entry is byte-identical to a
 //! from-scratch [`Position`] rebuild because the owning protocol's
@@ -107,13 +104,10 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Bound;
-use std::sync::Arc;
 
 use defi_core::position::Position;
 use defi_oracle::PriceOracle;
 use defi_types::{Address, Token, Wad};
-
-use crate::snapshot::{BookSnapshot, ShardSnapshot, SnapshotBand, SnapshotEntry};
 
 /// Health factor below which the engine's borrower-management pass considers
 /// a position a rescue-repay candidate, and the default lower edge of the
@@ -131,8 +125,7 @@ const LAST_ADDRESS: Address = Address([u8::MAX; 20]);
 
 /// Number of fixed address-range shards a book is split into. Flushes and
 /// queries walk them serially; the split buys cache locality (sixteen small
-/// ordered maps per flush instead of one large one) and per-shard snapshot
-/// reuse.
+/// ordered maps per flush instead of one large one).
 pub const BOOK_SHARD_COUNT: usize = 16;
 
 /// The shard owning an address: its top four bits, a pure function of the
@@ -140,7 +133,7 @@ pub const BOOK_SHARD_COUNT: usize = 16;
 /// contiguous address range and concatenating shards in index order
 /// preserves global address order.
 #[inline]
-pub(crate) fn shard_of(address: &Address) -> usize {
+fn shard_of(address: &Address) -> usize {
     (address.0[0] >> 4) as usize
 }
 
@@ -249,8 +242,6 @@ impl HfBand {
 pub struct BookTotals {
     /// Σ collateral USD value over book positions.
     pub collateral_usd: Wad,
-    /// Σ debt USD value over book positions.
-    pub debt_usd: Wad,
     /// Σ ETH/WETH collateral USD value of positions owing DAI (the DAI/ETH
     /// market the §5.1 comparison is restricted to).
     pub dai_eth_collateral_usd: Wad,
@@ -514,7 +505,6 @@ impl BookClock {
 #[derive(Debug, Clone, Copy, Default)]
 struct Totals {
     book_collateral_usd: Wad,
-    book_debt_usd: Wad,
     book_dai_eth_usd: Wad,
     book_count: u32,
     all_collateral_usd: Wad,
@@ -600,10 +590,6 @@ struct BookShard {
     envelope_derive_nanos: u64,
     /// Times a scratch buffer grew its capacity (allocation audit).
     scratch_grows: u64,
-    /// Bumped on every change that can alter this shard's frozen snapshot;
-    /// lets [`PositionBook::snapshot`] reuse the previous `Arc` when nothing
-    /// moved.
-    version: u64,
     scratch_tokens: Vec<Token>,
     scratch_debt_tokens: Vec<Token>,
     scratch_addresses: Vec<Address>,
@@ -927,7 +913,6 @@ impl BookShard {
         }
 
         self.revaluations += 1;
-        self.version += 1;
         if termed {
             self.term_reprices += 1;
         } else {
@@ -955,11 +940,6 @@ impl BookShard {
                 .book_collateral_usd
                 .saturating_sub(old_collateral)
                 .saturating_add(new_collateral);
-            self.totals.book_debt_usd = self
-                .totals
-                .book_debt_usd
-                .saturating_sub(old_debt)
-                .saturating_add(new_debt);
             self.totals.book_dai_eth_usd = self
                 .totals
                 .book_dai_eth_usd
@@ -988,7 +968,6 @@ impl BookShard {
         clock: &BookClock,
     ) {
         self.revaluations += 1;
-        self.version += 1;
         let entry = self
             .entries
             .entry(address)
@@ -1212,7 +1191,6 @@ impl BookShard {
                 .totals
                 .book_collateral_usd
                 .saturating_sub(old_collateral);
-            self.totals.book_debt_usd = self.totals.book_debt_usd.saturating_sub(old_debt);
             self.totals.book_dai_eth_usd = self.totals.book_dai_eth_usd.saturating_sub(old_dai_eth);
             self.totals.book_count -= 1;
         }
@@ -1226,7 +1204,6 @@ impl BookShard {
                 .totals
                 .book_collateral_usd
                 .saturating_add(new_collateral);
-            self.totals.book_debt_usd = self.totals.book_debt_usd.saturating_add(new_debt);
             self.totals.book_dai_eth_usd = self.totals.book_dai_eth_usd.saturating_add(new_dai_eth);
             self.totals.book_count += 1;
         }
@@ -1381,39 +1358,6 @@ impl BookShard {
         self.scratch_grows += (batch.capacity() > batch_cap) as u64;
         self.scratch_addresses = batch;
     }
-
-    /// Freeze this shard's observable entries into an immutable
-    /// [`ShardSnapshot`].
-    fn freeze(&self, rescue: Wad, releverage: Wad) -> ShardSnapshot {
-        let mut entries = BTreeMap::new();
-        for (account, entry) in &self.entries {
-            if !entry.in_book {
-                continue;
-            }
-            let health_factor = entry.position.health_factor();
-            entries.insert(
-                *account,
-                SnapshotEntry {
-                    position: entry.position.clone(),
-                    collateral_usd: entry.collateral_usd,
-                    debt_usd: entry.debt_usd,
-                    health_factor,
-                    // Classify from the fresh HF rather than copying the
-                    // cached band: critical-indexed entries keep a Quiet
-                    // cached band by design.
-                    band: SnapshotBand::classify(health_factor, rescue, releverage),
-                    sensitive: entry.tokens.clone(),
-                    critical: entry.critical,
-                    envelope_bounds: entry
-                        .envelope
-                        .as_ref()
-                        .map(|e| e.price_bounds.clone())
-                        .unwrap_or_default(),
-                },
-            );
-        }
-        ShardSnapshot { entries }
-    }
 }
 
 /// The incremental cache each [`crate::LendingProtocol`] implementation owns.
@@ -1434,10 +1378,6 @@ pub struct PositionBook {
     /// Index epoch up to which lazily staled valuations were freshened by a
     /// full refresh.
     full_synced_index_epoch: u64,
-    /// Per-shard `(version, frozen snapshot)` from the last
-    /// [`snapshot`](Self::snapshot) call: an unchanged shard hands out the
-    /// same `Arc` instead of re-cloning its entries.
-    snapshot_cache: Vec<Option<(u64, Arc<ShardSnapshot>)>>,
     scratch_changed: Vec<Token>,
     scratch_prices: Vec<(Token, u128)>,
     scratch_index_moves: Vec<(Token, Option<u128>)>,
@@ -1471,7 +1411,6 @@ impl Default for PositionBook {
             synced_epoch: 0,
             full_synced_epoch: 0,
             full_synced_index_epoch: 0,
-            snapshot_cache: (0..BOOK_SHARD_COUNT).map(|_| None).collect(),
             scratch_changed: Vec::new(),
             scratch_prices: Vec::new(),
             scratch_index_moves: Vec::new(),
@@ -1728,9 +1667,6 @@ impl PositionBook {
             totals.book_collateral_usd = totals
                 .book_collateral_usd
                 .saturating_add(shard.totals.book_collateral_usd);
-            totals.book_debt_usd = totals
-                .book_debt_usd
-                .saturating_add(shard.totals.book_debt_usd);
             totals.book_dai_eth_usd = totals
                 .book_dai_eth_usd
                 .saturating_add(shard.totals.book_dai_eth_usd);
@@ -1752,57 +1688,8 @@ impl PositionBook {
         let totals = self.fold_totals();
         BookTotals {
             collateral_usd: totals.book_collateral_usd,
-            debt_usd: totals.book_debt_usd,
             dai_eth_collateral_usd: totals.book_dai_eth_usd,
             open_positions: totals.book_count,
-        }
-    }
-
-    /// Freeze the observable book into an immutable, index-carrying
-    /// [`BookSnapshot`] for concurrent readers: every valuation brought
-    /// exact at current prices, plus each entry's sensitivity list,
-    /// critical price and certified envelope bounds so snapshot-side
-    /// what-if queries can ride the same fast paths the live book uses.
-    ///
-    /// The snapshot is **per-shard**: each shard freezes behind its own
-    /// `Arc`, cached against the shard's version counter, so a shard nothing
-    /// touched since the previous call hands out the same allocation
-    /// (`Arc::ptr_eq`) instead of re-cloning its entries.
-    pub fn snapshot<S: BookSource>(&mut self, source: &S, oracle: &PriceOracle) -> BookSnapshot {
-        self.flush(source, oracle, true);
-        let (rescue, releverage) = self.clock.bands;
-        let mut shards = Vec::with_capacity(self.shards.len());
-        for (shard, cache) in self.shards.iter().zip(self.snapshot_cache.iter_mut()) {
-            match cache {
-                Some((version, frozen)) if *version == shard.version => {
-                    shards.push(Arc::clone(frozen));
-                }
-                _ => {
-                    let frozen = Arc::new(shard.freeze(rescue, releverage));
-                    *cache = Some((shard.version, Arc::clone(&frozen)));
-                    shards.push(frozen);
-                }
-            }
-        }
-        let totals = self.fold_totals();
-        let totals = BookTotals {
-            collateral_usd: totals.book_collateral_usd,
-            debt_usd: totals.book_debt_usd,
-            dai_eth_collateral_usd: totals.book_dai_eth_usd,
-            open_positions: totals.book_count,
-        };
-        let prices = oracle
-            .tokens()
-            .into_iter()
-            .map(|token| (token, oracle.price_or_zero(token)))
-            .collect();
-        BookSnapshot {
-            shards,
-            totals,
-            prices,
-            rescue,
-            releverage,
-            stats: self.stats(),
         }
     }
 
@@ -2070,11 +1957,6 @@ mod tests {
         let totals = book.totals(&source, &oracle);
         assert_eq!(totals.open_positions, 9);
         assert_eq!(totals.collateral_usd, Wad::from_int(9 * 10 * 100));
-        let manual_debt: Wad = source
-            .accounts
-            .values()
-            .fold(Wad::ZERO, |acc, (_, d)| acc.saturating_add(*d));
-        assert_eq!(totals.debt_usd, manual_debt);
         assert!(book.cached_position(gone).is_none());
     }
 
@@ -2156,47 +2038,5 @@ mod tests {
             "a saturated (astronomically healthy) account must not be flagged"
         );
         assert_eq!(book.stats().stale_violations, 0);
-    }
-
-    /// Tentpole invariant: an unchanged shard hands out the same `Arc` on
-    /// the next snapshot; touching one account rebuilds only its shard.
-    #[test]
-    fn snapshot_reuses_unchanged_shard_arcs() {
-        let (mut source, mut book, oracle) = setup(64);
-        let first = book.snapshot(&source, &oracle);
-        let second = book.snapshot(&source, &oracle);
-        assert_eq!(first.shards().len(), BOOK_SHARD_COUNT);
-        assert!(
-            first
-                .shards()
-                .iter()
-                .zip(second.shards())
-                .all(|(a, b)| Arc::ptr_eq(a, b)),
-            "an untouched book must reuse every shard snapshot"
-        );
-        // Mutate exactly one account: only its shard may rebuild.
-        let touched = Address::from_seed(7);
-        source.accounts.get_mut(&touched).unwrap().1 = Wad::from_int(1);
-        book.mark_dirty(touched);
-        let third = book.snapshot(&source, &oracle);
-        let rebuilt: Vec<usize> = second
-            .shards()
-            .iter()
-            .zip(third.shards())
-            .enumerate()
-            .filter(|(_, (a, b))| !Arc::ptr_eq(a, b))
-            .map(|(i, _)| i)
-            .collect();
-        assert_eq!(
-            rebuilt,
-            vec![shard_of(&touched)],
-            "exactly the touched shard must rebuild"
-        );
-        // The rebuilt snapshot still reads consistently.
-        assert_eq!(third.len(), 64);
-        assert_eq!(
-            third.entry(touched).unwrap().position.total_debt_value(),
-            Wad::from_int(1)
-        );
     }
 }

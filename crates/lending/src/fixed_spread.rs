@@ -252,7 +252,8 @@ const MIN_ENVELOPE_SLACK: f64 = 1e-6;
 const ENVELOPE_VALUE_FLOOR: u128 = 1_000_000_000_000;
 
 /// Derive a conservative health-factor band envelope for a fixed-spread
-/// position, from the same quantities [`fill_position`] computed
+/// position, from the same quantities
+/// [`fill_position`](crate::BookSource::fill_position) computed
 /// (`fill_position_from`): per-token price bounds and per-market borrow-index
 /// caps within which the health factor provably stays strictly inside
 /// `(floor, ceiling)`.
@@ -267,7 +268,7 @@ const ENVELOPE_VALUE_FLOOR: u128 = 1_000_000_000_000;
 ///   index up to their caps),
 ///
 /// so it suffices to pick `s` with `(1+s)/(1−s) ≤ ceiling/HF · (1−g)` and
-/// `(1+s)²/(1−s) ≤ HF/floor · (1−g)` (guard `g` = [`ENVELOPE_GUARD`]). The
+/// `(1+s)²/(1−s) ≤ HF/floor · (1−g)` (guard `g` = `ENVELOPE_GUARD`). The
 /// slack is found by halving from 25 %, and the integer bounds are rounded
 /// *inward* ([`mul_div_floor`] on the delta), so certification only ever
 /// narrows the real-valued envelope. A band with no floor needs no index
@@ -979,14 +980,6 @@ impl FixedSpreadProtocol {
     pub fn book_totals(&mut self, oracle: &PriceOracle) -> BookTotals {
         let (book, view) = self.split_book();
         book.totals(&view, oracle)
-    }
-
-    /// Freeze the observable book into an immutable, index-carrying
-    /// [`BookSnapshot`](crate::snapshot::BookSnapshot) for concurrent
-    /// readers.
-    pub fn book_snapshot(&mut self, oracle: &PriceOracle) -> crate::snapshot::BookSnapshot {
-        let (book, view) = self.split_book();
-        book.snapshot(&view, oracle)
     }
 
     /// The cached snapshot of one account (exact after any cached query).

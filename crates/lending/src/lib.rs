@@ -41,7 +41,6 @@ pub mod interest;
 pub mod maker;
 pub mod platforms;
 pub mod protocol;
-pub mod snapshot;
 
 pub use book::{
     BookSource, BookStats, BookTotals, HfEnvelope, PositionBook, BOOK_SHARD_COUNT,
@@ -57,9 +56,6 @@ pub use interest::InterestRateModel;
 pub use maker::{Auction, AuctionOutcome, Cdp, IlkParams, MakerProtocol};
 pub use platforms::{aave_v1, aave_v2, compound, dydx, maker_protocol, paper_protocols};
 pub use protocol::{
-    AuctionSnapshot, BidSnapshot, LendingProtocol, LiquidationExecution, LiquidationRequest,
-    MechanismKind, Opportunity,
-};
-pub use snapshot::{
-    BookSnapshot, BreachPaths, BreachReport, ShardSnapshot, SnapshotBand, SnapshotEntry,
+    AuctionSnapshot, BidSnapshot, BookSnapshot, LendingProtocol, LiquidationExecution,
+    LiquidationRequest, MechanismKind, Opportunity,
 };

@@ -650,14 +650,6 @@ impl MakerProtocol {
         book.totals(&view, oracle)
     }
 
-    /// Freeze the CDP book into an immutable, index-carrying
-    /// [`BookSnapshot`](crate::snapshot::BookSnapshot) for concurrent
-    /// readers.
-    pub fn book_snapshot(&mut self, oracle: &PriceOracle) -> crate::snapshot::BookSnapshot {
-        let (book, view) = self.split_book();
-        book.snapshot(&view, oracle)
-    }
-
     /// The cached snapshot of one CDP (exact after any cached query).
     pub fn cached_position(&self, owner: Address) -> Option<&Position> {
         self.book.cached_position(owner)

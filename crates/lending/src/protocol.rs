@@ -35,6 +35,11 @@ use crate::error::ProtocolError;
 use crate::fixed_spread::{FixedSpreadProtocol, LiquidationReceipt};
 use crate::maker::{AuctionOutcome, MakerProtocol};
 
+/// What [`LendingProtocol::book_snapshot`] returns: the observable book as
+/// [`book_positions`](LendingProtocol::book_positions) builds it. Kept only
+/// because the `perfbench/` harness still names it.
+pub type BookSnapshot = Vec<Position>;
+
 /// Which liquidation mechanism a protocol runs (§3.2's systematization).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MechanismKind {
@@ -276,10 +281,12 @@ pub trait LendingProtocol {
         visit: &mut dyn FnMut(&Position),
     );
 
-    /// Freeze the observable book into an immutable, index-carrying
-    /// [`BookSnapshot`](crate::snapshot::BookSnapshot) for concurrent
-    /// readers ([`PositionBook::snapshot`](crate::book::PositionBook::snapshot)).
-    fn book_snapshot(&mut self, oracle: &PriceOracle) -> crate::snapshot::BookSnapshot;
+    /// An alias of [`book_positions`](LendingProtocol::book_positions).
+    /// Kept only because the `perfbench/` harness still forwards it; remove
+    /// it with the next benchmark change.
+    fn book_snapshot(&mut self, oracle: &PriceOracle) -> BookSnapshot {
+        self.book_positions(oracle)
+    }
 
     /// A no-op: books flush serially. Kept only because the `perfbench/`
     /// harness still forwards it; remove it with the next benchmark change.
@@ -469,10 +476,6 @@ impl LendingProtocol for FixedSpreadProtocol {
         FixedSpreadProtocol::book_totals(self, oracle)
     }
 
-    fn book_snapshot(&mut self, oracle: &PriceOracle) -> crate::snapshot::BookSnapshot {
-        FixedSpreadProtocol::book_snapshot(self, oracle)
-    }
-
     fn book_stats(&self) -> BookStats {
         FixedSpreadProtocol::book_stats(self)
     }
@@ -640,10 +643,6 @@ impl LendingProtocol for MakerProtocol {
 
     fn book_totals(&mut self, oracle: &PriceOracle) -> BookTotals {
         MakerProtocol::book_totals(self, oracle)
-    }
-
-    fn book_snapshot(&mut self, oracle: &PriceOracle) -> crate::snapshot::BookSnapshot {
-        MakerProtocol::book_snapshot(self, oracle)
     }
 
     fn book_stats(&self) -> BookStats {

@@ -218,7 +218,7 @@ impl SweepRunner {
             .collect()
     }
 
-    /// Run every configuration through a fresh engine + [`SummaryObserver`]
+    /// Run every configuration through a fresh engine + `SummaryObserver`
     /// session and return the per-run summaries in input order. Named
     /// scenarios resolve against [`crate::ScenarioCatalog::standard`]; use
     /// [`run_with_catalog`](SweepRunner::run_with_catalog) for user-defined

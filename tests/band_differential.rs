@@ -908,45 +908,6 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Shock-projection edge: `breach_under` must agree with the from-scratch
-// reference at every `i32` shock, including at and beyond the −100% price
-// floor where the scale clamps to zero.
-// ---------------------------------------------------------------------------
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    #[test]
-    fn breach_under_agrees_with_reference_across_the_full_shock_range(
-        raw in i32::MIN..i32::MAX,
-        near_clamp in -10_050i32..-9_950,
-        mode in 0u8..3,
-        eth in 100.0f64..10_000.0,
-    ) {
-        // Mix the full i32 range with a band dense around the −100% clamp and
-        // the realistic decline band, so every regime is exercised.
-        let shock = match mode {
-            0 => raw,
-            1 => near_clamp,
-            _ => raw.rem_euclid(10_001).saturating_neg(),
-        };
-        let (state, mut book, _) = toy_setup(40);
-        let oracle = toy_oracle(eth);
-        let snapshot = book.snapshot(&ToyView(&state, ToyEnvelope::Complete), &oracle);
-        prop_assert!(!snapshot.is_empty());
-        for token in [Token::ETH, Token::USDC] {
-            if shock <= -10_000 {
-                // At and beyond −100% the scale clamps: the price floors at 0.
-                prop_assert_eq!(snapshot.shocked_price(token, shock), Wad::ZERO);
-            }
-            let fast = snapshot.breach_under(token, shock);
-            let reference = snapshot.breach_under_reference(token, shock);
-            prop_assert_eq!(fast.breached, reference);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Random op interleavings against a real fixed-spread pool: the banded
 // surfaces are checked *before* any full-refresh query, so the lazy path is
 // what the differential sees.

@@ -220,8 +220,8 @@ proptest! {
     }
 
     /// Algorithm 1: the liquidatable collateral is monotone in the number of
-    /// positions (adding a position never reduces it) and zero for tokens not
-    /// present in any position.
+    /// positions (adding a position never reduces it), zero for tokens not
+    /// present in any position; declines outside `[0, 1]` clamp to it.
     #[test]
     fn sensitivity_is_monotone_in_positions(
         sizes in prop::collection::vec((5_000.0f64..500_000.0, 0.5f64..0.95), 1..20),
@@ -253,6 +253,14 @@ proptest! {
             previous = current;
         }
         prop_assert_eq!(liquidatable_collateral(&positions, Token::WBTC, decline), Wad::ZERO);
+        // Declines outside [0, 1] clamp to the nearest edge (a price cannot
+        // fall below zero or rise through a negative decline), and NaN is no
+        // decline at all.
+        let at = |d: f64| liquidatable_collateral(&positions, Token::ETH, d);
+        for beyond in [-0.5, 1.5, 7.0, f64::INFINITY, f64::NEG_INFINITY] {
+            prop_assert_eq!(at(beyond), at(beyond.clamp(0.0, 1.0)));
+        }
+        prop_assert_eq!(at(f64::NAN), at(0.0));
     }
 
     /// Bad-debt classification is consistent: Type I implies CR < 1, and the

@@ -675,6 +675,11 @@ fn check_discovery_surfaces(protocol: &mut dyn LendingProtocol, oracle: &PriceOr
         cached, shadow,
         "{platform}: book_positions must equal the from-scratch reference"
     );
+    assert_eq!(
+        protocol.book_snapshot(oracle),
+        cached,
+        "{platform}: book_snapshot must alias book_positions"
+    );
 
     let rescue = Wad::from_f64(defi_liquidations_suite::lending::RESCUE_BAND_HF);
     let releverage = Wad::from_f64(defi_liquidations_suite::lending::RELEVERAGE_BAND_HF);
