@@ -434,8 +434,8 @@ fn scale_maker_pool(n: u64) -> (defi_lending::MakerProtocol, defi_chain::Ledger,
 /// run the borrower-management pass over the *banded* at-risk iterator,
 /// discover liquidatable positions, and — every `volume_sample_interval`
 /// (10) ticks, as the engine does — take a volume sample from the running
-/// totals (the sample pays the full lazy-stale drain). Exactly the calls
-/// `SimulationEngine::tick` makes per platform.
+/// per-token amount sums. Exactly the calls `SimulationEngine::tick` makes
+/// per platform.
 fn fixed_spread_tick_work(
     protocol: &mut defi_lending::FixedSpreadProtocol,
     oracle: &PriceOracle,
@@ -702,6 +702,23 @@ fn bench_band_index(c: &mut Criterion) {
         assert!(
             after.light_refreshes > before.light_refreshes,
             "the wiggles freshened no envelope-held account"
+        );
+
+        // Regression guard: a volume sample after in-envelope wiggles prices
+        // the running amount sums — it re-values nothing (no drain of the
+        // lazily stale valuations) and equals the per-token reference.
+        let totals = LendingProtocol::book_totals(&mut protocol, &oracle);
+        let sampled = protocol.book_stats();
+        assert_eq!(
+            (sampled.revaluations, sampled.light_refreshes),
+            (after.revaluations, after.light_refreshes),
+            "book_totals re-valued accounts"
+        );
+        let reference = LendingProtocol::reference_positions(&protocol, &oracle);
+        assert_eq!(
+            totals,
+            defi_lending::book::reference_totals(&reference, &oracle),
+            "book_totals diverged from the per-token reference"
         );
     }
     group.finish();

@@ -237,13 +237,21 @@ impl HfBand {
 
 /// Aggregate totals over the observable book — what the engine's
 /// volume-sampling pass (Figures 4/9 denominators) needs, maintained as
-/// running sums so sampling never materialises the position vector.
+/// running per-token amount sums so sampling never materialises the
+/// position vector.
+///
+/// Each USD total is Σ over tokens of `amount_sum × price`: the book's
+/// amounts of one token are summed first and the truncating fixed-point
+/// product is taken once per token (saturating at [`Wad::MAX`] on
+/// overflow). That can differ from summing each holding's own `value_usd`
+/// by less than one raw unit per holding; [`reference_totals`] is the
+/// from-scratch definition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BookTotals {
-    /// Σ collateral USD value over book positions.
+    /// Σ over tokens of (Σ collateral amount in book positions) × price.
     pub collateral_usd: Wad,
-    /// Σ ETH/WETH collateral USD value of positions owing DAI (the DAI/ETH
-    /// market the §5.1 comparison is restricted to).
+    /// The same over the ETH/WETH collateral of positions owing DAI (the
+    /// DAI/ETH market the §5.1 comparison is restricted to).
     pub dai_eth_collateral_usd: Wad,
     /// Number of positions in the observable book.
     pub open_positions: u32,
@@ -419,9 +427,6 @@ pub trait BookSource {
 struct Entry {
     position: Position,
     in_book: bool,
-    collateral_usd: Wad,
-    debt_usd: Wad,
-    dai_eth_usd: Wad,
     critical: Option<(Token, u128)>,
     /// Health-factor band at the last re-valuation.
     band: HfBand,
@@ -447,9 +452,6 @@ impl Entry {
         Entry {
             position: Position::new(account),
             in_book: false,
-            collateral_usd: Wad::ZERO,
-            debt_usd: Wad::ZERO,
-            dai_eth_usd: Wad::ZERO,
             critical: None,
             band: HfBand::Quiet,
             envelope: None,
@@ -502,13 +504,96 @@ impl BookClock {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
+/// Running sums over the in-book entries of one shard — token **amounts**,
+/// not USD values. A filled position's collateral amounts are a function of
+/// account state alone, so they change only through a re-valuation the
+/// dirty set forces; a lazily stale valuation (an envelope or critical
+/// price certifies its verdict) still carries exact amounts, and pricing
+/// the sums at query time needs no drain. Maintained by diff: every write
+/// to an entry's slot or `in_book` flag removes the old slot's contribution
+/// and adds the new one.
+#[derive(Debug, Clone, Default)]
 struct Totals {
-    book_collateral_usd: Wad,
-    book_dai_eth_usd: Wad,
-    book_count: u32,
-    all_collateral_usd: Wad,
-    all_debt_usd: Wad,
+    /// `(token, Σ collateral amount)` over in-book entries.
+    collateral: Vec<(Token, Wad)>,
+    /// `(ETH or WETH, Σ collateral amount)` over in-book DAI debtors.
+    dai_eth: Vec<(Token, Wad)>,
+    /// Number of in-book entries.
+    count: u32,
+}
+
+impl Totals {
+    /// Add (`add`) or remove one in-book position's contribution. The sums
+    /// never saturate at sane magnitudes, so removal undoes addition
+    /// exactly.
+    fn fold(&mut self, position: &Position, add: bool) {
+        let dai_debtor = position.has_debt_in(Token::DAI);
+        for holding in &position.collateral {
+            shift(&mut self.collateral, holding.token, holding.amount, add);
+            if dai_debtor && matches!(holding.token, Token::ETH | Token::WETH) {
+                shift(&mut self.dai_eth, holding.token, holding.amount, add);
+            }
+        }
+        if add {
+            self.count += 1;
+        } else {
+            self.count -= 1;
+        }
+    }
+
+    /// Fold another shard's sums into these.
+    fn merge(&mut self, other: &Totals) {
+        for &(token, amount) in &other.collateral {
+            shift(&mut self.collateral, token, amount, true);
+        }
+        for &(token, amount) in &other.dai_eth {
+            shift(&mut self.dai_eth, token, amount, true);
+        }
+        self.count += other.count;
+    }
+
+    /// Price every per-token sum once at the current oracle prices.
+    fn priced(&self, oracle: &PriceOracle) -> BookTotals {
+        let value = |sums: &[(Token, Wad)]| {
+            sums.iter().fold(Wad::ZERO, |acc, &(token, amount)| {
+                let usd = amount
+                    .checked_mul(oracle.price_or_zero(token))
+                    .unwrap_or(Wad::MAX);
+                acc.saturating_add(usd)
+            })
+        };
+        BookTotals {
+            collateral_usd: value(&self.collateral),
+            dai_eth_collateral_usd: value(&self.dai_eth),
+            open_positions: self.count,
+        }
+    }
+}
+
+/// Add `amount` to (or remove it from) `token`'s running sum.
+fn shift(sums: &mut Vec<(Token, Wad)>, token: Token, amount: Wad, add: bool) {
+    if let Some((_, sum)) = sums.iter_mut().find(|(summed, _)| *summed == token) {
+        *sum = if add {
+            sum.saturating_add(amount)
+        } else {
+            sum.saturating_sub(amount)
+        };
+    } else if add {
+        sums.push((token, amount));
+    }
+}
+
+/// The volume totals of an observable book computed from scratch: fold the
+/// positions into per-token amount sums, then price each sum once — the
+/// definition [`PositionBook::totals`] maintains incrementally, and the
+/// reference the differential tests compare it against (pass
+/// [`crate::LendingProtocol::reference_positions`]).
+pub fn reference_totals(book: &[Position], oracle: &PriceOracle) -> BookTotals {
+    let mut totals = Totals::default();
+    for position in book {
+        totals.fold(position, true);
+    }
+    totals.priced(oracle)
 }
 
 /// Per-flush global context, computed once and read by every shard's flush.
@@ -821,9 +906,10 @@ impl BookShard {
     ///   `fill_position`, keeping the band verdict, envelope and every index
     ///   membership.
     ///
-    /// Both fold the valuation delta into the totals. Returns `false`
-    /// (having made no bookkeeping change) when the path's precondition
-    /// fails; the caller then takes the full revalue path.
+    /// Both keep the running amount sums in step with the slot. Returns
+    /// `false` when the path's precondition fails, with the sums still
+    /// consistent with the slot; the caller then takes the full revalue
+    /// path.
     fn light_refresh<S: BookSource>(
         &mut self,
         source: &S,
@@ -834,11 +920,7 @@ impl BookShard {
         let Some(entry) = self.entries.get_mut(&address) else {
             return false;
         };
-        let old_in_book = entry.in_book;
-        let old_collateral = entry.collateral_usd;
-        let old_debt = entry.debt_usd;
-        let old_dai_eth = entry.dai_eth_usd;
-
+        let in_book = entry.in_book;
         let termed = entry.critical.is_some();
         if termed {
             // Term path. The holding sets are invariant under pure price
@@ -858,14 +940,23 @@ impl BookShard {
                     .copied()
                     .filter(|&token| oracle.token_epoch(token) > entry.valued_epoch),
             );
+            // The slot changes in place: take its contribution out of the
+            // running sums and put the repriced one back, so a bail-out to
+            // `revalue` below finds them consistent with the slot.
+            if in_book {
+                self.totals.fold(&entry.position, false);
+            }
             let repriced =
                 !moved.is_empty() && source.reprice_position(oracle, &mut entry.position, &moved);
+            if in_book {
+                self.totals.fold(&entry.position, true);
+            }
             self.scratch_grows += (moved.capacity() > moved_cap) as u64;
             self.scratch_moved = moved;
             // A reprice that flips observability (possible only for exotic
             // `in_book` rules) hands over to `revalue`, which re-fills the
             // slot from scratch anyway.
-            if !repriced || source.in_book(&entry.position) != old_in_book {
+            if !repriced || source.in_book(&entry.position) != in_book {
                 return false;
             }
         } else {
@@ -888,11 +979,16 @@ impl BookShard {
             }
             // From here the slot is rebuilt in place; every bail-out path
             // below hands over to `revalue`, which re-fills from scratch
-            // anyway.
-            if !source.fill_position(oracle, address, &mut entry.position) {
-                return false;
+            // anyway. The running sums follow the slot across the rebuild,
+            // so `revalue` finds them consistent with it.
+            if in_book {
+                self.totals.fold(&entry.position, false);
             }
-            if source.in_book(&entry.position) != old_in_book {
+            let filled = source.fill_position(oracle, address, &mut entry.position);
+            if in_book {
+                self.totals.fold(&entry.position, true);
+            }
+            if !filled || source.in_book(&entry.position) != in_book {
                 return false;
             }
             // The membership indexes key off the exposure lists: any change
@@ -918,44 +1014,8 @@ impl BookShard {
         } else {
             self.light_refreshes += 1;
         }
-        entry.collateral_usd = entry.position.total_collateral_value();
-        entry.debt_usd = entry.position.total_debt_value();
-        entry.dai_eth_usd = if entry.position.has_debt_in(Token::DAI) {
-            entry
-                .position
-                .collateral_value_in(Token::ETH)
-                .saturating_add(entry.position.collateral_value_in(Token::WETH))
-        } else {
-            Wad::ZERO
-        };
         entry.valued_epoch = oracle.epoch();
         entry.index_epoch = clock.index_epoch;
-        let new_collateral = entry.collateral_usd;
-        let new_debt = entry.debt_usd;
-        let new_dai_eth = entry.dai_eth_usd;
-
-        if old_in_book {
-            self.totals.book_collateral_usd = self
-                .totals
-                .book_collateral_usd
-                .saturating_sub(old_collateral)
-                .saturating_add(new_collateral);
-            self.totals.book_dai_eth_usd = self
-                .totals
-                .book_dai_eth_usd
-                .saturating_sub(old_dai_eth)
-                .saturating_add(new_dai_eth);
-        }
-        self.totals.all_collateral_usd = self
-            .totals
-            .all_collateral_usd
-            .saturating_sub(old_collateral)
-            .saturating_add(new_collateral);
-        self.totals.all_debt_usd = self
-            .totals
-            .all_debt_usd
-            .saturating_sub(old_debt)
-            .saturating_add(new_debt);
         true
     }
 
@@ -973,9 +1033,6 @@ impl BookShard {
             .entry(address)
             .or_insert_with(|| Entry::new(address));
         let old_in_book = entry.in_book;
-        let old_collateral = entry.collateral_usd;
-        let old_debt = entry.debt_usd;
-        let old_dai_eth = entry.dai_eth_usd;
         let old_critical = entry.critical;
         let old_tokens = std::mem::take(&mut entry.tokens);
         let old_debt_list = std::mem::take(&mut entry.debt_tokens);
@@ -1060,6 +1117,11 @@ impl BookShard {
         };
         envelope.clear();
 
+        // The running sums drop the old slot's contribution before the
+        // slot is rebuilt and take the new one once `in_book` is known.
+        if old_in_book {
+            self.totals.fold(&entry.position, false);
+        }
         let exists = source.fill_position(oracle, address, &mut entry.position);
         let mut liquidatable = false;
         let mut band = HfBand::Quiet;
@@ -1072,7 +1134,7 @@ impl BookShard {
             if critical.is_none() {
                 let (rescue, releverage) = clock.bands;
                 match entry.position.health_factor() {
-                    None => {
+                    None if entry.position.debt.is_empty() => {
                         // A debt-free account has no health factor at *any*
                         // price: certify it with unbounded conditions, so
                         // price moves only stale its valuation lazily.
@@ -1081,6 +1143,11 @@ impl BookShard {
                         }
                         banded = true;
                     }
+                    // A debtor whose debt is valued at zero (a debt token
+                    // priced 0) has no health factor only at these prices:
+                    // it rides the exact path, so the next price write
+                    // re-values it.
+                    None => {}
                     Some(hf) => {
                         band = HfBand::classify(hf, rescue, releverage);
                         let (floor, ceiling) = match band {
@@ -1115,25 +1182,15 @@ impl BookShard {
                 }
             }
             entry.in_book = source.in_book(&entry.position);
-            entry.collateral_usd = entry.position.total_collateral_value();
-            entry.debt_usd = entry.position.total_debt_value();
-            entry.dai_eth_usd = if entry.position.has_debt_in(Token::DAI) {
-                entry
-                    .position
-                    .collateral_value_in(Token::ETH)
-                    .saturating_add(entry.position.collateral_value_in(Token::WETH))
-            } else {
-                Wad::ZERO
-            };
             entry.critical = critical;
             entry.valued_epoch = oracle.epoch();
             entry.index_epoch = clock.index_epoch;
         }
         entry.band = band;
         let new_in_book = exists && entry.in_book;
-        let new_collateral = entry.collateral_usd;
-        let new_debt = entry.debt_usd;
-        let new_dai_eth = entry.dai_eth_usd;
+        if new_in_book {
+            self.totals.fold(&entry.position, true);
+        }
         let new_critical = if exists { entry.critical } else { None };
         let now_indexed = new_critical.is_some();
         if banded {
@@ -1181,38 +1238,6 @@ impl BookShard {
                     }
                 }
             }
-        }
-
-        // Totals: subtract the old contribution, add the new one. The sums
-        // never saturate at sane magnitudes, so the incremental totals equal
-        // the legacy fold exactly.
-        if old_in_book {
-            self.totals.book_collateral_usd = self
-                .totals
-                .book_collateral_usd
-                .saturating_sub(old_collateral);
-            self.totals.book_dai_eth_usd = self.totals.book_dai_eth_usd.saturating_sub(old_dai_eth);
-            self.totals.book_count -= 1;
-        }
-        self.totals.all_collateral_usd = self
-            .totals
-            .all_collateral_usd
-            .saturating_sub(old_collateral);
-        self.totals.all_debt_usd = self.totals.all_debt_usd.saturating_sub(old_debt);
-        if new_in_book {
-            self.totals.book_collateral_usd = self
-                .totals
-                .book_collateral_usd
-                .saturating_add(new_collateral);
-            self.totals.book_dai_eth_usd = self.totals.book_dai_eth_usd.saturating_add(new_dai_eth);
-            self.totals.book_count += 1;
-        }
-        if exists {
-            self.totals.all_collateral_usd = self
-                .totals
-                .all_collateral_usd
-                .saturating_add(new_collateral);
-            self.totals.all_debt_usd = self.totals.all_debt_usd.saturating_add(new_debt);
         }
 
         // Critical-price index.
@@ -1661,44 +1686,23 @@ impl PositionBook {
         }
     }
 
-    fn fold_totals(&self) -> Totals {
+    /// Volume totals over the observable book from the shards' running
+    /// amount sums: the sums merge per token in fixed shard order, and each
+    /// token's total amount is priced once at the current oracle price. The
+    /// banded flush suffices — lazily stale valuations carry exact amounts —
+    /// so sampling re-values only what discovery would.
+    ///
+    /// Rounding happens once per token, not once per holding: the result
+    /// is [`reference_totals`] of the observable book, which may differ
+    /// from the sum of the positions' truncated `value_usd` terms by less
+    /// than one raw unit (10⁻¹⁸ USD) per holding.
+    pub fn totals<S: BookSource>(&mut self, source: &S, oracle: &PriceOracle) -> BookTotals {
+        self.flush(source, oracle, false);
         let mut totals = Totals::default();
         for shard in &self.shards {
-            totals.book_collateral_usd = totals
-                .book_collateral_usd
-                .saturating_add(shard.totals.book_collateral_usd);
-            totals.book_dai_eth_usd = totals
-                .book_dai_eth_usd
-                .saturating_add(shard.totals.book_dai_eth_usd);
-            totals.book_count += shard.totals.book_count;
-            totals.all_collateral_usd = totals
-                .all_collateral_usd
-                .saturating_add(shard.totals.all_collateral_usd);
-            totals.all_debt_usd = totals
-                .all_debt_usd
-                .saturating_add(shard.totals.all_debt_usd);
+            totals.merge(&shard.totals);
         }
-        totals
-    }
-
-    /// Running totals over the observable book (volume sampling), merged in
-    /// fixed shard order.
-    pub fn totals<S: BookSource>(&mut self, source: &S, oracle: &PriceOracle) -> BookTotals {
-        self.flush(source, oracle, true);
-        let totals = self.fold_totals();
-        BookTotals {
-            collateral_usd: totals.book_collateral_usd,
-            dai_eth_collateral_usd: totals.book_dai_eth_usd,
-            open_positions: totals.book_count,
-        }
-    }
-
-    /// Running totals over *every* cached account (the protocol-level
-    /// `total_collateral_value` / `total_debt_value` surface).
-    pub fn all_totals<S: BookSource>(&mut self, source: &S, oracle: &PriceOracle) -> (Wad, Wad) {
-        self.flush(source, oracle, true);
-        let totals = self.fold_totals();
-        (totals.all_collateral_usd, totals.all_debt_usd)
+        totals.priced(oracle)
     }
 
     /// Accounts currently below the liquidation threshold, in address order,
@@ -1958,6 +1962,44 @@ mod tests {
         assert_eq!(totals.open_positions, 9);
         assert_eq!(totals.collateral_usd, Wad::from_int(9 * 10 * 100));
         assert!(book.cached_position(gone).is_none());
+    }
+
+    /// Totals round once per token: at a non-round price, two holdings
+    /// whose truncated `value_usd` terms each drop half a raw unit sum to
+    /// one unit less than the per-token product, and the book reports the
+    /// per-token product — exactly the reference.
+    #[test]
+    fn totals_round_once_per_token() {
+        let mut source = ToySource {
+            accounts: BTreeMap::new(),
+            multivariate: false,
+        };
+        let mut book = PositionBook::new();
+        // 10 ETH plus one raw unit each, at 3,000.5 USD: each holding is
+        // worth 30,005 USD plus 3,000.5 raw units, truncated to 3,000.
+        let collateral = Wad::from_raw(10_000_000_000_000_000_001);
+        for seed in 0..2 {
+            let address = Address::from_seed(seed);
+            source
+                .accounts
+                .insert(address, (collateral, Wad::from_int(1_000)));
+            book.mark_dirty(address);
+        }
+        let mut oracle = PriceOracle::new(OracleConfig::every_update());
+        oracle.set_price(0, Token::ETH, Wad::from_raw(3_000_500_000_000_000_000_000));
+        let totals = book.totals(&source, &oracle);
+        let positions = book.book_positions(&source, &oracle);
+        let per_holding = positions
+            .iter()
+            .map(Position::total_collateral_value)
+            .fold(Wad::ZERO, Wad::saturating_add);
+        assert_eq!(per_holding, Wad::from_raw(60_010_000_000_000_000_006_000));
+        let expected = Wad::from_raw(60_010_000_000_000_000_006_001);
+        assert_eq!(totals, reference_totals(&positions, &oracle));
+        assert_eq!(totals.collateral_usd, expected);
+        // The toy debt is DAI, so every holder counts in the DAI/ETH sum.
+        assert_eq!(totals.dai_eth_collateral_usd, expected);
+        assert_eq!(totals.open_positions, 2);
     }
 
     /// Books containing critical-price-indexed accounts serve the at-risk

@@ -992,20 +992,6 @@ impl FixedSpreadProtocol {
         self.book.stats()
     }
 
-    /// Total USD value of collateral deposited in the pool (running total
-    /// maintained by the incremental book).
-    pub fn total_collateral_value(&mut self, oracle: &PriceOracle) -> Wad {
-        let (book, view) = self.split_book();
-        book.all_totals(&view, oracle).0
-    }
-
-    /// Total USD value of outstanding debt (running total maintained by the
-    /// incremental book).
-    pub fn total_debt_value(&mut self, oracle: &PriceOracle) -> Wad {
-        let (book, view) = self.split_book();
-        book.all_totals(&view, oracle).1
-    }
-
     // ------------------------------------------------------------- liquidation
 
     /// The public `liquidationCall`: repay part of `borrower`'s `debt_token`
@@ -1205,6 +1191,8 @@ impl FixedSpreadProtocol {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::book::reference_totals;
+    use crate::LendingProtocol;
     use defi_oracle::OracleConfig;
 
     fn setup() -> (FixedSpreadProtocol, Ledger, PriceOracle, Vec<ChainEvent>) {
@@ -1608,7 +1596,14 @@ mod tests {
         // The lender (collateral only) and the borrower.
         assert_eq!(positions.len(), 2);
         assert_eq!(protocol.account_count(), 2);
-        assert!(protocol.total_collateral_value(&oracle) > Wad::from_int(1_000_000));
+        // Only the borrower is in the observable book: 3 ETH at 3,500.
+        let totals = protocol.book_totals(&oracle);
+        assert_eq!(
+            totals,
+            reference_totals(&protocol.reference_positions(&oracle), &oracle)
+        );
+        assert_eq!(totals.collateral_usd, Wad::from_int(10_500));
+        assert_eq!(totals.open_positions, 1);
         assert_eq!(protocol.liquidatable_accounts(&oracle).len(), 0);
     }
 
@@ -1643,25 +1638,108 @@ mod tests {
         assert_eq!(cached_flagged, scratch_flagged);
         assert_eq!(cached_flagged, vec![borrower]);
 
-        // …and the running totals equal the legacy folds.
+        // …and the running totals equal the per-token reference exactly.
         let totals = protocol.book_totals(&oracle);
-        let scratch_book: Vec<Position> = protocol
-            .positions(&oracle)
-            .into_iter()
-            .filter(|p| !p.total_debt_value().is_zero())
-            .collect();
-        let fold = scratch_book
-            .iter()
-            .map(|p| p.total_collateral_value())
-            .fold(Wad::ZERO, |acc, v| acc.saturating_add(v));
-        assert_eq!(totals.collateral_usd, fold);
+        let scratch_book = protocol.reference_positions(&oracle);
+        assert_eq!(totals, reference_totals(&scratch_book, &oracle));
         assert_eq!(totals.open_positions as usize, scratch_book.len());
-        let all = protocol
-            .positions(&oracle)
-            .iter()
-            .map(|p| p.total_collateral_value())
-            .fold(Wad::ZERO, |acc, v| acc.saturating_add(v));
-        assert_eq!(protocol.total_collateral_value(&oracle), all);
+    }
+
+    /// A debtor whose debt token is priced 0 has no health factor, but
+    /// unlike a debt-free account it has one again at the next non-zero
+    /// price: it must ride the exact path, not an unbounded envelope, or
+    /// the write back from zero leaves it unflagged.
+    #[test]
+    fn zero_valued_debt_is_not_certified_like_no_debt() {
+        let (mut protocol, mut ledger, mut oracle, mut events) = setup();
+        let borrower = paper_borrower(&mut protocol, &mut ledger, &oracle, &mut events);
+        oracle.set_price(2, Token::USDC, Wad::ZERO);
+        assert!(protocol.cached_liquidatable_accounts(&oracle).is_empty());
+        oracle.set_price(3, Token::USDC, Wad::ONE);
+        oracle.set_price(3, Token::ETH, Wad::from_int(3_300));
+        assert_eq!(protocol.liquidatable_accounts(&oracle), vec![borrower]);
+        assert_eq!(
+            protocol.cached_liquidatable_accounts(&oracle),
+            vec![borrower]
+        );
+    }
+
+    /// A price written to zero takes a debtor out of the observable book
+    /// (membership means a non-zero debt value) and the write back puts it
+    /// in again. The volume totals see both without a full drain: the
+    /// exact-path borrower re-values on every write, and the DAI borrower's
+    /// envelope has a positive lower bound on the DAI price, so the write
+    /// to zero breaks it.
+    #[test]
+    fn totals_follow_debt_prices_to_and_from_zero() {
+        let (mut protocol, mut ledger, mut oracle, mut events) = setup();
+        protocol.list_market(
+            Token::DAI,
+            RiskParams::new(0.75, 0.05, 0.5),
+            InterestRateModel::stablecoin(),
+            0,
+        );
+        oracle.set_price(0, Token::DAI, Wad::ONE);
+        let lender = Address::from_seed(1_001);
+        ledger.mint(lender, Token::DAI, Wad::from_int(1_000_000));
+        protocol
+            .deposit(
+                &mut ledger,
+                &mut events,
+                lender,
+                Token::DAI,
+                Wad::from_int(1_000_000),
+            )
+            .unwrap();
+        let _ = paper_borrower(&mut protocol, &mut ledger, &oracle, &mut events);
+        let dai_borrower = Address::from_seed(8);
+        ledger.mint(dai_borrower, Token::ETH, Wad::from_int(2));
+        protocol
+            .deposit(
+                &mut ledger,
+                &mut events,
+                dai_borrower,
+                Token::ETH,
+                Wad::from_int(2),
+            )
+            .unwrap();
+        protocol
+            .borrow(
+                &mut ledger,
+                &mut events,
+                &oracle,
+                1,
+                dai_borrower,
+                Token::DAI,
+                Wad::from_int(2_000),
+            )
+            .unwrap();
+        let check = |protocol: &mut FixedSpreadProtocol, oracle: &PriceOracle, open: u32| {
+            let totals = protocol.book_totals(oracle);
+            let reference = reference_totals(&protocol.reference_positions(oracle), oracle);
+            assert_eq!(totals, reference);
+            assert_eq!(totals.open_positions, open);
+            totals
+        };
+        let before = check(&mut protocol, &oracle, 2);
+        assert_eq!(before.dai_eth_collateral_usd, Wad::from_int(7_000));
+        assert_eq!(
+            protocol.book_stats().banded_accounts,
+            3,
+            "all but the HF-1 borrower"
+        );
+
+        oracle.set_price(2, Token::USDC, Wad::ZERO);
+        oracle.set_price(2, Token::DAI, Wad::ZERO);
+        let zeroed = check(&mut protocol, &oracle, 0);
+        assert_eq!(zeroed.dai_eth_collateral_usd, Wad::ZERO);
+
+        oracle.set_price(3, Token::USDC, Wad::ONE);
+        oracle.set_price(3, Token::DAI, Wad::ONE);
+        oracle.set_price(3, Token::ETH, Wad::from_int(3_300));
+        let back = check(&mut protocol, &oracle, 2);
+        assert_eq!(back.dai_eth_collateral_usd, Wad::from_int(6_600));
+        assert_eq!(protocol.book_stats().stale_violations, 0);
     }
 
     /// Re-listing a market replaces risk parameters of existing positions,

@@ -660,13 +660,6 @@ impl MakerProtocol {
         self.book.stats()
     }
 
-    /// Total USD value of locked collateral (running total maintained by the
-    /// incremental book).
-    pub fn total_collateral_value(&mut self, oracle: &PriceOracle) -> Wad {
-        let (book, view) = self.split_book();
-        book.all_totals(&view, oracle).0
-    }
-
     // ------------------------------------------------------------ auction ops
 
     /// `bite`: initiate the collateral auction of a liquidatable CDP. The
@@ -944,6 +937,7 @@ impl MakerProtocol {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::book::reference_totals;
     use defi_oracle::OracleConfig;
 
     fn setup() -> (MakerProtocol, Ledger, PriceOracle, Vec<ChainEvent>) {
@@ -1287,7 +1281,10 @@ mod tests {
         // HF = 2000 * (1/1.5) / 1200 = 1.111 > 1.
         assert!(!position.is_liquidatable());
         assert_eq!(maker.positions(&oracle).len(), 1);
-        assert_eq!(maker.total_collateral_value(&oracle), Wad::from_int(2_000));
+        let totals = maker.book_totals(&oracle);
+        assert_eq!(totals, reference_totals(&maker.positions(&oracle), &oracle));
+        assert_eq!(totals.collateral_usd, Wad::from_int(2_000));
+        assert_eq!(totals.dai_eth_collateral_usd, Wad::from_int(2_000));
     }
 
     /// The critical-price index answers discovery without touching CDPs a
@@ -1334,14 +1331,11 @@ mod tests {
         // The cached book still matches the from-scratch rebuild exactly.
         let cached_book = maker.cached_book(&oracle);
         assert_eq!(cached_book, maker.positions(&oracle));
-        // Totals parity with the legacy fold.
-        let fold = maker
-            .positions(&oracle)
-            .iter()
-            .map(|p| p.total_collateral_value())
-            .fold(Wad::ZERO, |acc, v| acc.saturating_add(v));
-        assert_eq!(maker.book_totals(&oracle).collateral_usd, fold);
-        assert_eq!(maker.total_collateral_value(&oracle), fold);
+        // Totals parity with the per-token reference, exactly.
+        assert_eq!(
+            maker.book_totals(&oracle),
+            reference_totals(&maker.positions(&oracle), &oracle)
+        );
 
         // Biting a flagged CDP drops it from the index; the rest stay.
         let bitten = cached[0];

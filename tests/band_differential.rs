@@ -42,7 +42,7 @@ use std::collections::BTreeMap;
 use defi_liquidations_suite::chain::Ledger;
 use defi_liquidations_suite::core::position::Position;
 use defi_liquidations_suite::lending::book::{
-    BookSource, EnvelopeAnchor, HfEnvelope, PositionBook,
+    reference_totals, BookSource, EnvelopeAnchor, HfEnvelope, PositionBook,
 };
 use defi_liquidations_suite::lending::interest::InterestRateModel;
 use defi_liquidations_suite::lending::{
@@ -70,17 +70,28 @@ fn releverage() -> Wad {
 // ---------------------------------------------------------------------------
 
 /// Compare one platform's banded surfaces against the cache-less shadow.
-/// `full` additionally compares the whole cached book (the expensive check,
-/// run periodically).
+/// `sampled` (a tick the engine took a volume sample on) also compares the
+/// volume totals with the per-token reference, before any full query could
+/// drain lazily stale valuations; `full` additionally compares the whole
+/// cached book (the expensive check, run periodically).
 fn audit_platform(
     scenario: &str,
     tick: u64,
     platform: Platform,
     protocol: &mut dyn LendingProtocol,
     oracle: &PriceOracle,
+    sampled: bool,
     full: bool,
 ) {
     let shadow = protocol.reference_positions(oracle);
+
+    if sampled {
+        assert_eq!(
+            protocol.book_totals(oracle),
+            reference_totals(&shadow, oracle),
+            "{scenario} tick {tick}: {platform} volume totals diverged from the per-token reference"
+        );
+    }
 
     // Banded discovery == exhaustive HF < 1 scan, byte-identical positions.
     let exhaustive: Vec<(Address, Position)> = shadow
@@ -142,6 +153,7 @@ fn banded_discovery_matches_shadow_scan_across_every_catalog_scenario() {
             .with_named_scenario(&entry.name)
             .build()
             .session();
+        let interval = session.config().volume_sample_interval.max(1);
         let mut observer = NullObserver;
         let mut tick = 0u64;
         loop {
@@ -149,11 +161,22 @@ fn banded_discovery_matches_shadow_scan_across_every_catalog_scenario() {
                 .step(&mut observer)
                 .unwrap_or_else(|e| panic!("{}: step failed: {e}", entry.name));
             tick += 1;
+            // The step just run had tick index `tick - 1`; the engine
+            // samples volumes on multiples of the interval.
+            let sampled = (tick - 1).is_multiple_of(interval);
             let full = tick.is_multiple_of(5);
             for platform in session.platforms() {
                 session
                     .inspect_protocol(platform, |protocol, oracle| {
-                        audit_platform(&entry.name, tick, platform, protocol, oracle, full);
+                        audit_platform(
+                            &entry.name,
+                            tick,
+                            platform,
+                            protocol,
+                            oracle,
+                            sampled,
+                            full,
+                        );
                     })
                     .expect("platform registered");
             }
@@ -1001,6 +1024,7 @@ proptest! {
                 .collect();
             let banded = protocol.cached_liquidatable_accounts(&oracle);
             prop_assert_eq!(&banded, &exhaustive);
+            prop_assert_eq!(protocol.book_totals(&oracle), reference_totals(&shadow, &oracle));
 
             let expected_at_risk: Vec<Address> = shadow
                 .iter()

@@ -366,6 +366,7 @@ mod incremental_book {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     use defi_liquidations_suite::chain::Ledger;
+    use defi_liquidations_suite::lending::book::reference_totals;
     use defi_liquidations_suite::lending::{
         compound, maker_protocol, FixedSpreadProtocol, LendingProtocol, RELEVERAGE_BAND_HF,
         RESCUE_BAND_HF,
@@ -533,14 +534,9 @@ mod incremental_book {
                     .collect();
                 collateral_free |= scratch_book.iter().any(|p| p.collateral.is_empty());
                 let scratch_liquidatable = protocol.liquidatable_accounts(&oracle);
-                let scratch_total = protocol
-                    .positions(&oracle)
-                    .iter()
-                    .map(|p| p.total_collateral_value())
-                    .fold(Wad::ZERO, |acc, v| acc.saturating_add(v));
+                prop_assert_eq!(protocol.book_totals(&oracle), reference_totals(&scratch_book, &oracle));
                 prop_assert_eq!(protocol.cached_book(&oracle), scratch_book);
                 prop_assert_eq!(protocol.cached_liquidatable_accounts(&oracle), scratch_liquidatable);
-                prop_assert_eq!(protocol.total_collateral_value(&oracle), scratch_total);
             }
             if collateral_free {
                 COLLATERAL_FREE_CASES.fetch_add(1, Ordering::Relaxed);
@@ -699,15 +695,14 @@ mod incremental_book {
             )
             .unwrap();
 
-        // Volume totals from the default (rebuild) path and the cached path
-        // must agree.
+        // Volume totals from the cached path equal the per-token reference
+        // over the rebuilt book, exactly.
         let positions = protocol.book_positions(&oracle);
         let totals = protocol.book_totals(&oracle);
-        let fold = positions
-            .iter()
-            .map(|p| p.total_collateral_value())
-            .fold(Wad::ZERO, |acc, v| acc.saturating_add(v));
-        assert_eq!(totals.collateral_usd, fold);
+        assert_eq!(
+            totals,
+            reference_totals(&protocol.reference_positions(&oracle), &oracle)
+        );
         assert_eq!(totals.open_positions as usize, positions.len());
 
         // for_each_position visits the same book in the same order.
