@@ -6,9 +6,7 @@
 //! "If the liquidation is not profitable, the flash loan would not succeed")
 //! can be rolled back atomically, exactly like EVM revert semantics.
 
-use std::collections::HashMap;
-
-use defi_types::{Address, Token, Wad};
+use defi_types::{Address, FxHashMap, Token, Wad};
 
 /// Errors raised by ledger operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,7 +54,7 @@ struct JournalEntry {
 /// Account/token balance store with nested-checkpoint journaling.
 #[derive(Debug, Default, Clone)]
 pub struct Ledger {
-    balances: HashMap<(Address, Token), Wad>,
+    balances: FxHashMap<(Address, Token), Wad>,
     journal: Vec<JournalEntry>,
     checkpoints: Vec<usize>,
 }

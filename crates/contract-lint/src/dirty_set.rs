@@ -4,12 +4,12 @@
 //! gets one rule:
 //!
 //! * **`dirty-mark`** — in a module that owns a `PositionBook`, every
-//!   `&mut self` method that mutates an account store (a `HashMap`/`BTreeMap`
-//!   keyed by `Address`) must reach a `mark_dirty` call: either its own body
-//!   calls it, or *every* intra-file caller (transitively) does. The
-//!   call-graph propagation is what lets interior helpers like
-//!   `adjust_collateral` stay hook-free as long as all of their entry points
-//!   mark.
+//!   `&mut self` method that mutates an account store (a
+//!   `FxHashMap`/`HashMap`/`BTreeMap` keyed by `Address`) must reach a
+//!   `mark_dirty` call: either its own body calls it, or *every* intra-file
+//!   caller (transitively) does. The call-graph propagation is what lets
+//!   interior helpers like `adjust_collateral` stay hook-free as long as all
+//!   of their entry points mark.
 //! * **`dirty-accrue`** — every single-argument `.accrue(block)` call (the
 //!   `Market::accrue` shape; the three-argument `InterestRateIndex::accrue`
 //!   is not a contract point) must consume the returned moved-bit, and the
@@ -52,7 +52,9 @@ fn account_stores(map: &FileMap) -> Vec<String> {
             continue;
         }
         for f in &s.fields {
-            let is_map = f.ty.iter().any(|t| t == "HashMap" || t == "BTreeMap");
+            let is_map =
+                f.ty.iter()
+                    .any(|t| t == "FxHashMap" || t == "HashMap" || t == "BTreeMap");
             let keyed_by_address = f.ty.iter().any(|t| t == "Address");
             if is_map && keyed_by_address {
                 out.push(f.name.clone());

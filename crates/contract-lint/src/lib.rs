@@ -6,7 +6,7 @@
 //! was enforced only dynamically (the band-differential harness samples
 //! executions; its sabotage tests prove one missed hook silently corrupts
 //! liquidation discovery). This analyzer checks the contract at the source
-//! level, on every build, for all code that doesn't exist yet. Three rule
+//! level, on every build, for all code that doesn't exist yet. Four rule
 //! families:
 //!
 //! | rule | checks |
@@ -18,6 +18,7 @@
 //! | `fixed-float` | no f64 round-trips on fixed-point values in `crates/lending` (envelope-slack derivation allowlisted) |
 //! | `hot-unwrap` | no `unwrap`/`expect` in the gated hot paths |
 //! | `hot-index` | no panicking `[…]` indexing in the gated hot paths |
+//! | `hot-hasher` | no std `RandomState` `HashMap`/`HashSet` in the gated hot paths or the oracle |
 //! | `unused-waiver` | every `lint:allow` directive suppresses a real finding |
 //!
 //! Justified residue is waived inline with
@@ -45,6 +46,7 @@ use std::path::{Path, PathBuf};
 
 pub mod dirty_set;
 pub mod fixed_point;
+pub mod hasher;
 pub mod lexer;
 pub mod panic_free;
 pub mod scan;
@@ -68,6 +70,8 @@ pub enum Rule {
     HotUnwrap,
     /// No panicking indexing in gated hot paths.
     HotIndex,
+    /// No `RandomState` hash maps in gated hot paths or the oracle.
+    HotHasher,
     /// A `lint:allow` directive that suppressed nothing (or lacks a reason).
     UnusedWaiver,
 }
@@ -83,6 +87,7 @@ impl Rule {
             Rule::FixedFloat => "fixed-float",
             Rule::HotUnwrap => "hot-unwrap",
             Rule::HotIndex => "hot-index",
+            Rule::HotHasher => "hot-hasher",
             Rule::UnusedWaiver => "unused-waiver",
         }
     }
@@ -228,6 +233,12 @@ fn oracle_scope(path: &str) -> bool {
     path.starts_with("crates/oracle/src/")
 }
 
+/// Scope of the `hot-hasher` rule: the gated hot paths plus the oracle,
+/// whose price and epoch lookups every valuation makes.
+fn hasher_scope(path: &str) -> bool {
+    is_hot_path(path) || oracle_scope(path)
+}
+
 // ---------------------------------------------------------------- driver
 
 /// Lint one source file given its workspace-relative path.
@@ -257,6 +268,11 @@ pub fn lint_file(rel_path: &str, source: &str) -> Vec<Finding> {
     if is_hot_path(rel_path) {
         panic_free::check_unwrap(rel_path, &lexed.toks, &map, &mut findings);
         panic_free::check_index(rel_path, &lexed.toks, &map, &mut findings);
+    }
+
+    // Family 4: tick-path hashing.
+    if hasher_scope(rel_path) {
+        hasher::check_hasher(rel_path, &lexed.toks, &map, &mut findings);
     }
 
     apply_waivers(rel_path, &lexed.waivers, &mut findings);

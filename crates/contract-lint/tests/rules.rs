@@ -43,6 +43,21 @@ fn dirty_mark_fires_on_unmarked_store_mutation() {
 }
 
 #[test]
+fn dirty_mark_sees_fx_hashed_account_stores() {
+    let src = "
+        pub struct Accounts {
+            inner: PositionBook,
+            accounts: FxHashMap<Address, u64>,
+        }
+        impl Accounts {
+            pub fn deposit(&mut self, owner: Address, amount: u64) {
+                self.accounts.insert(owner, amount);
+            }
+        }";
+    assert_eq!(unwaived("crates/lending/src/bad.rs", src), ["dirty-mark"]);
+}
+
+#[test]
 fn dirty_mark_accepts_direct_mark() {
     let src = format!(
         "{BOOK_HEADER}
@@ -307,6 +322,52 @@ fn hot_index_allows_full_range_and_declarations() {
         pub fn all(v: &[u32]) -> &[u32] { &v[..] }
         pub fn build() -> [u32; 3] { [1, 2, 3] }";
     assert!(unwaived("crates/sim/src/session.rs", src).is_empty());
+}
+
+// ------------------------------------------------------------- hot-hasher
+
+#[test]
+fn hot_hasher_fires_on_random_state_imports_and_constructors() {
+    let src = "
+        use std::collections::{BTreeMap, HashMap};
+        use std::collections::HashSet;
+        pub fn build() -> Accounts {
+            let a = HashMap::new();
+            let b = HashSet::with_capacity(8);
+            let c: std::collections::HashMap<Token, u64> = Default::default();
+            Accounts { a, b, c }
+        }";
+    let fired = ["hot-hasher"; 5];
+    assert_eq!(unwaived("crates/oracle/src/oracle.rs", src), fired);
+    assert_eq!(unwaived("crates/lending/src/book.rs", src), fired);
+    assert_eq!(unwaived("crates/sim/src/engine.rs", src), fired);
+}
+
+#[test]
+fn hot_hasher_accepts_fx_maps_tests_and_cold_paths() {
+    let fx = "
+        use defi_types::{FxHashMap, FxHashSet};
+        use std::collections::hash_map::Entry;
+        pub struct Accounts { accounts: FxHashMap<Address, u64>, seen: FxHashSet<Token> }
+        pub fn build() -> Accounts {
+            let v: Vec<u64> = Vec::with_capacity(4);
+            Accounts { accounts: FxHashMap::default(), seen: FxHashSet::default() }
+        }";
+    assert!(unwaived("crates/lending/src/good.rs", fx).is_empty());
+
+    let std_map = "
+        use std::collections::HashSet;
+        pub fn unique() -> HashSet<u64> { HashSet::new() }";
+    assert!(unwaived("crates/sim/src/agents.rs", std_map).is_empty());
+    assert!(unwaived("crates/analytics/src/report.rs", std_map).is_empty());
+
+    let in_test = "
+        #[cfg(test)]
+        mod tests {
+            use std::collections::HashSet;
+            fn unique() -> HashSet<u64> { HashSet::new() }
+        }";
+    assert!(unwaived("crates/chain/src/ledger.rs", in_test).is_empty());
 }
 
 // ---------------------------------------------------------- unused-waiver

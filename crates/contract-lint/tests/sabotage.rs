@@ -61,6 +61,11 @@ fn rejects_valuation_layer_float() {
 }
 
 #[test]
+fn rejects_random_state_map_on_the_oracle() {
+    assert_rejects("std_hasher", "hot-hasher");
+}
+
+#[test]
 fn accepts_the_clean_control_tree() {
     let (code, stdout) = lint_tree("clean");
     assert_eq!(code, Some(0), "clean tree must pass, report:\n{stdout}");

@@ -102,12 +102,12 @@
 //! test (`tests/property_tests.rs`) asserts cache ≡ rebuild after arbitrary
 //! operation interleavings.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound;
 
 use defi_core::position::Position;
 use defi_oracle::PriceOracle;
-use defi_types::{Address, Token, Wad};
+use defi_types::{Address, FxHashMap, Token, Wad};
 
 /// Health factor below which the engine's borrower-management pass considers
 /// a position a rescue-repay candidate, and the default lower edge of the
@@ -628,29 +628,29 @@ struct BookShard {
     dirty: BTreeSet<Address>,
     /// token → multivariate accounts with *no* certified envelope: they
     /// re-value eagerly on every price move of the token (the exact path).
-    multi_unbanded: HashMap<Token, BTreeSet<Address>>,
+    multi_unbanded: FxHashMap<Token, BTreeSet<Address>>,
     /// token → critical-price-indexed accounts exposed to it (walked only by
     /// full refreshes to freshen lazily staled valuations).
-    indexed_holders: HashMap<Token, BTreeSet<Address>>,
+    indexed_holders: FxHashMap<Token, BTreeSet<Address>>,
     /// token → accounts owing index-accruing debt in it. Each debtor sits in
     /// exactly one regime per debt token: `index_caps` or `index_uncovered`.
-    debtors: HashMap<Token, BTreeSet<Address>>,
+    debtors: FxHashMap<Token, BTreeSet<Address>>,
     /// Cap index: token → `(certified borrow-index cap, debtor)` in cap
     /// order. An index write `I` breaks exactly the caps with `cap < I`.
-    index_caps: HashMap<Token, BTreeSet<(u128, Address)>>,
+    index_caps: FxHashMap<Token, BTreeSet<(u128, Address)>>,
     /// token → debtors whose valuation carries *no* cap for it (no envelope:
     /// an accepted envelope caps every debt market) — re-valued on every
     /// move of the market's index.
-    index_uncovered: HashMap<Token, BTreeSet<Address>>,
+    index_uncovered: FxHashMap<Token, BTreeSet<Address>>,
     /// token → (critical raw price → accounts); liquidatable ⇔ price < crit.
-    critical: HashMap<Token, BTreeMap<u128, BTreeSet<Address>>>,
+    critical: FxHashMap<Token, BTreeMap<u128, BTreeSet<Address>>>,
     /// Interval index, lower edges: token → `(envelope lo bound, banded
     /// holder)` in bound order, one pair per bounded holder. A price write
     /// `p` breaks exactly the bounds with `lo > p`.
-    env_lo: HashMap<Token, BTreeSet<(u128, Address)>>,
+    env_lo: FxHashMap<Token, BTreeSet<(u128, Address)>>,
     /// Interval index, upper edges: token → `(envelope hi bound, banded
     /// holder)`. A price write `p` breaks exactly the bounds with `hi < p`.
-    env_hi: HashMap<Token, BTreeSet<(u128, Address)>>,
+    env_hi: FxHashMap<Token, BTreeSet<(u128, Address)>>,
     /// Liquidatable accounts among the non-indexed population.
     live: BTreeSet<Address>,
     /// Non-indexed observable-book accounts in an at-risk band (below

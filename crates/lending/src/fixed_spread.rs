@@ -9,13 +9,15 @@
 //! factor, insurance fund) are configuration — see [`crate::platforms`].
 
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use defi_chain::{ChainEvent, Ledger, LiquidationEvent};
 use defi_core::params::RiskParams;
 use defi_core::position::{CollateralHolding, DebtHolding, Position};
 use defi_oracle::PriceOracle;
-use defi_types::{mul_div_ceil, mul_div_floor, Address, BlockNumber, Platform, Token, Wad, WAD};
+use defi_types::{
+    mul_div_ceil, mul_div_floor, Address, BlockNumber, FxHashMap, Platform, Token, Wad, WAD,
+};
 
 use crate::book::{BookSource, BookStats, BookTotals, EnvelopeAnchor, HfEnvelope, PositionBook};
 use crate::error::ProtocolError;
@@ -152,8 +154,8 @@ pub struct FixedSpreadProtocol {
     /// Ledger account holding the pool's funds.
     pub pool_address: Address,
     markets: BTreeMap<Token, Market>,
-    accounts: HashMap<Address, Account>,
-    last_liquidation_block: HashMap<Address, BlockNumber>,
+    accounts: FxHashMap<Address, Account>,
+    last_liquidation_block: FxHashMap<Address, BlockNumber>,
     /// Cumulative debt written off by the insurance fund (USD, diagnostics).
     pub insurance_written_off: Wad,
     /// Incremental valuation cache (see [`crate::book`]).
@@ -166,7 +168,7 @@ pub struct FixedSpreadProtocol {
 struct FixedSpreadView<'a> {
     platform: Platform,
     markets: &'a BTreeMap<Token, Market>,
-    accounts: &'a HashMap<Address, Account>,
+    accounts: &'a FxHashMap<Address, Account>,
 }
 
 impl BookSource for FixedSpreadView<'_> {
@@ -528,8 +530,8 @@ impl FixedSpreadProtocol {
             config,
             pool_address,
             markets: BTreeMap::new(),
-            accounts: HashMap::new(),
-            last_liquidation_block: HashMap::new(),
+            accounts: FxHashMap::default(),
+            last_liquidation_block: FxHashMap::default(),
             insurance_written_off: Wad::ZERO,
             book: PositionBook::new(),
         }

@@ -19,13 +19,13 @@
 //! mechanism plus the mempool model in `defi-chain`.
 
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use defi_chain::{AuctionId, AuctionPhase, ChainEvent, Ledger};
 use defi_core::mechanism::AuctionParams;
 use defi_core::position::{CollateralHolding, DebtHolding, Position};
 use defi_oracle::PriceOracle;
-use defi_types::{mul_div_ceil, Address, BlockNumber, Platform, Token, Wad, WAD};
+use defi_types::{mul_div_ceil, Address, BlockNumber, FxHashMap, Platform, Token, Wad, WAD};
 
 use crate::book::{BookSource, BookStats, BookTotals, PositionBook};
 use crate::error::ProtocolError;
@@ -148,7 +148,7 @@ pub struct MakerProtocol {
     /// Ledger account holding locked collateral and escrowed DAI.
     pub pool_address: Address,
     ilks: BTreeMap<Token, IlkParams>,
-    cdps: HashMap<Address, Cdp>,
+    cdps: FxHashMap<Address, Cdp>,
     auctions: BTreeMap<AuctionId, Auction>,
     auction_params: AuctionParams,
     next_auction_id: AuctionId,
@@ -160,7 +160,7 @@ pub struct MakerProtocol {
 /// Borrow-view of the CDP state handed to the [`PositionBook`].
 struct MakerView<'a> {
     ilks: &'a BTreeMap<Token, IlkParams>,
-    cdps: &'a HashMap<Address, Cdp>,
+    cdps: &'a FxHashMap<Address, Cdp>,
 }
 
 impl BookSource for MakerView<'_> {
@@ -287,7 +287,7 @@ impl MakerProtocol {
         MakerProtocol {
             pool_address: Address::from_label("makerdao-vat"),
             ilks: BTreeMap::new(),
-            cdps: HashMap::new(),
+            cdps: FxHashMap::default(),
             auctions: BTreeMap::new(),
             auction_params,
             next_auction_id: 1,

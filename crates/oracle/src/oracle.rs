@@ -14,9 +14,8 @@
 //! updates (§4.4.2).
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
-use defi_types::{BlockNumber, Price, Token, Wad};
+use defi_types::{BlockNumber, FxHashMap, Price, Token, Wad};
 
 /// One historical oracle write.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -64,12 +63,12 @@ impl OracleConfig {
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct PriceOracle {
     config: OracleConfig,
-    current: HashMap<Token, Price>,
-    history: HashMap<Token, Vec<PricePoint>>,
+    current: FxHashMap<Token, Price>,
+    history: FxHashMap<Token, Vec<PricePoint>>,
     /// Bumped by one on every on-chain write (any token).
     epoch: u64,
     /// The epoch of each token's most recent write.
-    token_epochs: HashMap<Token, u64>,
+    token_epochs: FxHashMap<Token, u64>,
 }
 
 impl PriceOracle {
@@ -77,10 +76,10 @@ impl PriceOracle {
     pub fn new(config: OracleConfig) -> Self {
         PriceOracle {
             config,
-            current: HashMap::new(),
-            history: HashMap::new(),
+            current: FxHashMap::default(),
+            history: FxHashMap::default(),
             epoch: 0,
-            token_epochs: HashMap::new(),
+            token_epochs: FxHashMap::default(),
         }
     }
 
@@ -196,12 +195,6 @@ impl PriceOracle {
         let mut tokens: Vec<Token> = self.current.keys().copied().collect();
         tokens.sort();
         tokens
-    }
-
-    /// Snapshot of all current prices (used by state snapshots for the
-    /// sensitivity analysis, Algorithm 1).
-    pub fn snapshot(&self) -> HashMap<Token, Price> {
-        self.current.clone()
     }
 
     /// Total number of writes across all tokens (diagnostics, §4.5.2 block
@@ -321,9 +314,9 @@ mod tests {
         let mut oracle = PriceOracle::new(OracleConfig::default());
         oracle.set_price(1, Token::ETH, usd(100.0));
         oracle.set_price(1, Token::DAI, usd(1.0));
-        let snap = oracle.snapshot();
-        assert_eq!(snap.len(), 2);
         assert_eq!(oracle.tokens(), vec![Token::ETH, Token::DAI]);
+        assert_eq!(oracle.price(Token::ETH), Some(usd(100.0)));
+        assert_eq!(oracle.price(Token::DAI), Some(usd(1.0)));
         assert_eq!(oracle.total_writes(), 2);
     }
 }

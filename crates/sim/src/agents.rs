@@ -61,8 +61,6 @@ pub struct BorrowerAgent {
     /// behavioural thresholds. Only acted on when the
     /// [`BehaviorConfig`](crate::BehaviorConfig) layer is enabled.
     pub panic_exiter: bool,
-    /// Whether the position has been closed/abandoned (no further management).
-    pub retired: bool,
 }
 
 /// A liquidation bot watching one or more fixed-spread platforms.
@@ -200,7 +198,6 @@ pub fn sample_borrower(
         target_collateralization,
         active_manager: rng.gen_bool(population.active_manager_share.clamp(0.0, 1.0)),
         panic_exiter: rng.gen_bool(panic_share.clamp(0.0, 1.0)),
-        retired: false,
     }
 }
 

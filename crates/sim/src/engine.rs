@@ -16,7 +16,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use defi_amm::Dex;
 use defi_chain::{
@@ -29,7 +29,7 @@ use defi_lending::{
     Opportunity,
 };
 use defi_oracle::{MarketScenario, OracleConfig, PriceOracle, ScenarioEvent};
-use defi_types::{Address, BlockNumber, Platform, Token, Wad};
+use defi_types::{Address, BlockNumber, FxHashMap, Platform, Token, Wad};
 
 use crate::agents::{
     sample_borrower, sample_keepers, sample_liquidators, BorrowerAgent, KeeperAgent,
@@ -108,25 +108,29 @@ pub struct SimulationEngine {
     /// Every protocol behind the unified trait, keyed by platform.
     pub(crate) protocols: ProtocolRegistry,
     borrowers: Vec<BorrowerAgent>,
+    /// `(platform, address)` → position of that agent in `borrowers`.
+    borrower_index: FxHashMap<(Platform, Address), usize>,
+    /// Agents in `borrowers` per platform (no agent ever leaves).
+    borrowers_per_platform: FxHashMap<Platform, usize>,
     liquidators: Vec<LiquidatorAgent>,
     keepers: Vec<KeeperAgent>,
-    borrower_counter: HashMap<Platform, u64>,
+    borrower_counter: FxHashMap<Platform, u64>,
     /// Active platform-specific oracle irregularities:
     /// (platform, token, multiplier, last block).
     irregularities: Vec<(Platform, Token, f64, BlockNumber)>,
     /// Per-tick index of the active irregularities, rebuilt once per tick so
     /// price application is a hash lookup instead of a linear scan.
-    irregularity_index: HashMap<(Platform, Token), f64>,
+    irregularity_index: FxHashMap<(Platform, Token), f64>,
     pub(crate) volume_samples: Vec<VolumeSample>,
     auction_params_switched: bool,
     pub(crate) tick_index: u64,
     /// Health factor each settled liquidation's borrower had when the
     /// opportunity was discovered, keyed by the settlement event's index in
     /// the chain log (surfaced to observers for invariant checking).
-    pub(crate) liquidation_hf: HashMap<usize, Wad>,
+    pub(crate) liquidation_hf: FxHashMap<usize, Wad>,
     /// Health factor at bite time, keyed by auction id (resolved into
     /// `liquidation_hf` when the auction finalises).
-    auction_bite_hf: HashMap<u64, Wad>,
+    auction_bite_hf: FxHashMap<u64, Wad>,
     /// Collateral seized this tick, awaiting the sell-pressure pass
     /// (liquidation-spiral scenarios only).
     pending_sell_pressure: Vec<(Token, Wad)>,
@@ -239,16 +243,18 @@ impl SimulationEngine {
             flash_pools,
             protocols,
             borrowers: Vec::new(),
+            borrower_index: FxHashMap::default(),
+            borrowers_per_platform: FxHashMap::default(),
             liquidators,
             keepers,
-            borrower_counter: HashMap::new(),
+            borrower_counter: FxHashMap::default(),
             irregularities: Vec::new(),
-            irregularity_index: HashMap::new(),
+            irregularity_index: FxHashMap::default(),
             volume_samples: Vec::new(),
             auction_params_switched: false,
             tick_index: 0,
-            liquidation_hf: HashMap::new(),
-            auction_bite_hf: HashMap::new(),
+            liquidation_hf: FxHashMap::default(),
+            auction_bite_hf: FxHashMap::default(),
             pending_sell_pressure: Vec::new(),
             spiral_trader: Address::from_label("spiral-unwind"),
             opportunity_scratch: Vec::new(),
@@ -455,10 +461,10 @@ impl SimulationEngine {
                 rate *= 0.1;
             }
             let active = self
-                .borrowers
-                .iter()
-                .filter(|b| b.platform == platform && !b.retired)
-                .count();
+                .borrowers_per_platform
+                .get(&platform)
+                .copied()
+                .unwrap_or(0);
             if active >= population.max_borrowers {
                 continue;
             }
@@ -478,10 +484,21 @@ impl SimulationEngine {
                     self.config.behavior.panic_share,
                 );
                 if self.open_position_for(&borrower, block) {
+                    // A repeated address keeps resolving to its first agent.
+                    self.borrower_index
+                        .entry((platform, borrower.address))
+                        .or_insert(self.borrowers.len());
+                    *self.borrowers_per_platform.entry(platform).or_insert(0) += 1;
                     self.borrowers.push(borrower);
                 }
             }
         }
+    }
+
+    /// The borrower agent owning `owner`'s position on `platform`.
+    fn borrower(&self, platform: Platform, owner: Address) -> Option<&BorrowerAgent> {
+        let &index = self.borrower_index.get(&(platform, owner))?;
+        self.borrowers.get(index)
     }
 
     /// Open the borrower's position on-chain through the unified protocol
@@ -711,16 +728,9 @@ impl SimulationEngine {
         if !self.rng.gen_bool(0.10) {
             return;
         }
-        let Some(agent) = self
-            .borrowers
-            .iter()
-            .find(|b| b.address == owner && b.platform == platform)
-        else {
+        let Some(agent) = self.borrower(platform, owner) else {
             return;
         };
-        if agent.retired {
-            return;
-        }
         let address = agent.address;
         let debt_token = agent.debt_token;
         let Some(oracle) = self.oracles.get(&platform) else {
@@ -770,16 +780,9 @@ impl SimulationEngine {
         _block: BlockNumber,
         congested: bool,
     ) {
-        let Some(agent) = self
-            .borrowers
-            .iter()
-            .find(|b| b.address == owner && b.platform == platform)
-        else {
+        let Some(agent) = self.borrower(platform, owner) else {
             return;
         };
-        if agent.retired {
-            return;
-        }
         let active_manager = agent.active_manager;
         let panic_exiter = agent.panic_exiter;
         let address = agent.address;
@@ -1639,7 +1642,7 @@ impl SimulationEngine {
         let candidates: Vec<(Platform, Address, Token, Option<Token>)> = self
             .borrowers
             .iter()
-            .filter(|b| b.panic_exiter && !b.retired)
+            .filter(|b| b.panic_exiter)
             .map(|b| {
                 (
                     b.platform,

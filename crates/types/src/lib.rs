@@ -12,6 +12,8 @@
 //! * [`time`] — block-number ⇄ timestamp ⇄ calendar-month mapping used by the
 //!   measurement pipeline (the paper reports everything by block and month).
 //! * [`error`] — the shared arithmetic/domain error type.
+//! * [`hash`] — the deterministic Fx hasher and the [`FxHashMap`] /
+//!   [`FxHashSet`] aliases every tick-path keyed map uses.
 //!
 //! The types are deliberately `Copy` where cheap, `serde`-serialisable, and
 //! panic-free: all arithmetic that can overflow or divide by zero has
@@ -22,6 +24,7 @@
 pub mod address;
 pub mod error;
 pub mod fixed;
+pub mod hash;
 pub mod platform;
 pub mod time;
 pub mod token;
@@ -29,6 +32,7 @@ pub mod token;
 pub use address::{Address, TxHash};
 pub use error::TypeError;
 pub use fixed::{mul_div_ceil, mul_div_floor, Ray, SignedWad, Wad, RAY, WAD};
+pub use hash::{FxHashMap, FxHashSet};
 pub use platform::Platform;
 pub use time::{BlockNumber, MonthTag, TimeMap, Timestamp};
 pub use token::{Token, TokenAmount, TokenInfo, TokenRegistry};
