@@ -47,9 +47,9 @@
 //! epoch-based on both axes: each valuation records the oracle write epoch
 //! and the book's borrow-index epoch it was computed at, and it is stale
 //! once a token it holds is written, or a market it owes accrues, after
-//! that. Discovery re-values exactly the members it returns, and full
-//! refreshes walk the holders of moved tokens and the debtors of moved
-//! markets, comparing each valuation's epochs against theirs. The lazy
+//! that. Those two epochs are the only staleness record: discovery
+//! re-values exactly the members it returns, and full refreshes walk the
+//! entries in address order and freshen every one whose epochs lag. The lazy
 //! freshening path is picked by what certifies the verdict, one path each:
 //!
 //! * an **envelope-held** account whose certified envelope still covers the
@@ -283,8 +283,8 @@ pub struct BookStats {
     /// and cap indexes are counted in `envelope_skips` by subtraction and
     /// never examined.
     pub envelope_checks: u64,
-    /// Times the always-on stale invariant (after every rewind and full
-    /// drain, no valuation may lag a price or index epoch) was found
+    /// Times the always-on stale invariant (after every full drain, no
+    /// valuation may lag a price or index epoch) was found
     /// violated — and repaired. Must stay 0; the band-differential harness
     /// asserts it.
     pub stale_violations: u64,
@@ -604,18 +604,11 @@ struct FlushCtx<'a> {
     /// `(token, current raw borrow index)` for every market whose index
     /// advanced since the last flush.
     index_moves: &'a [(Token, Option<u128>)],
-    /// `(token, write epoch)` for every token whose price changed since the
-    /// last *full* refresh — drives the lazy-valuation freshening pass.
-    full_changed: &'a [(Token, u64)],
-    /// `(market, index epoch)` for every market whose borrow index moved
-    /// since the last *full* refresh — the index half of the same pass.
-    full_index_changed: &'a [(Token, u64)],
     /// Band thresholds and the index clock.
     clock: &'a BookClock,
-    /// Bring every cached valuation exact (drain lazy staleness).
-    full: bool,
-    /// The oracle epoch ran backwards: nothing can be trusted.
-    rewind: bool,
+    /// Bring every cached valuation exact (drain lazy staleness): set when a
+    /// full query finds a price or borrow index moved since the last drain.
+    drain: bool,
 }
 
 /// One address-range shard: every per-account structure of the book, owned
@@ -629,14 +622,10 @@ struct BookShard {
     /// token → multivariate accounts with *no* certified envelope: they
     /// re-value eagerly on every price move of the token (the exact path).
     multi_unbanded: FxHashMap<Token, BTreeSet<Address>>,
-    /// token → critical-price-indexed accounts exposed to it (walked only by
-    /// full refreshes to freshen lazily staled valuations).
-    indexed_holders: FxHashMap<Token, BTreeSet<Address>>,
-    /// token → accounts owing index-accruing debt in it. Each debtor sits in
-    /// exactly one regime per debt token: `index_caps` or `index_uncovered`.
-    debtors: FxHashMap<Token, BTreeSet<Address>>,
     /// Cap index: token → `(certified borrow-index cap, debtor)` in cap
     /// order. An index write `I` breaks exactly the caps with `cap < I`.
+    /// Each debtor sits in exactly one regime per debt token: `index_caps`
+    /// or `index_uncovered`.
     index_caps: FxHashMap<Token, BTreeSet<(u128, Address)>>,
     /// token → debtors whose valuation carries *no* cap for it (no envelope:
     /// an accepted envelope caps every debt market) — re-valued on every
@@ -688,27 +677,6 @@ impl BookShard {
     /// Fold this shard's share of the pending invalidations into
     /// re-valuations. Touches nothing outside the shard.
     fn flush<S: BookSource>(&mut self, source: &S, oracle: &PriceOracle, ctx: &FlushCtx<'_>) {
-        if ctx.rewind {
-            // The book is being driven by a different (or rewound) oracle
-            // instance: nothing can be trusted, re-value everything.
-            let mut batch = std::mem::take(&mut self.scratch_addresses);
-            let batch_cap = batch.capacity();
-            batch.clear();
-            batch.extend(self.entries.keys().copied());
-            batch.extend(self.dirty.iter().copied());
-            self.dirty.clear();
-            batch.sort_unstable();
-            batch.dedup();
-            self.envelope_checks += batch.len() as u64;
-            for &address in &batch {
-                self.revalue(source, oracle, address, ctx.clock);
-            }
-            self.check_stale_invariant(source, oracle, ctx.clock, &batch);
-            self.scratch_grows += (batch.capacity() > batch_cap) as u64;
-            self.scratch_addresses = batch;
-            return;
-        }
-
         if !self.dirty.is_empty() || !ctx.changed_prices.is_empty() || !ctx.index_moves.is_empty() {
             let mut batch = std::mem::take(&mut self.scratch_addresses);
             let batch_cap = batch.capacity();
@@ -745,30 +713,23 @@ impl BookShard {
             // this accrual break?" into one range scan plus the debtors that
             // carry no cap. Every debtor sits in exactly one of the two
             // regimes, so the survivors are the capped debtors the scan did
-            // not return.
+            // not return. A market with no index to compare caps against
+            // breaks every cap.
             for &(token, current) in ctx.index_moves {
-                let Some(index) = current else {
-                    // No index to compare caps against: every debtor
-                    // re-values.
-                    if let Some(holders) = self.debtors.get(&token) {
-                        batch.extend(holders.iter().copied());
-                    }
-                    continue;
-                };
+                let broken_below = current.map_or(Bound::Unbounded, |index| {
+                    Bound::Excluded((index, Address::ZERO))
+                });
                 let mut broken_capped = 0usize;
-                if let Some(caps) = self.index_caps.get(&token) {
-                    for &(_, address) in
-                        caps.range((Bound::Unbounded, Bound::Excluded((index, Address::ZERO))))
-                    {
+                let caps = self.index_caps.get(&token);
+                if let Some(caps) = caps {
+                    for &(_, address) in caps.range((Bound::Unbounded, broken_below)) {
                         broken_capped += 1;
                         batch.push(address);
                     }
                 }
-                let uncovered = self.index_uncovered.get(&token);
-                let debtors = self.debtors.get(&token).map_or(0, BTreeSet::len);
-                let capped = debtors.saturating_sub(uncovered.map_or(0, BTreeSet::len));
+                let capped = caps.map_or(0, BTreeSet::len);
                 self.envelope_skips += capped.saturating_sub(broken_capped) as u64;
-                if let Some(holders) = uncovered {
+                if let Some(holders) = self.index_uncovered.get(&token) {
                     batch.extend(holders.iter().copied());
                 }
             }
@@ -784,56 +745,21 @@ impl BookShard {
             self.scratch_addresses = batch;
         }
 
-        if ctx.full && (!ctx.full_changed.is_empty() || !ctx.full_index_changed.is_empty()) {
-            // Freshen the valuations the indexes left untouched: debtors of
-            // moved markets whose index epoch lags the market's, and holders
-            // of moved tokens whose valuation epoch lags the token's write
-            // epoch. Their band verdicts never went stale. One market's or
-            // token's candidates are disjoint and are freshened, in address
-            // order, before the next source is collected — so an account
-            // lagging on several axes is freshened once.
+        if ctx.drain {
+            // Freshen the valuations the indexes left lazily stale, read off
+            // each entry's own epochs in one address-order pass. Their band
+            // verdicts never went stale.
             let mut batch = std::mem::take(&mut self.scratch_addresses);
             let batch_cap = batch.capacity();
             batch.clear();
-            for &(token, market_epoch) in ctx.full_index_changed {
-                let start = batch.len();
-                if let Some(debtors) = self.debtors.get(&token) {
-                    let entries = &self.entries;
-                    batch.extend(debtors.iter().copied().filter(|address| {
-                        entries
-                            .get(address)
-                            .is_some_and(|e| e.index_epoch < market_epoch)
-                    }));
-                }
-                for &address in batch.get(start..).unwrap_or_default() {
-                    self.refresh(source, oracle, address, ctx.clock);
-                }
-            }
-            for &(token, token_epoch) in ctx.full_changed {
-                let start = batch.len();
-                {
-                    let entries = &self.entries;
-                    let lagging = |address: &Address| {
-                        entries
-                            .get(address)
-                            .is_some_and(|e| e.valued_epoch < token_epoch)
-                    };
-                    if let Some(holders) = self.indexed_holders.get(&token) {
-                        batch.extend(holders.iter().copied().filter(lagging));
-                    }
-                    if let Some(bounds) = self.env_lo.get(&token) {
-                        batch.extend(bounds.iter().map(|&(_, address)| address).filter(lagging));
-                    }
-                    if let Some(holders) = self.multi_unbanded.get(&token) {
-                        batch.extend(holders.iter().copied().filter(lagging));
-                    }
-                }
-                if let Some(segment) = batch.get_mut(start..) {
-                    segment.sort_unstable();
-                }
-                for &address in batch.get(start..).unwrap_or_default() {
-                    self.refresh(source, oracle, address, ctx.clock);
-                }
+            batch.extend(
+                self.entries
+                    .iter()
+                    .filter(|(_, entry)| entry.is_stale(oracle, ctx.clock))
+                    .map(|(&address, _)| address),
+            );
+            for &address in &batch {
+                self.refresh(source, oracle, address, ctx.clock);
             }
             self.check_stale_invariant(source, oracle, ctx.clock, &batch);
             self.scratch_grows += (batch.capacity() > batch_cap) as u64;
@@ -841,14 +767,12 @@ impl BookShard {
         }
     }
 
-    /// The always-on stale invariant: after a rewind or a full drain, no
-    /// valuation may lag a price or index epoch. Checks the accounts the
-    /// pass just brought current, so the healthy path costs no extra walk;
-    /// in release builds (where benches and `repro` run) a lagging one is
-    /// counted — the band-differential harness asserts the counter stays
-    /// zero — and repaired by a full revalue, so the book cannot keep
-    /// serving it. Debug builds also check every entry of the shard, which
-    /// catches an account missing from the membership sets the drain walks.
+    /// The always-on stale invariant: after a full drain, no valuation may
+    /// lag a price or index epoch. Checks the accounts the drain just
+    /// brought current, so the healthy path costs no extra walk; a lagging
+    /// one is counted — the band-differential harness asserts the counter
+    /// stays zero — and repaired by a full revalue, so the book cannot keep
+    /// serving it.
     fn check_stale_invariant<S: BookSource>(
         &mut self,
         source: &S,
@@ -866,12 +790,6 @@ impl BookShard {
                 self.revalue(source, oracle, address, clock);
             }
         }
-        debug_assert!(
-            self.entries
-                .values()
-                .all(|entry| !entry.is_stale(oracle, clock)),
-            "a full drain left a lagging valuation"
-        );
     }
 
     // ----------------------------------------------------------- revaluation
@@ -1062,36 +980,29 @@ impl BookShard {
         };
 
         // Drop the account's old membership from every exposure index; the
-        // fresh valuation re-inserts below. Membership is exclusive: indexed
-        // accounts live in `indexed_holders`, banded ones in the interval
-        // index, the rest in `multi_unbanded`.
-        let was_indexed = old_critical.is_some();
-        if was_indexed {
-            for token in &old_tokens {
-                if let Some(holders) = self.indexed_holders.get_mut(token) {
-                    holders.remove(&address);
+        // fresh valuation re-inserts below. Membership is exclusive: banded
+        // accounts live in the interval index, other multivariate ones in
+        // `multi_unbanded`, and critical-price accounts in neither (the
+        // critical index watches them).
+        if old_critical.is_none() {
+            if let Some(env) = &old_envelope {
+                for &(token, lo, hi) in &env.price_bounds {
+                    if let Some(bounds) = self.env_lo.get_mut(&token) {
+                        bounds.remove(&(lo, address));
+                    }
+                    if let Some(bounds) = self.env_hi.get_mut(&token) {
+                        bounds.remove(&(hi, address));
+                    }
                 }
-            }
-        } else if let Some(env) = &old_envelope {
-            for &(token, lo, hi) in &env.price_bounds {
-                if let Some(bounds) = self.env_lo.get_mut(&token) {
-                    bounds.remove(&(lo, address));
-                }
-                if let Some(bounds) = self.env_hi.get_mut(&token) {
-                    bounds.remove(&(hi, address));
-                }
-            }
-        } else {
-            for token in &old_tokens {
-                if let Some(holders) = self.multi_unbanded.get_mut(token) {
-                    holders.remove(&address);
+            } else {
+                for token in &old_tokens {
+                    if let Some(holders) = self.multi_unbanded.get_mut(token) {
+                        holders.remove(&address);
+                    }
                 }
             }
         }
         for &token in &old_debt_list {
-            if let Some(debtors) = self.debtors.get_mut(&token) {
-                debtors.remove(&address);
-            }
             match old_envelope.as_ref().and_then(|env| env.index_cap(token)) {
                 Some(cap) => {
                     if let Some(caps) = self.index_caps.get_mut(&token) {
@@ -1192,7 +1103,6 @@ impl BookShard {
             self.totals.fold(&entry.position, true);
         }
         let new_critical = if exists { entry.critical } else { None };
-        let now_indexed = new_critical.is_some();
         if banded {
             entry.envelope = Some(envelope);
         } else {
@@ -1201,28 +1111,22 @@ impl BookShard {
 
         // Re-insert the fresh membership into the exposure indexes.
         if exists {
-            if now_indexed {
-                for token in &new_tokens {
-                    self.indexed_holders
-                        .entry(*token)
-                        .or_default()
-                        .insert(address);
-                }
-            } else if let Some(env) = &entry.envelope {
-                for &(token, lo, hi) in &env.price_bounds {
-                    self.env_lo.entry(token).or_default().insert((lo, address));
-                    self.env_hi.entry(token).or_default().insert((hi, address));
-                }
-            } else {
-                for token in &new_tokens {
-                    self.multi_unbanded
-                        .entry(*token)
-                        .or_default()
-                        .insert(address);
+            if new_critical.is_none() {
+                if let Some(env) = &entry.envelope {
+                    for &(token, lo, hi) in &env.price_bounds {
+                        self.env_lo.entry(token).or_default().insert((lo, address));
+                        self.env_hi.entry(token).or_default().insert((hi, address));
+                    }
+                } else {
+                    for token in &new_tokens {
+                        self.multi_unbanded
+                            .entry(*token)
+                            .or_default()
+                            .insert(address);
+                    }
                 }
             }
             for &token in &new_debt_tokens {
-                self.debtors.entry(token).or_default().insert(address);
                 match entry.envelope.as_ref().and_then(|env| env.index_cap(token)) {
                     Some(cap) => {
                         self.index_caps
@@ -1406,8 +1310,6 @@ pub struct PositionBook {
     scratch_changed: Vec<Token>,
     scratch_prices: Vec<(Token, u128)>,
     scratch_index_moves: Vec<(Token, Option<u128>)>,
-    scratch_full_changed: Vec<(Token, u64)>,
-    scratch_full_index_changed: Vec<(Token, u64)>,
     /// Flushes that found work, and nanoseconds spent doing it (phase
     /// attribution for the tick breakdown; see [`BookStats`]).
     flush_count: u64,
@@ -1439,8 +1341,6 @@ impl Default for PositionBook {
             scratch_changed: Vec::new(),
             scratch_prices: Vec::new(),
             scratch_index_moves: Vec::new(),
-            scratch_full_changed: Vec::new(),
-            scratch_full_index_changed: Vec::new(),
             flush_count: 0,
             flush_nanos: 0,
             visit_nanos: 0,
@@ -1480,8 +1380,7 @@ impl PositionBook {
     /// ilk (re)listing can alter thresholds/spreads of existing positions).
     pub fn invalidate_all(&mut self) {
         for shard in &mut self.shards {
-            let accounts: Vec<Address> = shard.entries.keys().copied().collect();
-            shard.dirty.extend(accounts);
+            shard.dirty.extend(shard.entries.keys().copied());
         }
     }
 
@@ -1549,15 +1448,14 @@ impl PositionBook {
         changed_prices.clear();
         let mut index_moves = std::mem::take(&mut self.scratch_index_moves);
         index_moves.clear();
-        let mut full_changed = std::mem::take(&mut self.scratch_full_changed);
-        full_changed.clear();
-        let mut full_index_changed = std::mem::take(&mut self.scratch_full_index_changed);
-        full_index_changed.clear();
         let mut index_tokens = std::mem::take(&mut self.pending_index_tokens);
 
         if rewind {
-            // Every account re-values at the current indexes below.
+            // The book is being driven by a different (or rewound) oracle
+            // instance: nothing can be trusted, so every account re-values
+            // as dirty at the current prices and indexes below.
             index_tokens.clear();
+            self.invalidate_all();
             self.synced_epoch = epoch;
             self.full_synced_epoch = epoch;
             self.full_synced_index_epoch = self.clock.index_epoch;
@@ -1589,44 +1487,29 @@ impl PositionBook {
                     index_moves.push((token, source.borrow_index(token)));
                 }
             }
-            if full && self.clock.index_epoch > self.full_synced_index_epoch {
-                let synced = self.full_synced_index_epoch;
-                full_index_changed.extend(
-                    self.clock
-                        .market_epochs
-                        .iter()
-                        .filter(|&&(_, market_epoch)| market_epoch > synced),
-                );
-                self.full_synced_index_epoch = self.clock.index_epoch;
-            }
-            if full && epoch > self.full_synced_epoch {
-                changed.clear();
-                oracle.collect_changed_since(self.full_synced_epoch, &mut changed);
-                full_changed.extend(
-                    changed
-                        .iter()
-                        .map(|&token| (token, oracle.token_epoch(token))),
-                );
-                self.full_synced_epoch = epoch;
-            }
+        }
+        // A full query drains only when a price or borrow index moved since
+        // the last drain, so a repeated one costs nothing.
+        let drain = full
+            && (epoch > self.full_synced_epoch
+                || self.clock.index_epoch > self.full_synced_index_epoch);
+        if drain {
+            self.full_synced_epoch = epoch;
+            self.full_synced_index_epoch = self.clock.index_epoch;
         }
 
         let any_work = rewind
             || !changed_prices.is_empty()
             || !index_moves.is_empty()
-            || !full_changed.is_empty()
-            || !full_index_changed.is_empty()
+            || drain
             || self.shards.iter().any(|shard| !shard.dirty.is_empty());
         if any_work {
             let flush_start = std::time::Instant::now();
             let ctx = FlushCtx {
                 changed_prices: &changed_prices,
                 index_moves: &index_moves,
-                full_changed: &full_changed,
-                full_index_changed: &full_index_changed,
                 clock: &self.clock,
-                full,
-                rewind,
+                drain,
             };
             for shard in &mut self.shards {
                 shard.flush(source, oracle, &ctx);
@@ -1640,8 +1523,6 @@ impl PositionBook {
         self.scratch_changed = changed;
         self.scratch_prices = changed_prices;
         self.scratch_index_moves = index_moves;
-        self.scratch_full_changed = full_changed;
-        self.scratch_full_index_changed = full_index_changed;
     }
 
     // --------------------------------------------------------------- queries
@@ -1798,11 +1679,16 @@ mod tests {
     /// ETH against a fixed par-valued debt, liquidatable below
     /// `debt × 1.5 / collateral` — the Maker shape, small enough to verify
     /// the book's bookkeeping in isolation.
+    #[derive(Default)]
     struct ToySource {
         accounts: BTreeMap<Address, (Wad, Wad)>, // collateral ETH, par debt
         /// Suppress critical prices: accounts then ride the multivariate
         /// (live-set) path.
         multivariate: bool,
+        /// Report the DAI debt as index-accruing debt while keeping the
+        /// default `borrow_index` (`None`): the no-index path of an index
+        /// move.
+        dai_debt: bool,
     }
 
     impl ToySource {
@@ -1857,7 +1743,11 @@ mod tests {
             }
         }
 
-        fn debt_tokens(&self, _position: &Position, _out: &mut Vec<Token>) {}
+        fn debt_tokens(&self, position: &Position, out: &mut Vec<Token>) {
+            if self.dai_debt && position.has_debt_in(Token::DAI) {
+                out.push(Token::DAI);
+            }
+        }
 
         fn critical_price(&self, account: Address, _position: &Position) -> Option<(Token, u128)> {
             if self.multivariate {
@@ -1875,10 +1765,7 @@ mod tests {
     }
 
     fn setup(n: u64) -> (ToySource, PositionBook, PriceOracle) {
-        let mut source = ToySource {
-            accounts: BTreeMap::new(),
-            multivariate: false,
-        };
+        let mut source = ToySource::default();
         let mut book = PositionBook::new();
         for i in 0..n {
             let address = Address::from_seed(i);
@@ -1943,6 +1830,28 @@ mod tests {
         assert_eq!(book.stats().revaluations, after_build + 50);
     }
 
+    /// A source without a borrow index gives an index move no caps to
+    /// compare against: every debtor re-values, on the critical-price path
+    /// and on the multivariate one alike, and the next full query finds
+    /// nothing left to freshen.
+    #[test]
+    fn index_moves_without_a_borrow_index_revalue_every_debtor() {
+        for multivariate in [false, true] {
+            let (mut source, mut book, oracle) = setup(12);
+            source.multivariate = multivariate;
+            source.dai_debt = true;
+            assert!(book.liquidatable_accounts(&source, &oracle).is_empty());
+            let built = book.stats().revaluations;
+            assert_eq!(built, 12);
+            book.note_index_change(Token::DAI);
+            assert!(book.liquidatable_accounts(&source, &oracle).is_empty());
+            assert_eq!(book.stats().revaluations, built + 12);
+            book.book_positions(&source, &oracle);
+            assert_eq!(book.stats().revaluations, built + 12);
+            assert_eq!(book.stats().stale_violations, 0);
+        }
+    }
+
     #[test]
     fn totals_track_mutations_and_removals() {
         let (mut source, mut book, oracle) = setup(10);
@@ -1970,10 +1879,7 @@ mod tests {
     /// per-token product — exactly the reference.
     #[test]
     fn totals_round_once_per_token() {
-        let mut source = ToySource {
-            accounts: BTreeMap::new(),
-            multivariate: false,
-        };
+        let mut source = ToySource::default();
         let mut book = PositionBook::new();
         // 10 ETH plus one raw unit each, at 3,000.5 USD: each holding is
         // worth 30,005 USD plus 3,000.5 raw units, truncated to 3,000.
@@ -2045,7 +1951,7 @@ mod tests {
         assert!(positions
             .iter()
             .all(|p| p.total_collateral_value() == Wad::from_int(2_500)));
-        // The always-on stale invariant held through rewind + drain.
+        // The always-on stale invariant never fired.
         assert_eq!(book.stats().stale_violations, 0);
     }
 
@@ -2056,8 +1962,8 @@ mod tests {
     #[test]
     fn extreme_prices_saturate_collateral_value_upward() {
         let mut source = ToySource {
-            accounts: BTreeMap::new(),
             multivariate: true,
+            ..ToySource::default()
         };
         let mut book = PositionBook::new();
         let whale = Address::from_seed(0);

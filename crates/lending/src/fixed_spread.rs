@@ -1616,6 +1616,31 @@ mod tests {
     fn cached_book_matches_scratch_and_skips_noop_ticks() {
         let (mut protocol, mut ledger, mut oracle, mut events) = setup();
         let borrower = paper_borrower(&mut protocol, &mut ledger, &oracle, &mut events);
+        // A quiet-band debtor (HF ≈ 1.67) whose certified envelope caps the
+        // USDC borrow index: accruals that hold the cap leave it lazily
+        // stale instead of re-valuing it.
+        let quiet = Address::from_seed(8);
+        ledger.mint(quiet, Token::ETH, Wad::from_int(5));
+        protocol
+            .deposit(
+                &mut ledger,
+                &mut events,
+                quiet,
+                Token::ETH,
+                Wad::from_int(5),
+            )
+            .unwrap();
+        protocol
+            .borrow(
+                &mut ledger,
+                &mut events,
+                &oracle,
+                1,
+                quiet,
+                Token::USDC,
+                Wad::from_int(8_400),
+            )
+            .unwrap();
 
         let cached = protocol.cached_book(&oracle);
         let scratch: Vec<Position> = protocol
@@ -1627,11 +1652,34 @@ mod tests {
 
         // No price moved, no op ran, no interest accrued: discovery and the
         // book answer from cache without a single re-valuation.
-        let before = protocol.book_stats().revaluations;
+        let before = protocol.book_stats();
         assert!(protocol.cached_liquidatable_accounts(&oracle).is_empty());
         let again = protocol.cached_book(&oracle);
-        assert_eq!(protocol.book_stats().revaluations, before);
+        let after = protocol.book_stats();
+        assert_eq!(after.revaluations, before.revaluations);
+        assert_eq!(after.flush_count, before.flush_count);
         assert_eq!(again, cached);
+
+        // An accrual whose caps all hold, with no price move. The paper
+        // borrower sits on the band edge with no envelope, so discovery
+        // re-values it eagerly; the quiet debtor lags, and the next full
+        // query freshens it exactly once through the light path. A
+        // repeated one finds nothing left to do.
+        protocol.accrue_all(2);
+        assert_eq!(
+            protocol.cached_liquidatable_accounts(&oracle),
+            protocol.liquidatable_accounts(&oracle)
+        );
+        let accrued = protocol.book_stats();
+        let fresh = protocol.cached_book(&oracle);
+        assert_eq!(fresh, protocol.reference_positions(&oracle));
+        let drained = protocol.book_stats();
+        let lagging = 1;
+        assert_eq!(drained.light_refreshes, accrued.light_refreshes + lagging);
+        assert_eq!(drained.revaluations, accrued.revaluations + lagging);
+        assert_eq!(drained.flush_count, accrued.flush_count + 1);
+        protocol.cached_book(&oracle);
+        assert_eq!(protocol.book_stats(), drained);
 
         // A crash re-flags exactly what the scratch filter flags…
         oracle.set_price(2, Token::ETH, Wad::from_int(3_300));

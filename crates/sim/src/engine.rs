@@ -1712,6 +1712,11 @@ impl SimulationEngine {
             .map(|token| oracle.price_or_zero(token).to_f64().max(1e-9))
             .unwrap_or(1.0);
         let amount = Wad::from_f64(repay_usd / debt_price);
+        // A dust debt can round the repay to nothing: there is no exit to
+        // submit, and no gas to bid for it.
+        if amount.is_zero() {
+            return;
+        }
         // Panicking borrowers bid hot — they want out *now*.
         let gas = self.chain.gas_market_mut().competitive_bid(0.3);
         self.chain.fund(address, debt_token, amount);

@@ -538,12 +538,22 @@ fn apply_setting(config: &mut SimConfig, key: &str, value: &str) -> Result<(), S
             Err(format!("value {parsed} for '{key}' is outside [0, 1]"))
         }
     }
+    /// A gas limit: a transaction that uses no gas leaves no gas context
+    /// to settle against.
+    fn gas(key: &str, value: &str) -> Result<u64, String> {
+        match parse(key, value)? {
+            0 => Err(format!(
+                "value 0 for '{key}' is not a gas limit (at least 1)"
+            )),
+            limit => Ok(limit),
+        }
+    }
     match key {
         "flash_loan_probability" => config.flash_loan_probability = unit(key, value)?,
         "stale_bot_share" => config.stale_bot_share = unit(key, value)?,
-        "liquidation_gas" => config.liquidation_gas = parse(key, value)?,
-        "auction_gas" => config.auction_gas = parse(key, value)?,
-        "user_op_gas" => config.user_op_gas = parse(key, value)?,
+        "liquidation_gas" => config.liquidation_gas = gas(key, value)?,
+        "auction_gas" => config.auction_gas = gas(key, value)?,
+        "user_op_gas" => config.user_op_gas = gas(key, value)?,
         "behavior.enabled" => config.behavior.enabled = parse(key, value)?,
         "behavior.liquidator_inventory_usd" => {
             config.behavior.liquidator_inventory_usd = finite(key, value)?;
@@ -913,8 +923,9 @@ behavior.liquidator_inventory_usd = 50000
             .unwrap_err();
         assert_eq!(err.line, 2, "shock without '@' is rejected");
 
-        // Non-finite and out-of-range values parse as f64 but configure
-        // nothing meaningful: each is rejected on its own line.
+        // Non-finite and out-of-range values, and zero gas limits, parse
+        // but configure nothing meaningful: each is rejected on its own
+        // line.
         for bad in [
             "shock = ETH @ 9716000 NaN 1000",
             "shock = ETH @ 9716000 inf 1000",
@@ -928,6 +939,9 @@ behavior.liquidator_inventory_usd = 50000
             "behavior.panic_deleverage_fraction = 1.01",
             "behavior.panic_hf = inf",
             "behavior.liquidator_inventory_usd = NaN",
+            "liquidation_gas = 0",
+            "auction_gas = 0",
+            "user_op_gas = 0",
         ] {
             let err = catalog
                 .add_user_entries(&format!("[scenario v]\n{bad}\n"))

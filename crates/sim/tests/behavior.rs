@@ -3,7 +3,10 @@
 //! identical RNG streams, and the per-agent capital accounting surfaces who
 //! ran out.
 
-use defi_sim::{BehaviorConfig, EngineBuilder, NullObserver, SimConfig, SimulationReport};
+use defi_sim::{
+    BehaviorConfig, EngineBuilder, InvariantObserver, NullObserver, ScenarioCatalog, SimConfig,
+    SimulationReport,
+};
 use defi_types::Wad;
 
 fn crash_run(seed: u64, behavior: BehaviorConfig) -> SimulationReport {
@@ -98,4 +101,37 @@ fn capital_crunch_catalog_entry_runs_the_behavioral_layer() {
     let behavior = report.behavior.as_ref().expect("behavior report");
     assert!(behavior.stats.opportunities_queued > 0);
     assert!(Wad::from_f64(behavior.stats.panic_sell_usd) >= Wad::ZERO);
+}
+
+/// Panic exits on every at-risk position, with no market-drop trigger: a
+/// dust debt rounds its repay to zero, and the exit must then submit
+/// nothing rather than a zero-amount repay the invariant observer flags.
+#[test]
+fn dust_panic_exits_submit_no_zero_amount_repay() {
+    let mut catalog = ScenarioCatalog::standard();
+    catalog
+        .add_user_entries(
+            "[scenario dust-panic]\ncompose = liquidation-spiral\n\
+             behavior.enabled = true\nbehavior.panic_market_drop = 0\n\
+             behavior.panic_probability = 1\nbehavior.panic_share = 1\n",
+        )
+        .expect("every value is in range");
+    let mut config = SimConfig::smoke_test(20_211_102);
+    config.end_block = 9_700_000;
+    let mut observer = InvariantObserver::new();
+    let report = EngineBuilder::new(config)
+        .with_catalog(catalog)
+        .with_named_scenario("dust-panic")
+        .build()
+        .session()
+        .run_to_end(&mut observer)
+        .expect("run");
+    let behavior = report.behavior.as_ref().expect("behavior report");
+    assert!(behavior.stats.panic_exits > 0, "panic exits ran");
+    assert!(
+        observer.is_clean(),
+        "{} invariant violation(s), first: {}",
+        observer.violations().len(),
+        observer.violations()[0]
+    );
 }

@@ -789,3 +789,66 @@ mod behavioral_agents {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Scenario-file parser robustness: every truncation and every single-byte
+// printable substitution of the shipped example either loads or fails with a
+// typed error on a line of the input — it never panics.
+// ---------------------------------------------------------------------------
+
+mod scenario_file_fuzz {
+    use defi_liquidations_suite::sim::ScenarioCatalog;
+
+    const EXAMPLE: &str = include_str!("../examples/scenarios/deep-crunch.txt");
+
+    /// Load `text` into a fresh standard catalog; an error must name a line
+    /// in `1..=line count + 1` (the line after the last reports a dangling
+    /// entry). Returns whether the text loaded.
+    fn loads(text: &str) -> bool {
+        match ScenarioCatalog::standard().add_user_entries(text) {
+            Ok(_) => true,
+            Err(err) => {
+                let lines = text.lines().count();
+                assert!(
+                    (1..=lines + 1).contains(&err.line),
+                    "line {} outside 1..={} for {text:?}: {err}",
+                    err.line,
+                    lines + 1
+                );
+                false
+            }
+        }
+    }
+
+    #[test]
+    fn truncated_and_substituted_scenario_files_parse_or_fail_typed() {
+        let (mut ok, mut failed) = (0usize, 0usize);
+        let mut tally = |loaded: bool| {
+            if loaded {
+                ok += 1;
+            } else {
+                failed += 1;
+            }
+        };
+        for end in (0..=EXAMPLE.len()).filter(|&end| EXAMPLE.is_char_boundary(end)) {
+            tally(loads(&EXAMPLE[..end]));
+        }
+        let mut bytes = EXAMPLE.as_bytes().to_vec();
+        for at in 0..bytes.len() {
+            let original = bytes[at];
+            if !original.is_ascii() {
+                continue;
+            }
+            for substitute in b' '..=b'~' {
+                if substitute == original {
+                    continue;
+                }
+                bytes[at] = substitute;
+                let text = std::str::from_utf8(&bytes).expect("an ASCII byte swap keeps UTF-8");
+                tally(loads(text));
+            }
+            bytes[at] = original;
+        }
+        assert!(ok > 0 && failed > 0, "{ok} loaded, {failed} failed");
+    }
+}
