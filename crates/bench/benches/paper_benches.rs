@@ -1,355 +1,24 @@
-//! Criterion benchmarks of the computational kernels behind each experiment.
+//! Book-scale regression guards on synthetic position books.
 //!
-//! One benchmark group per table/figure of the paper. Each group benchmarks
-//! the computation that regenerates the artefact (the simulation data is
-//! generated once, outside the timing loops); the `repro` binary prints the
-//! actual rows/series.
+//! Two criterion groups drive the per-tick position surface the engine uses
+//! (accrual, the banded at-risk pass, liquidation discovery and volume
+//! sampling) on books of 1k to 1M accounts: `positions_scale` (fixed-spread
+//! tick work, Maker discovery, no-op discovery) and `band_index`
+//! (accrual-only ticks, in-envelope price wiggles). The untimed asserts
+//! between the timed bodies are the guards. They run on every invocation,
+//! whatever the name filter selects, so CI runs them once in quick mode:
+//! `cargo bench -p defi-bench --bench paper_benches -- --test`.
+//!
+//! End-to-end timing of the study run, the scenario matrix and the
+//! 100k-account books lives in `perfbench/`.
 
 #![forbid(unsafe_code)]
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use std::collections::BTreeMap;
+use criterion::{criterion_group, criterion_main, Criterion};
 
-use defi_analytics::records::collect_records;
-use defi_analytics::{
-    auctions, bad_debt, flashloan, gas, overall, price_movement, profit_volume, sensitivity,
-    stablecoin, unprofitable,
-};
-use defi_bench::case_study::{run_case_study, CaseStudyInput};
-use defi_core::params::RiskParams;
-use defi_core::position::{CollateralHolding, DebtHolding, Position};
-use defi_core::sensitivity::SensitivityCurve;
-use defi_core::strategy::StrategyComparison;
-use defi_lending::{compound, InterestRateModel};
+use defi_lending::compound;
 use defi_oracle::{OracleConfig, PriceOracle};
-use defi_sim::{SimConfig, SimulationEngine, SimulationReport};
-use defi_types::{Address, Platform, Token, Wad};
-
-/// One shared smoke-scale simulation for every analytics benchmark.
-fn shared_report() -> &'static SimulationReport {
-    use std::sync::OnceLock;
-    static REPORT: OnceLock<SimulationReport> = OnceLock::new();
-    REPORT.get_or_init(|| SimulationEngine::new(SimConfig::smoke_test(77)).run())
-}
-
-/// A synthetic position book for the Algorithm 1 benchmarks.
-fn synthetic_book(count: u64) -> Vec<Position> {
-    (0..count)
-        .map(|i| {
-            Position::new(Address::from_seed(i))
-                .with_collateral(CollateralHolding {
-                    token: Token::ETH,
-                    amount: Wad::from_int(10),
-                    value_usd: Wad::from_int(20_000 + (i % 7) * 1_000),
-                    liquidation_threshold: Wad::from_f64(0.8),
-                    liquidation_spread: Wad::from_f64(0.08),
-                })
-                .with_collateral(CollateralHolding {
-                    token: Token::USDC,
-                    amount: Wad::from_int(5_000),
-                    value_usd: Wad::from_int(5_000),
-                    liquidation_threshold: Wad::from_f64(0.85),
-                    liquidation_spread: Wad::from_f64(0.04),
-                })
-                .with_debt(DebtHolding {
-                    token: Token::DAI,
-                    amount: Wad::from_int(12_000 + (i % 11) * 500),
-                    value_usd: Wad::from_int(12_000 + (i % 11) * 500),
-                })
-        })
-        .collect()
-}
-
-/// Figure 4 / Figure 5 / Table 1: ledger extraction and profit aggregation.
-fn bench_overall(c: &mut Criterion) {
-    let report = shared_report();
-    let records = collect_records(&report.chain, &report.market_oracle);
-    let mut group = c.benchmark_group("table1_fig4_fig5_overall");
-    group.bench_function("collect_records", |b| {
-        b.iter(|| collect_records(&report.chain, &report.market_oracle))
-    });
-    group.bench_function("table1", |b| b.iter(|| overall::table1(&records)));
-    group.bench_function("fig4_accumulative", |b| {
-        b.iter(|| overall::accumulative_collateral_sold(&records))
-    });
-    group.bench_function("fig5_monthly_profit", |b| {
-        b.iter(|| overall::monthly_profit(&records))
-    });
-    group.finish();
-}
-
-/// Figure 6: gas-price competition.
-fn bench_fig6_gas(c: &mut Criterion) {
-    let report = shared_report();
-    let records = collect_records(&report.chain, &report.market_oracle);
-    c.bench_function("fig6_gas_competition", |b| {
-        b.iter(|| gas::gas_competition(&report.chain, &records, 6_000))
-    });
-}
-
-/// Figure 7 / §4.3.3: auction statistics.
-fn bench_fig7_auctions(c: &mut Criterion) {
-    let report = shared_report();
-    let records = collect_records(&report.chain, &report.market_oracle);
-    let time_map = *report.chain.time_map();
-    c.bench_function("fig7_auction_stats", |b| {
-        b.iter(|| auctions::auction_stats(&report.chain, &records, &time_map))
-    });
-}
-
-/// Table 2 / Table 3: bad debts and unprofitable opportunities.
-fn bench_table2_table3(c: &mut Criterion) {
-    let report = shared_report();
-    let mut group = c.benchmark_group("table2_table3_bad_debt");
-    group.bench_function("table2_bad_debts", |b| {
-        b.iter(|| bad_debt::table2(&report.final_positions))
-    });
-    group.bench_function("table3_unprofitable", |b| {
-        b.iter(|| unprofitable::table3(&report.final_positions))
-    });
-    group.finish();
-}
-
-/// Table 4: flash-loan usage join.
-fn bench_table4_flash_loans(c: &mut Criterion) {
-    let report = shared_report();
-    c.bench_function("table4_flash_loans", |b| {
-        b.iter(|| flashloan::table4(&report.chain))
-    });
-}
-
-/// Figure 8: Algorithm 1 sensitivity sweeps at several book sizes.
-fn bench_fig8_sensitivity(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fig8_sensitivity");
-    for size in [100u64, 1_000, 5_000] {
-        let book = synthetic_book(size);
-        group.bench_function(format!("algorithm1_sweep_{size}_positions"), |b| {
-            b.iter(|| SensitivityCurve::compute(&book, Token::ETH, 100))
-        });
-    }
-    let report = shared_report();
-    group.bench_function("fig8_all_platforms", |b| {
-        b.iter(|| sensitivity::figure8(&report.final_positions, 50))
-    });
-    group.finish();
-}
-
-/// §4.5.2: stablecoin stability scan.
-fn bench_stablecoin_stability(c: &mut Criterion) {
-    let report = shared_report();
-    c.bench_function("stablecoin_stability", |b| {
-        b.iter(|| {
-            stablecoin::stablecoin_stability(
-                &report.market_oracle,
-                &[Token::DAI, Token::USDC, Token::USDT],
-                report.config.start_block,
-                report.snapshot_block,
-                report.config.tick_blocks,
-                0.05,
-            )
-        })
-    });
-}
-
-/// Figure 9 / Table 8: profit–volume comparison.
-fn bench_fig9_table8(c: &mut Criterion) {
-    let report = shared_report();
-    let records = collect_records(&report.chain, &report.market_oracle);
-    let time_map = *report.chain.time_map();
-    let mut group = c.benchmark_group("fig9_table8_profit_volume");
-    group.bench_function("fig9_comparison", |b| {
-        b.iter(|| profit_volume::figure9(&records, &report.volume_samples, &time_map))
-    });
-    group.bench_function("table8_monthly_counts", |b| {
-        b.iter(|| profit_volume::table8(&records))
-    });
-    group.finish();
-}
-
-/// Table 7: post-liquidation price-movement classification.
-fn bench_table7_price_movement(c: &mut Criterion) {
-    let report = shared_report();
-    let records = collect_records(&report.chain, &report.market_oracle);
-    c.bench_function("table7_price_movements", |b| {
-        b.iter(|| {
-            price_movement::table7(
-                &records,
-                &report.market_oracle,
-                1_440,
-                report.config.tick_blocks,
-            )
-        })
-    });
-}
-
-/// Tables 5–6 / §5.2: the optimal-strategy case study and the strategy math.
-fn bench_table5_table6_strategy(c: &mut Criterion) {
-    let mut group = c.benchmark_group("table5_table6_strategy");
-    group.bench_function("case_study_closed_form", |b| {
-        b.iter(|| run_case_study(&CaseStudyInput::default()))
-    });
-    let params = RiskParams::paper_example();
-    group.bench_function("algorithm2_strategy_comparison", |b| {
-        b.iter(|| StrategyComparison::evaluate(Wad::from_int(9_900), Wad::from_int(8_400), params))
-    });
-    group.finish();
-}
-
-/// Protocol substrate micro-benchmarks: a liquidation call on a populated pool.
-fn bench_liquidation_call(c: &mut Criterion) {
-    let mut oracle = PriceOracle::new(OracleConfig::every_update());
-    oracle.set_price(0, Token::ETH, Wad::from_int(3_500));
-    oracle.set_price(0, Token::USDC, Wad::ONE);
-
-    c.bench_function("protocol_liquidation_call", |b| {
-        b.iter_batched(
-            || {
-                // A fresh Compound pool with one liquidatable borrower.
-                let mut protocol = compound();
-                protocol.list_market(
-                    Token::ETH,
-                    RiskParams::new(0.8, 0.08, 0.5),
-                    InterestRateModel::default(),
-                    0,
-                );
-                let mut ledger = defi_chain::Ledger::new();
-                let mut events = Vec::new();
-                let lender = Address::from_seed(1);
-                ledger.mint(lender, Token::USDC, Wad::from_int(1_000_000));
-                protocol
-                    .deposit(
-                        &mut ledger,
-                        &mut events,
-                        lender,
-                        Token::USDC,
-                        Wad::from_int(1_000_000),
-                    )
-                    .unwrap();
-                let borrower = Address::from_seed(2);
-                ledger.mint(borrower, Token::ETH, Wad::from_int(3));
-                protocol
-                    .deposit(
-                        &mut ledger,
-                        &mut events,
-                        borrower,
-                        Token::ETH,
-                        Wad::from_int(3),
-                    )
-                    .unwrap();
-                protocol
-                    .borrow(
-                        &mut ledger,
-                        &mut events,
-                        &oracle,
-                        1,
-                        borrower,
-                        Token::USDC,
-                        Wad::from_int(8_000),
-                    )
-                    .unwrap();
-                let mut crash_oracle = oracle.clone();
-                crash_oracle.set_price(2, Token::ETH, Wad::from_int(3_000));
-                let liquidator = Address::from_seed(3);
-                ledger.mint(liquidator, Token::USDC, Wad::from_int(10_000));
-                (protocol, ledger, crash_oracle, borrower, liquidator)
-            },
-            |(mut protocol, mut ledger, crash_oracle, borrower, liquidator)| {
-                let mut events = Vec::new();
-                protocol
-                    .liquidation_call(
-                        &mut ledger,
-                        &mut events,
-                        &crash_oracle,
-                        2,
-                        liquidator,
-                        borrower,
-                        Token::USDC,
-                        Token::ETH,
-                        Wad::from_int(4_000),
-                        false,
-                    )
-                    .unwrap()
-            },
-            BatchSize::SmallInput,
-        )
-    });
-}
-
-/// End-to-end: ticks per second of the simulation engine (drives every other
-/// experiment's data generation).
-fn bench_simulation_ticks(c: &mut Criterion) {
-    let mut group = c.benchmark_group("simulation_engine");
-    group.sample_size(10);
-    group.bench_function("smoke_scenario_full_run", |b| {
-        b.iter(|| SimulationEngine::new(SimConfig::smoke_test(5)).run())
-    });
-    group.finish();
-}
-
-/// Session-loop throughput: the tick rate of the streaming run surface, with
-/// and without the full analytics collector attached. The smoke scenario is
-/// 333 ticks, so ticks/sec = 333 / (reported seconds per iteration). This is
-/// the perf baseline future PRs compare against.
-fn bench_session_loop(c: &mut Criterion) {
-    use defi_analytics::StudyCollector;
-    use defi_sim::NullObserver;
-
-    let ticks = SimConfig::smoke_test(5).tick_count();
-    let mut group = c.benchmark_group("session_loop");
-    group.sample_size(10);
-    group.bench_function(format!("null_observer_{ticks}_ticks"), |b| {
-        b.iter(|| {
-            SimulationEngine::new(SimConfig::smoke_test(5))
-                .session()
-                .run_to_end(&mut NullObserver)
-                .unwrap()
-        })
-    });
-    group.bench_function(format!("study_collector_{ticks}_ticks"), |b| {
-        b.iter(|| {
-            let mut collector = StudyCollector::new();
-            let report = SimulationEngine::new(SimConfig::smoke_test(5))
-                .session()
-                .run_to_end(&mut collector)
-                .unwrap();
-            (collector.into_analysis(), report)
-        })
-    });
-    group.finish();
-}
-
-/// Single-pass streaming analytics vs. the run-then-rescan pipeline. In CI's
-/// `--test` quick mode the streaming body doubles as a check: it must render
-/// the same headline as the batch pipeline.
-fn bench_streaming_vs_batch_analytics(c: &mut Criterion) {
-    use defi_analytics::StudyAnalysis;
-    use defi_bench::render::render_headline;
-
-    let mut group = c.benchmark_group("study_pipeline");
-    group.sample_size(10);
-    let expected = render_headline(&StudyAnalysis::from_report(
-        &SimulationEngine::new(SimConfig::smoke_test(6)).run(),
-    ));
-    group.bench_function("batch_run_then_from_report", |b| {
-        b.iter(|| {
-            let report = SimulationEngine::new(SimConfig::smoke_test(6)).run();
-            StudyAnalysis::from_report(&report)
-        })
-    });
-    group.bench_function("streaming_single_pass", |b| {
-        b.iter(|| {
-            let (streamed, report) =
-                StudyAnalysis::stream(SimulationEngine::new(SimConfig::smoke_test(6))).unwrap();
-            assert_eq!(
-                render_headline(&streamed),
-                expected,
-                "streamed analysis diverged from the batch pipeline"
-            );
-            (streamed, report)
-        })
-    });
-    group.finish();
-}
+use defi_types::{Address, Token, Wad};
 
 /// A populated fixed-spread pool with `n` borrowers at staggered health
 /// factors, plus the oracle it was built against — the synthetic book behind
@@ -483,7 +152,8 @@ fn bench_positions_scale(c: &mut Criterion) {
         let mut block = 10u64;
         // Warm: the first flush after pool construction values every account
         // exactly once; the row measures the steady-state incremental tick
-        // (in `--test` quick mode criterion runs one iteration, unwarmed).
+        // (in `--test` quick mode the stub makes one untimed warm-up call,
+        // then times one iteration).
         fixed_spread_tick_work(&mut protocol, &oracle, block);
         group.bench_function(format!("fixed_spread_tick_{n}_accounts"), |b| {
             b.iter(|| {
@@ -724,121 +394,5 @@ fn bench_band_index(c: &mut Criterion) {
     group.finish();
 }
 
-/// Baseline comparison for the mechanism-comparison experiment: close-factor
-/// ablation (50 % vs 100 % vs the optimal strategy) on a fixed position.
-fn bench_close_factor_ablation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_close_factor");
-    let collateral = Wad::from_int(9_900);
-    let debt = Wad::from_int(8_400);
-    for close_factor in [0.25, 0.5, 1.0] {
-        let params = RiskParams::new(0.8, 0.1, close_factor);
-        group.bench_function(format!("strategy_cf_{close_factor}"), |b| {
-            b.iter(|| StrategyComparison::evaluate(collateral, debt, params))
-        });
-    }
-    group.finish();
-}
-
-/// Journal subsystem: the write-side tax on the session loop (the recording
-/// overhead budget is <5% over a plain run — the measured pair is recorded
-/// in `BENCH_baseline.json`) and replay throughput from a pre-recorded
-/// journal through the full analytics collector.
-fn bench_journal(c: &mut Criterion) {
-    use defi_analytics::StudyAnalysis;
-    use defi_journal::{JournalReader, JournalWriter};
-    use defi_sim::NullObserver;
-
-    let ticks = SimConfig::smoke_test(5).tick_count();
-    let mut group = c.benchmark_group("journal");
-    group.sample_size(10);
-
-    let dir = std::env::temp_dir().join("djrn-bench");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-
-    group.bench_function(format!("plain_session_loop_{ticks}_ticks"), |b| {
-        b.iter(|| {
-            SimulationEngine::new(SimConfig::smoke_test(5))
-                .session()
-                .run_to_end(&mut NullObserver)
-                .unwrap()
-        })
-    });
-
-    let write_path = dir.join("bench-write.jrn");
-    group.bench_function(format!("journaled_session_loop_{ticks}_ticks"), |b| {
-        b.iter(|| {
-            let mut writer = JournalWriter::create(&write_path).unwrap();
-            let report = SimulationEngine::new(SimConfig::smoke_test(5))
-                .session()
-                .run_to_end(&mut writer)
-                .unwrap();
-            writer.finish().unwrap();
-            report
-        })
-    });
-
-    // Replay throughput: decode a pre-recorded smoke journal and drive the
-    // full StudyCollector pipeline from it. In CI's `--test` quick mode the
-    // single iteration doubles as a structural check: the recording must
-    // reach its run end and produce a non-empty analysis.
-    let recorded = dir.join("bench-replay.jrn");
-    let mut writer = JournalWriter::create(&recorded).unwrap();
-    let (live, _) =
-        StudyAnalysis::stream_with(SimulationEngine::new(SimConfig::smoke_test(5)), &mut writer)
-            .unwrap();
-    writer.finish().unwrap();
-    group.bench_function(format!("replay_to_analysis_{ticks}_ticks"), |b| {
-        b.iter(|| {
-            let reader = JournalReader::open(&recorded).unwrap();
-            let replayed = StudyAnalysis::from_replay(|observer| reader.replay(observer))
-                .unwrap()
-                .expect("recording reaches its run end");
-            assert_eq!(
-                defi_bench::render::render_headline(&replayed),
-                defi_bench::render::render_headline(&live),
-                "replayed analysis diverged from the live run"
-            );
-            replayed
-        })
-    });
-    group.finish();
-}
-
-fn bench_platform_books(c: &mut Criterion) {
-    // Building position snapshots is the hot path of the measurement loop.
-    let report = shared_report();
-    c.bench_function("platform_position_books", |b| {
-        b.iter(|| {
-            let mut total = 0usize;
-            for positions in report.final_positions.values() {
-                total += positions.len();
-            }
-            let _ = BTreeMap::from([(Platform::Compound, total)]);
-            total
-        })
-    });
-}
-
-criterion_group!(
-    benches,
-    bench_overall,
-    bench_fig6_gas,
-    bench_fig7_auctions,
-    bench_table2_table3,
-    bench_table4_flash_loans,
-    bench_fig8_sensitivity,
-    bench_stablecoin_stability,
-    bench_fig9_table8,
-    bench_table7_price_movement,
-    bench_table5_table6_strategy,
-    bench_liquidation_call,
-    bench_simulation_ticks,
-    bench_session_loop,
-    bench_streaming_vs_batch_analytics,
-    bench_close_factor_ablation,
-    bench_platform_books,
-    bench_positions_scale,
-    bench_band_index,
-    bench_journal,
-);
+criterion_group!(benches, bench_positions_scale, bench_band_index);
 criterion_main!(benches);

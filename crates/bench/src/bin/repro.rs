@@ -15,8 +15,9 @@
 //! suite. Artefact names: `headline`, `table1`…`table8`, `fig4`…`fig9`,
 //! `auction-stats`, `stablecoins`, `mitigation`, `configs`, `case-study`
 //! (alias of `table5`/`table6`), or `all` (the list lives in
-//! `defi_bench::artefacts`). An unknown artefact name, or `--workers`
-//! without `--sweep`, is rejected with exit status 2.
+//! `defi_bench::artefacts`). An unknown artefact name, `--workers`
+//! without `--sweep`, `--sweep seeds=0` or `--workers 0` is rejected with
+//! exit status 2.
 //!
 //! The study computes in a single pass: the simulation streams through the
 //! analytics crate's `StudyCollector` observer instead of materialising a
@@ -308,6 +309,17 @@ fn main() {
         // Only the sweep fans runs across workers; a single run would
         // silently ignore the flag.
         eprintln!("--workers requires --sweep seeds=N or --sweep scenarios");
+        std::process::exit(2);
+    }
+    if matches!(sweep, Some(SweepKind::Seeds(0))) {
+        // An empty grid would print an empty table and exit 0 without
+        // running anything.
+        eprintln!("--sweep seeds=N needs at least one seed");
+        std::process::exit(2);
+    }
+    if workers == Some(0) {
+        // The runner would silently round zero workers up to one.
+        eprintln!("--workers needs at least one worker");
         std::process::exit(2);
     }
     if check_invariants && sweep.is_some() {

@@ -1,7 +1,7 @@
 //! The `repro` command line rejects input it would otherwise ignore: an
-//! unknown artefact name, `--workers` without `--sweep`, or a scenario file
-//! with a value no run can use exits with status 2 and says why instead of
-//! printing nothing.
+//! unknown artefact name, `--workers` without `--sweep`, an empty sweep, zero
+//! workers, or a scenario file with a value no run can use exits with status
+//! 2 and says why instead of printing nothing.
 
 use std::process::{Command, Output};
 
@@ -31,6 +31,33 @@ fn workers_without_sweep_exits_2() {
     assert!(output.stdout.is_empty(), "nothing is rendered");
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("--sweep"), "{stderr}");
+}
+
+#[test]
+fn a_zero_seed_sweep_exits_2() {
+    let dir = std::env::temp_dir().join(format!("repro-zero-seeds-{}", std::process::id()));
+    let output = repro(&[
+        "--smoke",
+        "--sweep",
+        "seeds=0",
+        "--json",
+        dir.to_str().expect("utf-8 temp path"),
+        "headline",
+    ]);
+    assert_eq!(output.status.code(), Some(2));
+    assert!(output.stdout.is_empty(), "nothing is rendered");
+    assert!(!dir.join("sweep.json").exists(), "no sweep.json is written");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("at least one seed"), "{stderr}");
+}
+
+#[test]
+fn zero_sweep_workers_exits_2() {
+    let output = repro(&["--smoke", "--sweep", "seeds=1", "--workers", "0"]);
+    assert_eq!(output.status.code(), Some(2));
+    assert!(output.stdout.is_empty(), "nothing is rendered");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("--workers"), "{stderr}");
 }
 
 #[test]

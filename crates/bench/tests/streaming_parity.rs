@@ -5,8 +5,9 @@
 //! ledger built live from liquidation observations against the one rebuilt
 //! from the event log, and the session's run-end state against the report.
 //! A bug inside a shared function is invisible here; the golden files catch
-//! that. Checked on the smoke default and on a scenario-catalog entry
-//! (`stablecoin-depeg`), so catalog plumbing cannot skew either pipeline.
+//! that. Checked on the smoke default at two seeds and on a scenario-catalog
+//! entry (`stablecoin-depeg`), so catalog plumbing cannot skew either
+//! pipeline.
 
 use defi_analytics::StudyAnalysis;
 use defi_bench::artefacts::STUDY_ARTEFACTS;
@@ -49,6 +50,7 @@ fn assert_parity(config: SimConfig) {
 #[test]
 fn streaming_study_renders_byte_identically_to_batch() {
     assert_parity(SimConfig::smoke_test(11));
+    assert_parity(SimConfig::smoke_test(6));
 }
 
 #[test]

@@ -2,24 +2,14 @@
 //!
 //! The build environment has no crates.io access, so this implements the
 //! small API surface the workspace's benches use — `criterion_group!`,
-//! `criterion_main!`, [`Criterion::bench_function`],
-//! [`Criterion::benchmark_group`], [`Bencher::iter`] and
-//! [`Bencher::iter_batched`] — as a micro-harness: each benchmark is warmed
-//! up once, timed over a handful of iterations, and the mean wall-clock time
-//! is printed. No statistics, plots or baselines.
+//! `criterion_main!`, [`Criterion::benchmark_group`],
+//! [`BenchmarkGroup::bench_function`] and [`Bencher::iter`] — as a
+//! micro-harness: each benchmark is warmed up once, timed over a handful of
+//! iterations, and the mean wall-clock time is printed. No statistics, plots
+//! or baselines. Every registered group function runs on every invocation;
+//! the command-line filter only selects which timed bodies run.
 
 use std::time::{Duration, Instant};
-
-/// How measured closures receive their per-iteration inputs.
-#[derive(Debug, Clone, Copy)]
-pub enum BatchSize {
-    /// Small setup output; batches may share a setup call in real criterion.
-    SmallInput,
-    /// Large setup output.
-    LargeInput,
-    /// Fresh setup every iteration.
-    PerIteration,
-}
 
 /// Prevent the optimizer from discarding a value (best-effort).
 pub fn black_box<T>(value: T) -> T {
@@ -50,33 +40,9 @@ impl Bencher {
         self.total += started.elapsed();
     }
 
-    /// Time `routine` over fresh `setup` outputs, excluding setup time.
-    pub fn iter_batched<I, O, S, F>(&mut self, mut setup: S, mut routine: F, _size: BatchSize)
-    where
-        S: FnMut() -> I,
-        F: FnMut(I) -> O,
-    {
-        black_box(routine(setup())); // warm-up, untimed
-        for _ in 0..self.iterations {
-            let input = setup();
-            let started = Instant::now();
-            black_box(routine(input));
-            self.total += started.elapsed();
-        }
-    }
-
     fn mean(&self) -> Duration {
         self.total / self.iterations.max(1)
     }
-}
-
-fn run_one(label: &str, iterations: u32, f: &mut dyn FnMut(&mut Bencher)) {
-    let mut bencher = Bencher::new(iterations);
-    f(&mut bencher);
-    println!(
-        "bench {label:<50} {:>12.3?} /iter ({iterations} iters)",
-        bencher.mean()
-    );
 }
 
 /// Command-line options shared by every group, mirroring the subset of the
@@ -138,21 +104,6 @@ impl Default for Criterion {
 }
 
 impl Criterion {
-    /// Register and immediately run one benchmark.
-    pub fn bench_function<F>(&mut self, name: impl AsRef<str>, mut f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher),
-    {
-        if self.options.selects(name.as_ref()) {
-            run_one(
-                name.as_ref(),
-                self.options.effective_iterations(self.iterations),
-                &mut f,
-            );
-        }
-        self
-    }
-
     /// Open a named group of benchmarks.
     pub fn benchmark_group(&mut self, name: impl AsRef<str>) -> BenchmarkGroup {
         BenchmarkGroup {
@@ -184,10 +135,12 @@ impl BenchmarkGroup {
     {
         let label = format!("{}/{}", self.name, name.as_ref());
         if self.options.selects(&label) {
-            run_one(
-                &label,
-                self.options.effective_iterations(self.iterations),
-                &mut f,
+            let iterations = self.options.effective_iterations(self.iterations);
+            let mut bencher = Bencher::new(iterations);
+            f(&mut bencher);
+            println!(
+                "bench {label:<50} {:>12.3?} /iter ({iterations} iters)",
+                bencher.mean()
             );
         }
         self
