@@ -112,8 +112,8 @@ fn fixed_spread_tick_work(
 ) -> usize {
     use defi_lending::LendingProtocol;
     LendingProtocol::accrue(protocol, block);
-    // Borrower-management pass: only at-risk positions (HF below the rescue
-    // band or above the releverage band) are read; quiet accounts whose
+    // Borrower-management pass: only at-risk positions (HF in [1, rescue)
+    // or above the releverage band) are read; quiet accounts whose
     // certified envelope holds are skipped without re-valuation.
     let mut actionable = 0usize;
     let rescue = Wad::from_f64(defi_lending::RESCUE_BAND_HF);

@@ -6,10 +6,13 @@
 //!   runs the two-year simulation, pipes it through `defi-analytics`, and
 //!   prints every table and figure series of the paper's evaluation
 //!   (`repro all`, or a single artefact such as `repro table1` / `repro fig8`);
-//! * the **Criterion benches** (`cargo bench -p defi-bench`) measure the
-//!   computational kernels behind each experiment (Algorithm 1 sweeps,
-//!   Algorithm 2 closed forms, liquidation calls, auction rounds, the
-//!   analytics pipeline) on fixed-size inputs.
+//! * the **Criterion bench** (`cargo bench -p defi-bench --bench
+//!   paper_benches`) holds the two book-scale groups, `positions_scale`
+//!   (1k–100k-account books plus a 1M-account stress row) and
+//!   `band_index` (accrual-only ticks, in-envelope price wiggles). Their
+//!   untimed asserts between the timed bodies are regression guards;
+//!   `-- --test` runs them all once. End-to-end timing lives in the
+//!   separate `perfbench` package.
 //!
 //! [`artefacts`] is the one list of the study's artefacts (CLI names,
 //! renderer, JSON encoder) that `repro` and the tests share.

@@ -66,12 +66,11 @@
 //!   holdings), with arithmetic byte-identical by construction.
 //!
 //! Anything else — a dirty mark, an index move under a critical price, a
-//! broken envelope — takes the full re-valuation. Envelope re-derivation
-//! carries **re-anchor hysteresis**: when a bound breaks, the derivation
-//! learns the break
-//! direction ([`EnvelopeAnchor`]) and biases a widened — still proven —
-//! slack toward where the price came from, so an oscillating price stops
-//! re-deriving every tick. The
+//! broken envelope — takes the full re-valuation. Envelopes are
+//! **directional**: each price bound is sized by the one band edge its move
+//! pushes toward (collateral down and debt up toward the floor, the reverse
+//! toward the ceiling), so an account hugging its floor still keeps a wide
+//! bound in the direction only its distant ceiling limits. The
 //! envelope conditions are *state*-based (current price within `[lo, hi]`,
 //! current index below its cap), so certification composes across any
 //! interleaving of moves; the bounds are integer-rounded inward (never
@@ -175,32 +174,6 @@ impl HfEnvelope {
     }
 }
 
-/// How the previous certified envelope of an account failed before a
-/// re-derivation — the re-anchor hysteresis hint passed to
-/// [`BookSource::hf_envelope`].
-///
-/// A price oscillating across a bound would otherwise break the fresh
-/// envelope again on the very next tick: knowing *which side* broke lets the
-/// derivation bias its slack budget toward the direction the price came from
-/// (still inside the same interval-arithmetic proof), so the re-anchored
-/// envelope covers the oscillation. Purely a wall-clock hint: a wider (still
-/// sound) envelope changes how often accounts re-value, never any result.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum EnvelopeAnchor {
-    /// No previous envelope, or it covered the current prices (mutation- or
-    /// index-triggered re-valuation): anchor symmetrically.
-    #[default]
-    Fresh,
-    /// A price rose above its upper bound: the oscillation is expected to
-    /// return downward, so favour slack below the new anchor.
-    BrokeUp,
-    /// A price fell below its lower bound: favour slack above.
-    BrokeDown,
-    /// Bounds broke in both directions (multi-token moves): anchor
-    /// symmetrically but with the widened slack.
-    BrokeBoth,
-}
-
 /// The health-factor band an account was classified into at its last
 /// re-valuation, delimited by 1 and the book's configured
 /// (`rescue`, `releverage`) thresholds.
@@ -229,9 +202,11 @@ impl HfBand {
         }
     }
 
-    /// Whether the borrower-management pass must see accounts in this band.
+    /// Whether the borrower-management pass must see accounts in this band:
+    /// the rescue and re-leverage bands. Liquidatable accounts are served
+    /// by discovery instead.
     fn at_risk(self) -> bool {
-        !matches!(self, HfBand::Quiet)
+        matches!(self, HfBand::Rescue | HfBand::Releverage)
     }
 }
 
@@ -271,7 +246,7 @@ pub struct BookStats {
     pub live_accounts: usize,
     /// Accounts currently carrying a certified health-factor band envelope.
     pub banded_accounts: usize,
-    /// Accounts currently in an at-risk band (below `rescue` or above
+    /// Accounts currently in an at-risk band (`[1, rescue)` or above
     /// `releverage`) — what the borrower-management pass iterates.
     pub at_risk_accounts: usize,
     /// Re-valuations avoided because a band envelope held, since the book was
@@ -374,10 +349,7 @@ pub trait BookSource {
     /// bound **every** price the valuation is sensitive to and cap **every**
     /// index-accruing debt market (the book refuses an envelope that misses
     /// one), and must round its integer bounds inward so certification errs
-    /// towards re-valuing. `anchor` reports how the
-    /// account's previous envelope broke (re-anchor hysteresis; see
-    /// [`EnvelopeAnchor`]) — implementations may use it to bias a *sound*
-    /// slack budget, or ignore it. Return `false` (the default) to ride the
+    /// towards re-valuing. Return `false` (the default) to ride the
     /// exact path — a new [`crate::LendingProtocol`] implementation opts
     /// into banding by overriding this.
     fn hf_envelope(
@@ -386,7 +358,6 @@ pub trait BookSource {
         _position: &Position,
         _floor: Option<Wad>,
         _ceiling: Option<Wad>,
-        _anchor: EnvelopeAnchor,
         _out: &mut HfEnvelope,
     ) -> bool {
         false
@@ -956,29 +927,6 @@ impl BookShard {
         let old_debt_list = std::mem::take(&mut entry.debt_tokens);
         let old_envelope = entry.envelope.take();
 
-        // Re-anchor hysteresis hint: in which direction did the previous
-        // envelope's price bounds break? Passed to the derivation so an
-        // oscillating price doesn't re-derive every tick. A mutation- or
-        // index-triggered re-valuation (bounds all still covering) anchors
-        // fresh.
-        let anchor = match &old_envelope {
-            Some(env) => {
-                let (mut up, mut down) = (false, false);
-                for &(token, lo, hi) in &env.price_bounds {
-                    let raw = oracle.price(token).map_or(0, |p| p.raw());
-                    up |= raw > hi;
-                    down |= raw < lo;
-                }
-                match (up, down) {
-                    (true, true) => EnvelopeAnchor::BrokeBoth,
-                    (true, false) => EnvelopeAnchor::BrokeUp,
-                    (false, true) => EnvelopeAnchor::BrokeDown,
-                    (false, false) => EnvelopeAnchor::Fresh,
-                }
-            }
-            None => EnvelopeAnchor::Fresh,
-        };
-
         // Drop the account's old membership from every exposure index; the
         // fresh valuation re-inserts below. Membership is exclusive: banded
         // accounts live in the interval index, other multivariate ones in
@@ -1073,7 +1021,6 @@ impl BookShard {
                             &entry.position,
                             floor,
                             ceiling,
-                            anchor,
                             &mut envelope,
                         );
                         self.envelope_derives += 1;
@@ -1606,13 +1553,14 @@ impl PositionBook {
         out
     }
 
-    /// Visit every *at-risk* observable position — health factor below
-    /// `rescue` (including liquidatable ones) or above `releverage` — in
+    /// Visit every *at-risk* observable position — health factor in
+    /// `[1, rescue)` or above `releverage` — in
     /// address order, with each visited valuation freshened to current
     /// prices and indexes. Quiet-band accounts whose envelope holds are
     /// skipped without re-valuation: this is the banded fast path of the
     /// engine's borrower-management pass, exactly equivalent to filtering a
-    /// full book walk by health factor.
+    /// full book walk by health factor. Liquidatable accounts (HF below 1)
+    /// are not visited: discovery hands them out.
     ///
     /// Changing the thresholds re-classifies the whole book (one-off full
     /// re-valuation). Books containing critical-price-indexed accounts (a
@@ -1649,7 +1597,7 @@ impl PositionBook {
                     let Some(hf) = entry.position.health_factor() else {
                         continue;
                     };
-                    if hf < rescue || hf > releverage {
+                    if hf >= Wad::ONE && (hf < rescue || hf > releverage) {
                         visit(&entry.position);
                     }
                 }
@@ -1926,7 +1874,7 @@ mod tests {
             .into_iter()
             .filter(|p| {
                 p.health_factor()
-                    .is_some_and(|hf| hf < rescue || hf > releverage)
+                    .is_some_and(|hf| hf >= Wad::ONE && (hf < rescue || hf > releverage))
             })
             .map(|p| p.owner)
             .collect();

@@ -19,7 +19,7 @@ use defi_types::{
     mul_div_ceil, mul_div_floor, Address, BlockNumber, FxHashMap, Platform, Token, Wad, WAD,
 };
 
-use crate::book::{BookSource, BookStats, BookTotals, EnvelopeAnchor, HfEnvelope, PositionBook};
+use crate::book::{BookSource, BookStats, BookTotals, HfEnvelope, PositionBook};
 use crate::error::ProtocolError;
 use crate::interest::{utilization, BorrowIndex, InterestRateModel};
 
@@ -229,10 +229,9 @@ impl BookSource for FixedSpreadView<'_> {
         position: &Position,
         floor: Option<Wad>,
         ceiling: Option<Wad>,
-        anchor: EnvelopeAnchor,
         out: &mut HfEnvelope,
     ) -> bool {
-        derive_hf_envelope(self.markets, oracle, position, floor, ceiling, anchor, out)
+        derive_hf_envelope(self.markets, oracle, position, floor, ceiling, out)
     }
 }
 
@@ -260,23 +259,34 @@ const ENVELOPE_VALUE_FLOOR: u128 = 1_000_000_000_000;
 /// caps within which the health factor provably stays strictly inside
 /// `(floor, ceiling)`.
 ///
-/// The argument is monotone interval arithmetic on Eq. 4. Writing
-/// `B = Σ cᵢ·pᵢ·LTᵢ` (borrowing capacity) and `D = Σ dⱼ·Iⱼ/I⁰ⱼ·pⱼ` (debt
-/// value, with each borrow index only ever growing), a uniform relative
-/// slack `s` on every price plus a `(1+s)` budget on every index gives
+/// The argument is monotone interval arithmetic on Eq. 4, applied once per
+/// direction. Writing `B = Σ cᵢ·pᵢ·LTᵢ` (borrowing capacity) and
+/// `D = Σ dⱼ·Iⱼ/I⁰ⱼ·pⱼ` (debt value, with each borrow index only ever
+/// growing), the derivation sizes two relative slacks, each against the one
+/// band edge its moves push toward:
 ///
-/// * `HF' ≤ HF · (1+s)/(1−s)` (collateral up, debt prices down, index fixed),
-/// * `HF' ≥ HF · (1−s)/((1+s)·(1+s))` (collateral down, debt prices and
-///   index up to their caps),
+/// * `x` bounds every move *toward the floor* — collateral prices down by
+///   `x`, debt prices up by `x`, each borrow index up to `I·(1+x)` — so
+///   `HF' ≥ HF · (1−x)/((1+x)·(1+x))`, and it suffices that
+///   `(1+x)²/(1−x) ≤ HF/floor · (1−g)`;
+/// * `y` bounds every move *toward the ceiling* — collateral prices up by
+///   `y`, debt prices down by `y` (the index never falls) — so
+///   `HF' ≤ HF · (1+y)/(1−y)`, and it suffices that
+///   `(1+y)/(1−y) ≤ ceiling/HF · (1−g)`
 ///
-/// so it suffices to pick `s` with `(1+s)/(1−s) ≤ ceiling/HF · (1−g)` and
-/// `(1+s)²/(1−s) ≤ HF/floor · (1−g)` (guard `g` = `ENVELOPE_GUARD`). The
-/// slack is found by halving from 25 %, and the integer bounds are rounded
-/// *inward* ([`mul_div_floor`] on the delta), so certification only ever
-/// narrows the real-valued envelope. A band with no floor needs no index
-/// caps at all: accrual only pushes the health factor down. Returns `false`
-/// (exact path) when the position is too close to a band edge, too small, or
-/// holds a token without a listed market.
+/// (guard `g` = `ENVELOPE_GUARD`). Collateral bounds are therefore
+/// `[p−⌊p·x⌋, p+⌊p·y⌋]`, debt bounds `[p−⌊p·y⌋, p+⌊p·x⌋]`, and a token held
+/// on both sides takes the intersection of its two bounds, which keeps
+/// each side's moves within its own slack. A knife-edge account just above
+/// its floor thus keeps a wide bound in the direction its floor never
+/// limits. Each slack is found by halving from 25 % and then refined upward
+/// by a six-step binary search (the inequalities are monotone, so every
+/// probe that passes is certified by the same proof), and the integer
+/// bounds are rounded *inward* ([`mul_div_floor`] on the delta), so
+/// certification only ever narrows the real-valued envelope. A band with no
+/// floor needs no index caps at all: accrual only pushes the health factor
+/// down. Returns `false` (exact path) when the position is too close to a
+/// band edge, too small, or holds a token without a listed market.
 ///
 /// # Collateral-free bad debt
 ///
@@ -289,32 +299,12 @@ const ENVELOPE_VALUE_FLOOR: u128 = 1_000_000_000_000;
 /// where `lo = ⌈WAD / amount⌉` is the smallest raw price at which the
 /// truncating `amount × price` stays above zero. A dust holding whose value
 /// already truncates to zero — `lo` above the current price — is refused.
-///
-/// # Re-anchor hysteresis
-///
-/// `anchor` records how the previous envelope broke. On a non-[`Fresh`]
-/// anchor the halved slack is refined *upward* by binary search (the
-/// inequalities above are monotone in `s`, so any `s` that passes is still
-/// certified by the same proof), and the refined budget is split
-/// asymmetrically: an envelope that broke upward puts more slack *below* the
-/// new, higher anchor price — exactly where an oscillating price will
-/// return — and vice versa. The asymmetric split is verified against the
-/// directional inequalities `(1+s_up)/(1−s_dn) ≤ margin_up` and
-/// `(1+s_up)²/(1−s_dn) ≤ margin_down` (collateral prices rising and debt
-/// prices falling drive HF up by at most `(1+s_up)/(1−s_dn)`; the converse
-/// plus the index budget drives it down by at most `(1+s_up)·(1+s_up)/(1−s_dn)`
-/// — the index budget reuses `s_up`), falling back to the symmetric refined
-/// slack when the split fails. Soundness never depends on the anchor: every
-/// emitted bound satisfies the same interval-arithmetic proof.
-///
-/// [`Fresh`]: EnvelopeAnchor::Fresh
 pub fn derive_hf_envelope(
     markets: &BTreeMap<Token, Market>,
     oracle: &PriceOracle,
     position: &Position,
     floor: Option<Wad>,
     ceiling: Option<Wad>,
-    anchor: EnvelopeAnchor,
     out: &mut HfEnvelope,
 ) -> bool {
     out.clear();
@@ -346,78 +336,42 @@ pub fn derive_hf_envelope(
         Some(f) if !f.is_zero() => (hf / f.to_f64()) * (1.0 - ENVELOPE_GUARD),
         _ => f64::INFINITY,
     };
-    let symmetric_ok = |s: f64| {
-        let up_ok = !margin_up.is_finite() || (1.0 + s) / (1.0 - s) <= margin_up;
-        let down_ok = !margin_down.is_finite() || (1.0 + s) * (1.0 + s) / (1.0 - s) <= margin_down;
-        up_ok && down_ok
+    let Some(to_floor) = largest_certified_slack(|x| {
+        !margin_down.is_finite() || (1.0 + x) * (1.0 + x) / (1.0 - x) <= margin_down
+    }) else {
+        return false;
     };
-    let mut slack = 0.25;
-    while !symmetric_ok(slack) {
-        slack *= 0.5;
-        if slack < MIN_ENVELOPE_SLACK {
-            return false;
-        }
-    }
-    let (slack_dn, slack_up) = if anchor == EnvelopeAnchor::Fresh {
-        (slack, slack)
-    } else {
-        // Hysteresis: the halving loop undershoots the certifiable slack by
-        // up to 2×. A broken envelope is the one place the extra width pays
-        // for the derivation it avoids, so binary-search the largest
-        // certified symmetric slack in [slack, min(2·slack, 0.45)] — every
-        // probe is checked by the same inequalities, so the proof is intact.
-        let mut lo = slack;
-        let mut hi = (2.0 * slack).min(0.45);
-        for _ in 0..6 {
-            let mid = 0.5 * (lo + hi);
-            if symmetric_ok(mid) {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        let refined = lo;
-        // Skew the certified budget toward the side the price just came
-        // from; verified against the directional forms of the same bounds
-        // (prices may rise by s_up and fall by s_dn independently; the
-        // index budget reuses s_up). Falls back to the symmetric refined
-        // slack when the skewed pair is not certifiable.
-        let asymmetric_ok = |s_dn: f64, s_up: f64| {
-            s_dn < 0.5
-                && s_up < 0.5
-                && (!margin_up.is_finite() || (1.0 + s_up) / (1.0 - s_dn) <= margin_up)
-                && (!margin_down.is_finite()
-                    || (1.0 + s_up) * (1.0 + s_up) / (1.0 - s_dn) <= margin_down)
-        };
-        let split = match anchor {
-            EnvelopeAnchor::BrokeUp => Some((1.5 * refined, 0.5 * refined)),
-            EnvelopeAnchor::BrokeDown => Some((0.5 * refined, 1.5 * refined)),
-            EnvelopeAnchor::Fresh | EnvelopeAnchor::BrokeBoth => None,
-        };
-        match split {
-            Some((dn, up)) if asymmetric_ok(dn, up) => (dn, up),
-            _ => (refined, refined),
-        }
+    let Some(to_ceiling) =
+        largest_certified_slack(|y| !margin_up.is_finite() || (1.0 + y) / (1.0 - y) <= margin_up)
+    else {
+        return false;
     };
     // Shave the raw slacks below the f64 values the inequalities were
     // verified with, so representation rounding cannot widen the envelope.
-    let slack_dn_raw = Wad::from_f64(slack_dn * (1.0 - 1e-12)).raw();
-    let slack_up_raw = Wad::from_f64(slack_up * (1.0 - 1e-12)).raw();
+    let to_floor_raw = Wad::from_f64(to_floor * (1.0 - 1e-12)).raw();
+    let to_ceiling_raw = Wad::from_f64(to_ceiling * (1.0 - 1e-12)).raw();
 
-    for holding in position
+    let collateral = position
         .collateral
         .iter()
-        .map(|c| c.token)
-        .chain(position.debt.iter().map(|d| d.token))
-    {
-        if out.price_bounds.iter().any(|(t, _, _)| *t == holding) {
-            continue;
+        .map(|c| (c.token, to_floor_raw, to_ceiling_raw));
+    let debts = position
+        .debt
+        .iter()
+        .map(|d| (d.token, to_ceiling_raw, to_floor_raw));
+    for (token, down_raw, up_raw) in collateral.chain(debts) {
+        let price = oracle.price_or_zero(token).raw();
+        let lo = price - mul_div_floor(price, down_raw, WAD).unwrap_or(0);
+        let hi = price.saturating_add(mul_div_floor(price, up_raw, WAD).unwrap_or(0));
+        match out.price_bounds.iter_mut().find(|(t, _, _)| *t == token) {
+            // Held on both sides: each side's moves must stay within its
+            // own slack.
+            Some((_, held_lo, held_hi)) => {
+                *held_lo = (*held_lo).max(lo);
+                *held_hi = (*held_hi).min(hi);
+            }
+            None => out.price_bounds.push((token, lo, hi)),
         }
-        let price = oracle.price_or_zero(holding).raw();
-        let delta_dn = mul_div_floor(price, slack_dn_raw, WAD).unwrap_or(0);
-        let delta_up = mul_div_floor(price, slack_up_raw, WAD).unwrap_or(0);
-        out.price_bounds
-            .push((holding, price - delta_dn, price.saturating_add(delta_up)));
     }
     for d in &position.debt {
         let cap = if floor.is_none() {
@@ -430,7 +384,7 @@ pub fn derive_hf_envelope(
                 return false;
             };
             let index = market.index.index.raw();
-            index.saturating_add(mul_div_floor(index, slack_up_raw, WAD).unwrap_or(0))
+            index.saturating_add(mul_div_floor(index, to_floor_raw, WAD).unwrap_or(0))
         };
         if out.index_caps.iter().any(|(t, _)| *t == d.token) {
             continue;
@@ -438,6 +392,32 @@ pub fn derive_hf_envelope(
         out.index_caps.push((d.token, cap));
     }
     true
+}
+
+/// The largest slack in `(0, 0.45]` that `certified` accepts, found by
+/// halving from 25 % and refining the first pass upward by a six-step binary
+/// search over `[s, min(2·s, 0.45)]`; `None` once halving drops below
+/// `MIN_ENVELOPE_SLACK`. `certified` must be monotone (true for every slack
+/// below one it accepts), so each returned slack passes the check itself.
+fn largest_certified_slack(certified: impl Fn(f64) -> bool) -> Option<f64> {
+    let mut slack = 0.25;
+    while !certified(slack) {
+        slack *= 0.5;
+        if slack < MIN_ENVELOPE_SLACK {
+            return None;
+        }
+    }
+    let mut lo = slack;
+    let mut hi = (2.0 * slack).min(0.45);
+    for _ in 0..6 {
+        let mid = 0.5 * (lo + hi);
+        if certified(mid) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    Some(lo)
 }
 
 /// The collateral-free branch of [`derive_hf_envelope`]: certify `HF = 0`
@@ -961,8 +941,8 @@ impl FixedSpreadProtocol {
         book.liquidatable_accounts(&view, oracle)
     }
 
-    /// Visit the at-risk slice of the book — health factor below `rescue` or
-    /// above `releverage` — through the conservative band index: accounts
+    /// Visit the at-risk slice of the book — health factor in `[1, rescue)`
+    /// or above `releverage` — through the conservative band index: accounts
     /// whose certified envelope holds are skipped without re-valuation.
     /// Exactly equivalent to filtering
     /// [`for_each_book_position`](FixedSpreadProtocol::for_each_book_position)
@@ -1886,7 +1866,6 @@ mod tests {
             &position,
             None,
             Some(Wad::ONE),
-            EnvelopeAnchor::Fresh,
             &mut envelope,
         ));
         assert_eq!(envelope.index_caps, vec![(Token::USDC, u128::MAX)]);
@@ -1948,7 +1927,6 @@ mod tests {
             &dusty,
             None,
             Some(Wad::ONE),
-            EnvelopeAnchor::Fresh,
             &mut envelope,
         ));
         assert!(envelope.price_bounds.is_empty() && envelope.index_caps.is_empty());

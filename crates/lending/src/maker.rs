@@ -630,8 +630,8 @@ impl MakerProtocol {
             .collect()
     }
 
-    /// Visit the at-risk slice of the CDP book — health factor below
-    /// `rescue` or above `releverage` — through the book's exact full walk
+    /// Visit the at-risk slice of the CDP book — health factor in
+    /// `[1, rescue)` or above `releverage` — through the book's exact full walk
     /// (critical-price accounts keep no band).
     pub fn for_each_at_risk(
         &mut self,

@@ -244,10 +244,12 @@ pub trait LendingProtocol {
     fn book_totals(&mut self, oracle: &PriceOracle) -> BookTotals;
 
     /// Visit the *at-risk* slice of the observable book — every position
-    /// whose health factor is below `rescue` (including liquidatable ones)
-    /// or above `releverage` — in the same deterministic order as
+    /// whose health factor is in `[1, rescue)` or above `releverage` — in
+    /// the same deterministic order as
     /// [`for_each_position`](LendingProtocol::for_each_position), with every
-    /// visited valuation exact at current prices.
+    /// visited valuation exact at current prices. Liquidatable positions
+    /// are discovery's ([`liquidatable`](LendingProtocol::liquidatable)),
+    /// not visited here.
     ///
     /// Served by [`PositionBook::for_each_at_risk`](crate::book::PositionBook::for_each_at_risk):
     /// band-indexed books (fixed-spread pools) skip far-from-threshold

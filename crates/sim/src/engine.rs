@@ -669,12 +669,11 @@ impl SimulationEngine {
             let rescue_band = Wad::from_f64(defi_lending::RESCUE_BAND_HF);
             let releverage_band = Wad::from_f64(defi_lending::RELEVERAGE_BAND_HF);
             protocol.for_each_at_risk(oracle, rescue_band, releverage_band, &mut |position| {
+                // The at-risk surface starts at HF 1: liquidatable accounts
+                // are the liquidation pass's.
                 let Some(hf) = position.health_factor() else {
                     return;
                 };
-                if hf < Wad::ONE {
-                    return; // handled by the liquidation pass
-                }
                 if hf < rescue_band {
                     actions.push(Action::Rescue {
                         owner: position.owner,
@@ -851,21 +850,26 @@ impl SimulationEngine {
     ) {
         let platform = opportunity.platform;
         let position = &opportunity.position;
-        // Choose a liquidator covering this platform.
-        let candidates: Vec<usize> = self
-            .liquidators
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| l.platforms.contains(&platform))
-            .map(|(i, _)| i)
-            .collect();
-        if candidates.is_empty() {
+        // Choose a liquidator covering this platform. The pick is drawn
+        // before the exposures are checked (the RNG stream depends on it),
+        // but the agent is only cloned for a position with something to
+        // seize — most opportunities are collateral-free debtors.
+        let covers = |l: &LiquidatorAgent| l.platforms.contains(&platform);
+        let covering = self.liquidators.iter().filter(|l| covers(l)).count();
+        if covering == 0 {
             return;
         }
-        let pick = candidates[self.rng.gen_range(0..candidates.len())]; // lint:allow(hot-index) gen_range(0..len) is in bounds by construction
-        let liquidator = self.liquidators[pick].clone(); // lint:allow(hot-index) candidates holds valid liquidator indices from the enumerate above
-
+        let pick = self.rng.gen_range(0..covering);
         let Some((collateral, debt)) = Self::pick_exposures(position) else {
+            return;
+        };
+        let Some(liquidator) = self
+            .liquidators
+            .iter()
+            .filter(|l| covers(l))
+            .nth(pick)
+            .cloned()
+        else {
             return;
         };
         let use_flash = liquidator.uses_flash_loans
@@ -874,10 +878,9 @@ impl SimulationEngine {
                 debt.token,
                 Token::DAI | Token::USDC | Token::USDT | Token::ETH
             );
-        let position = position.clone();
         self.execute_fixed_spread(
             platform,
-            &position,
+            position,
             collateral,
             debt,
             &liquidator,

@@ -42,7 +42,7 @@ use std::collections::BTreeMap;
 use defi_liquidations_suite::chain::Ledger;
 use defi_liquidations_suite::core::position::Position;
 use defi_liquidations_suite::lending::book::{
-    reference_totals, BookSource, EnvelopeAnchor, HfEnvelope, PositionBook,
+    reference_totals, BookSource, HfEnvelope, PositionBook,
 };
 use defi_liquidations_suite::lending::interest::InterestRateModel;
 use defi_liquidations_suite::lending::{
@@ -114,7 +114,7 @@ fn audit_platform(
         .iter()
         .filter(|p| {
             p.health_factor()
-                .is_some_and(|hf| hf < rescue() || hf > releverage())
+                .is_some_and(|hf| hf >= Wad::ONE && (hf < rescue() || hf > releverage()))
         })
         .map(|p| (p.owner, p.clone()))
         .collect();
@@ -186,6 +186,44 @@ fn banded_discovery_matches_shadow_scan_across_every_catalog_scenario() {
         }
         assert!(tick > 10, "{}: suspiciously short run", entry.name);
     }
+}
+
+/// Deterministic work guard: envelope derivations over the default smoke
+/// window, per fixed-spread book, may not exceed the counts the directional
+/// envelopes reach (one symmetric slack sized by the nearer band edge needs
+/// about twice as many). The counts are a pure function of the seed, so any
+/// rise is a change in envelope width, not host noise. Lower a ceiling when
+/// a change cuts derivations.
+#[test]
+fn smoke_window_envelope_derives_stay_within_ceilings() {
+    const CEILINGS: [(Platform, u64); 4] = [
+        (Platform::AaveV1, 731),
+        (Platform::AaveV2, 0),
+        (Platform::Compound, 1_766),
+        (Platform::DyDx, 1_064),
+    ];
+    let mut session = EngineBuilder::new(SimConfig::smoke_test(20_211_102))
+        .build()
+        .session();
+    let mut observer = NullObserver;
+    while session.step(&mut observer).expect("smoke step") != SessionStatus::TicksComplete {}
+    let mut total = 0;
+    for (platform, ceiling) in CEILINGS {
+        let derives = session
+            .inspect_protocol(platform, |protocol, _| {
+                protocol.book_stats().envelope_derives
+            })
+            .expect("platform registered");
+        assert!(
+            derives <= ceiling,
+            "{platform}: {derives} envelope derivations over the smoke window, ceiling {ceiling}"
+        );
+        total += derives;
+    }
+    assert!(
+        total > 0,
+        "no envelope was derived: the guard measures nothing"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -334,18 +372,9 @@ impl BookSource for ToyView<'_> {
         position: &Position,
         floor: Option<Wad>,
         ceiling: Option<Wad>,
-        anchor: EnvelopeAnchor,
         out: &mut HfEnvelope,
     ) -> bool {
-        let derived = derive_hf_envelope(
-            &self.0.markets(),
-            oracle,
-            position,
-            floor,
-            ceiling,
-            anchor,
-            out,
-        );
+        let derived = derive_hf_envelope(&self.0.markets(), oracle, position, floor, ceiling, out);
         match self.1 {
             ToyEnvelope::Complete => {}
             ToyEnvelope::NoUsdcBound => out.price_bounds.retain(|&(t, _, _)| t != Token::USDC),
@@ -410,7 +439,7 @@ fn toy_differential_with(
         .filter(|p| !p.total_debt_value().is_zero())
         .filter(|p| {
             p.health_factor()
-                .is_some_and(|hf| hf < rescue() || hf > releverage())
+                .is_some_and(|hf| hf >= Wad::ONE && (hf < rescue() || hf > releverage()))
         })
         .cloned()
         .collect();
@@ -792,50 +821,184 @@ fn incomplete_envelopes_ride_the_exact_path() {
     }
 }
 
-/// An oscillating price whose swing exceeds the freshly-centred slack would
-/// re-derive an envelope on every swing forever. Re-anchor hysteresis widens
-/// the slack away from the broken edge, so after the first break the envelope
-/// covers both poles of the oscillation and derivations stop.
-#[test]
-fn reanchor_hysteresis_absorbs_a_price_oscillation() {
+/// A single toy account at `hf` (ETH collateral at 3000 against USDC debt),
+/// anchored in a fresh book and checked clean.
+fn toy_single(hf: f64) -> (ToyState, PositionBook, PriceOracle, Address) {
     let mut state = ToyState::new();
     let mut book = PositionBook::new();
     let address = Address::from_seed(77);
-    // HF 1.35 at 3000: mid-Quiet, fresh halving slack 6.25 %, hysteresis
-    // coverage ~8-16 % depending on the anchor.
     let collateral = Wad::from_int(10);
-    let debt = Wad::from_f64(10.0 * 3_000.0 * 0.8 / 1.35);
+    let debt = Wad::from_f64(10.0 * 3_000.0 * 0.8 / hf);
     state.accounts.insert(address, (collateral, debt));
     book.mark_dirty(address);
     let oracle = toy_oracle(3_000.0);
     toy_differential(&state, &mut book, &oracle).expect("clean at anchor");
+    (state, book, oracle, address)
+}
 
-    // ±7 % swings: both poles break a freshly-centred 6.25 % envelope, both
-    // fit inside the widened re-anchor.
-    let mut oracle = oracle;
+/// Drive ETH through `prices` (one oracle write per tick), checking the
+/// differential after every write; returns the derivations each tick took.
+fn derives_along(
+    state: &ToyState,
+    book: &mut PositionBook,
+    oracle: &mut PriceOracle,
+    prices: impl IntoIterator<Item = f64>,
+) -> Vec<u64> {
     let mut derives_per_tick = Vec::new();
-    for tick in 0..12u64 {
-        let price = if tick % 2 == 0 { 3_210.0 } else { 3_000.0 };
-        oracle.set_price(tick + 1, Token::ETH, Wad::from_f64(price));
+    for (tick, price) in prices.into_iter().enumerate() {
+        oracle.set_price(tick as u64 + 1, Token::ETH, Wad::from_f64(price));
         let before = book.stats().envelope_derives;
-        toy_differential(&state, &mut book, &oracle).unwrap_or_else(|e| panic!("tick {tick}: {e}"));
+        toy_differential(state, book, oracle).unwrap_or_else(|e| panic!("tick {tick}: {e}"));
         derives_per_tick.push(book.stats().envelope_derives - before);
     }
+    derives_per_tick
+}
+
+/// Directional envelopes size each bound by the band edge its move pushes
+/// toward. A mid-band account rides a ±7 % oscillation from its first
+/// envelope on; a knife-edge account just above its floor keeps a narrow
+/// lower bound but rides a long rally the floor never limits; and a drop
+/// through the narrow side still re-derives.
+#[test]
+fn directional_envelopes_ride_moves_away_from_the_floor() {
+    // HF 1.35 at 3000: mid-Quiet. ±7 % swings stay inside the first
+    // envelope — nothing re-derives after the anchor.
+    let (state, mut book, mut oracle, _) = toy_single(1.35);
+    let swings = (0..12).map(|tick| if tick % 2 == 0 { 3_210.0 } else { 3_000.0 });
+    let derives = derives_along(&state, &mut book, &mut oracle, swings);
     assert!(
-        derives_per_tick[0] > 0,
-        "the first swing never broke the fresh envelope — the oscillation tests nothing"
+        derives.iter().all(|&d| d == 0),
+        "a ±7 % oscillation re-derived the mid-band envelope: {derives:?}"
     );
+
+    // HF 1.10: 4.8 % above the rescue floor, a factor 2 below the
+    // re-leverage ceiling. The floor caps the downward slack near 1.5 %,
+    // the ceiling allows (1+y)/(1−y) ≤ 2, i.e. y just under 1/3.
+    let (state, mut book, mut oracle, address) = toy_single(1.10);
+    let view = ToyView(&state, ToyEnvelope::Complete);
+    let mut position = Position::new(address);
+    assert!(view.fill_position(&oracle, address, &mut position));
+    let mut envelope = HfEnvelope::default();
+    assert!(view.hf_envelope(
+        &oracle,
+        &position,
+        Some(rescue()),
+        Some(releverage()),
+        &mut envelope,
+    ));
+    let &(_, eth_lo, eth_hi) = envelope
+        .price_bounds
+        .iter()
+        .find(|(t, _, _)| *t == Token::ETH)
+        .expect("ETH is bounded");
+    let anchor = Wad::from_int(3_000).raw();
     assert!(
-        derives_per_tick[1..].iter().all(|&d| d == 0),
-        "steady-state oscillation still re-derives: {derives_per_tick:?}"
+        (eth_hi - anchor) > 15 * (anchor - eth_lo),
+        "the ceiling side is not wider than the floor side: [{eth_lo}, {eth_hi}] around {anchor}"
+    );
+
+    // A +30 % rally in 3 % steps: every step lies inside the certified
+    // upper bound, so none re-derives. (A symmetric slack sized by the
+    // floor would break on the first step.)
+    let rally = (1..=10).map(|step| 3_000.0 * (1.0 + 0.03 * step as f64));
+    let derives = derives_along(&state, &mut book, &mut oracle, rally);
+    assert!(
+        derives.iter().all(|&d| d == 0),
+        "the floor-limited account re-derived during the rally: {derives:?}"
+    );
+    assert_eq!(book.stats().envelope_derives, 1, "only the anchor derived");
+
+    // Teeth: one raw unit below the certified lower bound (still HF > 1.05,
+    // the same Quiet band) breaks the envelope and re-derives.
+    oracle.set_price(100, Token::ETH, Wad::from_raw(eth_lo - 1));
+    let before = book.stats().envelope_derives;
+    toy_differential(&state, &mut book, &oracle).expect("clean after the drop");
+    assert_eq!(
+        book.stats().envelope_derives - before,
+        1,
+        "a drop below the certified lower bound did not re-derive"
     );
 }
 
 // ---------------------------------------------------------------------------
 // Conservative bounds: evaluate every certified envelope at its own corner
-// prices through the real valuation path — the health factor must still be
-// inside the certified band at the edge of the envelope.
+// prices and index caps through the valuation math — the health factor must
+// still be inside the certified band at the edge of the envelope.
 // ---------------------------------------------------------------------------
+
+/// The band edges the book would certify a position at `hf` into.
+fn band_edges(hf: Wad) -> (Option<Wad>, Option<Wad>) {
+    if hf < Wad::ONE {
+        (None, Some(Wad::ONE))
+    } else if hf < rescue() {
+        (Some(Wad::ONE), Some(rescue()))
+    } else if hf > releverage() {
+        (Some(releverage()), None)
+    } else {
+        (Some(rescue()), Some(releverage()))
+    }
+}
+
+/// Evaluate `hf_at(eth_raw, usdc_raw, index)` at every corner of the
+/// envelope's ETH × USDC price box — the health factor is monotone in each
+/// price, so the corners are its extremes — with the USDC borrow index both
+/// at `index` (where the upward corners sit: accrual only lowers HF) and at
+/// its certified cap (where the downward corners sit). An uncapped index
+/// (open floor) is only evaluated at `index`.
+fn corners_stay_in_band(
+    envelope: &HfEnvelope,
+    floor: Option<Wad>,
+    ceiling: Option<Wad>,
+    index: Ray,
+    hf_at: impl Fn(u128, u128, Ray) -> Option<Wad>,
+) -> Result<(), prop::TestCaseError> {
+    let bound = |token: Token| -> Result<(u128, u128), prop::TestCaseError> {
+        envelope
+            .price_bounds
+            .iter()
+            .find(|(t, _, _)| *t == token)
+            .map(|&(_, lo, hi)| (lo, hi))
+            .ok_or_else(|| prop::TestCaseError::Fail(format!("{token} is not bounded")))
+    };
+    let (eth_lo, eth_hi) = bound(Token::ETH)?;
+    let (usdc_lo, usdc_hi) = bound(Token::USDC)?;
+    let cap = envelope
+        .index_caps
+        .iter()
+        .find(|(t, _)| *t == Token::USDC)
+        .map(|&(_, cap)| cap)
+        .ok_or_else(|| prop::TestCaseError::Fail("USDC has no index cap".into()))?;
+    let mut indexes = vec![index];
+    if cap != u128::MAX {
+        indexes.push(Ray::from_raw(cap));
+    }
+    for eth in [eth_lo, eth_hi] {
+        for usdc in [usdc_lo, usdc_hi] {
+            for &at in &indexes {
+                let Some(corner) = hf_at(eth, usdc, at) else {
+                    continue;
+                };
+                if let Some(floor) = floor {
+                    prop_assert!(
+                        corner >= floor,
+                        "corner HF {corner} (ETH {eth}, USDC {usdc}, index {}) fell through \
+                         the certified floor {floor}",
+                        at.raw()
+                    );
+                }
+                if let Some(ceiling) = ceiling {
+                    prop_assert!(
+                        corner < ceiling,
+                        "corner HF {corner} (ETH {eth}, USDC {usdc}, index {}) rose through \
+                         the certified ceiling {ceiling}",
+                        at.raw()
+                    );
+                }
+            }
+        }
+    }
+    Ok(())
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -846,86 +1009,93 @@ proptest! {
         price in 20.0f64..20_000.0,
         usage in 0.05f64..1.4,
         usdc_wobble in 0.9f64..1.1,
+        index_growth in 1.0f64..1.5,
+        usdc_share in 0.05f64..0.9,
     ) {
         let mut state = ToyState::new();
+        state.index = Wad::from_f64(index_growth).to_ray().expect("small index");
         let address = Address::from_seed(77);
         let collateral = Wad::from_f64(collateral);
-        let debt = Wad::from_f64(collateral.to_f64() * price * 0.8 * usage);
-        state.accounts.insert(address, (collateral, debt));
+        let scaled_debt = Wad::from_f64(collateral.to_f64() * price * 0.8 * usage / index_growth);
+        state.accounts.insert(address, (collateral, scaled_debt));
 
         let mut oracle = PriceOracle::new(OracleConfig::every_update());
         oracle.set_price(0, Token::ETH, Wad::from_f64(price));
         oracle.set_price(0, Token::USDC, Wad::from_f64(usdc_wobble));
 
+        // ETH collateral against USDC debt, through the toy's fill_position.
         let view = ToyView(&state, ToyEnvelope::Complete);
         let mut position = Position::new(address);
         prop_assume!(view.fill_position(&oracle, address, &mut position));
-        let Some(hf) = position.health_factor() else { return Ok(()); };
-
-        // The band edges the book would certify this position into.
-        let (floor, ceiling) = if hf < Wad::ONE {
-            (None, Some(Wad::ONE))
-        } else if hf < rescue() {
-            (Some(Wad::ONE), Some(rescue()))
-        } else if hf > releverage() {
-            (Some(releverage()), None)
-        } else {
-            (Some(rescue()), Some(releverage()))
-        };
-        let mut envelope = HfEnvelope::default();
-        if !view.hf_envelope(
-            &oracle,
-            &position,
-            floor,
-            ceiling,
-            EnvelopeAnchor::Fresh,
-            &mut envelope,
-        ) {
-            return Ok(()); // too close to an edge: rides the exact path
+        if let Some(hf) = position.health_factor() {
+            let (floor, ceiling) = band_edges(hf);
+            let mut envelope = HfEnvelope::default();
+            // A position too close to an edge rides the exact path.
+            if view.hf_envelope(&oracle, &position, floor, ceiling, &mut envelope) {
+                corners_stay_in_band(&envelope, floor, ceiling, state.index, |eth, usdc, index| {
+                    let mut corner_state = state.clone();
+                    corner_state.index = index;
+                    let mut corner = PriceOracle::new(OracleConfig::every_update());
+                    corner.set_price(0, Token::ETH, Wad::from_raw(eth));
+                    corner.set_price(0, Token::USDC, Wad::from_raw(usdc));
+                    let mut slot = Position::new(address);
+                    ToyView(&corner_state, ToyEnvelope::Complete)
+                        .fill_position(&corner, address, &mut slot)
+                        .then(|| slot.health_factor())
+                        .flatten()
+                })?;
+            }
         }
 
-        // Worst corners for each direction: collateral price at its bound,
-        // debt price at the opposite bound, evaluated through the very same
-        // fill_position math.
-        let corner_hf = |eth_raw: u128, usdc_raw: u128| -> Option<Wad> {
-            let mut corner = PriceOracle::new(OracleConfig::every_update());
-            corner.set_price(0, Token::ETH, Wad::from_raw(eth_raw));
-            corner.set_price(0, Token::USDC, Wad::from_raw(usdc_raw));
+        // The same scaled USDC debt, with a `usdc_share` of the collateral
+        // value moved into USDC: USDC is held on both sides, so its bound is
+        // the intersection of a collateral and a debt bound.
+        let eth_amount = Wad::from_f64(collateral.to_f64() * (1.0 - usdc_share));
+        let usdc_amount = Wad::from_f64(collateral.to_f64() * price * usdc_share / usdc_wobble);
+        let dual = |eth: u128, usdc: u128, index: Ray| -> Option<Position> {
+            let (eth, usdc) = (Wad::from_raw(eth), Wad::from_raw(usdc));
             let mut slot = Position::new(address);
-            if !ToyView(&state, ToyEnvelope::Complete).fill_position(&corner, address, &mut slot) {
-                return None;
+            for (token, amount, price, threshold, spread) in [
+                (Token::ETH, eth_amount, eth, 0.8, 0.10),
+                (Token::USDC, usdc_amount, usdc, 0.85, 0.05),
+            ] {
+                slot.collateral.push(defi_liquidations_suite::core::position::CollateralHolding {
+                    token,
+                    amount,
+                    value_usd: amount.checked_mul(price).unwrap_or(Wad::MAX),
+                    liquidation_threshold: Wad::from_f64(threshold),
+                    liquidation_spread: Wad::from_f64(spread),
+                });
             }
-            slot.health_factor()
+            let amount = scaled_debt.to_ray().ok()?.checked_mul(index).ok()?.to_wad();
+            slot.debt.push(defi_liquidations_suite::core::position::DebtHolding {
+                token: Token::USDC,
+                amount,
+                value_usd: amount.checked_mul(usdc).unwrap_or(Wad::MAX),
+            });
+            Some(slot)
         };
-        let bound = |token: Token| -> (u128, u128) {
-            envelope
-                .price_bounds
-                .iter()
-                .find(|(t, _, _)| *t == token)
-                .map(|&(_, lo, hi)| (lo, hi))
-                .expect("every sensitive token is bounded")
+        let anchor = dual(
+            Wad::from_f64(price).raw(),
+            Wad::from_f64(usdc_wobble).raw(),
+            state.index,
+        );
+        let Some(hf) = anchor.as_ref().and_then(|p| p.health_factor()) else {
+            return Ok(());
         };
-        let (eth_lo, eth_hi) = bound(Token::ETH);
-        let (usdc_lo, usdc_hi) = bound(Token::USDC);
-
-        // Downward corner: collateral cheapest, debt dearest.
-        let hf_down = corner_hf(eth_lo, usdc_hi);
-        // Upward corner: collateral dearest, debt cheapest.
-        let hf_up = corner_hf(eth_hi, usdc_lo);
-        for corner in [hf_down, hf_up] {
-            let Some(corner) = corner else { continue };
-            if let Some(floor) = floor {
-                prop_assert!(
-                    corner >= floor,
-                    "corner HF {corner} fell through the certified floor {floor} (anchor {hf})"
-                );
-            }
-            if let Some(ceiling) = ceiling {
-                prop_assert!(
-                    corner < ceiling,
-                    "corner HF {corner} rose through the certified ceiling {ceiling} (anchor {hf})"
-                );
-            }
+        let (floor, ceiling) = band_edges(hf);
+        let mut envelope = HfEnvelope::default();
+        if derive_hf_envelope(
+            &state.markets(),
+            &oracle,
+            anchor.as_ref().expect("checked above"),
+            floor,
+            ceiling,
+            &mut envelope,
+        ) {
+            corners_stay_in_band(&envelope, floor, ceiling, state.index, |eth, usdc, index| {
+                dual(eth, usdc, index).and_then(|p| p.health_factor())
+            })?;
         }
     }
 }
@@ -1030,7 +1200,7 @@ proptest! {
                 .iter()
                 .filter(|p| {
                     p.health_factor()
-                        .is_some_and(|hf| hf < rescue() || hf > releverage())
+                        .is_some_and(|hf| hf >= Wad::ONE && (hf < rescue() || hf > releverage()))
                 })
                 .map(|p| p.owner)
                 .collect();

@@ -397,7 +397,7 @@ mod incremental_book {
             .into_iter()
             .filter(|p| {
                 p.health_factor()
-                    .is_some_and(|hf| hf < rescue || hf > releverage)
+                    .is_some_and(|hf| hf >= Wad::ONE && (hf < rescue || hf > releverage))
             })
             .collect();
         let scratch_liquidatable = protocol.liquidatable_accounts(oracle);

@@ -687,7 +687,7 @@ fn check_discovery_surfaces(protocol: &mut dyn LendingProtocol, oracle: &PriceOr
         .iter()
         .filter(|p| {
             p.health_factor()
-                .is_some_and(|hf| hf < rescue || hf > releverage)
+                .is_some_and(|hf| hf >= Wad::ONE && (hf < rescue || hf > releverage))
         })
         .map(|p| p.owner)
         .collect();
