@@ -17,9 +17,9 @@
 //! * [`gas`] — a gas market: per-block median gas price, congestion dynamics,
 //!   scripted congestion episodes (13 March 2020), the 6,000-block moving
 //!   average used in Figure 6.
-//! * [`mempool`] — pending-transaction pool with gas-price priority ordering
-//!   and limited per-block inclusion capacity; under congestion, low-paying
-//!   transactions wait, which is exactly what broke the MakerDAO keeper bots.
+//! * [`mempool`] — background gas demand and the per-block inclusion test it
+//!   implies; under congestion, low-paying transactions wait, which is
+//!   exactly what broke the MakerDAO keeper bots.
 //! * [`block`] — block headers and transaction receipts.
 //! * [`chain`] — the [`Blockchain`] façade tying everything together: block
 //!   production, transaction execution with revert semantics, event emission,
@@ -46,4 +46,3 @@ pub use events::{
 };
 pub use gas::{CongestionEpisode, GasMarket, GasMarketConfig, GweiPrice};
 pub use ledger::{Ledger, LedgerError};
-pub use mempool::{Mempool, PendingTx};

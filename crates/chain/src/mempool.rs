@@ -1,4 +1,4 @@
-//! Pending-transaction pool with gas-price priority inclusion.
+//! Background gas demand and the block-inclusion test it implies.
 //!
 //! "Due to the limited space of an Ethereum block …, a financially rational
 //! miner may include the transactions with the highest gas prices from the
@@ -10,33 +10,14 @@
 //! The model: each block has `block_gas_limit` gas of capacity. Background
 //! demand (ordinary transfers, trades, etc.) consumes a block-dependent share
 //! of that capacity, with gas prices log-normally distributed around the
-//! block median. A pending transaction is included once the background gas
-//! bidding *more* than it — plus any higher-bidding pending transactions —
-//! fits within the limit.
+//! block median ([`BackgroundDemand`]). A transaction is included once the
+//! background gas bidding *more* than it, plus its own gas, fits within the
+//! limit: `gas_above(price, limit) + gas ≤ limit`, the check the simulation
+//! engine runs on every liquidation attempt.
 
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
-
-use defi_types::{Address, BlockNumber};
 
 use crate::gas::GweiPrice;
-
-/// A transaction waiting in the mempool.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct PendingTx {
-    /// Caller-assigned identifier, echoed back on inclusion.
-    pub id: u64,
-    /// Sender address.
-    pub sender: Address,
-    /// Gas price bid (gwei).
-    pub gas_price: GweiPrice,
-    /// Gas the transaction will consume.
-    pub gas_limit: u64,
-    /// Block at which the transaction was submitted.
-    pub submitted_at: BlockNumber,
-    /// Human-readable label (diagnostics).
-    pub label: String,
-}
 
 /// Background (non-protocol) demand model for one block.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -103,170 +84,50 @@ fn erf(x: f64) -> f64 {
     sign * (1.0 - poly * (-x * x).exp())
 }
 
-/// The pending-transaction pool.
-#[derive(Debug, Default, Clone)]
-pub struct Mempool {
-    pending: VecDeque<PendingTx>,
-    next_id: u64,
-}
-
-impl Mempool {
-    /// An empty mempool.
-    pub fn new() -> Self {
-        Mempool::default()
-    }
-
-    /// Submit a transaction; returns the id assigned to it.
-    pub fn submit(
-        &mut self,
-        sender: Address,
-        gas_price: GweiPrice,
-        gas_limit: u64,
-        submitted_at: BlockNumber,
-        label: impl Into<String>,
-    ) -> u64 {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.pending.push_back(PendingTx {
-            id,
-            sender,
-            gas_price,
-            gas_limit,
-            submitted_at,
-            label: label.into(),
-        });
-        id
-    }
-
-    /// Number of transactions waiting.
-    pub fn backlog(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Whether a transaction is still pending.
-    pub fn is_pending(&self, id: u64) -> bool {
-        self.pending.iter().any(|tx| tx.id == id)
-    }
-
-    /// Drop a pending transaction (e.g. the sender replaces or abandons it).
-    pub fn cancel(&mut self, id: u64) -> Option<PendingTx> {
-        let pos = self.pending.iter().position(|tx| tx.id == id)?;
-        self.pending.remove(pos)
-    }
-
-    /// Allow a sender to re-bid a pending transaction at a higher gas price
-    /// (what a well-run liquidation bot does under congestion).
-    pub fn bump_gas_price(&mut self, id: u64, new_price: GweiPrice) -> bool {
-        if let Some(tx) = self.pending.iter_mut().find(|tx| tx.id == id) {
-            if new_price > tx.gas_price {
-                tx.gas_price = new_price;
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Select the transactions included in the next block and remove them
-    /// from the pool. Pending transactions are considered in descending gas
-    /// price order; each must fit in the capacity left after the background
-    /// demand bidding above it.
-    pub fn select_included(
-        &mut self,
-        demand: BackgroundDemand,
-        block_gas_limit: u64,
-    ) -> Vec<PendingTx> {
-        let mut candidates: Vec<PendingTx> = self.pending.iter().cloned().collect();
-        // Highest gas price first; ties broken by submission order (FIFO).
-        candidates.sort_by(|a, b| b.gas_price.cmp(&a.gas_price).then(a.id.cmp(&b.id)));
-
-        let mut included = Vec::new();
-        let mut protocol_gas_used = 0f64;
-        for tx in candidates {
-            let background = demand.gas_above(tx.gas_price, block_gas_limit);
-            if background + protocol_gas_used + tx.gas_limit as f64 <= block_gas_limit as f64 {
-                protocol_gas_used += tx.gas_limit as f64;
-                included.push(tx);
-            }
-        }
-
-        let included_ids: Vec<u64> = included.iter().map(|tx| tx.id).collect();
-        self.pending.retain(|tx| !included_ids.contains(&tx.id));
-        included
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     const LIMIT: u64 = 12_500_000;
 
-    fn addr(n: u64) -> Address {
-        Address::from_seed(n)
+    /// The engine's inclusion check: the background gas bidding above
+    /// `price`, plus the transaction's own gas, fits in the block.
+    fn included(demand: BackgroundDemand, price: GweiPrice, gas: u64) -> bool {
+        demand.gas_above(price, LIMIT) + gas as f64 <= LIMIT as f64
     }
 
     #[test]
     fn calm_network_includes_median_bidders() {
-        let mut pool = Mempool::new();
-        pool.submit(addr(1), 20, 500_000, 1, "liq");
-        let included = pool.select_included(BackgroundDemand::calm(20.0), LIMIT);
-        assert_eq!(included.len(), 1);
-        assert_eq!(pool.backlog(), 0);
+        assert!(included(BackgroundDemand::calm(20.0), 20, 500_000));
     }
 
     #[test]
     fn congested_network_excludes_low_bidders() {
-        let mut pool = Mempool::new();
-        pool.submit(addr(1), 20, 500_000, 1, "stale bot");
-        pool.submit(addr(2), 2_000, 500_000, 1, "aggressive bot");
-        let included = pool.select_included(BackgroundDemand::congested(200.0), LIMIT);
-        let ids: Vec<u64> = included.iter().map(|t| t.id).collect();
-        assert!(ids.contains(&1), "high bidder must be included");
-        assert!(!ids.contains(&0), "stale low bidder must wait");
-        assert_eq!(pool.backlog(), 1);
-    }
-
-    #[test]
-    fn bump_gas_price_gets_transaction_included() {
-        let mut pool = Mempool::new();
-        let id = pool.submit(addr(1), 20, 500_000, 1, "bot");
-        let included = pool.select_included(BackgroundDemand::congested(200.0), LIMIT);
-        assert!(included.is_empty());
-        assert!(pool.bump_gas_price(id, 5_000));
-        let included = pool.select_included(BackgroundDemand::congested(200.0), LIMIT);
-        assert_eq!(included.len(), 1);
-    }
-
-    #[test]
-    fn bump_to_lower_price_is_rejected() {
-        let mut pool = Mempool::new();
-        let id = pool.submit(addr(1), 100, 500_000, 1, "bot");
-        assert!(!pool.bump_gas_price(id, 50));
+        let demand = BackgroundDemand::congested(200.0);
+        assert!(!included(demand, 20, 500_000), "stale low bidder must wait");
+        assert!(
+            included(demand, 2_000, 500_000),
+            "high bidder must be included"
+        );
     }
 
     #[test]
     fn priority_is_by_gas_price() {
-        let mut pool = Mempool::new();
-        // Block fits only ~3.1M protocol gas above 75th percentile of calm demand.
-        for i in 0..10 {
-            pool.submit(addr(i), 10 + i * 10, 2_000_000, 1, "tx");
+        // A higher bid never faces more background gas above it, so once a
+        // price is included every higher price is too.
+        let demand = BackgroundDemand::congested(200.0);
+        let prices: Vec<GweiPrice> = (1..=10).map(|i| i * 100).collect();
+        for pair in prices.windows(2) {
+            assert!(demand.gas_above(pair[1], LIMIT) <= demand.gas_above(pair[0], LIMIT));
         }
-        let included = pool.select_included(BackgroundDemand::calm(50.0), LIMIT);
-        assert!(!included.is_empty());
-        // Included prices should all be >= the max excluded price.
-        let min_included = included.iter().map(|t| t.gas_price).min().unwrap();
-        let max_pending = pool.pending.iter().map(|t| t.gas_price).max().unwrap_or(0);
-        assert!(min_included >= max_pending);
-    }
-
-    #[test]
-    fn cancel_removes_pending() {
-        let mut pool = Mempool::new();
-        let id = pool.submit(addr(1), 10, 100, 1, "tx");
-        assert!(pool.is_pending(id));
-        assert!(pool.cancel(id).is_some());
-        assert!(!pool.is_pending(id));
-        assert!(pool.cancel(id).is_none());
+        let first = prices
+            .iter()
+            .position(|&p| included(demand, p, 2_000_000))
+            .expect("some bid clears a congested block");
+        assert!(prices[first..]
+            .iter()
+            .all(|&p| included(demand, p, 2_000_000)));
+        assert!(first > 0, "the lowest bid waits behind congested demand");
     }
 
     #[test]

@@ -80,6 +80,14 @@
 //! (`tests/band_differential.rs`): a shadow cache-less scan must agree with
 //! banded discovery every tick across every catalog scenario.
 //!
+//! Each protocol owns one book and answers every
+//! [`LendingProtocol`](crate::LendingProtocol) book query with one call on
+//! it — [`book_positions`](PositionBook::book_positions),
+//! [`totals`](PositionBook::totals),
+//! [`for_each_at_risk`](PositionBook::for_each_at_risk) or
+//! [`liquidatable_accounts`](PositionBook::liquidatable_accounts) — handing
+//! it a read-view of its own state that implements [`BookSource`].
+//!
 //! # Sharding
 //!
 //! The book is split into [`BOOK_SHARD_COUNT`] fixed **address-range shards**
@@ -399,10 +407,9 @@ struct Entry {
     position: Position,
     in_book: bool,
     critical: Option<(Token, u128)>,
-    /// Health-factor band at the last re-valuation.
-    band: HfBand,
-    /// Certified envelope within which `band` provably holds (`None`: the
-    /// account rides the exact path and re-values on every relevant change).
+    /// Certified envelope within which the health-factor band of the last
+    /// re-valuation provably holds (`None`: the account rides the exact
+    /// path and re-values on every relevant change).
     envelope: Option<HfEnvelope>,
     /// Oracle write epoch the valuation was computed at.
     valued_epoch: u64,
@@ -424,7 +431,6 @@ impl Entry {
             position: Position::new(account),
             in_book: false,
             critical: None,
-            band: HfBand::Quiet,
             envelope: None,
             valued_epoch: 0,
             index_epoch: 0,
@@ -1044,7 +1050,6 @@ impl BookShard {
             entry.valued_epoch = oracle.epoch();
             entry.index_epoch = clock.index_epoch;
         }
-        entry.band = band;
         let new_in_book = exists && entry.in_book;
         if new_in_book {
             self.totals.fold(&entry.position, true);
@@ -1494,24 +1499,6 @@ impl PositionBook {
             );
         }
         out
-    }
-
-    /// Visit every observable book position in address order without
-    /// allocating a snapshot vector (the engine's borrower-management pass).
-    pub fn for_each_book_position<S: BookSource>(
-        &mut self,
-        source: &S,
-        oracle: &PriceOracle,
-        visit: &mut dyn FnMut(&Position),
-    ) {
-        self.flush(source, oracle, true);
-        for shard in &self.shards {
-            for entry in shard.entries.values() {
-                if entry.in_book {
-                    visit(&entry.position);
-                }
-            }
-        }
     }
 
     /// Volume totals over the observable book from the shards' running

@@ -22,6 +22,9 @@ use defi_types::{
 use crate::book::{BookSource, BookStats, BookTotals, HfEnvelope, PositionBook};
 use crate::error::ProtocolError;
 use crate::interest::{utilization, BorrowIndex, InterestRateModel};
+use crate::protocol::{
+    LendingProtocol, LiquidationExecution, LiquidationRequest, MechanismKind, Opportunity,
+};
 
 /// Protocol-wide configuration.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -882,7 +885,8 @@ impl FixedSpreadProtocol {
 
     /// Valuation snapshots of every account with a non-empty position,
     /// rebuilt from scratch (the reference path; the engine reads the
-    /// incremental [`cached_book`](FixedSpreadProtocol::cached_book)).
+    /// incremental book through
+    /// [`LendingProtocol::book_positions`]).
     pub fn positions(&self, oracle: &PriceOracle) -> Vec<Position> {
         let mut addresses: Vec<Address> = self
             .accounts
@@ -912,66 +916,6 @@ impl FixedSpreadProtocol {
         self.position(oracle, account)
             .map(|p| p.is_liquidatable())
             .unwrap_or(false)
-    }
-
-    // ------------------------------------------------------- incremental book
-
-    /// The observable book (borrowing accounts) served from the incremental
-    /// cache: only accounts whose inputs changed since the last query
-    /// re-value.
-    pub fn cached_book(&mut self, oracle: &PriceOracle) -> Vec<Position> {
-        let (book, view) = self.split_book();
-        book.book_positions(&view, oracle)
-    }
-
-    /// Visit every observable book position without materialising a snapshot
-    /// vector (the engine's borrower-management pass).
-    pub fn for_each_book_position(
-        &mut self,
-        oracle: &PriceOracle,
-        visit: &mut dyn FnMut(&Position),
-    ) {
-        let (book, view) = self.split_book();
-        book.for_each_book_position(&view, oracle, visit);
-    }
-
-    /// Liquidatable accounts with fresh cached snapshots, in address order.
-    pub fn cached_liquidatable_accounts(&mut self, oracle: &PriceOracle) -> Vec<Address> {
-        let (book, view) = self.split_book();
-        book.liquidatable_accounts(&view, oracle)
-    }
-
-    /// Visit the at-risk slice of the book — health factor in `[1, rescue)`
-    /// or above `releverage` — through the conservative band index: accounts
-    /// whose certified envelope holds are skipped without re-valuation.
-    /// Exactly equivalent to filtering
-    /// [`for_each_book_position`](FixedSpreadProtocol::for_each_book_position)
-    /// by health factor.
-    pub fn for_each_at_risk(
-        &mut self,
-        oracle: &PriceOracle,
-        rescue: Wad,
-        releverage: Wad,
-        visit: &mut dyn FnMut(&Position),
-    ) {
-        let (book, view) = self.split_book();
-        book.for_each_at_risk(&view, oracle, rescue, releverage, visit);
-    }
-
-    /// Running aggregate totals over the observable book (volume sampling).
-    pub fn book_totals(&mut self, oracle: &PriceOracle) -> BookTotals {
-        let (book, view) = self.split_book();
-        book.totals(&view, oracle)
-    }
-
-    /// The cached snapshot of one account (exact after any cached query).
-    pub fn cached_position(&self, account: Address) -> Option<&Position> {
-        self.book.cached_position(account)
-    }
-
-    /// Cache-maintenance counters (scale benchmarks, no-op-tick tests).
-    pub fn book_stats(&self) -> BookStats {
-        self.book.stats()
     }
 
     // ------------------------------------------------------------- liquidation
@@ -1130,10 +1074,166 @@ impl FixedSpreadProtocol {
         Ok(receipt)
     }
 
+    /// Number of accounts with a non-empty position (diagnostics).
+    pub fn account_count(&self) -> usize {
+        self.accounts.values().filter(|a| !a.is_empty()).count()
+    }
+}
+
+impl LendingProtocol for FixedSpreadProtocol {
+    fn platform(&self) -> Platform {
+        FixedSpreadProtocol::platform(self)
+    }
+
+    fn mechanism(&self) -> MechanismKind {
+        MechanismKind::FixedSpread
+    }
+
+    fn listed_tokens(&self) -> Vec<Token> {
+        self.markets().map(|m| m.token).collect()
+    }
+
+    fn close_factor(&self) -> Wad {
+        self.config.close_factor
+    }
+
+    fn accrue(&mut self, block: BlockNumber) {
+        self.accrue_all(block);
+    }
+
+    fn deposit(
+        &mut self,
+        ledger: &mut Ledger,
+        events: &mut Vec<ChainEvent>,
+        account: Address,
+        token: Token,
+        amount: Wad,
+    ) -> Result<(), ProtocolError> {
+        FixedSpreadProtocol::deposit(self, ledger, events, account, token, amount)
+    }
+
+    fn borrow(
+        &mut self,
+        ledger: &mut Ledger,
+        events: &mut Vec<ChainEvent>,
+        oracle: &PriceOracle,
+        block: BlockNumber,
+        account: Address,
+        token: Token,
+        amount: Wad,
+    ) -> Result<(), ProtocolError> {
+        FixedSpreadProtocol::borrow(self, ledger, events, oracle, block, account, token, amount)
+    }
+
+    fn repay(
+        &mut self,
+        ledger: &mut Ledger,
+        events: &mut Vec<ChainEvent>,
+        block: BlockNumber,
+        account: Address,
+        token: Token,
+        amount: Wad,
+    ) -> Result<Wad, ProtocolError> {
+        FixedSpreadProtocol::repay(self, ledger, events, block, account, token, amount)
+    }
+
+    fn position(&self, oracle: &PriceOracle, account: Address) -> Option<Position> {
+        FixedSpreadProtocol::position(self, oracle, account)
+    }
+
+    fn book_positions(&mut self, oracle: &PriceOracle) -> Vec<Position> {
+        let (book, view) = self.split_book();
+        book.book_positions(&view, oracle)
+    }
+
+    fn book_totals(&mut self, oracle: &PriceOracle) -> BookTotals {
+        let (book, view) = self.split_book();
+        book.totals(&view, oracle)
+    }
+
+    fn for_each_at_risk(
+        &mut self,
+        oracle: &PriceOracle,
+        rescue: Wad,
+        releverage: Wad,
+        visit: &mut dyn FnMut(&Position),
+    ) {
+        let (book, view) = self.split_book();
+        book.for_each_at_risk(&view, oracle, rescue, releverage, visit);
+    }
+
+    fn book_stats(&self) -> BookStats {
+        self.book.stats()
+    }
+
+    fn reference_positions(&self, oracle: &PriceOracle) -> Vec<Position> {
+        // The observable book reports accounts that actually borrow.
+        self.positions(oracle)
+            .into_iter()
+            .filter(|p| !p.total_debt_value().is_zero())
+            .collect()
+    }
+
+    fn market_risk_params(&self, token: Token) -> Option<RiskParams> {
+        self.market_params(token)
+    }
+
+    fn liquidatable_into(&mut self, oracle: &PriceOracle, out: &mut Vec<Opportunity>) {
+        out.clear();
+        let platform = self.config.platform;
+        let (book, view) = self.split_book();
+        for borrower in book.liquidatable_accounts(&view, oracle) {
+            if let Some(position) = book.cached_position(borrower) {
+                out.push(Opportunity {
+                    platform,
+                    borrower,
+                    position: position.clone(),
+                    mechanism: MechanismKind::FixedSpread,
+                });
+            }
+        }
+    }
+
+    fn execute_liquidation(
+        &mut self,
+        ledger: &mut Ledger,
+        events: &mut Vec<ChainEvent>,
+        oracle: &PriceOracle,
+        block: BlockNumber,
+        request: &LiquidationRequest,
+    ) -> Result<LiquidationExecution, ProtocolError> {
+        match *request {
+            LiquidationRequest::FixedSpread {
+                liquidator,
+                borrower,
+                debt_token,
+                collateral_token,
+                repay_amount,
+                used_flash_loan,
+            } => self
+                .liquidation_call(
+                    ledger,
+                    events,
+                    oracle,
+                    block,
+                    liquidator,
+                    borrower,
+                    debt_token,
+                    collateral_token,
+                    repay_amount,
+                    used_flash_loan,
+                )
+                .map(LiquidationExecution::FixedSpread),
+            _ => Err(ProtocolError::UnsupportedLiquidationRequest {
+                platform: self.config.platform,
+            }),
+        }
+    }
+
     /// dYdX-style insurance fund: write off the debt of under-collateralized
     /// positions so that no Type I bad debt remains on the books (§4.4.2
     /// observes dYdX has none). Returns the USD value written off.
-    pub fn write_off_insolvent_positions(&mut self, oracle: &PriceOracle) -> Wad {
+    fn write_off_insolvent_positions(&mut self, oracle: &PriceOracle) -> Wad {
         if !self.config.insurance_fund {
             return Wad::ZERO;
         }
@@ -1163,18 +1263,13 @@ impl FixedSpreadProtocol {
         self.insurance_written_off = self.insurance_written_off.saturating_add(written_off);
         written_off
     }
-
-    /// Number of accounts with a non-empty position (diagnostics).
-    pub fn account_count(&self) -> usize {
-        self.accounts.values().filter(|a| !a.is_empty()).count()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::book::reference_totals;
-    use crate::LendingProtocol;
+    use crate::protocol::discovered;
     use defi_oracle::OracleConfig;
 
     fn setup() -> (FixedSpreadProtocol, Ledger, PriceOracle, Vec<ChainEvent>) {
@@ -1622,7 +1717,7 @@ mod tests {
             )
             .unwrap();
 
-        let cached = protocol.cached_book(&oracle);
+        let cached = protocol.book_positions(&oracle);
         let scratch: Vec<Position> = protocol
             .positions(&oracle)
             .into_iter()
@@ -1633,8 +1728,8 @@ mod tests {
         // No price moved, no op ran, no interest accrued: discovery and the
         // book answer from cache without a single re-valuation.
         let before = protocol.book_stats();
-        assert!(protocol.cached_liquidatable_accounts(&oracle).is_empty());
-        let again = protocol.cached_book(&oracle);
+        assert!(discovered(&mut protocol, &oracle).is_empty());
+        let again = protocol.book_positions(&oracle);
         let after = protocol.book_stats();
         assert_eq!(after.revaluations, before.revaluations);
         assert_eq!(after.flush_count, before.flush_count);
@@ -1647,23 +1742,23 @@ mod tests {
         // repeated one finds nothing left to do.
         protocol.accrue_all(2);
         assert_eq!(
-            protocol.cached_liquidatable_accounts(&oracle),
+            discovered(&mut protocol, &oracle),
             protocol.liquidatable_accounts(&oracle)
         );
         let accrued = protocol.book_stats();
-        let fresh = protocol.cached_book(&oracle);
+        let fresh = protocol.book_positions(&oracle);
         assert_eq!(fresh, protocol.reference_positions(&oracle));
         let drained = protocol.book_stats();
         let lagging = 1;
         assert_eq!(drained.light_refreshes, accrued.light_refreshes + lagging);
         assert_eq!(drained.revaluations, accrued.revaluations + lagging);
         assert_eq!(drained.flush_count, accrued.flush_count + 1);
-        protocol.cached_book(&oracle);
+        protocol.book_positions(&oracle);
         assert_eq!(protocol.book_stats(), drained);
 
         // A crash re-flags exactly what the scratch filter flags…
         oracle.set_price(2, Token::ETH, Wad::from_int(3_300));
-        let cached_flagged = protocol.cached_liquidatable_accounts(&oracle);
+        let cached_flagged = discovered(&mut protocol, &oracle);
         let scratch_flagged = protocol.liquidatable_accounts(&oracle);
         assert_eq!(cached_flagged, scratch_flagged);
         assert_eq!(cached_flagged, vec![borrower]);
@@ -1684,14 +1779,11 @@ mod tests {
         let (mut protocol, mut ledger, mut oracle, mut events) = setup();
         let borrower = paper_borrower(&mut protocol, &mut ledger, &oracle, &mut events);
         oracle.set_price(2, Token::USDC, Wad::ZERO);
-        assert!(protocol.cached_liquidatable_accounts(&oracle).is_empty());
+        assert!(discovered(&mut protocol, &oracle).is_empty());
         oracle.set_price(3, Token::USDC, Wad::ONE);
         oracle.set_price(3, Token::ETH, Wad::from_int(3_300));
         assert_eq!(protocol.liquidatable_accounts(&oracle), vec![borrower]);
-        assert_eq!(
-            protocol.cached_liquidatable_accounts(&oracle),
-            vec![borrower]
-        );
+        assert_eq!(discovered(&mut protocol, &oracle), vec![borrower]);
     }
 
     /// A price written to zero takes a debtor out of the observable book
@@ -1778,7 +1870,7 @@ mod tests {
     fn relisting_a_market_invalidates_cached_valuations() {
         let (mut protocol, mut ledger, oracle, mut events) = setup();
         let borrower = paper_borrower(&mut protocol, &mut ledger, &oracle, &mut events);
-        assert!(protocol.cached_liquidatable_accounts(&oracle).is_empty());
+        assert!(discovered(&mut protocol, &oracle).is_empty());
         // Governance tightens the ETH liquidation threshold to 50 %.
         protocol.list_market(
             Token::ETH,
@@ -1786,11 +1878,11 @@ mod tests {
             InterestRateModel::default(),
             0,
         );
-        let cached = protocol.cached_liquidatable_accounts(&oracle);
+        let cached = discovered(&mut protocol, &oracle);
         let scratch = protocol.liquidatable_accounts(&oracle);
         assert_eq!(cached, scratch);
         assert_eq!(cached, vec![borrower]);
-        assert_eq!(protocol.cached_book(&oracle), {
+        assert_eq!(protocol.book_positions(&oracle), {
             let filtered: Vec<Position> = protocol
                 .positions(&oracle)
                 .into_iter()
@@ -1808,14 +1900,11 @@ mod tests {
     fn accrual_revalues_a_debtor_without_a_cap() {
         let (mut protocol, mut ledger, oracle, mut events) = setup();
         let borrower = paper_borrower(&mut protocol, &mut ledger, &oracle, &mut events);
-        assert!(protocol.cached_liquidatable_accounts(&oracle).is_empty());
+        assert!(discovered(&mut protocol, &oracle).is_empty());
         assert_eq!(protocol.book_stats().banded_accounts, 1, "only the lender");
         let before = protocol.book_stats().envelope_checks;
         protocol.accrue_all(100);
-        assert_eq!(
-            protocol.cached_liquidatable_accounts(&oracle),
-            vec![borrower]
-        );
+        assert_eq!(discovered(&mut protocol, &oracle), vec![borrower]);
         assert_eq!(protocol.liquidatable_accounts(&oracle), vec![borrower]);
         assert_eq!(protocol.book_stats().envelope_checks, before + 1);
     }
@@ -1878,21 +1967,15 @@ mod tests {
         // In the book, the certified account costs an accrual nothing: no
         // examination, no re-derivation — only the freshen of the
         // valuation discovery hands out.
-        assert_eq!(
-            protocol.cached_liquidatable_accounts(&oracle),
-            vec![borrower]
-        );
+        assert_eq!(discovered(&mut protocol, &oracle), vec![borrower]);
         let before = protocol.book_stats();
         protocol.accrue_all(500);
-        assert_eq!(
-            protocol.cached_liquidatable_accounts(&oracle),
-            vec![borrower]
-        );
+        assert_eq!(discovered(&mut protocol, &oracle), vec![borrower]);
         let after = protocol.book_stats();
         assert_eq!(after.envelope_checks, before.envelope_checks);
         assert_eq!(after.envelope_derives, before.envelope_derives);
         assert_eq!(
-            protocol.cached_position(borrower),
+            protocol.book.cached_position(borrower),
             protocol.position(&oracle, borrower).as_ref()
         );
 

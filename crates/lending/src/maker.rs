@@ -29,6 +29,10 @@ use defi_types::{mul_div_ceil, Address, BlockNumber, FxHashMap, Platform, Token,
 
 use crate::book::{BookSource, BookStats, BookTotals, PositionBook};
 use crate::error::ProtocolError;
+use crate::protocol::{
+    AuctionSnapshot, BidSnapshot, LendingProtocol, LiquidationExecution, LiquidationRequest,
+    MechanismKind, Opportunity,
+};
 
 /// Per-collateral-type ("ilk") risk parameters.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -268,10 +272,11 @@ fn fill_cdp_position(
     }
     if !cdp.debt.is_zero() {
         // The vat accounts DAI at its 1-USD par price: the contracts are
-        // oblivious to DAI's market price, so valuing the debt at par is
-        // what makes HF < 1 coincide *exactly* with the bite condition
-        // (collateral value < debt × liquidation ratio) even while DAI
-        // trades off peg.
+        // oblivious to DAI's market price, so valuing the debt at par keeps
+        // HF < 1 tracking the bite condition (collateral value < debt ×
+        // liquidation ratio) even while DAI trades off peg. The two agree
+        // up to the truncation of the threshold `1 / ratio`: at the exact
+        // boundary HF reads one raw unit below 1 while the bite is refused.
         slot.debt.push(DebtHolding {
             token: Token::DAI,
             amount: cdp.debt,
@@ -330,11 +335,6 @@ impl MakerProtocol {
         self.ilks.get(&token).copied()
     }
 
-    /// The registered collateral types, in deterministic order.
-    pub fn ilk_tokens(&self) -> Vec<Token> {
-        self.ilks.keys().copied().collect()
-    }
-
     /// The CDP of an owner, if any.
     pub fn cdp(&self, owner: Address) -> Option<&Cdp> {
         self.cdps.get(&owner)
@@ -353,15 +353,6 @@ impl MakerProtocol {
     /// All auctions (running and finalised).
     pub fn auctions(&self) -> impl Iterator<Item = &Auction> {
         self.auctions.values()
-    }
-
-    /// Auctions that have not been finalised yet.
-    pub fn open_auctions(&self) -> Vec<AuctionId> {
-        self.auctions
-            .values()
-            .filter(|a| !a.finalized)
-            .map(|a| a.id)
-            .collect()
     }
 
     // --------------------------------------------------------------- CDP ops
@@ -565,9 +556,11 @@ impl MakerProtocol {
     }
 
     /// Valuation snapshot of one CDP as a generic [`Position`] (the LT used
-    /// is the inverse of the liquidation ratio, so HF < 1 coincides with the
-    /// CDP liquidation condition). Always computed from scratch — the
-    /// reference path the incremental book is tested against.
+    /// is the inverse of the liquidation ratio, so HF < 1 tracks the CDP
+    /// liquidation condition up to the truncation of that inverse: at the
+    /// exact boundary HF reads just below 1 while the bite is refused).
+    /// Always computed from scratch — the reference path the incremental
+    /// book is tested against.
     pub fn position(&self, oracle: &PriceOracle, owner: Address) -> Option<Position> {
         let cdp = self.cdps.get(&owner)?;
         let ilk = self.ilks.get(&cdp.collateral_token)?;
@@ -576,8 +569,8 @@ impl MakerProtocol {
     }
 
     /// Valuation snapshots of all CDPs, rebuilt from scratch (the reference
-    /// path; the engine reads the incremental
-    /// [`cached_book`](MakerProtocol::cached_book)).
+    /// path; the engine reads the incremental book through
+    /// [`LendingProtocol::book_positions`]).
     pub fn positions(&self, oracle: &PriceOracle) -> Vec<Position> {
         let mut owners: Vec<Address> = self.cdps.keys().copied().collect();
         owners.sort();
@@ -586,78 +579,6 @@ impl MakerProtocol {
             .filter_map(|o| self.position(oracle, o))
             .filter(|p| !p.collateral.is_empty() || !p.debt.is_empty())
             .collect()
-    }
-
-    // ------------------------------------------------------- incremental book
-
-    /// All open CDPs served from the incremental cache.
-    pub fn cached_book(&mut self, oracle: &PriceOracle) -> Vec<Position> {
-        let (book, view) = self.split_book();
-        book.book_positions(&view, oracle)
-    }
-
-    /// Visit every open CDP without materialising a snapshot vector.
-    pub fn for_each_book_position(
-        &mut self,
-        oracle: &PriceOracle,
-        visit: &mut dyn FnMut(&Position),
-    ) {
-        let (book, view) = self.split_book();
-        book.for_each_book_position(&view, oracle, visit);
-    }
-
-    /// CDPs eligible for liquidation via the critical-price index: a range
-    /// scan over each collateral token's ordered threshold map instead of a
-    /// full-book filter. Exact — the thresholds replicate the bite condition
-    /// in the same fixed-point arithmetic — and re-values only the accounts
-    /// it returns.
-    pub fn cached_liquidatable_cdps(&mut self, oracle: &PriceOracle) -> Vec<Address> {
-        let candidates = {
-            let (book, view) = self.split_book();
-            book.liquidatable_accounts(&view, oracle)
-        };
-        // Belt and braces: re-check candidates through the reference bite
-        // condition so a threshold-map bug can only ever hide an account,
-        // never invent one. The two agree everywhere except when
-        // `collateral × price` overflows u128 fixed-point — a collateral
-        // valuation beyond ~3.4·10²⁰ USD, five orders of magnitude past the
-        // 10¹⁵-USD sanity ceiling the invariant observer already rejects as
-        // saturated arithmetic — so within the suite's representable domain
-        // the cached surface is exact.
-        candidates
-            .into_iter()
-            .filter(|owner| self.is_liquidatable(oracle, *owner))
-            .collect()
-    }
-
-    /// Visit the at-risk slice of the CDP book — health factor in
-    /// `[1, rescue)` or above `releverage` — through the book's exact full walk
-    /// (critical-price accounts keep no band).
-    pub fn for_each_at_risk(
-        &mut self,
-        oracle: &PriceOracle,
-        rescue: Wad,
-        releverage: Wad,
-        visit: &mut dyn FnMut(&Position),
-    ) {
-        let (book, view) = self.split_book();
-        book.for_each_at_risk(&view, oracle, rescue, releverage, visit);
-    }
-
-    /// Running aggregate totals over the CDP book (volume sampling).
-    pub fn book_totals(&mut self, oracle: &PriceOracle) -> BookTotals {
-        let (book, view) = self.split_book();
-        book.totals(&view, oracle)
-    }
-
-    /// The cached snapshot of one CDP (exact after any cached query).
-    pub fn cached_position(&self, owner: Address) -> Option<&Position> {
-        self.book.cached_position(owner)
-    }
-
-    /// Cache-maintenance counters (scale benchmarks, no-op-tick tests).
-    pub fn book_stats(&self) -> BookStats {
-        self.book.stats()
     }
 
     // ------------------------------------------------------------ auction ops
@@ -826,14 +747,6 @@ impl MakerProtocol {
         Ok(auction.phase)
     }
 
-    /// Whether an auction can be finalised at `block`.
-    pub fn can_finalize(&self, auction_id: AuctionId, block: BlockNumber) -> bool {
-        self.auctions
-            .get(&auction_id)
-            .map(|a| !a.finalized && a.has_terminated(block, &self.auction_params))
-            .unwrap_or(false)
-    }
-
     /// `deal`: finalise a terminated auction. The winner receives the
     /// collateral they bid for; in the dent phase the remaining collateral is
     /// returned to the borrower. If no bid was placed, the collateral simply
@@ -934,10 +847,236 @@ impl MakerProtocol {
     }
 }
 
+impl LendingProtocol for MakerProtocol {
+    fn platform(&self) -> Platform {
+        Platform::MakerDao
+    }
+
+    fn mechanism(&self) -> MechanismKind {
+        MechanismKind::Auction
+    }
+
+    fn listed_tokens(&self) -> Vec<Token> {
+        self.ilks.keys().copied().collect()
+    }
+
+    fn lendable_tokens(&self) -> Vec<Token> {
+        // DAI is minted against collateral, not lent from a pool: nothing to
+        // seed.
+        Vec::new()
+    }
+
+    fn close_factor(&self) -> Wad {
+        // An auction recovers the whole debt (plus penalty) in one go.
+        Wad::ONE
+    }
+
+    fn accrue(&mut self, _block: BlockNumber) {
+        // Stability fees are accrued lazily into CDP debt in this model.
+    }
+
+    fn deposit(
+        &mut self,
+        ledger: &mut Ledger,
+        events: &mut Vec<ChainEvent>,
+        account: Address,
+        token: Token,
+        amount: Wad,
+    ) -> Result<(), ProtocolError> {
+        self.lock_collateral(ledger, events, account, token, amount)
+    }
+
+    fn borrow(
+        &mut self,
+        ledger: &mut Ledger,
+        events: &mut Vec<ChainEvent>,
+        oracle: &PriceOracle,
+        _block: BlockNumber,
+        account: Address,
+        token: Token,
+        amount: Wad,
+    ) -> Result<(), ProtocolError> {
+        if token != Token::DAI {
+            return Err(ProtocolError::MarketNotListed(token));
+        }
+        self.draw_dai(ledger, events, oracle, account, amount)
+    }
+
+    fn repay(
+        &mut self,
+        ledger: &mut Ledger,
+        events: &mut Vec<ChainEvent>,
+        _block: BlockNumber,
+        account: Address,
+        token: Token,
+        amount: Wad,
+    ) -> Result<Wad, ProtocolError> {
+        if token != Token::DAI {
+            return Err(ProtocolError::NoDebtInToken(token));
+        }
+        self.repay_dai(ledger, events, account, amount)
+    }
+
+    fn position(&self, oracle: &PriceOracle, account: Address) -> Option<Position> {
+        MakerProtocol::position(self, oracle, account)
+    }
+
+    fn book_positions(&mut self, oracle: &PriceOracle) -> Vec<Position> {
+        let (book, view) = self.split_book();
+        book.book_positions(&view, oracle)
+    }
+
+    fn book_totals(&mut self, oracle: &PriceOracle) -> BookTotals {
+        let (book, view) = self.split_book();
+        book.totals(&view, oracle)
+    }
+
+    /// CDPs keep no band: the book serves this slice through its exact full
+    /// walk.
+    fn for_each_at_risk(
+        &mut self,
+        oracle: &PriceOracle,
+        rescue: Wad,
+        releverage: Wad,
+        visit: &mut dyn FnMut(&Position),
+    ) {
+        let (book, view) = self.split_book();
+        book.for_each_at_risk(&view, oracle, rescue, releverage, visit);
+    }
+
+    fn book_stats(&self) -> BookStats {
+        self.book.stats()
+    }
+
+    fn reference_positions(&self, oracle: &PriceOracle) -> Vec<Position> {
+        // Every open CDP is observable.
+        MakerProtocol::positions(self, oracle)
+    }
+
+    /// Candidates come from the critical-price index: a range scan over each
+    /// collateral token's ordered threshold map instead of a full-book
+    /// filter, re-valuing only the CDPs it returns.
+    fn liquidatable_into(&mut self, oracle: &PriceOracle, out: &mut Vec<Opportunity>) {
+        out.clear();
+        let candidates = {
+            let (book, view) = self.split_book();
+            book.liquidatable_accounts(&view, oracle)
+        };
+        for owner in candidates {
+            // Belt and braces: re-check candidates through the reference bite
+            // condition so a threshold-map bug can only ever hide an account,
+            // never invent one. The two agree everywhere except when
+            // `collateral × price` overflows u128 fixed-point — a collateral
+            // valuation beyond ~3.4·10²⁰ USD, five orders of magnitude past the
+            // 10¹⁵-USD sanity ceiling the invariant observer already rejects as
+            // saturated arithmetic — so within the suite's representable domain
+            // the cached surface is exact.
+            if !self.is_liquidatable(oracle, owner) {
+                continue;
+            }
+            if let Some(position) = self.book.cached_position(owner) {
+                out.push(Opportunity {
+                    platform: Platform::MakerDao,
+                    borrower: owner,
+                    position: position.clone(),
+                    mechanism: MechanismKind::Auction,
+                });
+            }
+        }
+    }
+
+    fn execute_liquidation(
+        &mut self,
+        ledger: &mut Ledger,
+        events: &mut Vec<ChainEvent>,
+        oracle: &PriceOracle,
+        block: BlockNumber,
+        request: &LiquidationRequest,
+    ) -> Result<LiquidationExecution, ProtocolError> {
+        match *request {
+            LiquidationRequest::StartAuction {
+                keeper: _,
+                borrower,
+            } => self
+                .bite(events, oracle, block, borrower)
+                .map(LiquidationExecution::AuctionStarted),
+            LiquidationRequest::AuctionBid {
+                bidder,
+                auction_id,
+                debt_bid,
+                collateral_bid,
+            } => self
+                .bid(
+                    ledger,
+                    events,
+                    block,
+                    auction_id,
+                    bidder,
+                    debt_bid,
+                    collateral_bid,
+                )
+                .map(LiquidationExecution::BidPlaced),
+            LiquidationRequest::SettleAuction {
+                caller: _,
+                auction_id,
+            } => self
+                .deal(ledger, events, oracle, block, auction_id)
+                .map(LiquidationExecution::AuctionSettled),
+            LiquidationRequest::FixedSpread { .. } => {
+                Err(ProtocolError::UnsupportedLiquidationRequest {
+                    platform: Platform::MakerDao,
+                })
+            }
+        }
+    }
+
+    fn open_auctions(&self) -> Vec<AuctionId> {
+        self.auctions
+            .values()
+            .filter(|a| !a.finalized)
+            .map(|a| a.id)
+            .collect()
+    }
+
+    fn auction_snapshot(&self, id: AuctionId) -> Option<AuctionSnapshot> {
+        self.auction(id).map(|auction| AuctionSnapshot {
+            id: auction.id,
+            borrower: auction.borrower,
+            collateral_token: auction.collateral_token,
+            collateral: auction.collateral,
+            debt: auction.debt,
+            phase: auction.phase,
+            best_bid: auction.best_bid.map(|bid| BidSnapshot {
+                bidder: bid.bidder,
+                debt_bid: bid.debt_bid,
+                collateral_bid: bid.collateral_bid,
+            }),
+            started_at: auction.started_at,
+            finalized: auction.finalized,
+        })
+    }
+
+    fn can_finalize_auction(&self, id: AuctionId, block: BlockNumber) -> bool {
+        self.auctions
+            .get(&id)
+            .map(|a| !a.finalized && a.has_terminated(block, &self.auction_params))
+            .unwrap_or(false)
+    }
+
+    fn auction_params(&self) -> Option<AuctionParams> {
+        Some(*MakerProtocol::auction_params(self))
+    }
+
+    fn set_auction_params(&mut self, params: AuctionParams) {
+        MakerProtocol::set_auction_params(self, params);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::book::reference_totals;
+    use crate::protocol::discovered;
     use defi_oracle::OracleConfig;
 
     fn setup() -> (MakerProtocol, Ledger, PriceOracle, Vec<ChainEvent>) {
@@ -1129,7 +1268,7 @@ mod tests {
 
         // Terminate via the bid-duration condition and finalise.
         let end_block = 113 + maker.auction_params().bid_duration_blocks;
-        assert!(maker.can_finalize(id, end_block));
+        assert!(maker.can_finalize_auction(id, end_block));
         let outcome = maker
             .deal(&mut ledger, &mut events, &oracle, end_block, id)
             .unwrap();
@@ -1210,7 +1349,7 @@ mod tests {
         oracle.set_price(10, Token::ETH, Wad::from_int(150));
         let id = maker.bite(&mut events, &oracle, 100, owner).unwrap();
         let end = 100 + maker.auction_params().auction_length_blocks;
-        assert!(maker.can_finalize(id, end));
+        assert!(maker.can_finalize_auction(id, end));
         let outcome = maker
             .deal(&mut ledger, &mut events, &oracle, end, id)
             .unwrap();
@@ -1307,19 +1446,19 @@ mod tests {
                 dai,
             );
         }
-        assert!(maker.cached_liquidatable_cdps(&oracle).is_empty());
+        assert!(discovered(&mut maker, &oracle).is_empty());
         let baseline = maker.book_stats().revaluations;
         assert_eq!(maker.book_stats().indexed_accounts, 10);
 
         // A move that crosses nobody re-values nobody.
         oracle.set_price(5, Token::ETH, Wad::from_int(199));
-        assert!(maker.cached_liquidatable_cdps(&oracle).is_empty());
+        assert!(discovered(&mut maker, &oracle).is_empty());
         assert_eq!(maker.book_stats().revaluations, baseline);
 
         // A deep move flags exactly what the scratch scan flags and
         // re-values exactly the flipped CDPs.
         oracle.set_price(6, Token::ETH, Wad::from_int(180));
-        let cached = maker.cached_liquidatable_cdps(&oracle);
+        let cached = discovered(&mut maker, &oracle);
         let scratch = maker.liquidatable_cdps(&oracle);
         assert_eq!(cached, scratch);
         assert!(!cached.is_empty() && cached.len() < 10);
@@ -1329,7 +1468,7 @@ mod tests {
         );
 
         // The cached book still matches the from-scratch rebuild exactly.
-        let cached_book = maker.cached_book(&oracle);
+        let cached_book = maker.book_positions(&oracle);
         assert_eq!(cached_book, maker.positions(&oracle));
         // Totals parity with the per-token reference, exactly.
         assert_eq!(
@@ -1340,7 +1479,7 @@ mod tests {
         // Biting a flagged CDP drops it from the index; the rest stay.
         let bitten = cached[0];
         maker.bite(&mut events, &oracle, 10, bitten).unwrap();
-        let after_bite = maker.cached_liquidatable_cdps(&oracle);
+        let after_bite = discovered(&mut maker, &oracle);
         assert!(!after_bite.contains(&bitten));
         assert_eq!(after_bite.len(), cached.len() - 1);
         assert_eq!(maker.book_stats().indexed_accounts, 9);

@@ -32,8 +32,8 @@ use defi_types::{Address, BlockNumber, Platform, Token, Wad};
 
 use crate::book::{BookStats, BookTotals};
 use crate::error::ProtocolError;
-use crate::fixed_spread::{FixedSpreadProtocol, LiquidationReceipt};
-use crate::maker::{AuctionOutcome, MakerProtocol};
+use crate::fixed_spread::LiquidationReceipt;
+use crate::maker::AuctionOutcome;
 
 /// What [`LendingProtocol::book_snapshot`] returns: the observable book as
 /// [`book_positions`](LendingProtocol::book_positions) builds it. Kept only
@@ -161,6 +161,13 @@ pub struct AuctionSnapshot {
 /// Object-safe by construction: the engine holds protocols as
 /// `Box<dyn LendingProtocol>` in its registry and drives markets, positions
 /// and liquidations without knowing the concrete type.
+///
+/// Each book query has one entry point, and each implementation answers it
+/// with one [`PositionBook`](crate::book::PositionBook) call on its own
+/// book. [`liquidatable`](LendingProtocol::liquidatable) and
+/// [`for_each_position`](LendingProtocol::for_each_position) are provided on
+/// top of [`liquidatable_into`](LendingProtocol::liquidatable_into) and
+/// [`book_positions`](LendingProtocol::book_positions).
 pub trait LendingProtocol {
     /// Platform identity used in events and reports.
     fn platform(&self) -> Platform;
@@ -235,9 +242,13 @@ pub trait LendingProtocol {
     fn book_positions(&mut self, oracle: &PriceOracle) -> Vec<Position>;
 
     /// Visit every observable book position in the same deterministic order
-    /// as [`book_positions`](LendingProtocol::book_positions) without
-    /// materialising a snapshot vector (the engine's hot loop).
-    fn for_each_position(&mut self, oracle: &PriceOracle, visit: &mut dyn FnMut(&Position));
+    /// as [`book_positions`](LendingProtocol::book_positions). Provided: a
+    /// visit of the snapshot `book_positions` builds.
+    fn for_each_position(&mut self, oracle: &PriceOracle, visit: &mut dyn FnMut(&Position)) {
+        for position in &self.book_positions(oracle) {
+            visit(position);
+        }
+    }
 
     /// Aggregate totals over the observable book (the volume-sampling pass),
     /// served from the book's running sums.
@@ -319,22 +330,23 @@ pub trait LendingProtocol {
     }
 
     /// Liquidation opportunities at current oracle prices, in deterministic
-    /// order.
+    /// order. Provided: collects
+    /// [`liquidatable_into`](LendingProtocol::liquidatable_into).
+    fn liquidatable(&mut self, oracle: &PriceOracle) -> Vec<Opportunity> {
+        let mut out = Vec::new();
+        self.liquidatable_into(oracle, &mut out);
+        out
+    }
+
+    /// Liquidation opportunities at current oracle prices, in deterministic
+    /// order, filled into a caller-owned buffer so a hot discovery loop can
+    /// reuse one allocation across ticks (the engine holds the scratch
+    /// vector and `mem::take`s it around each call). `out` is cleared first.
     ///
     /// Takes `&mut self` so implementations can answer from their
     /// critical-price index / incrementally maintained liquidatable set
     /// instead of filtering a freshly built book.
-    fn liquidatable(&mut self, oracle: &PriceOracle) -> Vec<Opportunity>;
-
-    /// Like [`liquidatable`](LendingProtocol::liquidatable), but filling a
-    /// caller-owned buffer so a hot discovery loop can reuse one allocation
-    /// across ticks (the engine holds the scratch vector and `mem::take`s it
-    /// around each call). `out` is cleared first; the results and their order
-    /// are identical to `liquidatable`.
-    fn liquidatable_into(&mut self, oracle: &PriceOracle, out: &mut Vec<Opportunity>) {
-        out.clear();
-        out.append(&mut self.liquidatable(oracle));
-    }
+    fn liquidatable_into(&mut self, oracle: &PriceOracle, out: &mut Vec<Opportunity>);
 
     /// Execute one mechanism-specific liquidation step. Implementations must
     /// reject request variants that do not belong to their mechanism with
@@ -381,374 +393,14 @@ pub trait LendingProtocol {
     }
 }
 
-// ---------------------------------------------------------------- FixedSpread
-
-impl LendingProtocol for FixedSpreadProtocol {
-    fn platform(&self) -> Platform {
-        FixedSpreadProtocol::platform(self)
-    }
-
-    fn mechanism(&self) -> MechanismKind {
-        MechanismKind::FixedSpread
-    }
-
-    fn listed_tokens(&self) -> Vec<Token> {
-        self.markets().map(|m| m.token).collect()
-    }
-
-    fn close_factor(&self) -> Wad {
-        self.config().close_factor
-    }
-
-    fn accrue(&mut self, block: BlockNumber) {
-        self.accrue_all(block);
-    }
-
-    fn deposit(
-        &mut self,
-        ledger: &mut Ledger,
-        events: &mut Vec<ChainEvent>,
-        account: Address,
-        token: Token,
-        amount: Wad,
-    ) -> Result<(), ProtocolError> {
-        FixedSpreadProtocol::deposit(self, ledger, events, account, token, amount)
-    }
-
-    fn borrow(
-        &mut self,
-        ledger: &mut Ledger,
-        events: &mut Vec<ChainEvent>,
-        oracle: &PriceOracle,
-        block: BlockNumber,
-        account: Address,
-        token: Token,
-        amount: Wad,
-    ) -> Result<(), ProtocolError> {
-        FixedSpreadProtocol::borrow(self, ledger, events, oracle, block, account, token, amount)
-    }
-
-    fn repay(
-        &mut self,
-        ledger: &mut Ledger,
-        events: &mut Vec<ChainEvent>,
-        block: BlockNumber,
-        account: Address,
-        token: Token,
-        amount: Wad,
-    ) -> Result<Wad, ProtocolError> {
-        FixedSpreadProtocol::repay(self, ledger, events, block, account, token, amount)
-    }
-
-    fn position(&self, oracle: &PriceOracle, account: Address) -> Option<Position> {
-        FixedSpreadProtocol::position(self, oracle, account)
-    }
-
-    fn book_positions(&mut self, oracle: &PriceOracle) -> Vec<Position> {
-        self.cached_book(oracle)
-    }
-
-    fn for_each_position(&mut self, oracle: &PriceOracle, visit: &mut dyn FnMut(&Position)) {
-        FixedSpreadProtocol::for_each_book_position(self, oracle, visit);
-    }
-
-    fn for_each_at_risk(
-        &mut self,
-        oracle: &PriceOracle,
-        rescue: Wad,
-        releverage: Wad,
-        visit: &mut dyn FnMut(&Position),
-    ) {
-        FixedSpreadProtocol::for_each_at_risk(self, oracle, rescue, releverage, visit);
-    }
-
-    fn reference_positions(&self, oracle: &PriceOracle) -> Vec<Position> {
-        // The observable book reports accounts that actually borrow.
-        self.positions(oracle)
-            .into_iter()
-            .filter(|p| !p.total_debt_value().is_zero())
-            .collect()
-    }
-
-    fn market_risk_params(&self, token: Token) -> Option<RiskParams> {
-        self.market_params(token)
-    }
-
-    fn book_totals(&mut self, oracle: &PriceOracle) -> BookTotals {
-        FixedSpreadProtocol::book_totals(self, oracle)
-    }
-
-    fn book_stats(&self) -> BookStats {
-        FixedSpreadProtocol::book_stats(self)
-    }
-
-    fn liquidatable(&mut self, oracle: &PriceOracle) -> Vec<Opportunity> {
-        let mut out = Vec::new();
-        LendingProtocol::liquidatable_into(self, oracle, &mut out);
-        out
-    }
-
-    fn liquidatable_into(&mut self, oracle: &PriceOracle, out: &mut Vec<Opportunity>) {
-        out.clear();
-        let platform = self.config().platform;
-        for borrower in self.cached_liquidatable_accounts(oracle) {
-            if let Some(position) = self.cached_position(borrower) {
-                out.push(Opportunity {
-                    platform,
-                    borrower,
-                    position: position.clone(),
-                    mechanism: MechanismKind::FixedSpread,
-                });
-            }
-        }
-    }
-
-    fn execute_liquidation(
-        &mut self,
-        ledger: &mut Ledger,
-        events: &mut Vec<ChainEvent>,
-        oracle: &PriceOracle,
-        block: BlockNumber,
-        request: &LiquidationRequest,
-    ) -> Result<LiquidationExecution, ProtocolError> {
-        match *request {
-            LiquidationRequest::FixedSpread {
-                liquidator,
-                borrower,
-                debt_token,
-                collateral_token,
-                repay_amount,
-                used_flash_loan,
-            } => self
-                .liquidation_call(
-                    ledger,
-                    events,
-                    oracle,
-                    block,
-                    liquidator,
-                    borrower,
-                    debt_token,
-                    collateral_token,
-                    repay_amount,
-                    used_flash_loan,
-                )
-                .map(LiquidationExecution::FixedSpread),
-            _ => Err(ProtocolError::UnsupportedLiquidationRequest {
-                platform: self.config().platform,
-            }),
-        }
-    }
-
-    fn write_off_insolvent_positions(&mut self, oracle: &PriceOracle) -> Wad {
-        FixedSpreadProtocol::write_off_insolvent_positions(self, oracle)
-    }
-}
-
-// ---------------------------------------------------------------------- Maker
-
-impl LendingProtocol for MakerProtocol {
-    fn platform(&self) -> Platform {
-        Platform::MakerDao
-    }
-
-    fn mechanism(&self) -> MechanismKind {
-        MechanismKind::Auction
-    }
-
-    fn listed_tokens(&self) -> Vec<Token> {
-        self.ilk_tokens()
-    }
-
-    fn lendable_tokens(&self) -> Vec<Token> {
-        // DAI is minted against collateral, not lent from a pool: nothing to
-        // seed.
-        Vec::new()
-    }
-
-    fn close_factor(&self) -> Wad {
-        // An auction recovers the whole debt (plus penalty) in one go.
-        Wad::ONE
-    }
-
-    fn accrue(&mut self, _block: BlockNumber) {
-        // Stability fees are accrued lazily into CDP debt in this model.
-    }
-
-    fn deposit(
-        &mut self,
-        ledger: &mut Ledger,
-        events: &mut Vec<ChainEvent>,
-        account: Address,
-        token: Token,
-        amount: Wad,
-    ) -> Result<(), ProtocolError> {
-        self.lock_collateral(ledger, events, account, token, amount)
-    }
-
-    fn borrow(
-        &mut self,
-        ledger: &mut Ledger,
-        events: &mut Vec<ChainEvent>,
-        oracle: &PriceOracle,
-        _block: BlockNumber,
-        account: Address,
-        token: Token,
-        amount: Wad,
-    ) -> Result<(), ProtocolError> {
-        if token != Token::DAI {
-            return Err(ProtocolError::MarketNotListed(token));
-        }
-        self.draw_dai(ledger, events, oracle, account, amount)
-    }
-
-    fn repay(
-        &mut self,
-        ledger: &mut Ledger,
-        events: &mut Vec<ChainEvent>,
-        _block: BlockNumber,
-        account: Address,
-        token: Token,
-        amount: Wad,
-    ) -> Result<Wad, ProtocolError> {
-        if token != Token::DAI {
-            return Err(ProtocolError::NoDebtInToken(token));
-        }
-        self.repay_dai(ledger, events, account, amount)
-    }
-
-    fn position(&self, oracle: &PriceOracle, account: Address) -> Option<Position> {
-        MakerProtocol::position(self, oracle, account)
-    }
-
-    fn book_positions(&mut self, oracle: &PriceOracle) -> Vec<Position> {
-        self.cached_book(oracle)
-    }
-
-    fn for_each_position(&mut self, oracle: &PriceOracle, visit: &mut dyn FnMut(&Position)) {
-        MakerProtocol::for_each_book_position(self, oracle, visit);
-    }
-
-    fn for_each_at_risk(
-        &mut self,
-        oracle: &PriceOracle,
-        rescue: Wad,
-        releverage: Wad,
-        visit: &mut dyn FnMut(&Position),
-    ) {
-        MakerProtocol::for_each_at_risk(self, oracle, rescue, releverage, visit);
-    }
-
-    fn reference_positions(&self, oracle: &PriceOracle) -> Vec<Position> {
-        // Every open CDP is observable.
-        MakerProtocol::positions(self, oracle)
-    }
-
-    fn book_totals(&mut self, oracle: &PriceOracle) -> BookTotals {
-        MakerProtocol::book_totals(self, oracle)
-    }
-
-    fn book_stats(&self) -> BookStats {
-        MakerProtocol::book_stats(self)
-    }
-
-    fn liquidatable(&mut self, oracle: &PriceOracle) -> Vec<Opportunity> {
-        let mut out = Vec::new();
-        LendingProtocol::liquidatable_into(self, oracle, &mut out);
-        out
-    }
-
-    fn liquidatable_into(&mut self, oracle: &PriceOracle, out: &mut Vec<Opportunity>) {
-        out.clear();
-        for owner in self.cached_liquidatable_cdps(oracle) {
-            if let Some(position) = self.cached_position(owner) {
-                out.push(Opportunity {
-                    platform: Platform::MakerDao,
-                    borrower: owner,
-                    position: position.clone(),
-                    mechanism: MechanismKind::Auction,
-                });
-            }
-        }
-    }
-
-    fn execute_liquidation(
-        &mut self,
-        ledger: &mut Ledger,
-        events: &mut Vec<ChainEvent>,
-        oracle: &PriceOracle,
-        block: BlockNumber,
-        request: &LiquidationRequest,
-    ) -> Result<LiquidationExecution, ProtocolError> {
-        match *request {
-            LiquidationRequest::StartAuction {
-                keeper: _,
-                borrower,
-            } => self
-                .bite(events, oracle, block, borrower)
-                .map(LiquidationExecution::AuctionStarted),
-            LiquidationRequest::AuctionBid {
-                bidder,
-                auction_id,
-                debt_bid,
-                collateral_bid,
-            } => self
-                .bid(
-                    ledger,
-                    events,
-                    block,
-                    auction_id,
-                    bidder,
-                    debt_bid,
-                    collateral_bid,
-                )
-                .map(LiquidationExecution::BidPlaced),
-            LiquidationRequest::SettleAuction {
-                caller: _,
-                auction_id,
-            } => self
-                .deal(ledger, events, oracle, block, auction_id)
-                .map(LiquidationExecution::AuctionSettled),
-            LiquidationRequest::FixedSpread { .. } => {
-                Err(ProtocolError::UnsupportedLiquidationRequest {
-                    platform: Platform::MakerDao,
-                })
-            }
-        }
-    }
-
-    fn open_auctions(&self) -> Vec<AuctionId> {
-        MakerProtocol::open_auctions(self)
-    }
-
-    fn auction_snapshot(&self, id: AuctionId) -> Option<AuctionSnapshot> {
-        self.auction(id).map(|auction| AuctionSnapshot {
-            id: auction.id,
-            borrower: auction.borrower,
-            collateral_token: auction.collateral_token,
-            collateral: auction.collateral,
-            debt: auction.debt,
-            phase: auction.phase,
-            best_bid: auction.best_bid.map(|bid| BidSnapshot {
-                bidder: bid.bidder,
-                debt_bid: bid.debt_bid,
-                collateral_bid: bid.collateral_bid,
-            }),
-            started_at: auction.started_at,
-            finalized: auction.finalized,
-        })
-    }
-
-    fn can_finalize_auction(&self, id: AuctionId, block: BlockNumber) -> bool {
-        self.can_finalize(id, block)
-    }
-
-    fn auction_params(&self) -> Option<AuctionParams> {
-        Some(*MakerProtocol::auction_params(self))
-    }
-
-    fn set_auction_params(&mut self, params: AuctionParams) {
-        MakerProtocol::set_auction_params(self, params);
-    }
+/// The borrowers [`LendingProtocol::liquidatable`] hands out, in order.
+#[cfg(test)]
+pub(crate) fn discovered(protocol: &mut dyn LendingProtocol, oracle: &PriceOracle) -> Vec<Address> {
+    protocol
+        .liquidatable(oracle)
+        .into_iter()
+        .map(|o| o.borrower)
+        .collect()
 }
 
 #[cfg(test)]

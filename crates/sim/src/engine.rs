@@ -440,7 +440,8 @@ impl SimulationEngine {
         }
     }
 
-    fn progress(&self, block: BlockNumber) -> f64 {
+    /// Fraction of the configured window simulated at `block` (0–1).
+    pub(crate) fn progress(&self, block: BlockNumber) -> f64 {
         let span = (self.config.end_block - self.config.start_block).max(1) as f64;
         ((block - self.config.start_block) as f64 / span).clamp(0.0, 1.0)
     }

@@ -121,8 +121,7 @@ impl Session {
 
     /// Fraction of the configured window simulated so far (0–1).
     pub fn progress(&self) -> f64 {
-        let span = (self.engine.config.end_block - self.engine.config.start_block).max(1) as f64;
-        ((self.block - self.engine.config.start_block) as f64 / span).clamp(0.0, 1.0)
+        self.engine.progress(self.block)
     }
 
     /// Whether every tick of the window has executed.

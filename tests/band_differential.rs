@@ -1192,7 +1192,11 @@ proptest! {
                 .filter(|p| p.is_liquidatable())
                 .map(|p| p.owner)
                 .collect();
-            let banded = protocol.cached_liquidatable_accounts(&oracle);
+            let banded: Vec<Address> = protocol
+                .liquidatable(&oracle)
+                .into_iter()
+                .map(|o| o.borrower)
+                .collect();
             prop_assert_eq!(&banded, &exhaustive);
             prop_assert_eq!(protocol.book_totals(&oracle), reference_totals(&shadow, &oracle));
 
@@ -1213,7 +1217,7 @@ proptest! {
             // Periodically also require the full cached book to be
             // byte-identical (the engine's volume-sample / snapshot cadence).
             if step % 4 == 3 {
-                prop_assert_eq!(protocol.cached_book(&oracle), shadow);
+                prop_assert_eq!(protocol.book_positions(&oracle), shadow);
             }
         }
     }

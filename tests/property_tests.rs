@@ -379,6 +379,15 @@ mod incremental_book {
         Address::from_seed(7_000 + (i % 6) as u64)
     }
 
+    /// The borrowers discovery hands out, in address order.
+    fn discovered(protocol: &mut dyn LendingProtocol, oracle: &PriceOracle) -> Vec<Address> {
+        protocol
+            .liquidatable(oracle)
+            .into_iter()
+            .map(|o| o.borrower)
+            .collect()
+    }
+
     /// Cases of `fixed_spread_cache_equals_scratch_rebuild` that reached a
     /// collateral-free debtor (Type I bad debt).
     static COLLATERAL_FREE_CASES: AtomicUsize = AtomicUsize::new(0);
@@ -401,10 +410,7 @@ mod incremental_book {
             })
             .collect();
         let scratch_liquidatable = protocol.liquidatable_accounts(oracle);
-        prop_assert_eq!(
-            protocol.cached_liquidatable_accounts(oracle),
-            scratch_liquidatable
-        );
+        prop_assert_eq!(discovered(protocol, oracle), scratch_liquidatable);
         let mut visited = Vec::new();
         protocol.for_each_at_risk(oracle, rescue, releverage, &mut |p| visited.push(p.clone()));
         prop_assert_eq!(visited, scratch_at_risk);
@@ -535,8 +541,8 @@ mod incremental_book {
                 collateral_free |= scratch_book.iter().any(|p| p.collateral.is_empty());
                 let scratch_liquidatable = protocol.liquidatable_accounts(&oracle);
                 prop_assert_eq!(protocol.book_totals(&oracle), reference_totals(&scratch_book, &oracle));
-                prop_assert_eq!(protocol.cached_book(&oracle), scratch_book);
-                prop_assert_eq!(protocol.cached_liquidatable_accounts(&oracle), scratch_liquidatable);
+                prop_assert_eq!(protocol.book_positions(&oracle), scratch_book);
+                prop_assert_eq!(discovered(&mut protocol, &oracle), scratch_liquidatable);
             }
             if collateral_free {
                 COLLATERAL_FREE_CASES.fetch_add(1, Ordering::Relaxed);
@@ -595,9 +601,11 @@ mod incremental_book {
                 }
 
                 // The index flags exactly the CDPs whose generic-position
-                // health factor is below 1 (PR 3 made HF < 1 coincide with
-                // the bite condition), and the cached book is byte-identical
-                // to the from-scratch rebuild.
+                // health factor is below 1 (HF < 1 tracks the bite condition
+                // up to the truncated threshold `1 / ratio`, which splits
+                // them only at the exact boundary these sequences do not
+                // land on), and the cached book is byte-identical to the
+                // from-scratch rebuild.
                 let hf_below_one: Vec<Address> = maker
                     .positions(&oracle)
                     .into_iter()
@@ -606,8 +614,8 @@ mod incremental_book {
                     .collect();
                 let scratch_bite = maker.liquidatable_cdps(&oracle);
                 prop_assert_eq!(&scratch_bite, &hf_below_one);
-                prop_assert_eq!(maker.cached_liquidatable_cdps(&oracle), scratch_bite);
-                prop_assert_eq!(maker.cached_book(&oracle), maker.positions(&oracle));
+                prop_assert_eq!(discovered(&mut maker, &oracle), scratch_bite);
+                prop_assert_eq!(maker.book_positions(&oracle), maker.positions(&oracle));
             }
         }
 
@@ -636,7 +644,7 @@ mod incremental_book {
                     .unwrap();
             }
             // Prime the book so every CDP is valued and non-dirty.
-            let _ = maker.cached_book(&oracle);
+            let _ = maker.book_positions(&oracle);
 
             let mut block = 1u64;
             for tweak in moves {
@@ -644,8 +652,8 @@ mod incremental_book {
                 let factor = 0.4 + (tweak % 1_200) as f64 / 1_000.0;
                 oracle.set_price(block, Token::ETH, Wad::from_f64(3_000.0 * factor));
                 let before = maker.book_stats().term_reprices;
-                prop_assert_eq!(maker.cached_book(&oracle), maker.positions(&oracle));
-                prop_assert_eq!(maker.cached_liquidatable_cdps(&oracle), maker.liquidatable_cdps(&oracle));
+                prop_assert_eq!(maker.book_positions(&oracle), maker.positions(&oracle));
+                prop_assert_eq!(discovered(&mut maker, &oracle), maker.liquidatable_cdps(&oracle));
                 prop_assert!(maker.book_stats().term_reprices > before);
             }
         }

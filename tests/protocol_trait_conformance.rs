@@ -786,3 +786,56 @@ fn discovery_surfaces_conform_across_mechanisms() {
     assert!(!fixed.liquidatable(&oracle).is_empty());
     assert!(!maker.liquidatable(&oracle).is_empty());
 }
+
+/// At MakerDAO's exact bite boundary (collateral value = debt × liquidation
+/// ratio) the position's threshold `1 / 1.5` truncates, so its health
+/// factor reads one raw unit below 1 while the strict bite condition
+/// refuses. Discovery follows the bite condition and the at-risk walk skips
+/// HF < 1, so the CDP is on neither surface.
+#[test]
+fn makerdao_bite_boundary_is_neither_discovered_nor_at_risk() {
+    let mut oracle = test_oracle();
+    oracle.set_price(1, Token::ETH, Wad::from_int(1_500));
+    let mut ledger = Ledger::new();
+    let mut events = Vec::new();
+    let mut maker: Box<dyn LendingProtocol> = Box::new(maker_protocol());
+    let owner = Address::from_seed(44);
+    ledger.mint(owner, Token::ETH, Wad::ONE);
+    maker
+        .deposit(&mut ledger, &mut events, owner, Token::ETH, Wad::ONE)
+        .unwrap();
+    maker
+        .borrow(
+            &mut ledger,
+            &mut events,
+            &oracle,
+            1,
+            owner,
+            Token::DAI,
+            Wad::from_int(1_000),
+        )
+        .unwrap();
+
+    let position = maker.position(&oracle, owner).unwrap();
+    assert_eq!(
+        position.health_factor(),
+        Some(Wad::from_raw(999_999_999_999_999_999))
+    );
+    let bite = LiquidationRequest::StartAuction {
+        keeper: Address::from_seed(45),
+        borrower: owner,
+    };
+    assert!(matches!(
+        maker.execute_liquidation(&mut ledger, &mut events, &oracle, 2, &bite),
+        Err(ProtocolError::NotLiquidatable(_))
+    ));
+    assert!(maker.liquidatable(&oracle).is_empty());
+    let mut visited = 0;
+    maker.for_each_at_risk(
+        &oracle,
+        Wad::from_f64(defi_liquidations_suite::lending::RESCUE_BAND_HF),
+        Wad::from_f64(defi_liquidations_suite::lending::RELEVERAGE_BAND_HF),
+        &mut |_| visited += 1,
+    );
+    assert_eq!(visited, 0);
+}
