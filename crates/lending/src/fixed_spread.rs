@@ -552,6 +552,12 @@ impl FixedSpreadProtocol {
     /// List a market. Re-listing an existing token replaces its risk
     /// parameters, which changes every cached valuation's thresholds — the
     /// whole book re-values.
+    ///
+    /// The liquidation threshold must lie in `(0, 1]`, as on every studied
+    /// platform. With every threshold at most 1 the truncating valuation
+    /// gives HF ≤ CR, so an under-collateralized account is always
+    /// liquidatable: the insurance write-off relies on it to find the
+    /// accounts it writes off in the book's liquidatable set.
     pub fn list_market(
         &mut self,
         token: Token,
@@ -1237,17 +1243,20 @@ impl LendingProtocol for FixedSpreadProtocol {
         if !self.config.insurance_fund {
             return Wad::ZERO;
         }
-        let insolvent: Vec<Address> = self
-            .positions(oracle)
+        // With every LT at most 1 (see `list_market`), an under-collateralized
+        // account is liquidatable: the book's liquidatable set, freshened
+        // and in address order, holds every one.
+        let (book, view) = self.split_book();
+        let insolvent: Vec<(Address, Wad)> = book
+            .liquidatable_accounts(&view, oracle)
             .into_iter()
+            .filter_map(|address| book.cached_position(address))
             .filter(|p| p.is_under_collateralized())
-            .map(|p| p.owner)
+            .map(|p| (p.owner, p.total_debt_value()))
             .collect();
         let mut written_off = Wad::ZERO;
-        for address in insolvent {
-            if let Some(position) = self.position(oracle, address) {
-                written_off = written_off.saturating_add(position.total_debt_value());
-            }
+        for (address, debt) in insolvent {
+            written_off = written_off.saturating_add(debt);
             if let Some(account) = self.accounts.get_mut(&address) {
                 let debts: Vec<(Token, Wad)> =
                     account.scaled_debt.iter().map(|(t, v)| (*t, *v)).collect();
@@ -1273,11 +1282,17 @@ mod tests {
     use defi_oracle::OracleConfig;
 
     fn setup() -> (FixedSpreadProtocol, Ledger, PriceOracle, Vec<ChainEvent>) {
+        setup_with_insurance(false)
+    }
+
+    fn setup_with_insurance(
+        insurance_fund: bool,
+    ) -> (FixedSpreadProtocol, Ledger, PriceOracle, Vec<ChainEvent>) {
         let mut protocol = FixedSpreadProtocol::new(FixedSpreadConfig {
             platform: Platform::Compound,
             close_factor: Wad::from_f64(0.5),
             one_liquidation_per_block: false,
-            insurance_fund: false,
+            insurance_fund,
             debt_dust: DEFAULT_DEBT_DUST,
         });
         protocol.list_market(
@@ -1619,36 +1634,7 @@ mod tests {
 
     #[test]
     fn insurance_fund_writes_off_insolvent_positions() {
-        let (mut protocol, mut ledger, mut oracle, mut events) = setup();
-        let mut config = protocol.config();
-        config.insurance_fund = true;
-        protocol = {
-            let mut p = FixedSpreadProtocol::new(config);
-            p.list_market(
-                Token::ETH,
-                RiskParams::new(0.8, 0.10, 0.5),
-                InterestRateModel::default(),
-                0,
-            );
-            p.list_market(
-                Token::USDC,
-                RiskParams::new(0.85, 0.05, 0.5),
-                InterestRateModel::stablecoin(),
-                0,
-            );
-            p
-        };
-        let lender = Address::from_seed(1_000);
-        ledger.mint(lender, Token::USDC, Wad::from_int(1_000_000));
-        protocol
-            .deposit(
-                &mut ledger,
-                &mut events,
-                lender,
-                Token::USDC,
-                Wad::from_int(1_000_000),
-            )
-            .unwrap();
+        let (mut protocol, mut ledger, mut oracle, mut events) = setup_with_insurance(true);
         let borrower = paper_borrower(&mut protocol, &mut ledger, &oracle, &mut events);
         // Crash ETH so hard the position is under-collateralized.
         oracle.set_price(2, Token::ETH, Wad::from_int(2_000));
@@ -1663,6 +1649,128 @@ mod tests {
         oracle2.set_price(2, Token::ETH, Wad::from_int(2_000));
         assert_eq!(protocol2.write_off_insolvent_positions(&oracle2), Wad::ZERO);
         assert!(!protocol2.debt_of(borrower2, Token::USDC).is_zero());
+    }
+
+    /// The write-off reads the book's liquidatable set, and it writes off
+    /// exactly what the from-scratch `positions()` filter selects: the
+    /// collateral-free debtor and the under-collateralized debtor, but not
+    /// the liquidatable debtor with CR ≥ 1, the healthy debtor or the
+    /// depositors.
+    #[test]
+    fn insurance_write_off_matches_from_scratch_filter() {
+        let (mut protocol, mut ledger, mut oracle, mut events) = setup_with_insurance(true);
+        let lender = Address::from_seed(1_000);
+        // 3 ETH against 8,400 USDC: every unit of collateral is seized
+        // below, leaving a collateral-free debtor.
+        let collateral_free = paper_borrower(&mut protocol, &mut ledger, &oracle, &mut events);
+        // 10 ETH each at 3,500. At 1,000: CR 0.83, CR 1.11 (HF 0.89), HF 4.
+        let mut open = |seed: u64, eth: u64, usdc: u64| {
+            let account = Address::from_seed(seed);
+            ledger.mint(account, Token::ETH, Wad::from_int(eth));
+            protocol
+                .deposit(
+                    &mut ledger,
+                    &mut events,
+                    account,
+                    Token::ETH,
+                    Wad::from_int(eth),
+                )
+                .unwrap();
+            if usdc > 0 {
+                protocol
+                    .borrow(
+                        &mut ledger,
+                        &mut events,
+                        &oracle,
+                        1,
+                        account,
+                        Token::USDC,
+                        Wad::from_int(usdc),
+                    )
+                    .unwrap();
+            }
+            account
+        };
+        let under_collateralized = open(11, 10, 12_000);
+        let liquidatable = open(12, 10, 9_000);
+        let healthy = open(13, 10, 2_000);
+        let depositor = open(14, 1, 0);
+        // Warm the book, so the crash reaches it through its incremental
+        // invalidation.
+        assert_eq!(
+            protocol.book_positions(&oracle),
+            protocol.reference_positions(&oracle)
+        );
+
+        oracle.set_price(2, Token::ETH, Wad::from_int(1_000));
+        protocol.accrue_all(2);
+        let max_repay = protocol
+            .debt_of(collateral_free, Token::USDC)
+            .checked_mul(protocol.config().close_factor)
+            .unwrap();
+        let liquidator = Address::from_seed(99);
+        ledger.mint(liquidator, Token::USDC, max_repay);
+        protocol
+            .liquidation_call(
+                &mut ledger,
+                &mut events,
+                &oracle,
+                2,
+                liquidator,
+                collateral_free,
+                Token::USDC,
+                Token::ETH,
+                max_repay,
+                false,
+            )
+            .unwrap();
+        assert!(protocol
+            .position(&oracle, collateral_free)
+            .unwrap()
+            .collateral
+            .is_empty());
+        let liquidatable_position = protocol.position(&oracle, liquidatable).unwrap();
+        assert!(liquidatable_position.is_liquidatable());
+        assert!(!liquidatable_position.is_under_collateralized());
+
+        let expected: Vec<(Address, Wad)> = protocol
+            .positions(&oracle)
+            .into_iter()
+            .filter(|p| p.is_under_collateralized())
+            .map(|p| (p.owner, p.total_debt_value()))
+            .collect();
+        let mut expected_owners: Vec<Address> = vec![collateral_free, under_collateralized];
+        expected_owners.sort();
+        assert_eq!(
+            expected.iter().map(|(owner, _)| *owner).collect::<Vec<_>>(),
+            expected_owners
+        );
+        let expected_usd = expected
+            .iter()
+            .fold(Wad::ZERO, |acc, (_, debt)| acc.saturating_add(*debt));
+
+        assert_eq!(
+            protocol.write_off_insolvent_positions(&oracle),
+            expected_usd
+        );
+        for account in [
+            collateral_free,
+            under_collateralized,
+            liquidatable,
+            healthy,
+            depositor,
+            lender,
+        ] {
+            assert_eq!(
+                protocol.debt_of(account, Token::USDC).is_zero(),
+                expected_owners.contains(&account) || account == depositor || account == lender,
+                "{account:?}"
+            );
+        }
+        assert_eq!(
+            protocol.book_positions(&oracle),
+            protocol.reference_positions(&oracle)
+        );
     }
 
     #[test]

@@ -95,6 +95,35 @@ pub struct SimulationReport {
     pub behavior: Option<BehaviorReport>,
 }
 
+/// The liquidator bots covering one fixed-spread platform, as indexes into
+/// the engine's population.
+#[derive(Debug)]
+struct CoveringLiquidators {
+    /// Population order: the baseline model draws a bot from it.
+    by_population: Vec<usize>,
+    /// Ranked by `(latency_ticks, address)`: the behavioural model's order.
+    by_latency: Vec<usize>,
+}
+
+impl CoveringLiquidators {
+    /// The bots of `liquidators` that watch `platform`.
+    fn of(liquidators: &[LiquidatorAgent], platform: Platform) -> CoveringLiquidators {
+        let by_population: Vec<usize> = liquidators
+            .iter()
+            .enumerate()
+            .filter(|(_, l)| l.platforms.contains(&platform))
+            .map(|(index, _)| index)
+            .collect();
+        let mut by_latency = by_population.clone();
+        by_latency
+            .sort_by_key(|&index| liquidators.get(index).map(|l| (l.latency_ticks, l.address)));
+        CoveringLiquidators {
+            by_population,
+            by_latency,
+        }
+    }
+}
+
 /// The simulation engine.
 pub struct SimulationEngine {
     pub(crate) config: SimConfig,
@@ -113,6 +142,11 @@ pub struct SimulationEngine {
     /// Agents in `borrowers` per platform (no agent ever leaves).
     borrowers_per_platform: FxHashMap<Platform, usize>,
     liquidators: Vec<LiquidatorAgent>,
+    /// The bots covering each fixed-spread platform, built on the platform's
+    /// first liquidation attempt (the population never changes after
+    /// construction, and building them with the engine would lengthen
+    /// every engine build).
+    covering: FxHashMap<Platform, CoveringLiquidators>,
     keepers: Vec<KeeperAgent>,
     borrower_counter: FxHashMap<Platform, u64>,
     /// Active platform-specific oracle irregularities:
@@ -246,6 +280,7 @@ impl SimulationEngine {
             borrower_index: FxHashMap::default(),
             borrowers_per_platform: FxHashMap::default(),
             liquidators,
+            covering: FxHashMap::default(),
             keepers,
             borrower_counter: FxHashMap::default(),
             irregularities: Vec::new(),
@@ -855,20 +890,21 @@ impl SimulationEngine {
         // before the exposures are checked (the RNG stream depends on it),
         // but the agent is only cloned for a position with something to
         // seize — most opportunities are collateral-free debtors.
-        let covers = |l: &LiquidatorAgent| l.platforms.contains(&platform);
-        let covering = self.liquidators.iter().filter(|l| covers(l)).count();
-        if covering == 0 {
+        let covering = self
+            .covering
+            .entry(platform)
+            .or_insert_with(|| CoveringLiquidators::of(&self.liquidators, platform));
+        if covering.by_population.is_empty() {
             return;
         }
-        let pick = self.rng.gen_range(0..covering);
+        let pick = self.rng.gen_range(0..covering.by_population.len());
         let Some((collateral, debt)) = Self::pick_exposures(position) else {
             return;
         };
-        let Some(liquidator) = self
-            .liquidators
-            .iter()
-            .filter(|l| covers(l))
-            .nth(pick)
+        let Some(liquidator) = covering
+            .by_population
+            .get(pick)
+            .and_then(|&index| self.liquidators.get(index))
             .cloned()
         else {
             return;
@@ -966,16 +1002,13 @@ impl SimulationEngine {
         eth_price: f64,
     ) {
         let tick_blocks = self.config.tick_blocks.max(1);
-        let mut candidates: Vec<LiquidatorAgent> = self
-            .liquidators
-            .iter()
-            .filter(|l| l.platforms.contains(&platform))
-            .cloned()
-            .collect();
-        if candidates.is_empty() {
+        let covering = self
+            .covering
+            .entry(platform)
+            .or_insert_with(|| CoveringLiquidators::of(&self.liquidators, platform));
+        if covering.by_latency.is_empty() {
             return;
         }
-        candidates.sort_by_key(|l| (l.latency_ticks, l.address));
         let Some((collateral, debt)) = Self::pick_exposures(position) else {
             return;
         };
@@ -985,8 +1018,10 @@ impl SimulationEngine {
         let repay_amount = debt.amount.checked_mul(close_factor).unwrap_or(Wad::ZERO);
         let debt_price = self.market_oracle.price_or_zero(debt.token).to_f64();
 
-        let elapsed: Vec<LiquidatorAgent> = candidates
-            .into_iter()
+        let elapsed: Vec<&LiquidatorAgent> = covering
+            .by_latency
+            .iter()
+            .filter_map(|&index| self.liquidators.get(index))
             .filter(|l| {
                 entry
                     .discovered_block
@@ -1006,7 +1041,7 @@ impl SimulationEngine {
         if let Some(behavior) = self.behavior.as_mut() {
             for agent in &elapsed {
                 if behavior.can_cover(agent.address, debt.token, repay_amount, debt_price) {
-                    executor = Some((agent.clone(), false));
+                    executor = Some(((*agent).clone(), false));
                     break;
                 }
             }
@@ -1018,7 +1053,7 @@ impl SimulationEngine {
             )
         {
             if let Some(agent) = elapsed.iter().find(|l| l.uses_flash_loans) {
-                executor = Some((agent.clone(), true));
+                executor = Some(((*agent).clone(), true));
             }
         }
         let Some((agent, use_flash)) = executor else {

@@ -12,7 +12,12 @@
 //!
 //! Multiplication and division route through a minimal internal 256-bit
 //! intermediate so that `a * b / WAD` never overflows for any representable
-//! operands, exactly like `mulDiv` in Solidity math libraries.
+//! operands, exactly like `mulDiv` in Solidity math libraries. Almost every
+//! such division is by [`WAD`] or [`RAY`], and those two divisors take
+//! constant-divisor paths: multiplication by a precomputed reciprocal
+//! (Möller & Granlund), with RAY = 2²⁷·5²⁷ split into a shift and a division
+//! by its odd part. Every other divisor takes a Knuth-D long division. Both
+//! give the exact truncated quotient and remainder.
 
 use crate::error::TypeError;
 use core::cmp::Ordering;
@@ -67,21 +72,47 @@ impl U256 {
     /// quotient fits in 128 bits.
     ///
     /// This is the innermost loop of every fixed-point multiply/divide in the
-    /// suite (valuations, interest indexes, claim rules), so it uses Knuth's
-    /// Algorithm D over 64-bit limbs — a handful of hardware divisions —
-    /// rather than bitwise long division. A reference bitwise implementation
-    /// is kept under test and the two are property-checked against each
-    /// other.
+    /// suite (valuations, interest indexes, claim rules). Almost every call
+    /// divides by one of the two scaling constants, so those take
+    /// constant-divisor paths that need no hardware division:
+    ///
+    /// * [`WAD`] (< 2⁶⁴): two 2-by-1 steps by the normalised divisor with a
+    ///   precomputed reciprocal ([`Reciprocal`]).
+    /// * [`RAY`] = 2²⁷·5²⁷: the dividend shifted right by 27 is divided by
+    ///   5²⁷ (< 2⁶³) the same way, and the remainder is rebuilt as
+    ///   `r·2²⁷ + (low 27 bits)`.
+    ///
+    /// Every other divisor (`Wad::checked_div` by a debt, ceilings by an
+    /// amount) uses Knuth's Algorithm D over 64-bit limbs — a handful of
+    /// hardware divisions — rather than bitwise long division. All paths
+    /// return the same quotient, remainder and error for every input; a
+    /// reference bitwise implementation is kept under test and each path is
+    /// property-checked against it.
     pub(crate) fn div_rem_u128(self, divisor: u128) -> Result<(u128, u128), TypeError> {
         if divisor == 0 {
             return Err(TypeError::DivisionByZero);
         }
-        if self.hi == 0 {
-            return Ok((self.lo / divisor, self.lo % divisor));
-        }
         // If hi >= divisor the quotient needs more than 128 bits.
         if self.hi >= divisor {
             return Err(TypeError::Overflow);
+        }
+        if divisor == WAD {
+            // hi < WAD < 2^64: the cast keeps every bit.
+            let (q, r) = WAD_RECIPROCAL.div_3by1(self.hi as u64, self.lo);
+            return Ok((q, r as u128));
+        }
+        if divisor == RAY {
+            // ⌊N / RAY⌋ = ⌊⌊N / 2^27⌋ / 5^27⌋. hi < RAY keeps hi >> 27 below
+            // 5^27, so the shifted dividend's top limb fits and stays below
+            // the odd divisor.
+            let top = (self.hi >> RAY_TWOS) as u64;
+            let low = (self.hi << (128 - RAY_TWOS)) | (self.lo >> RAY_TWOS);
+            let (q, r) = RAY_ODD_RECIPROCAL.div_3by1(top, low);
+            let low_bits = self.lo & ((1u128 << RAY_TWOS) - 1);
+            return Ok((q, ((r as u128) << RAY_TWOS) | low_bits));
+        }
+        if self.hi == 0 {
+            return Ok((self.lo / divisor, self.lo % divisor));
         }
         const MASK: u128 = u64::MAX as u128;
         if divisor <= MASK {
@@ -202,6 +233,78 @@ impl U256 {
 
     pub(crate) fn is_zero(self) -> bool {
         self.lo == 0 && self.hi == 0
+    }
+}
+
+/// Power of two in [`RAY`] = 2²⁷·5²⁷.
+const RAY_TWOS: u32 = RAY.trailing_zeros();
+/// Reciprocal of [`WAD`], the divisor of every Wad multiply.
+const WAD_RECIPROCAL: Reciprocal = Reciprocal::new(WAD as u64);
+/// Reciprocal of RAY's odd part 5²⁷ (< 2⁶³), the divisor of every Ray
+/// multiply once the dividend is shifted right by [`RAY_TWOS`].
+const RAY_ODD_RECIPROCAL: Reciprocal = Reciprocal::new((RAY >> RAY_TWOS) as u64);
+
+/// A constant `u64` divisor prepared for division by multiplication
+/// (Möller & Granlund, "Improved division by invariant integers", IEEE
+/// Transactions on Computers, 2011).
+#[derive(Clone, Copy)]
+struct Reciprocal {
+    /// The divisor shifted left until its top bit is set.
+    d: u64,
+    /// The normalising shift, in `1..64` (the divisor is below 2⁶³).
+    shift: u32,
+    /// `⌊(2¹²⁸ − 1) / d⌋ − 2⁶⁴`.
+    v: u64,
+}
+
+impl Reciprocal {
+    const fn new(divisor: u64) -> Reciprocal {
+        let shift = divisor.leading_zeros();
+        // `div_3by1` shifts bits in from the next limb by `64 - shift`.
+        assert!(shift > 0 && shift < 64, "divisor must be in [1, 2^63)");
+        let d = divisor << shift;
+        let v = (u128::MAX / d as u128 - (1u128 << 64)) as u64;
+        Reciprocal { d, shift, v }
+    }
+
+    /// Quotient and remainder of `u1·2⁶⁴ + u0` by the normalised `d`, for
+    /// `u1 < d` (Algorithm 4 of the paper): two multiplies and at most two
+    /// corrections. All arithmetic is modulo 2⁶⁴ or 2¹²⁸ by design.
+    #[inline]
+    fn div_2by1(self, u1: u64, u0: u64) -> (u64, u64) {
+        let product = (self.v as u128) * (u1 as u128);
+        let q = product.wrapping_add(((u1 as u128) << 64) | u0 as u128);
+        let q0 = q as u64;
+        let mut q1 = ((q >> 64) as u64).wrapping_add(1);
+        let mut r = u0.wrapping_sub(q1.wrapping_mul(self.d));
+        if r > q0 {
+            q1 = q1.wrapping_sub(1);
+            r = r.wrapping_add(self.d);
+        }
+        // Only an estimate one too small lands here. For WAD and 5^27 the
+        // reciprocal's rounding error is too small for that, so this branch
+        // serves other divisors only.
+        if r >= self.d {
+            q1 = q1.wrapping_add(1);
+            r = r.wrapping_sub(self.d);
+        }
+        (q1, r)
+    }
+
+    /// Quotient and remainder of `top·2¹²⁸ + low` by the unnormalised
+    /// divisor, for `top` below it: the quotient fits 128 bits and the
+    /// remainder 64.
+    #[inline]
+    fn div_3by1(self, top: u64, low: u128) -> (u128, u64) {
+        let s = self.shift;
+        // Shift into the normalised frame; `top < divisor < 2^(64 - s)`
+        // loses no bit and keeps the top limb below `d`.
+        let n2 = (top << s) | (low >> (128 - s)) as u64;
+        let n1 = (low >> (64 - s)) as u64;
+        let n0 = (low as u64) << s;
+        let (q1, r) = self.div_2by1(n2, n1);
+        let (q0, r) = self.div_2by1(r, n0);
+        (((q1 as u128) << 64) | q0 as u128, r >> s)
     }
 }
 
@@ -872,6 +975,95 @@ mod tests {
                 value.hi,
                 value.lo,
             );
+        }
+    }
+
+    /// The reciprocal paths for WAD and RAY agree with the bitwise reference
+    /// on every shape of dividend the quotient can fit: a uniform sample of
+    /// `hi` below the divisor with full-range `lo`, and the boundaries.
+    #[test]
+    fn constant_divisor_paths_match_bitwise_reference() {
+        assert_eq!(RAY, 5u128.pow(27) << 27);
+        for (reciprocal, divisor) in [(WAD_RECIPROCAL, WAD), (RAY_ODD_RECIPROCAL, RAY >> 27)] {
+            // d is the divisor normalised to its top bit, and v is
+            // ⌊(2^128 − 1) / d⌋ − 2^64: (2^64 + v)·d fits 128 bits and
+            // (2^64 + v + 1)·d does not.
+            assert_eq!(reciprocal.d as u128, divisor << reciprocal.shift);
+            assert_eq!(reciprocal.d >> 63, 1);
+            let v = (1u128 << 64) + reciprocal.v as u128;
+            assert_eq!(U256::full_mul(v, reciprocal.d as u128).hi, 0);
+            assert_eq!(U256::full_mul(v + 1, reciprocal.d as u128).hi, 1);
+        }
+
+        let mut state = (0x2545f4914f6cdd1du64, 0x9e3779b97f4a7c15u64);
+        let mut next = move || {
+            let (mut x, y) = state;
+            x ^= x << 23;
+            x ^= x >> 17;
+            x ^= y ^ (y >> 26);
+            state = (y, x);
+            x.wrapping_add(y)
+        };
+        let mut next_u128 = move || ((next() as u128) << 64) | next() as u128;
+        let check = |value: U256, divisor: u128| {
+            assert_eq!(
+                value.div_rem_u128(divisor),
+                value.div_rem_u128_reference(divisor),
+                "hi={} lo={} divisor={divisor}",
+                value.hi,
+                value.lo,
+            );
+        };
+        for divisor in [WAD, RAY] {
+            for _ in 0..100_000 {
+                let hi = next_u128() % divisor;
+                check(
+                    U256 {
+                        hi,
+                        lo: next_u128(),
+                    },
+                    divisor,
+                );
+            }
+            check(
+                U256 {
+                    hi: divisor - 1,
+                    lo: u128::MAX,
+                },
+                divisor,
+            );
+            for lo in [0, 1, divisor - 1, divisor, divisor + 1, u128::MAX] {
+                check(U256 { hi: 0, lo }, divisor);
+            }
+            // Exact multiples k·d and their neighbours k·d ± 1.
+            for k in [1, 2, 3, divisor - 1, divisor, u128::MAX / 3, u128::MAX] {
+                let exact = U256::full_mul(k, divisor);
+                let (lo, carry) = exact.lo.overflowing_add(1);
+                check(exact, divisor);
+                check(
+                    U256 {
+                        hi: exact.hi + carry as u128,
+                        lo,
+                    },
+                    divisor,
+                );
+                let (lo, borrow) = exact.lo.overflowing_sub(1);
+                check(
+                    U256 {
+                        hi: exact.hi - borrow as u128,
+                        lo,
+                    },
+                    divisor,
+                );
+            }
+            // A quotient beyond 128 bits overflows on both paths.
+            for lo in [0, u128::MAX] {
+                let value = U256 { hi: divisor, lo };
+                assert_eq!(value.div_rem_u128(divisor), Err(TypeError::Overflow));
+                check(value, divisor);
+            }
+            check(U256 { hi: 0, lo: 0 }, divisor);
+            assert_eq!(mul_div(0, u128::MAX, divisor), Ok(0));
         }
     }
 
