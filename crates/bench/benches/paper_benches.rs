@@ -155,6 +155,18 @@ fn bench_positions_scale(c: &mut Criterion) {
         // (in `--test` quick mode the stub makes one untimed warm-up call,
         // then times one iteration).
         fixed_spread_tick_work(&mut protocol, &oracle, block);
+        // Layout guard (quick mode too): the 1k book stays on its one
+        // shard, the larger books split into the address-range shards.
+        let expected_shards = if n == 1_000 {
+            1
+        } else {
+            defi_lending::BOOK_SHARD_COUNT
+        };
+        assert_eq!(
+            protocol.book_stats().shards,
+            expected_shards,
+            "a {n}-account book runs the wrong shard layout"
+        );
         group.bench_function(format!("fixed_spread_tick_{n}_accounts"), |b| {
             b.iter(|| {
                 block += 1;

@@ -223,6 +223,10 @@ fn print_book_timings(session: &mut Session) {
             stats.envelope_checks,
             stats.scratch_grows,
         );
+        println!(
+            "  {:<10} accounts {} in {} shard(s)",
+            "", stats.cached_accounts, stats.shards,
+        );
     }
     println!();
 }

@@ -85,22 +85,30 @@
 //! it — [`book_positions`](PositionBook::book_positions),
 //! [`totals`](PositionBook::totals),
 //! [`for_each_at_risk`](PositionBook::for_each_at_risk) or
-//! [`liquidatable_accounts`](PositionBook::liquidatable_accounts) — handing
+//! [`for_each_liquidatable`](PositionBook::for_each_liquidatable) — handing
 //! it a read-view of its own state that implements [`BookSource`].
 //!
 //! # Sharding
 //!
-//! The book is split into [`BOOK_SHARD_COUNT`] fixed **address-range shards**
-//! (`shard_of`: the top four bits of the address's first byte). Every
-//! per-account structure — entries, dirty set, critical-price index, interval
-//! index, band membership, running totals — lives in the owning shard, and
-//! every flush and query walks the shards serially. The shards stay for
-//! serial cache locality: each flush touches sixteen small ordered maps
-//! rather than one large one. Merge order is fixed by construction: the
-//! partition is a function of the address alone, each shard's work is
-//! internally ordered, and queries concatenate shards in ascending
-//! address-range order, so `book_positions`, `book_totals` and
-//! `liquidatable_accounts` come out in global address order without sorting.
+//! A book starts as one shard and splits once, at the dirty mark that
+//! brings that shard's entries plus its pending dirty accounts to
+//! `SPLIT_AT` (4,096), into [`BOOK_SHARD_COUNT`] fixed **address-range
+//! shards** (`shard_of`: the top four bits of the address's first byte).
+//! Every per-account structure — entries, dirty set, critical-price index,
+//! interval and cap indexes, band membership — lives in the owning shard,
+//! and every flush and query walks the shards serially with the same loop
+//! whether there are 1 or 16. The running sums, the counters and the
+//! scratch buffers live once per book, beside the shards. The shards pay
+//! only at scale: on a large book each flush touches sixteen small ordered
+//! maps rather than one large one, while on a small book the per-shard
+//! lookups and range descents of sixteen shards are pure overhead. The
+//! split runs before any flush re-values the new accounts and moves
+//! structures only, so it changes no valuation and no counter. Merge order is fixed by
+//! construction: the partition is a function of the address alone, each
+//! shard's work is internally ordered, and queries concatenate shards in
+//! ascending address-range order, so `book_positions` and
+//! `for_each_liquidatable` come out in global address order without
+//! sorting.
 //!
 //! The book is *exact by construction*: a cached entry is byte-identical to a
 //! from-scratch [`Position`] rebuild because the owning protocol's
@@ -130,15 +138,23 @@ pub const RELEVERAGE_BAND_HF: f64 = 2.2;
 /// `(bound, account)` pair of an interval or cap index.
 const LAST_ADDRESS: Address = Address([u8::MAX; 20]);
 
-/// Number of fixed address-range shards a book is split into. Flushes and
-/// queries walk them serially; the split buys cache locality (sixteen small
-/// ordered maps per flush instead of one large one).
+/// Number of fixed address-range shards a book splits into once it outgrows
+/// its first shard (see the module docs). Flushes and queries walk them
+/// serially; at scale the split buys cache locality (sixteen small ordered
+/// maps per flush instead of one large one).
 pub const BOOK_SHARD_COUNT: usize = 16;
 
-/// The shard owning an address: its top four bits, a pure function of the
-/// address. [`Address`] orders lexicographically, so shard `i` owns a
-/// contiguous address range and concatenating shards in index order
-/// preserves global address order.
+/// Accounts at which a one-shard book splits into [`BOOK_SHARD_COUNT`]
+/// shards. On the fixed-spread tick bench one shard is faster up to 4,000
+/// accounts and the two layouts tie at 10,000; on the 100k-account
+/// benchmark books sixteen shards pay.
+const SPLIT_AT: usize = 4_096;
+
+/// The shard owning an address once a book is split: its top four bits, a
+/// pure function of the address. [`Address`] orders lexicographically, so
+/// shard `i` owns a contiguous address range and concatenating shards in
+/// index order preserves global address order. A one-shard book owns every
+/// address in shard 0.
 #[inline]
 fn shard_of(address: &Address) -> usize {
     (address.0[0] >> 4) as usize
@@ -246,6 +262,9 @@ pub struct BookTotals {
 pub struct BookStats {
     /// Accounts currently cached.
     pub cached_accounts: usize,
+    /// Address-range shards the book currently runs: 1 until the book
+    /// outgrows its first shard, then [`BOOK_SHARD_COUNT`].
+    pub shards: usize,
     /// Total account re-valuations performed since the book was created.
     pub revaluations: u64,
     /// Accounts currently tracked by the critical-price index.
@@ -481,7 +500,7 @@ impl BookClock {
     }
 }
 
-/// Running sums over the in-book entries of one shard — token **amounts**,
+/// Running sums over the in-book entries of the book — token **amounts**,
 /// not USD values. A filled position's collateral amounts are a function of
 /// account state alone, so they change only through a re-valuation the
 /// dirty set forces; a lazily stale valuation (an envelope or critical
@@ -516,17 +535,6 @@ impl Totals {
         } else {
             self.count -= 1;
         }
-    }
-
-    /// Fold another shard's sums into these.
-    fn merge(&mut self, other: &Totals) {
-        for &(token, amount) in &other.collateral {
-            shift(&mut self.collateral, token, amount, true);
-        }
-        for &(token, amount) in &other.dai_eth {
-            shift(&mut self.dai_eth, token, amount, true);
-        }
-        self.count += other.count;
     }
 
     /// Price every per-token sum once at the current oracle prices.
@@ -588,8 +596,9 @@ struct FlushCtx<'a> {
     drain: bool,
 }
 
-/// One address-range shard: every per-account structure of the book, owned
-/// whole so shard flushes share nothing.
+/// One address-range shard: every per-account structure of the book for
+/// the addresses it owns. The running sums, counters and scratch buffers
+/// its upkeep writes live in the book's [`Upkeep`].
 #[derive(Debug, Clone, Default)]
 struct BookShard {
     entries: BTreeMap<Address, Entry>,
@@ -623,9 +632,18 @@ struct BookShard {
     /// `rescue` or above `releverage`) — the banded borrower-management
     /// iteration set.
     at_risk: BTreeSet<Address>,
+}
+
+/// What every shard's upkeep writes besides its own maps: the running
+/// amount sums, the counters and the reusable scratch buffers. It lives once
+/// per book, beside the shards, so a freshen can hold one `&mut Entry` of a
+/// shard's map and this at the same time, and a split moves no sums and no
+/// counters.
+#[derive(Debug, Clone, Default)]
+struct Upkeep {
+    totals: Totals,
     /// Always-on invariant failures (see [`BookStats::stale_violations`]).
     stale_violations: u64,
-    totals: Totals,
     revaluations: u64,
     /// Re-valuations avoided because an envelope held.
     envelope_skips: u64,
@@ -648,146 +666,10 @@ struct BookShard {
     scratch_envelope: HfEnvelope,
 }
 
-impl BookShard {
-    // ------------------------------------------------------------------ flush
-
-    /// Fold this shard's share of the pending invalidations into
-    /// re-valuations. Touches nothing outside the shard.
-    fn flush<S: BookSource>(&mut self, source: &S, oracle: &PriceOracle, ctx: &FlushCtx<'_>) {
-        if !self.dirty.is_empty() || !ctx.changed_prices.is_empty() || !ctx.index_moves.is_empty() {
-            let mut batch = std::mem::take(&mut self.scratch_addresses);
-            let batch_cap = batch.capacity();
-            batch.clear();
-            // Price moves: the interval index turns "whose envelope does
-            // this write break?" into two range scans — survivors are never
-            // visited at all, their skip is accounted by subtraction.
-            for &(token, raw) in ctx.changed_prices {
-                let mut broken_bounded = 0usize;
-                let lo_bounds = self.env_lo.get(&token);
-                if let Some(bounds) = lo_bounds {
-                    for &(_, address) in
-                        bounds.range((Bound::Excluded((raw, LAST_ADDRESS)), Bound::Unbounded))
-                    {
-                        broken_bounded += 1;
-                        batch.push(address);
-                    }
-                }
-                if let Some(bounds) = self.env_hi.get(&token) {
-                    for &(_, address) in
-                        bounds.range((Bound::Unbounded, Bound::Excluded((raw, Address::ZERO))))
-                    {
-                        broken_bounded += 1;
-                        batch.push(address);
-                    }
-                }
-                let bounded = lo_bounds.map_or(0, BTreeSet::len);
-                self.envelope_skips += bounded.saturating_sub(broken_bounded) as u64;
-                if let Some(holders) = self.multi_unbanded.get(&token) {
-                    batch.extend(holders.iter().copied());
-                }
-            }
-            // Index moves, the same way: the cap index turns "whose cap does
-            // this accrual break?" into one range scan plus the debtors that
-            // carry no cap. Every debtor sits in exactly one of the two
-            // regimes, so the survivors are the capped debtors the scan did
-            // not return. A market with no index to compare caps against
-            // breaks every cap.
-            for &(token, current) in ctx.index_moves {
-                let broken_below = current.map_or(Bound::Unbounded, |index| {
-                    Bound::Excluded((index, Address::ZERO))
-                });
-                let mut broken_capped = 0usize;
-                let caps = self.index_caps.get(&token);
-                if let Some(caps) = caps {
-                    for &(_, address) in caps.range((Bound::Unbounded, broken_below)) {
-                        broken_capped += 1;
-                        batch.push(address);
-                    }
-                }
-                let capped = caps.map_or(0, BTreeSet::len);
-                self.envelope_skips += capped.saturating_sub(broken_capped) as u64;
-                if let Some(holders) = self.index_uncovered.get(&token) {
-                    batch.extend(holders.iter().copied());
-                }
-            }
-            batch.extend(self.dirty.iter().copied());
-            self.dirty.clear();
-            batch.sort_unstable();
-            batch.dedup();
-            self.envelope_checks += batch.len() as u64;
-            for &address in &batch {
-                self.revalue(source, oracle, address, ctx.clock);
-            }
-            self.scratch_grows += (batch.capacity() > batch_cap) as u64;
-            self.scratch_addresses = batch;
-        }
-
-        if ctx.drain {
-            // Freshen the valuations the indexes left lazily stale, read off
-            // each entry's own epochs in one address-order pass. Their band
-            // verdicts never went stale.
-            let mut batch = std::mem::take(&mut self.scratch_addresses);
-            let batch_cap = batch.capacity();
-            batch.clear();
-            batch.extend(
-                self.entries
-                    .iter()
-                    .filter(|(_, entry)| entry.is_stale(oracle, ctx.clock))
-                    .map(|(&address, _)| address),
-            );
-            for &address in &batch {
-                self.refresh(source, oracle, address, ctx.clock);
-            }
-            self.check_stale_invariant(source, oracle, ctx.clock, &batch);
-            self.scratch_grows += (batch.capacity() > batch_cap) as u64;
-            self.scratch_addresses = batch;
-        }
-    }
-
-    /// The always-on stale invariant: after a full drain, no valuation may
-    /// lag a price or index epoch. Checks the accounts the drain just
-    /// brought current, so the healthy path costs no extra walk; a lagging
-    /// one is counted — the band-differential harness asserts the counter
-    /// stays zero — and repaired by a full revalue, so the book cannot keep
-    /// serving it.
-    fn check_stale_invariant<S: BookSource>(
-        &mut self,
-        source: &S,
-        oracle: &PriceOracle,
-        clock: &BookClock,
-        checked: &[Address],
-    ) {
-        for &address in checked {
-            let lagging = self
-                .entries
-                .get(&address)
-                .is_some_and(|entry| entry.is_stale(oracle, clock));
-            if lagging {
-                self.stale_violations += 1;
-                self.revalue(source, oracle, address, clock);
-            }
-        }
-    }
-
-    // ----------------------------------------------------------- revaluation
-
-    /// Freshen one lazily stale valuation: the term or light path where
-    /// the verdict's certifier still holds, the full revalue path otherwise.
-    fn refresh<S: BookSource>(
-        &mut self,
-        source: &S,
-        oracle: &PriceOracle,
-        address: Address,
-        clock: &BookClock,
-    ) {
-        if !self.light_refresh(source, oracle, address, clock) {
-            self.revalue(source, oracle, address, clock);
-        }
-    }
-
-    /// Cheap freshening for an account whose verdict bookkeeping provably
-    /// cannot have changed. The path is picked by what certifies the
-    /// verdict:
+impl Upkeep {
+    /// Cheap freshening of one lazily stale entry whose verdict bookkeeping
+    /// provably cannot have changed, in place. The path is picked by what
+    /// certifies the verdict:
     ///
     /// * **term path** — a critical-price account (its verdict lives in the
     ///   critical index, which reads no oracle input) that is *price*-stale
@@ -804,17 +686,15 @@ impl BookShard {
     /// Both keep the running amount sums in step with the slot. Returns
     /// `false` when the path's precondition fails, with the sums still
     /// consistent with the slot; the caller then takes the full revalue
-    /// path.
+    /// path ([`BookShard::revalue`]).
     fn light_refresh<S: BookSource>(
         &mut self,
         source: &S,
         oracle: &PriceOracle,
-        address: Address,
         clock: &BookClock,
+        address: Address,
+        entry: &mut Entry,
     ) -> bool {
-        let Some(entry) = self.entries.get_mut(&address) else {
-            return false;
-        };
         let in_book = entry.in_book;
         let termed = entry.critical.is_some();
         if termed {
@@ -913,16 +793,187 @@ impl BookShard {
         entry.index_epoch = clock.index_epoch;
         true
     }
+}
+
+impl BookShard {
+    // ------------------------------------------------------------------ flush
+
+    /// Fold this shard's share of the pending invalidations into
+    /// re-valuations. Touches no other shard.
+    fn flush<S: BookSource>(
+        &mut self,
+        upkeep: &mut Upkeep,
+        source: &S,
+        oracle: &PriceOracle,
+        ctx: &FlushCtx<'_>,
+    ) {
+        if !self.dirty.is_empty() || !ctx.changed_prices.is_empty() || !ctx.index_moves.is_empty() {
+            let mut batch = std::mem::take(&mut upkeep.scratch_addresses);
+            let batch_cap = batch.capacity();
+            batch.clear();
+            // Price moves: the interval index turns "whose envelope does
+            // this write break?" into two range scans — survivors are never
+            // visited at all, their skip is accounted by subtraction.
+            for &(token, raw) in ctx.changed_prices {
+                let mut broken_bounded = 0usize;
+                let lo_bounds = self.env_lo.get(&token);
+                if let Some(bounds) = lo_bounds {
+                    for &(_, address) in
+                        bounds.range((Bound::Excluded((raw, LAST_ADDRESS)), Bound::Unbounded))
+                    {
+                        broken_bounded += 1;
+                        batch.push(address);
+                    }
+                }
+                if let Some(bounds) = self.env_hi.get(&token) {
+                    for &(_, address) in
+                        bounds.range((Bound::Unbounded, Bound::Excluded((raw, Address::ZERO))))
+                    {
+                        broken_bounded += 1;
+                        batch.push(address);
+                    }
+                }
+                let bounded = lo_bounds.map_or(0, BTreeSet::len);
+                upkeep.envelope_skips += bounded.saturating_sub(broken_bounded) as u64;
+                if let Some(holders) = self.multi_unbanded.get(&token) {
+                    batch.extend(holders.iter().copied());
+                }
+            }
+            // Index moves, the same way: the cap index turns "whose cap does
+            // this accrual break?" into one range scan plus the debtors that
+            // carry no cap. Every debtor sits in exactly one of the two
+            // regimes, so the survivors are the capped debtors the scan did
+            // not return. A market with no index to compare caps against
+            // breaks every cap.
+            for &(token, current) in ctx.index_moves {
+                let broken_below = current.map_or(Bound::Unbounded, |index| {
+                    Bound::Excluded((index, Address::ZERO))
+                });
+                let mut broken_capped = 0usize;
+                let caps = self.index_caps.get(&token);
+                if let Some(caps) = caps {
+                    for &(_, address) in caps.range((Bound::Unbounded, broken_below)) {
+                        broken_capped += 1;
+                        batch.push(address);
+                    }
+                }
+                let capped = caps.map_or(0, BTreeSet::len);
+                upkeep.envelope_skips += capped.saturating_sub(broken_capped) as u64;
+                if let Some(holders) = self.index_uncovered.get(&token) {
+                    batch.extend(holders.iter().copied());
+                }
+            }
+            batch.extend(self.dirty.iter().copied());
+            self.dirty.clear();
+            batch.sort_unstable();
+            batch.dedup();
+            upkeep.envelope_checks += batch.len() as u64;
+            for &address in &batch {
+                self.revalue(upkeep, source, oracle, address, ctx.clock);
+            }
+            upkeep.scratch_grows += (batch.capacity() > batch_cap) as u64;
+            upkeep.scratch_addresses = batch;
+        }
+
+        if ctx.drain {
+            // Freshen the valuations the indexes left lazily stale, read off
+            // each entry's own epochs in one address-order pass that
+            // freshens each entry in place. Their band verdicts never went
+            // stale. The accounts the term and light paths decline take the
+            // full revalue after the pass; each account's freshening reads
+            // and writes only its own entry and memberships, so the split
+            // into two passes changes no valuation.
+            let mut declined = std::mem::take(&mut upkeep.scratch_addresses);
+            let declined_cap = declined.capacity();
+            declined.clear();
+            for (&address, entry) in &mut self.entries {
+                if !entry.is_stale(oracle, ctx.clock) {
+                    continue;
+                }
+                if !upkeep.light_refresh(source, oracle, ctx.clock, address, entry) {
+                    declined.push(address);
+                } else if entry.is_stale(oracle, ctx.clock) {
+                    // The always-on stale invariant (see
+                    // `check_stale_invariant`), checked in place.
+                    upkeep.stale_violations += 1;
+                    declined.push(address);
+                }
+            }
+            for &address in &declined {
+                self.revalue(upkeep, source, oracle, address, ctx.clock);
+            }
+            self.check_stale_invariant(upkeep, source, oracle, ctx.clock, &declined);
+            upkeep.scratch_grows += (declined.capacity() > declined_cap) as u64;
+            upkeep.scratch_addresses = declined;
+        }
+    }
+
+    /// The always-on stale invariant: after a full drain, no valuation may
+    /// lag a price or index epoch. Checks the accounts the drain just
+    /// re-valued (the drain checks the ones it freshened in place itself),
+    /// so the healthy path costs no extra walk; a lagging one is counted —
+    /// the band-differential harness asserts the counter stays zero — and
+    /// repaired by a full revalue, so the book cannot keep serving it.
+    fn check_stale_invariant<S: BookSource>(
+        &mut self,
+        upkeep: &mut Upkeep,
+        source: &S,
+        oracle: &PriceOracle,
+        clock: &BookClock,
+        checked: &[Address],
+    ) {
+        for &address in checked {
+            let lagging = self
+                .entries
+                .get(&address)
+                .is_some_and(|entry| entry.is_stale(oracle, clock));
+            if lagging {
+                upkeep.stale_violations += 1;
+                self.revalue(upkeep, source, oracle, address, clock);
+            }
+        }
+    }
+
+    // ----------------------------------------------------------- revaluation
+
+    /// Hand one account's entry to `visit`, freshened first if its
+    /// valuation lags: one entry lookup unless the term and light paths
+    /// decline and the full revalue runs. An account without an entry is
+    /// not visited.
+    fn visit_fresh<S: BookSource>(
+        &mut self,
+        upkeep: &mut Upkeep,
+        source: &S,
+        oracle: &PriceOracle,
+        clock: &BookClock,
+        address: Address,
+        visit: impl FnOnce(&Entry),
+    ) {
+        let Some(entry) = self.entries.get_mut(&address) else {
+            return;
+        };
+        if !entry.is_stale(oracle, clock)
+            || upkeep.light_refresh(source, oracle, clock, address, entry)
+        {
+            visit(entry);
+            return;
+        }
+        self.revalue(upkeep, source, oracle, address, clock);
+        if let Some(entry) = self.entries.get(&address) {
+            visit(entry);
+        }
+    }
 
     /// Re-value one account and fold the delta into every derived structure.
     fn revalue<S: BookSource>(
         &mut self,
+        upkeep: &mut Upkeep,
         source: &S,
         oracle: &PriceOracle,
         address: Address,
         clock: &BookClock,
     ) {
-        self.revaluations += 1;
+        upkeep.revaluations += 1;
         let entry = self
             .entries
             .entry(address)
@@ -971,21 +1022,21 @@ impl BookShard {
             }
         }
 
-        let mut new_tokens = std::mem::take(&mut self.scratch_tokens);
-        let mut new_debt_tokens = std::mem::take(&mut self.scratch_debt_tokens);
+        let mut new_tokens = std::mem::take(&mut upkeep.scratch_tokens);
+        let mut new_debt_tokens = std::mem::take(&mut upkeep.scratch_debt_tokens);
         new_tokens.clear();
         new_debt_tokens.clear();
         // Recycle the previous envelope's buffers for the new derivation.
         let mut envelope = match old_envelope {
             Some(env) => env,
-            None => std::mem::take(&mut self.scratch_envelope),
+            None => std::mem::take(&mut upkeep.scratch_envelope),
         };
         envelope.clear();
 
         // The running sums drop the old slot's contribution before the
         // slot is rebuilt and take the new one once `in_book` is known.
         if old_in_book {
-            self.totals.fold(&entry.position, false);
+            upkeep.totals.fold(&entry.position, false);
         }
         let exists = source.fill_position(oracle, address, &mut entry.position);
         let mut liquidatable = false;
@@ -1029,8 +1080,8 @@ impl BookShard {
                             ceiling,
                             &mut envelope,
                         );
-                        self.envelope_derives += 1;
-                        self.envelope_derive_nanos += derive_start.elapsed().as_nanos() as u64;
+                        upkeep.envelope_derives += 1;
+                        upkeep.envelope_derive_nanos += derive_start.elapsed().as_nanos() as u64;
                         // Refuse an incomplete envelope: a sensitive token
                         // without a price bound or a debt market without a
                         // cap leaves a condition the indexes cannot watch,
@@ -1052,13 +1103,13 @@ impl BookShard {
         }
         let new_in_book = exists && entry.in_book;
         if new_in_book {
-            self.totals.fold(&entry.position, true);
+            upkeep.totals.fold(&entry.position, true);
         }
         let new_critical = if exists { entry.critical } else { None };
         if banded {
             entry.envelope = Some(envelope);
         } else {
-            self.scratch_envelope = envelope;
+            upkeep.scratch_envelope = envelope;
         }
 
         // Re-insert the fresh membership into the exposure indexes.
@@ -1133,41 +1184,36 @@ impl BookShard {
             self.at_risk.remove(&address);
         }
 
-        let live_entry = if exists {
-            self.entries.get_mut(&address)
-        } else {
-            None
-        };
-        if let Some(entry) = live_entry {
+        if exists {
             entry.tokens = new_tokens;
             entry.debt_tokens = new_debt_tokens;
             // Recycle the previous exposure buffers as scratch space.
-            self.scratch_tokens = old_tokens;
-            self.scratch_debt_tokens = old_debt_list;
+            upkeep.scratch_tokens = old_tokens;
+            upkeep.scratch_debt_tokens = old_debt_list;
         } else {
             self.entries.remove(&address);
-            self.scratch_tokens = new_tokens;
-            self.scratch_debt_tokens = new_debt_tokens;
+            upkeep.scratch_tokens = new_tokens;
+            upkeep.scratch_debt_tokens = new_debt_tokens;
         }
     }
 
     // --------------------------------------------------------------- queries
 
-    /// This shard's liquidatable accounts (live set ∪ critical-price range
-    /// scans) appended to `out` in address order, with each returned
-    /// valuation freshened.
-    fn collect_liquidatable<S: BookSource>(
+    /// Visit this shard's liquidatable accounts (live set ∪ critical-price
+    /// range scans) in address order, freshening each visited valuation.
+    fn visit_liquidatable<S: BookSource>(
         &mut self,
+        upkeep: &mut Upkeep,
         source: &S,
         oracle: &PriceOracle,
         clock: &BookClock,
-        out: &mut Vec<Address>,
+        visit: &mut dyn FnMut(&Position),
     ) {
-        // Reuse the shard's address scratch instead of cloning the live set
-        // into a fresh `BTreeSet` every call (the discovery loop runs every
-        // tick). Sorting + dedup reproduces the set-union order exactly:
-        // both inputs are iterated in ascending address order.
-        let mut found = std::mem::take(&mut self.scratch_addresses);
+        // Gather into the book's address scratch rather than a fresh set
+        // (discovery runs every tick). Sorting + dedup reproduces the
+        // set-union order exactly: both inputs are iterated in ascending
+        // address order.
+        let mut found = std::mem::take(&mut upkeep.scratch_addresses);
         let found_cap = found.capacity();
         found.clear();
         found.extend(self.live.iter().copied());
@@ -1184,60 +1230,45 @@ impl BookShard {
         }
         found.sort_unstable();
         found.dedup();
-        let start = out.len();
-        out.extend(found.iter().copied());
-        self.scratch_grows += (found.capacity() > found_cap) as u64;
-        self.scratch_addresses = found;
-        // Freshen the valuations discovery hands out; re-valuing cannot
-        // change the verdict (same state, same prices — and for accounts an
-        // envelope certified, the band is certified).
-        for slot in start..out.len() {
-            let Some(&address) = out.get(slot) else {
-                break;
-            };
-            let stale = self
-                .entries
-                .get(&address)
-                .is_some_and(|entry| entry.is_stale(oracle, clock));
-            if stale {
-                self.refresh(source, oracle, address, clock);
-            }
+        // Freshening what discovery hands out cannot change the verdict
+        // (same state, same prices — and for accounts an envelope
+        // certified, the band is certified).
+        for &address in &found {
+            self.visit_fresh(upkeep, source, oracle, clock, address, |entry| {
+                visit(&entry.position)
+            });
         }
+        upkeep.scratch_grows += (found.capacity() > found_cap) as u64;
+        upkeep.scratch_addresses = found;
     }
 
     /// Visit this shard's at-risk members in address order, freshening each
     /// visited valuation.
     fn visit_at_risk<S: BookSource>(
         &mut self,
+        upkeep: &mut Upkeep,
         source: &S,
         oracle: &PriceOracle,
         clock: &BookClock,
         visit: &mut dyn FnMut(&Position),
     ) {
-        let mut batch = std::mem::take(&mut self.scratch_addresses);
+        let mut batch = std::mem::take(&mut upkeep.scratch_addresses);
         let batch_cap = batch.capacity();
         batch.clear();
         batch.extend(self.at_risk.iter().copied());
+        // Freshening cannot change the verdict: the account either
+        // re-valued in the flush above or its envelope certifies the band —
+        // so the light refresh applies whenever the envelope still covers
+        // current prices, and the full revalue otherwise.
         for &address in &batch {
-            let stale = self
-                .entries
-                .get(&address)
-                .is_some_and(|entry| entry.is_stale(oracle, clock));
-            if stale {
-                // Freshening cannot change the verdict: the account either
-                // re-valued in the flush above or its envelope certifies the
-                // band — so the light refresh applies whenever the envelope
-                // still covers current prices, and the full revalue otherwise.
-                self.refresh(source, oracle, address, clock);
-            }
-            if let Some(entry) = self.entries.get(&address) {
+            self.visit_fresh(upkeep, source, oracle, clock, address, |entry| {
                 if entry.in_book {
                     visit(&entry.position);
                 }
-            }
+            });
         }
-        self.scratch_grows += (batch.capacity() > batch_cap) as u64;
-        self.scratch_addresses = batch;
+        upkeep.scratch_grows += (batch.capacity() > batch_cap) as u64;
+        upkeep.scratch_addresses = batch;
     }
 }
 
@@ -1246,7 +1277,10 @@ impl BookShard {
 /// layout.
 #[derive(Debug, Clone)]
 pub struct PositionBook {
+    /// One shard until the book outgrows it, then [`BOOK_SHARD_COUNT`].
     shards: Vec<BookShard>,
+    /// Running sums, counters and scratch buffers of every shard's upkeep.
+    upkeep: Upkeep,
     /// Markets whose borrow index changed since the last flush.
     pending_index_tokens: Vec<Token>,
     /// Band thresholds and the borrow-index clock every shard reads.
@@ -1273,9 +1307,8 @@ pub struct PositionBook {
 impl Default for PositionBook {
     fn default() -> Self {
         PositionBook {
-            shards: (0..BOOK_SHARD_COUNT)
-                .map(|_| BookShard::default())
-                .collect(),
+            shards: vec![BookShard::default()],
+            upkeep: Upkeep::default(),
             pending_index_tokens: Vec::new(),
             clock: BookClock {
                 bands: (
@@ -1307,15 +1340,30 @@ impl PositionBook {
         PositionBook::default()
     }
 
+    /// The index of the shard owning `account` in the current layout.
+    fn shard_index(&self, account: &Address) -> usize {
+        if self.shards.len() == 1 {
+            0
+        } else {
+            shard_of(account)
+        }
+    }
+
     fn shard_mut(&mut self, account: &Address) -> Option<&mut BookShard> {
-        self.shards.get_mut(shard_of(account))
+        let index = self.shard_index(account);
+        self.shards.get_mut(index)
     }
 
     /// Mark one account for re-valuation (every protocol mutation that
-    /// touches the account must call this).
+    /// touches the account must call this). The mark that brings a
+    /// one-shard book to 4,096 accounts splits it into
+    /// [`BOOK_SHARD_COUNT`] shards, before any flush re-values them.
     pub fn mark_dirty(&mut self, account: Address) {
         if let Some(shard) = self.shard_mut(&account) {
             shard.dirty.insert(account);
+        }
+        if self.outgrown() {
+            self.split();
         }
     }
 
@@ -1343,12 +1391,28 @@ impl PositionBook {
             .any(|shard| shard.critical.values().any(|map| !map.is_empty()))
     }
 
-    /// Cache-maintenance counters, folded over the shards.
+    /// Cache-maintenance counters: the gauges folded over the shards, the
+    /// counters read off the book's upkeep.
     pub fn stats(&self) -> BookStats {
-        let mut stats = BookStats::default();
+        let upkeep = &self.upkeep;
+        let mut stats = BookStats {
+            shards: self.shards.len(),
+            revaluations: upkeep.revaluations,
+            envelope_skips: upkeep.envelope_skips,
+            envelope_checks: upkeep.envelope_checks,
+            stale_violations: upkeep.stale_violations,
+            term_reprices: upkeep.term_reprices,
+            light_refreshes: upkeep.light_refreshes,
+            envelope_derives: upkeep.envelope_derives,
+            envelope_derive_nanos: upkeep.envelope_derive_nanos,
+            scratch_grows: upkeep.scratch_grows,
+            flush_count: self.flush_count,
+            flush_nanos: self.flush_nanos,
+            visit_nanos: self.visit_nanos,
+            ..BookStats::default()
+        };
         for shard in &self.shards {
             stats.cached_accounts += shard.entries.len();
-            stats.revaluations += shard.revaluations;
             stats.indexed_accounts += shard
                 .entries
                 .values()
@@ -1361,32 +1425,122 @@ impl PositionBook {
                 .filter(|e| e.envelope.is_some())
                 .count();
             stats.at_risk_accounts += shard.at_risk.len();
-            stats.envelope_skips += shard.envelope_skips;
-            stats.envelope_checks += shard.envelope_checks;
-            stats.stale_violations += shard.stale_violations;
-            stats.term_reprices += shard.term_reprices;
-            stats.light_refreshes += shard.light_refreshes;
-            stats.envelope_derives += shard.envelope_derives;
-            stats.envelope_derive_nanos += shard.envelope_derive_nanos;
-            stats.scratch_grows += shard.scratch_grows;
         }
-        stats.flush_count = self.flush_count;
-        stats.flush_nanos = self.flush_nanos;
-        stats.visit_nanos = self.visit_nanos;
         stats
     }
 
     /// The cached snapshot of one account, if it is in the cache. Exact only
     /// after a refreshing query ([`book_positions`](Self::book_positions),
-    /// [`liquidatable_accounts`](Self::liquidatable_accounts), …).
+    /// [`for_each_liquidatable`](Self::for_each_liquidatable), …).
     pub fn cached_position(&self, account: Address) -> Option<&Position> {
         self.shards
-            .get(shard_of(&account))
+            .get(self.shard_index(&account))
             .and_then(|shard| shard.entries.get(&account))
             .map(|e| &e.position)
     }
 
     // ------------------------------------------------------------------ flush
+
+    /// Whether the one shard of an unsplit book holds, with its pending
+    /// dirty accounts, [`SPLIT_AT`] accounts or more. Only a dirty mark can
+    /// bring a new account into a book, so [`mark_dirty`](Self::mark_dirty)
+    /// is the one place that asks.
+    fn outgrown(&self) -> bool {
+        let (1, Some(shard)) = (self.shards.len(), self.shards.first()) else {
+            return false;
+        };
+        shard.entries.len() + shard.dirty.len() >= SPLIT_AT
+    }
+
+    /// Split the one shard into [`BOOK_SHARD_COUNT`] address-range shards by
+    /// `shard_of`. Only structures move: every entry keeps its valuation
+    /// and epochs, and the running sums and counters live in the upkeep, so
+    /// the split re-values nothing and changes no counter.
+    fn split(&mut self) {
+        let split = (0..BOOK_SHARD_COUNT)
+            .map(|_| BookShard::default())
+            .collect();
+        let Some(whole) = std::mem::replace(&mut self.shards, split).pop() else {
+            return;
+        };
+        for (address, entry) in whole.entries {
+            if let Some(shard) = self.shard_mut(&address) {
+                shard.entries.insert(address, entry);
+            }
+        }
+        self.spread_set(whole.dirty, |shard| &mut shard.dirty);
+        self.spread_set(whole.live, |shard| &mut shard.live);
+        self.spread_set(whole.at_risk, |shard| &mut shard.at_risk);
+        self.spread_index(
+            whole.multi_unbanded,
+            |account| account,
+            |shard| &mut shard.multi_unbanded,
+        );
+        self.spread_index(
+            whole.index_uncovered,
+            |account| account,
+            |shard| &mut shard.index_uncovered,
+        );
+        self.spread_index(
+            whole.index_caps,
+            |(_, account)| account,
+            |shard| &mut shard.index_caps,
+        );
+        self.spread_index(
+            whole.env_lo,
+            |(_, account)| account,
+            |shard| &mut shard.env_lo,
+        );
+        self.spread_index(
+            whole.env_hi,
+            |(_, account)| account,
+            |shard| &mut shard.env_hi,
+        );
+        for (token, map) in whole.critical {
+            for (crit, accounts) in map {
+                for account in accounts {
+                    if let Some(shard) = self.shard_mut(&account) {
+                        shard
+                            .critical
+                            .entry(token)
+                            .or_default()
+                            .entry(crit)
+                            .or_default()
+                            .insert(account);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Move every account of an address set into the shard owning it.
+    fn spread_set(
+        &mut self,
+        set: BTreeSet<Address>,
+        field: fn(&mut BookShard) -> &mut BTreeSet<Address>,
+    ) {
+        for account in set {
+            if let Some(shard) = self.shard_mut(&account) {
+                field(shard).insert(account);
+            }
+        }
+    }
+
+    /// Move every member of a per-token index into the shard owning it.
+    fn spread_index<T: Ord>(
+        &mut self,
+        index: FxHashMap<Token, BTreeSet<T>>,
+        owner: fn(&T) -> &Address,
+        field: fn(&mut BookShard) -> &mut FxHashMap<Token, BTreeSet<T>>,
+    ) {
+        for (token, members) in index {
+            for member in members {
+                if let Some(shard) = self.shard_mut(owner(&member)) {
+                    field(shard).entry(token).or_default().insert(member);
+                }
+            }
+        }
+    }
 
     /// Fold every pending invalidation into re-valuations, shard by shard in
     /// address order. With `full`, also freshen lazily staled valuations so
@@ -1464,7 +1618,7 @@ impl PositionBook {
                 drain,
             };
             for shard in &mut self.shards {
-                shard.flush(source, oracle, &ctx);
+                shard.flush(&mut self.upkeep, source, oracle, &ctx);
             }
             self.flush_count += 1;
             self.flush_nanos += flush_start.elapsed().as_nanos() as u64;
@@ -1501,11 +1655,10 @@ impl PositionBook {
         out
     }
 
-    /// Volume totals over the observable book from the shards' running
-    /// amount sums: the sums merge per token in fixed shard order, and each
-    /// token's total amount is priced once at the current oracle price. The
-    /// banded flush suffices — lazily stale valuations carry exact amounts —
-    /// so sampling re-values only what discovery would.
+    /// Volume totals over the observable book from the running amount sums:
+    /// each token's total amount is priced once at the current oracle
+    /// price. The banded flush suffices — lazily stale valuations carry
+    /// exact amounts — so sampling re-values only what discovery would.
     ///
     /// Rounding happens once per token, not once per holding: the result
     /// is [`reference_totals`] of the observable book, which may differ
@@ -1513,31 +1666,25 @@ impl PositionBook {
     /// than one raw unit (10⁻¹⁸ USD) per holding.
     pub fn totals<S: BookSource>(&mut self, source: &S, oracle: &PriceOracle) -> BookTotals {
         self.flush(source, oracle, false);
-        let mut totals = Totals::default();
-        for shard in &self.shards {
-            totals.merge(&shard.totals);
-        }
-        totals.priced(oracle)
+        self.upkeep.totals.priced(oracle)
     }
 
-    /// Accounts currently below the liquidation threshold, in address order,
-    /// with their cached positions freshened: the union of the per-token
-    /// critical-price range scans and the incrementally maintained live set,
-    /// merged in fixed shard order. Does **not** re-value accounts whose
-    /// certified state a price move failed to break — the fast path a keeper
-    /// loop takes every block.
-    pub fn liquidatable_accounts<S: BookSource>(
+    /// Visit every account currently below the liquidation threshold, in
+    /// address order, with its cached position freshened: the union of the
+    /// per-token critical-price range scans and the incrementally maintained
+    /// live set, walked in fixed shard order. Does **not** re-value accounts
+    /// whose certified state a price move failed to break — the fast path a
+    /// keeper loop takes every block.
+    pub fn for_each_liquidatable<S: BookSource>(
         &mut self,
         source: &S,
         oracle: &PriceOracle,
-    ) -> Vec<Address> {
+        visit: &mut dyn FnMut(&Position),
+    ) {
         self.flush(source, oracle, false);
-        let clock = &self.clock;
-        let mut out = Vec::new();
         for shard in &mut self.shards {
-            shard.collect_liquidatable(source, oracle, clock, &mut out);
+            shard.visit_liquidatable(&mut self.upkeep, source, oracle, &self.clock, visit);
         }
-        out
     }
 
     /// Visit every *at-risk* observable position — health factor in
@@ -1594,10 +1741,9 @@ impl PositionBook {
         }
         // One fused pass in shard order (= address order): freshen each
         // stale at-risk member, then visit it.
-        let clock = &self.clock;
         let visit_start = std::time::Instant::now();
         for shard in &mut self.shards {
-            shard.visit_at_risk(source, oracle, clock, visit);
+            shard.visit_at_risk(&mut self.upkeep, source, oracle, &self.clock, visit);
         }
         self.visit_nanos += visit_start.elapsed().as_nanos() as u64;
     }
@@ -1699,6 +1845,17 @@ mod tests {
         }
     }
 
+    /// The owners [`PositionBook::for_each_liquidatable`] visits, in order.
+    fn liquidatable<S: BookSource>(
+        book: &mut PositionBook,
+        source: &S,
+        oracle: &PriceOracle,
+    ) -> Vec<Address> {
+        let mut owners = Vec::new();
+        book.for_each_liquidatable(source, oracle, &mut |position| owners.push(position.owner));
+        owners
+    }
+
     fn setup(n: u64) -> (ToySource, PositionBook, PriceOracle) {
         let mut source = ToySource::default();
         let mut book = PositionBook::new();
@@ -1715,13 +1872,226 @@ mod tests {
         (source, book, oracle)
     }
 
+    /// Insert account `seed` into the toy state: 10 ETH against a debt that
+    /// spreads collateralization between 120 % and 313 %, every 13th account
+    /// debt-free (it carries the unbounded debt-free envelope).
+    fn add_account(source: &mut ToySource, book: &mut PositionBook, seed: u64) {
+        let address = Address::from_seed(seed);
+        let debt = if seed.is_multiple_of(13) {
+            Wad::ZERO
+        } else {
+            Wad::from_f64(1_000.0 / (1.2 + (seed % 97) as f64 * 0.02))
+        };
+        source.accounts.insert(address, (Wad::from_int(10), debt));
+        book.mark_dirty(address);
+    }
+
+    /// Compare every book surface against a from-scratch rebuild of the toy
+    /// state: `book_positions`, `for_each_liquidatable` (the toy's own
+    /// liquidation rule, read off the critical price when it reports one),
+    /// `for_each_at_risk` and `totals`. The cheap surfaces run first, so
+    /// they are checked before a full query drains the book.
+    fn assert_matches_rebuild(
+        book: &mut PositionBook,
+        source: &ToySource,
+        oracle: &PriceOracle,
+        context: &str,
+    ) {
+        let rebuild: Vec<Position> = source
+            .accounts
+            .keys()
+            .filter_map(|&address| {
+                let mut slot = Position::new(address);
+                source
+                    .fill_position(oracle, address, &mut slot)
+                    .then_some(slot)
+            })
+            .collect();
+        let price = oracle.price_or_zero(Token::ETH).raw();
+        let expected_liquidatable: Vec<Position> = rebuild
+            .iter()
+            .filter(|p| match source.critical_price(p.owner, p) {
+                Some((_, crit)) => price < crit,
+                None => p.is_liquidatable(),
+            })
+            .cloned()
+            .collect();
+        let (rescue, releverage) = (
+            Wad::from_f64(RESCUE_BAND_HF),
+            Wad::from_f64(RELEVERAGE_BAND_HF),
+        );
+        let expected_at_risk: Vec<Position> = rebuild
+            .iter()
+            .filter(|p| {
+                p.health_factor()
+                    .is_some_and(|hf| hf >= Wad::ONE && (hf < rescue || hf > releverage))
+            })
+            .cloned()
+            .collect();
+
+        assert_eq!(
+            book.totals(source, oracle),
+            reference_totals(&rebuild, oracle),
+            "{context}: totals"
+        );
+        let mut liquidatable = Vec::new();
+        book.for_each_liquidatable(source, oracle, &mut |p| liquidatable.push(p.clone()));
+        assert_eq!(liquidatable, expected_liquidatable, "{context}: discovery");
+        let mut at_risk = Vec::new();
+        book.for_each_at_risk(source, oracle, rescue, releverage, &mut |p| {
+            at_risk.push(p.clone())
+        });
+        assert_eq!(at_risk, expected_at_risk, "{context}: at-risk visit");
+        assert_eq!(
+            book.book_positions(source, oracle),
+            rebuild,
+            "{context}: book positions"
+        );
+        assert_eq!(book.stats().stale_violations, 0, "{context}");
+    }
+
+    /// A book grown past `SPLIT_AT` in steps, with price writes, index
+    /// moves and mutations between the steps, splits in the step that
+    /// brings it to the threshold and answers every query like a
+    /// from-scratch rebuild before and after, on the critical-price path
+    /// and the multivariate one.
+    #[test]
+    fn a_growing_book_splits_once_and_matches_a_rebuild_throughout() {
+        for multivariate in [false, true] {
+            let mut source = ToySource {
+                multivariate,
+                dai_debt: true,
+                ..ToySource::default()
+            };
+            let mut book = PositionBook::new();
+            let mut oracle = PriceOracle::new(OracleConfig::every_update());
+            oracle.set_price(0, Token::ETH, Wad::from_int(100));
+            let mut seeds = 0..;
+            for (step, grow) in [1_500usize, 1_500, 1_000, 1_000, 500]
+                .into_iter()
+                .enumerate()
+            {
+                let block = step as u64 + 1;
+                for seed in seeds.by_ref().take(grow) {
+                    add_account(&mut source, &mut book, seed);
+                }
+                // Mutate a few existing accounts: one repays, one closes.
+                let repaid = Address::from_seed(block * 7);
+                if let Some(account) = source.accounts.get_mut(&repaid) {
+                    account.1 = Wad::ZERO;
+                }
+                book.mark_dirty(repaid);
+                let closed = Address::from_seed(block * 11);
+                source.accounts.remove(&closed);
+                book.mark_dirty(closed);
+                let prices = [92.0, 121.0, 88.0, 104.0, 79.0];
+                let eth = prices.get(step).copied().unwrap_or(100.0);
+                oracle.set_price(block, Token::ETH, Wad::from_f64(eth));
+                book.note_index_change(Token::DAI);
+
+                let context = format!("multivariate {multivariate}, step {step}");
+                let expect_split = source.accounts.len() >= SPLIT_AT;
+                assert_matches_rebuild(&mut book, &source, &oracle, &context);
+                let expected_shards = if expect_split { BOOK_SHARD_COUNT } else { 1 };
+                assert_eq!(book.stats().shards, expected_shards, "{context}");
+
+                // A price write nobody is dirty for: the lazy paths serve it.
+                oracle.set_price(block, Token::ETH, Wad::from_f64(eth * 1.01));
+                assert_matches_rebuild(&mut book, &source, &oracle, &context);
+            }
+            assert_eq!(book.stats().shards, BOOK_SHARD_COUNT);
+        }
+    }
+
+    /// The work counters of a book, by name.
+    fn work_counters(stats: &BookStats) -> [(&'static str, u64); 7] {
+        [
+            ("revaluations", stats.revaluations),
+            ("envelope_skips", stats.envelope_skips),
+            ("envelope_checks", stats.envelope_checks),
+            ("light_refreshes", stats.light_refreshes),
+            ("term_reprices", stats.term_reprices),
+            ("envelope_derives", stats.envelope_derives),
+            ("stale_violations", stats.stale_violations),
+        ]
+    }
+
+    /// The split moves structures only: called directly on a book holding
+    /// lazily stale valuations, liquidatable and at-risk accounts and
+    /// pending dirty marks, it re-values nothing and leaves every counter
+    /// as it was. The split book then answers every query — first with
+    /// nothing but the dirty marks pending, so discovery and the at-risk
+    /// visit read the moved sets, then after a price write, then after an
+    /// index move — and counts every later re-valuation exactly like its
+    /// unsplit twin.
+    #[test]
+    fn the_split_revalues_nothing_and_keeps_every_counter() {
+        for multivariate in [false, true] {
+            let mut source = ToySource {
+                multivariate,
+                dai_debt: true,
+                ..ToySource::default()
+            };
+            let mut book = PositionBook::new();
+            let mut oracle = PriceOracle::new(OracleConfig::every_update());
+            oracle.set_price(0, Token::ETH, Wad::from_int(100));
+            for seed in 0..600 {
+                add_account(&mut source, &mut book, seed);
+            }
+            book.book_positions(&source, &oracle);
+            // Lazy staleness: a price write served by discovery only.
+            oracle.set_price(1, Token::ETH, Wad::from_int(90));
+            book.for_each_liquidatable(&source, &oracle, &mut |_| {});
+            for seed in 600..650 {
+                add_account(&mut source, &mut book, seed);
+            }
+
+            let mut unsplit = book.clone();
+            let before = book.stats();
+            book.split();
+            let after = book.stats();
+            assert_eq!((before.shards, after.shards), (1, BOOK_SHARD_COUNT));
+            assert_eq!(
+                BookStats {
+                    shards: before.shards,
+                    ..after
+                },
+                before,
+                "the split changed a counter or gauge"
+            );
+
+            for pending in ["dirty marks", "a price write", "an index move"] {
+                let context = format!("multivariate {multivariate}, after {pending}");
+                match pending {
+                    "a price write" => oracle.set_price(2, Token::ETH, Wad::from_int(95)),
+                    "an index move" => {
+                        book.note_index_change(Token::DAI);
+                        unsplit.note_index_change(Token::DAI);
+                    }
+                    _ => {}
+                }
+                assert_matches_rebuild(&mut book, &source, &oracle, &context);
+                assert_matches_rebuild(&mut unsplit, &source, &oracle, &context);
+                assert_eq!(
+                    work_counters(&book.stats()),
+                    work_counters(&unsplit.stats()),
+                    "{context}: the split book counted different work"
+                );
+            }
+            let stats = book.stats();
+            assert!(stats.live_accounts + stats.indexed_accounts > 0);
+            assert!(stats.at_risk_accounts > 0 || !multivariate);
+            assert_eq!(unsplit.stats().shards, 1);
+        }
+    }
+
     #[test]
     fn range_scan_flags_exactly_the_crossed_accounts() {
         let (source, mut book, mut oracle) = setup(20);
-        assert!(book.liquidatable_accounts(&source, &oracle).is_empty());
+        assert!(liquidatable(&mut book, &source, &oracle).is_empty());
         // Drop ETH until some collateralizations fall below 150 %.
         oracle.set_price(1, Token::ETH, Wad::from_int(90));
-        let flagged = book.liquidatable_accounts(&source, &oracle);
+        let flagged = liquidatable(&mut book, &source, &oracle);
         let expected: Vec<Address> = source
             .accounts
             .iter()
@@ -1739,17 +2109,17 @@ mod tests {
     #[test]
     fn price_moves_do_not_revalue_indexed_accounts() {
         let (source, mut book, mut oracle) = setup(50);
-        book.liquidatable_accounts(&source, &oracle);
+        liquidatable(&mut book, &source, &oracle);
         let after_build = book.stats().revaluations;
         assert_eq!(after_build, 50);
         // A small move that crosses nobody (the tightest account's critical
         // price is ≈ 99.93): discovery re-values nothing.
         oracle.set_price(1, Token::ETH, Wad::from_f64(99.95));
-        assert!(book.liquidatable_accounts(&source, &oracle).is_empty());
+        assert!(liquidatable(&mut book, &source, &oracle).is_empty());
         assert_eq!(book.stats().revaluations, after_build);
         // A crossing move re-values exactly the returned accounts.
         oracle.set_price(2, Token::ETH, Wad::from_int(88));
-        let flagged = book.liquidatable_accounts(&source, &oracle);
+        let flagged = liquidatable(&mut book, &source, &oracle);
         assert!(!flagged.is_empty());
         assert_eq!(
             book.stats().revaluations,
@@ -1775,11 +2145,11 @@ mod tests {
             let (mut source, mut book, oracle) = setup(12);
             source.multivariate = multivariate;
             source.dai_debt = true;
-            assert!(book.liquidatable_accounts(&source, &oracle).is_empty());
+            assert!(liquidatable(&mut book, &source, &oracle).is_empty());
             let built = book.stats().revaluations;
             assert_eq!(built, 12);
             book.note_index_change(Token::DAI);
-            assert!(book.liquidatable_accounts(&source, &oracle).is_empty());
+            assert!(liquidatable(&mut book, &source, &oracle).is_empty());
             assert_eq!(book.stats().revaluations, built + 12);
             book.book_positions(&source, &oracle);
             assert_eq!(book.stats().revaluations, built + 12);
@@ -1917,7 +2287,7 @@ mod tests {
             "overflowed collateral value must saturate upward"
         );
         assert!(
-            book.liquidatable_accounts(&source, &oracle).is_empty(),
+            liquidatable(&mut book, &source, &oracle).is_empty(),
             "a saturated (astronomically healthy) account must not be flagged"
         );
         assert_eq!(book.stats().stale_violations, 0);

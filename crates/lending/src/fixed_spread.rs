@@ -1188,16 +1188,14 @@ impl LendingProtocol for FixedSpreadProtocol {
         out.clear();
         let platform = self.config.platform;
         let (book, view) = self.split_book();
-        for borrower in book.liquidatable_accounts(&view, oracle) {
-            if let Some(position) = book.cached_position(borrower) {
-                out.push(Opportunity {
-                    platform,
-                    borrower,
-                    position: position.clone(),
-                    mechanism: MechanismKind::FixedSpread,
-                });
-            }
-        }
+        book.for_each_liquidatable(&view, oracle, &mut |position| {
+            out.push(Opportunity {
+                platform,
+                borrower: position.owner,
+                position: position.clone(),
+                mechanism: MechanismKind::FixedSpread,
+            });
+        });
     }
 
     fn execute_liquidation(
@@ -1247,13 +1245,12 @@ impl LendingProtocol for FixedSpreadProtocol {
         // account is liquidatable: the book's liquidatable set, freshened
         // and in address order, holds every one.
         let (book, view) = self.split_book();
-        let insolvent: Vec<(Address, Wad)> = book
-            .liquidatable_accounts(&view, oracle)
-            .into_iter()
-            .filter_map(|address| book.cached_position(address))
-            .filter(|p| p.is_under_collateralized())
-            .map(|p| (p.owner, p.total_debt_value()))
-            .collect();
+        let mut insolvent: Vec<(Address, Wad)> = Vec::new();
+        book.for_each_liquidatable(&view, oracle, &mut |position| {
+            if position.is_under_collateralized() {
+                insolvent.push((position.owner, position.total_debt_value()));
+            }
+        });
         let mut written_off = Wad::ZERO;
         for (address, debt) in insolvent {
             written_off = written_off.saturating_add(debt);

@@ -167,6 +167,33 @@ struct MakerView<'a> {
     cdps: &'a FxHashMap<Address, Cdp>,
 }
 
+impl MakerView<'_> {
+    /// The bite condition: the CDP owes DAI and its collateral value is
+    /// below debt × liquidation ratio at the current price.
+    fn bites(&self, oracle: &PriceOracle, owner: Address) -> bool {
+        let Some(cdp) = self.cdps.get(&owner) else {
+            return false;
+        };
+        if cdp.debt.is_zero() {
+            return false;
+        }
+        let Some(ilk) = self.ilks.get(&cdp.collateral_token) else {
+            return false;
+        };
+        let Some(price) = oracle.price(cdp.collateral_token) else {
+            return false;
+        };
+        // Both sides saturate toward their true (huge) values on overflow:
+        // zeroing the collateral side would spuriously bite a giant CDP.
+        let collateral_value = cdp.collateral.checked_mul(price).unwrap_or(Wad::MAX);
+        let required = cdp
+            .debt
+            .checked_mul(ilk.liquidation_ratio)
+            .unwrap_or(Wad::MAX);
+        collateral_value < required
+    }
+}
+
 impl BookSource for MakerView<'_> {
     fn fill_position(&self, oracle: &PriceOracle, account: Address, slot: &mut Position) -> bool {
         let Some(cdp) = self.cdps.get(&account) else {
@@ -520,26 +547,11 @@ impl MakerProtocol {
 
     /// Whether a CDP is eligible for liquidation at current prices.
     pub fn is_liquidatable(&self, oracle: &PriceOracle, owner: Address) -> bool {
-        let Some(cdp) = self.cdps.get(&owner) else {
-            return false;
-        };
-        if cdp.debt.is_zero() {
-            return false;
+        MakerView {
+            ilks: &self.ilks,
+            cdps: &self.cdps,
         }
-        let Some(ilk) = self.ilks.get(&cdp.collateral_token) else {
-            return false;
-        };
-        let Some(price) = oracle.price(cdp.collateral_token) else {
-            return false;
-        };
-        // Both sides saturate toward their true (huge) values on overflow:
-        // zeroing the collateral side would spuriously bite a giant CDP.
-        let collateral_value = cdp.collateral.checked_mul(price).unwrap_or(Wad::MAX);
-        let required = cdp
-            .debt
-            .checked_mul(ilk.liquidation_ratio)
-            .unwrap_or(Wad::MAX);
-        collateral_value < required
+        .bites(oracle, owner)
     }
 
     /// CDPs eligible for liquidation, in a deterministic (sorted) order so
@@ -958,11 +970,8 @@ impl LendingProtocol for MakerProtocol {
     /// filter, re-valuing only the CDPs it returns.
     fn liquidatable_into(&mut self, oracle: &PriceOracle, out: &mut Vec<Opportunity>) {
         out.clear();
-        let candidates = {
-            let (book, view) = self.split_book();
-            book.liquidatable_accounts(&view, oracle)
-        };
-        for owner in candidates {
+        let (book, view) = self.split_book();
+        book.for_each_liquidatable(&view, oracle, &mut |position| {
             // Belt and braces: re-check candidates through the reference bite
             // condition so a threshold-map bug can only ever hide an account,
             // never invent one. The two agree everywhere except when
@@ -971,18 +980,16 @@ impl LendingProtocol for MakerProtocol {
             // 10¹⁵-USD sanity ceiling the invariant observer already rejects as
             // saturated arithmetic — so within the suite's representable domain
             // the cached surface is exact.
-            if !self.is_liquidatable(oracle, owner) {
-                continue;
+            if !view.bites(oracle, position.owner) {
+                return;
             }
-            if let Some(position) = self.book.cached_position(owner) {
-                out.push(Opportunity {
-                    platform: Platform::MakerDao,
-                    borrower: owner,
-                    position: position.clone(),
-                    mechanism: MechanismKind::Auction,
-                });
-            }
-        }
+            out.push(Opportunity {
+                platform: Platform::MakerDao,
+                borrower: position.owner,
+                position: position.clone(),
+                mechanism: MechanismKind::Auction,
+            });
+        });
     }
 
     fn execute_liquidation(

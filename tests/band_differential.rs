@@ -46,7 +46,8 @@ use defi_liquidations_suite::lending::book::{
 };
 use defi_liquidations_suite::lending::interest::InterestRateModel;
 use defi_liquidations_suite::lending::{
-    compound, derive_hf_envelope, LendingProtocol, Market, RELEVERAGE_BAND_HF, RESCUE_BAND_HF,
+    compound, derive_hf_envelope, FixedSpreadProtocol, LendingProtocol, Market, BOOK_SHARD_COUNT,
+    RELEVERAGE_BAND_HF, RESCUE_BAND_HF,
 };
 use defi_liquidations_suite::oracle::{OracleConfig, PriceOracle};
 use defi_liquidations_suite::prelude::*;
@@ -186,6 +187,151 @@ fn banded_discovery_matches_shadow_scan_across_every_catalog_scenario() {
         }
         assert!(tick > 10, "{}: suspiciously short run", entry.name);
     }
+}
+
+/// Open the borrowers `seeds` on a fixed-spread pool: ETH collateral and a
+/// USDC debt at a staggered share of the borrowing capacity, most of them
+/// comfortable and a thin tail near the threshold.
+fn open_borrowers(
+    protocol: &mut FixedSpreadProtocol,
+    ledger: &mut Ledger,
+    oracle: &PriceOracle,
+    block: u64,
+    seeds: std::ops::Range<u64>,
+) {
+    let mut events = Vec::new();
+    for i in seeds {
+        let account = Address::from_seed(20_000 + i);
+        let eth = Wad::from_f64(1.0 + (i % 50) as f64 * 0.1);
+        ledger.mint(account, Token::ETH, eth);
+        protocol
+            .deposit(ledger, &mut events, account, Token::ETH, eth)
+            .unwrap();
+        let capacity = protocol
+            .position(oracle, account)
+            .map(|p| p.borrowing_capacity())
+            .unwrap_or(Wad::ZERO);
+        let usage = (0.55 + (i % 89) as f64 * 0.005).min(0.985);
+        let borrow = Wad::from_f64(capacity.to_f64() * usage);
+        protocol
+            .borrow(
+                ledger,
+                &mut events,
+                oracle,
+                block,
+                account,
+                Token::USDC,
+                borrow,
+            )
+            .unwrap();
+    }
+}
+
+/// A Compound pool that grows from 3,000 to 5,000 borrowers in mid-run,
+/// so its book splits from one shard into `BOOK_SHARD_COUNT` address-range
+/// shards while it holds valued accounts, envelopes and index caps. It is
+/// driven through an ETH crash and rebound with accrual every tick (long
+/// accrual-only ticks right after the split) and liquidations of what
+/// discovery hands out, and audited against
+/// `reference_positions` and `reference_totals` every tick. No catalog
+/// scenario grows a book past the threshold, so this test and perfbench's
+/// book-100k check are the differentials of the sharded layout.
+#[test]
+fn sharded_book_matches_shadow_through_a_crash() {
+    let mut protocol = compound();
+    let mut ledger = Ledger::new();
+    let mut events = Vec::new();
+    let mut oracle = PriceOracle::new(OracleConfig::every_update());
+    oracle.set_price(0, Token::ETH, Wad::from_int(3_500));
+    oracle.set_price(0, Token::USDC, Wad::ONE);
+    let lender = Address::from_seed(1);
+    let liquidity = Wad::from_int(100_000_000);
+    ledger.mint(lender, Token::USDC, liquidity);
+    protocol
+        .deposit(&mut ledger, &mut events, lender, Token::USDC, liquidity)
+        .unwrap();
+    // Past the platform inception block so accrual actually runs.
+    let mut block: u64 = 7_800_000;
+    open_borrowers(&mut protocol, &mut ledger, &oracle, block, 0..3_000);
+
+    let liquidator = Address::from_seed(9_999);
+    let mut liquidated = 0usize;
+    for tick in 1..=30u64 {
+        // The pool grows past the threshold at tick 5. Ticks 5-8 are two
+        // months of accrual each with ETH held, so index caps the split
+        // moved must break, and tick 9 lifts ETH 6 % above the held price,
+        // so upper envelope bounds it moved must break. Then the crash
+        // resumes (35 % over 12 crash ticks) and partly rebounds.
+        let holding = (5..=8).contains(&tick);
+        let crash_tick = if tick > 9 { tick - 5 } else { tick.min(4) };
+        let mut eth = if crash_tick <= 12 {
+            3_500.0 * (1.0 - 0.35 * crash_tick as f64 / 12.0)
+        } else {
+            2_275.0 + (crash_tick - 12) as f64 * 30.0
+        };
+        if tick == 9 {
+            eth *= 1.06;
+        }
+        block += if holding { 400_000 } else { 6_500 };
+        if !holding {
+            oracle.set_price(block, Token::ETH, Wad::from_f64(eth));
+        }
+        LendingProtocol::accrue(&mut protocol, block);
+        if tick == 5 {
+            open_borrowers(&mut protocol, &mut ledger, &oracle, block, 3_000..5_000);
+        }
+        audit_platform(
+            "sharded-crash",
+            tick,
+            Platform::Compound,
+            &mut protocol,
+            &oracle,
+            true,
+            tick.is_multiple_of(2),
+        );
+        let expected_shards = if tick < 5 { 1 } else { BOOK_SHARD_COUNT };
+        assert_eq!(protocol.book_stats().shards, expected_shards, "tick {tick}");
+
+        // Liquidate up to 40 of the discovered positions that still hold
+        // ETH collateral, at the close factor.
+        let seizable = protocol.liquidatable(&oracle).into_iter().filter(|o| {
+            o.position
+                .collateral
+                .iter()
+                .any(|holding| holding.token == Token::ETH && !holding.amount.is_zero())
+        });
+        for opportunity in seizable.take(40) {
+            let borrower = opportunity.borrower;
+            let repay = protocol
+                .debt_of(borrower, Token::USDC)
+                .checked_mul(protocol.config().close_factor)
+                .unwrap_or(Wad::ZERO);
+            if repay.is_zero() {
+                continue;
+            }
+            ledger.mint(liquidator, Token::USDC, repay);
+            protocol
+                .liquidation_call(
+                    &mut ledger,
+                    &mut events,
+                    &oracle,
+                    block,
+                    liquidator,
+                    borrower,
+                    Token::USDC,
+                    Token::ETH,
+                    repay,
+                    false,
+                )
+                .unwrap();
+            liquidated += 1;
+        }
+    }
+    assert!(
+        liquidated > 100,
+        "the crash liquidated only {liquidated} positions"
+    );
+    assert_eq!(protocol.book_stats().stale_violations, 0);
 }
 
 /// Deterministic work guard: envelope derivations over the default smoke
@@ -427,7 +573,8 @@ fn toy_differential_with(
         .filter(|p| p.is_liquidatable())
         .map(|p| p.owner)
         .collect();
-    let banded = book.liquidatable_accounts(&view, oracle);
+    let mut banded: Vec<Address> = Vec::new();
+    book.for_each_liquidatable(&view, oracle, &mut |position| banded.push(position.owner));
     if banded != exhaustive {
         return Err(format!(
             "discovery diverged: banded {banded:?} vs exhaustive {exhaustive:?}"
@@ -759,7 +906,9 @@ fn harness_catches_a_sabotaged_term_reprice() {
         // The tightest CDP's critical price is ≈ 99.93: 99.95 crosses
         // nobody, so every CDP freshens lazily.
         oracle.set_price(1, Token::ETH, Wad::from_f64(99.95));
-        assert!(book.liquidatable_accounts(&toy, &oracle).is_empty());
+        let mut discovered = 0usize;
+        book.for_each_liquidatable(&toy, &oracle, &mut |_| discovered += 1);
+        assert_eq!(discovered, 0);
         let before = book.stats().term_reprices;
         let cached = book.book_positions(&toy, &oracle);
         assert_eq!(
