@@ -50,11 +50,6 @@ impl Dex {
         self.pools.push(pool);
     }
 
-    /// Number of pools.
-    pub fn pool_count(&self) -> usize {
-        self.pools.len()
-    }
-
     /// Find the pool trading exactly this pair.
     pub fn pool_for(&self, a: Token, b: Token) -> Option<&ConstantProductPool> {
         self.pools

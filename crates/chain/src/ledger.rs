@@ -188,11 +188,6 @@ impl Ledger {
         out.sort_by_key(|(t, _)| *t);
         out
     }
-
-    /// Number of distinct (account, token) entries (diagnostic).
-    pub fn entry_count(&self) -> usize {
-        self.balances.len()
-    }
 }
 
 #[cfg(test)]

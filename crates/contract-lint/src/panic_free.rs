@@ -76,10 +76,11 @@ pub fn check_index(path: &str, toks: &[Tok], map: &FileMap, findings: &mut Vec<F
 }
 
 /// Keywords that can directly precede a `[` without forming an index
-/// expression (`return [a, b]`, `in [x, y]`, `break [..]`…).
+/// expression (`return [a, b]`, `in [x, y]`, `break [..]`, the slice type
+/// in `&mut [T]`, the slice pattern in `let [a] = …`).
 fn is_keyword_before_literal(t: &Tok) -> bool {
-    matches!(
-        t.text.as_str(),
-        "return" | "in" | "break" | "else" | "match" | "if" | "while" | "loop" | "move" | "as"
-    )
+    [
+        "return", "in", "break", "else", "match", "if", "while", "loop", "move", "as", "mut", "let",
+    ]
+    .contains(&t.text.as_str())
 }

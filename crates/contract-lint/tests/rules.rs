@@ -324,6 +324,22 @@ fn hot_index_allows_full_range_and_declarations() {
     assert!(unwaived("crates/sim/src/session.rs", src).is_empty());
 }
 
+#[test]
+fn hot_index_allows_mut_slice_types_and_let_slice_patterns() {
+    let src = "
+        pub fn first(shards: &mut [Shard]) -> Option<&mut Shard> { shards.first_mut() }
+        pub fn only(v: Vec<u32>) -> u32 {
+            let [x] = v.as_slice() else { return 0 };
+            *x
+        }";
+    assert!(unwaived("crates/lending/src/book.rs", src).is_empty());
+    let indexed = "pub fn at(v: &mut [u32], i: usize) -> u32 { let n = v[i]; n }";
+    assert_eq!(
+        unwaived("crates/lending/src/book.rs", indexed),
+        ["hot-index"]
+    );
+}
+
 // ------------------------------------------------------------- hot-hasher
 
 #[test]

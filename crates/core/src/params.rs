@@ -72,11 +72,6 @@ impl RiskParams {
         }
         params
     }
-
-    /// The "maximum" Aave configuration cited in Table 3 (spread up to 15 %).
-    pub fn aave_max_spread() -> Self {
-        RiskParams::new(0.80, 0.15, 0.50)
-    }
 }
 
 #[cfg(test)]

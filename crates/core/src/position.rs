@@ -64,12 +64,6 @@ impl Position {
         }
     }
 
-    /// Tag the position with its platform.
-    pub fn on_platform(mut self, platform: Platform) -> Self {
-        self.platform = Some(platform);
-        self
-    }
-
     /// Add a collateral holding.
     pub fn with_collateral(mut self, holding: CollateralHolding) -> Self {
         self.collateral.push(holding);

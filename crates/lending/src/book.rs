@@ -82,7 +82,7 @@
 //!
 //! Each protocol owns one book and answers every
 //! [`LendingProtocol`](crate::LendingProtocol) book query with one call on
-//! it — [`book_positions`](PositionBook::book_positions),
+//! it — [`for_each_position`](PositionBook::for_each_position),
 //! [`totals`](PositionBook::totals),
 //! [`for_each_at_risk`](PositionBook::for_each_at_risk) or
 //! [`for_each_liquidatable`](PositionBook::for_each_liquidatable) — handing
@@ -106,7 +106,7 @@
 //! structures only, so it changes no valuation and no counter. Merge order is fixed by
 //! construction: the partition is a function of the address alone, each
 //! shard's work is internally ordered, and queries concatenate shards in
-//! ascending address-range order, so `book_positions` and
+//! ascending address-range order, so `for_each_position` and
 //! `for_each_liquidatable` come out in global address order without
 //! sorting.
 //!
@@ -340,7 +340,7 @@ pub trait BookSource {
     fn fill_position(&self, oracle: &PriceOracle, account: Address, slot: &mut Position) -> bool;
 
     /// Whether the fresh position belongs to the *observable book*
-    /// (`book_positions`): fixed-spread pools only report accounts that
+    /// (`for_each_position`): fixed-spread pools only report accounts that
     /// actually borrow, Maker reports every open CDP.
     fn in_book(&self, position: &Position) -> bool;
 
@@ -1430,7 +1430,7 @@ impl PositionBook {
     }
 
     /// The cached snapshot of one account, if it is in the cache. Exact only
-    /// after a refreshing query ([`book_positions`](Self::book_positions),
+    /// after a refreshing query ([`for_each_position`](Self::for_each_position),
     /// [`for_each_liquidatable`](Self::for_each_liquidatable), …).
     pub fn cached_position(&self, account: Address) -> Option<&Position> {
         self.shards
@@ -1633,26 +1633,22 @@ impl PositionBook {
 
     // --------------------------------------------------------------- queries
 
-    /// Bring every cached valuation up to date and clone out the observable
-    /// book in address order — byte-identical to the legacy from-scratch
-    /// rebuild, without re-valuing untouched accounts.
-    pub fn book_positions<S: BookSource>(
+    /// Bring every cached valuation up to date and visit the observable
+    /// book in place, in address order — byte-identical to the legacy
+    /// from-scratch rebuild, without re-valuing untouched accounts or
+    /// cloning any position.
+    pub fn for_each_position<S: BookSource>(
         &mut self,
         source: &S,
         oracle: &PriceOracle,
-    ) -> Vec<Position> {
+        visit: &mut dyn FnMut(&Position),
+    ) {
         self.flush(source, oracle, true);
-        let mut out = Vec::new();
         for shard in &self.shards {
-            out.extend(
-                shard
-                    .entries
-                    .values()
-                    .filter(|e| e.in_book)
-                    .map(|e| e.position.clone()),
-            );
+            for entry in shard.entries.values().filter(|e| e.in_book) {
+                visit(&entry.position);
+            }
         }
-        out
     }
 
     /// Volume totals over the observable book from the running amount sums:
@@ -1856,6 +1852,20 @@ mod tests {
         owners
     }
 
+    /// The observable book [`PositionBook::for_each_position`] visits, in
+    /// order.
+    fn book_positions<S: BookSource>(
+        book: &mut PositionBook,
+        source: &S,
+        oracle: &PriceOracle,
+    ) -> Vec<Position> {
+        let mut positions = Vec::new();
+        book.for_each_position(source, oracle, &mut |position| {
+            positions.push(position.clone())
+        });
+        positions
+    }
+
     fn setup(n: u64) -> (ToySource, PositionBook, PriceOracle) {
         let mut source = ToySource::default();
         let mut book = PositionBook::new();
@@ -1887,7 +1897,7 @@ mod tests {
     }
 
     /// Compare every book surface against a from-scratch rebuild of the toy
-    /// state: `book_positions`, `for_each_liquidatable` (the toy's own
+    /// state: `for_each_position`, `for_each_liquidatable` (the toy's own
     /// liquidation rule, read off the critical price when it reports one),
     /// `for_each_at_risk` and `totals`. The cheap surfaces run first, so
     /// they are checked before a full query drains the book.
@@ -1943,7 +1953,7 @@ mod tests {
         });
         assert_eq!(at_risk, expected_at_risk, "{context}: at-risk visit");
         assert_eq!(
-            book.book_positions(source, oracle),
+            book_positions(book, source, oracle),
             rebuild,
             "{context}: book positions"
         );
@@ -2038,7 +2048,7 @@ mod tests {
             for seed in 0..600 {
                 add_account(&mut source, &mut book, seed);
             }
-            book.book_positions(&source, &oracle);
+            book_positions(&mut book, &source, &oracle);
             // Lazy staleness: a price write served by discovery only.
             oracle.set_price(1, Token::ETH, Wad::from_int(90));
             book.for_each_liquidatable(&source, &oracle, &mut |_| {});
@@ -2126,11 +2136,11 @@ mod tests {
             after_build + flagged.len() as u64
         );
         // A full snapshot then freshens the remaining stale valuations once.
-        let positions = book.book_positions(&source, &oracle);
+        let positions = book_positions(&mut book, &source, &oracle);
         assert_eq!(positions.len(), 50);
         assert_eq!(book.stats().revaluations, after_build + 50);
         // …and a repeated snapshot re-values nothing at all.
-        let again = book.book_positions(&source, &oracle);
+        let again = book_positions(&mut book, &source, &oracle);
         assert_eq!(again, positions);
         assert_eq!(book.stats().revaluations, after_build + 50);
     }
@@ -2151,7 +2161,7 @@ mod tests {
             book.note_index_change(Token::DAI);
             assert!(liquidatable(&mut book, &source, &oracle).is_empty());
             assert_eq!(book.stats().revaluations, built + 12);
-            book.book_positions(&source, &oracle);
+            book_positions(&mut book, &source, &oracle);
             assert_eq!(book.stats().revaluations, built + 12);
             assert_eq!(book.stats().stale_violations, 0);
         }
@@ -2199,7 +2209,7 @@ mod tests {
         let mut oracle = PriceOracle::new(OracleConfig::every_update());
         oracle.set_price(0, Token::ETH, Wad::from_raw(3_000_500_000_000_000_000_000));
         let totals = book.totals(&source, &oracle);
-        let positions = book.book_positions(&source, &oracle);
+        let positions = book_positions(&mut book, &source, &oracle);
         let per_holding = positions
             .iter()
             .map(Position::total_collateral_value)
@@ -2226,8 +2236,7 @@ mod tests {
         book.for_each_at_risk(&source, &oracle, rescue, releverage, &mut |position| {
             seen.push(position.owner)
         });
-        let expected: Vec<Address> = book
-            .book_positions(&source, &oracle)
+        let expected: Vec<Address> = book_positions(&mut book, &source, &oracle)
             .into_iter()
             .filter(|p| {
                 p.health_factor()
@@ -2244,14 +2253,14 @@ mod tests {
     fn oracle_rewind_is_detected_and_invalidates_everything() {
         let (source, mut book, mut oracle) = setup(5);
         oracle.set_price(1, Token::ETH, Wad::from_int(120));
-        book.book_positions(&source, &oracle);
+        book_positions(&mut book, &source, &oracle);
         let baseline = book.stats().revaluations;
         // A *different* oracle instance whose epoch sits behind the one the
         // book synced to: the book cannot trust any cached valuation.
         let mut other = PriceOracle::new(OracleConfig::every_update());
         other.set_price(0, Token::ETH, Wad::from_int(250));
         assert!(other.epoch() < oracle.epoch());
-        let positions = book.book_positions(&source, &other);
+        let positions = book_positions(&mut book, &source, &other);
         assert_eq!(book.stats().revaluations, baseline + 5);
         assert!(positions
             .iter()
@@ -2279,7 +2288,7 @@ mod tests {
         book.mark_dirty(whale);
         let mut oracle = PriceOracle::new(OracleConfig::every_update());
         oracle.set_price(0, Token::ETH, Wad::from_int(1_000_000_000_000_000));
-        let positions = book.book_positions(&source, &oracle);
+        let positions = book_positions(&mut book, &source, &oracle);
         assert_eq!(positions.len(), 1);
         assert_eq!(
             positions[0].total_collateral_value(),

@@ -892,7 +892,7 @@ impl FixedSpreadProtocol {
     /// Valuation snapshots of every account with a non-empty position,
     /// rebuilt from scratch (the reference path; the engine reads the
     /// incremental book through
-    /// [`LendingProtocol::book_positions`]).
+    /// [`LendingProtocol::for_each_position`]).
     pub fn positions(&self, oracle: &PriceOracle) -> Vec<Position> {
         let mut addresses: Vec<Address> = self
             .accounts
@@ -1147,9 +1147,9 @@ impl LendingProtocol for FixedSpreadProtocol {
         FixedSpreadProtocol::position(self, oracle, account)
     }
 
-    fn book_positions(&mut self, oracle: &PriceOracle) -> Vec<Position> {
+    fn for_each_position(&mut self, oracle: &PriceOracle, visit: &mut dyn FnMut(&Position)) {
         let (book, view) = self.split_book();
-        book.book_positions(&view, oracle)
+        book.for_each_position(&view, oracle, visit);
     }
 
     fn book_totals(&mut self, oracle: &PriceOracle) -> BookTotals {

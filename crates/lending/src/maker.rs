@@ -582,7 +582,7 @@ impl MakerProtocol {
 
     /// Valuation snapshots of all CDPs, rebuilt from scratch (the reference
     /// path; the engine reads the incremental book through
-    /// [`LendingProtocol::book_positions`]).
+    /// [`LendingProtocol::for_each_position`]).
     pub fn positions(&self, oracle: &PriceOracle) -> Vec<Position> {
         let mut owners: Vec<Address> = self.cdps.keys().copied().collect();
         owners.sort();
@@ -933,9 +933,9 @@ impl LendingProtocol for MakerProtocol {
         MakerProtocol::position(self, oracle, account)
     }
 
-    fn book_positions(&mut self, oracle: &PriceOracle) -> Vec<Position> {
+    fn for_each_position(&mut self, oracle: &PriceOracle, visit: &mut dyn FnMut(&Position)) {
         let (book, view) = self.split_book();
-        book.book_positions(&view, oracle)
+        book.for_each_position(&view, oracle, visit);
     }
 
     fn book_totals(&mut self, oracle: &PriceOracle) -> BookTotals {

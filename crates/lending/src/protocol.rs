@@ -165,9 +165,10 @@ pub struct AuctionSnapshot {
 /// Each book query has one entry point, and each implementation answers it
 /// with one [`PositionBook`](crate::book::PositionBook) call on its own
 /// book. [`liquidatable`](LendingProtocol::liquidatable) and
-/// [`for_each_position`](LendingProtocol::for_each_position) are provided on
-/// top of [`liquidatable_into`](LendingProtocol::liquidatable_into) and
-/// [`book_positions`](LendingProtocol::book_positions).
+/// [`book_positions`](LendingProtocol::book_positions) are provided
+/// collectors over the visits
+/// [`liquidatable_into`](LendingProtocol::liquidatable_into) and
+/// [`for_each_position`](LendingProtocol::for_each_position).
 pub trait LendingProtocol {
     /// Platform identity used in events and reports.
     fn platform(&self) -> Platform;
@@ -232,22 +233,22 @@ pub trait LendingProtocol {
     /// Valuation snapshot of one account, if it has state.
     fn position(&self, oracle: &PriceOracle, account: Address) -> Option<Position>;
 
-    /// The protocol's observable position book — what volume sampling and
-    /// the end-of-run snapshot iterate. Fixed-spread pools report accounts
-    /// that actually borrow; Maker reports every open CDP.
+    /// Visit the protocol's observable position book in place, in address
+    /// order — what the tick-end audit and the end-of-run snapshot read.
+    /// Fixed-spread pools report accounts that actually borrow; Maker
+    /// reports every open CDP.
     ///
     /// Takes `&mut self` so implementations can serve it from an incremental
-    /// cache (see [`crate::book::PositionBook`]); results are identical to a
-    /// from-scratch rebuild at current prices.
-    fn book_positions(&mut self, oracle: &PriceOracle) -> Vec<Position>;
+    /// cache (see [`crate::book::PositionBook`]); every visited valuation is
+    /// identical to a from-scratch rebuild at current prices.
+    fn for_each_position(&mut self, oracle: &PriceOracle, visit: &mut dyn FnMut(&Position));
 
-    /// Visit every observable book position in the same deterministic order
-    /// as [`book_positions`](LendingProtocol::book_positions). Provided: a
-    /// visit of the snapshot `book_positions` builds.
-    fn for_each_position(&mut self, oracle: &PriceOracle, visit: &mut dyn FnMut(&Position)) {
-        for position in &self.book_positions(oracle) {
-            visit(position);
-        }
+    /// The observable book as an owned snapshot. Provided: collects
+    /// [`for_each_position`](LendingProtocol::for_each_position).
+    fn book_positions(&mut self, oracle: &PriceOracle) -> Vec<Position> {
+        let mut out = Vec::new();
+        self.for_each_position(oracle, &mut |position| out.push(position.clone()));
+        out
     }
 
     /// Aggregate totals over the observable book (the volume-sampling pass),

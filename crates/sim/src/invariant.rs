@@ -377,74 +377,69 @@ impl SimObserver for InvariantObserver {
             );
         }
 
-        // Position books: valuations track the platform oracle, health
-        // factors exist exactly for indebted positions, nothing saturated.
-        for (platform, positions) in &tick.positions {
-            let Some(oracle) = tick.oracles.get(platform) else {
-                self.report(block, format!("{platform} book without an oracle"));
-                continue;
-            };
-            for position in positions {
-                let has_debt = !position.total_debt_value().is_zero();
-                if has_debt && position.health_factor().is_none() {
+        // Position books, walked in place: valuations track the platform
+        // oracle, health factors exist exactly for indebted positions,
+        // nothing saturated. The walk visits only platforms with an oracle.
+        tick.for_each_position(&mut |platform, position| {
+            let oracle = &tick.oracles[&platform];
+            let has_debt = !position.total_debt_value().is_zero();
+            if has_debt && position.health_factor().is_none() {
+                self.report(
+                    block,
+                    format!("{platform}: indebted position without a health factor"),
+                );
+            }
+            if position.is_liquidatable()
+                && position.health_factor().map(|hf| hf >= Wad::ONE) == Some(true)
+            {
+                self.report(
+                    block,
+                    format!("{platform}: position flagged liquidatable with HF ≥ 1"),
+                );
+            }
+            for holding in &position.collateral {
+                let expected = holding
+                    .amount
+                    .checked_mul(oracle.price_or_zero(holding.token))
+                    .unwrap_or(Wad::MAX);
+                if !approx(holding.value_usd, expected, 1e-6) {
                     self.report(
                         block,
-                        format!("{platform}: indebted position without a health factor"),
+                        format!(
+                            "{platform}: {} collateral valued {} USD, oracle says {}",
+                            holding.token, holding.value_usd, expected
+                        ),
                     );
                 }
-                if position.is_liquidatable()
-                    && position.health_factor().map(|hf| hf >= Wad::ONE) == Some(true)
-                {
-                    self.report(
-                        block,
-                        format!("{platform}: position flagged liquidatable with HF ≥ 1"),
-                    );
-                }
-                for holding in &position.collateral {
-                    let expected = holding
-                        .amount
-                        .checked_mul(oracle.price_or_zero(holding.token))
-                        .unwrap_or(Wad::MAX);
-                    if !approx(holding.value_usd, expected, 1e-6) {
-                        self.report(
-                            block,
-                            format!(
-                                "{platform}: {} collateral valued {} USD, oracle says {}",
-                                holding.token, holding.value_usd, expected
-                            ),
-                        );
-                    }
-                    if holding.value_usd.to_f64() > MAX_SANE_USD {
-                        self.report(block, format!("{platform}: saturated collateral valuation"));
-                    }
-                }
-                for holding in &position.debt {
-                    // MakerDAO's vat accounts DAI debt at its 1-USD par
-                    // price regardless of the market price.
-                    let expected = if *platform == Platform::MakerDao && holding.token == Token::DAI
-                    {
-                        holding.amount
-                    } else {
-                        holding
-                            .amount
-                            .checked_mul(oracle.price_or_zero(holding.token))
-                            .unwrap_or(Wad::MAX)
-                    };
-                    if !approx(holding.value_usd, expected, 1e-6) {
-                        self.report(
-                            block,
-                            format!(
-                                "{platform}: {} debt valued {} USD, oracle says {}",
-                                holding.token, holding.value_usd, expected
-                            ),
-                        );
-                    }
-                    if holding.value_usd.to_f64() > MAX_SANE_USD {
-                        self.report(block, format!("{platform}: saturated debt valuation"));
-                    }
+                if holding.value_usd.to_f64() > MAX_SANE_USD {
+                    self.report(block, format!("{platform}: saturated collateral valuation"));
                 }
             }
-        }
+            for holding in &position.debt {
+                // MakerDAO's vat accounts DAI debt at its 1-USD par
+                // price regardless of the market price.
+                let expected = if platform == Platform::MakerDao && holding.token == Token::DAI {
+                    holding.amount
+                } else {
+                    holding
+                        .amount
+                        .checked_mul(oracle.price_or_zero(holding.token))
+                        .unwrap_or(Wad::MAX)
+                };
+                if !approx(holding.value_usd, expected, 1e-6) {
+                    self.report(
+                        block,
+                        format!(
+                            "{platform}: {} debt valued {} USD, oracle says {}",
+                            holding.token, holding.value_usd, expected
+                        ),
+                    );
+                }
+                if holding.value_usd.to_f64() > MAX_SANE_USD {
+                    self.report(block, format!("{platform}: saturated debt valuation"));
+                }
+            }
+        });
 
         // AMM depletion: pool reserves *are* the pool account's journaled
         // ledger balances (reserve-vs-ledger conservation holds by

@@ -35,6 +35,7 @@
 //! assert_eq!(report.snapshot_block, report.config.end_block);
 //! ```
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 use defi_amm::Dex;
@@ -43,6 +44,7 @@ use defi_core::position::Position;
 use defi_oracle::PriceOracle;
 use defi_types::{BlockNumber, Platform, TimeMap, Token, Wad};
 
+use crate::builder::ProtocolRegistry;
 use crate::config::SimConfig;
 use crate::engine::VolumeSample;
 
@@ -88,12 +90,14 @@ pub struct LiquidationObservation<'a> {
 }
 
 /// Context handed to [`SimObserver::on_tick_end`] after a tick has fully
-/// executed — including the engine's position books, oracles, chain and DEX,
-/// so invariant checkers can audit conservation and solvency per tick.
+/// executed — the engine's oracles, chain and DEX, and a walk of its
+/// position books in place
+/// ([`for_each_position`](TickEnd::for_each_position)), so invariant
+/// checkers can audit conservation and solvency per tick.
 ///
-/// Building the books costs a full scan per platform, so the session only
-/// assembles this context when [`SimObserver::wants_tick_end`] returns true.
-#[derive(Debug)]
+/// The session only dispatches this context when
+/// [`SimObserver::wants_tick_end`] returns true; an observer that never
+/// walks the books pays no book flush for it.
 pub struct TickEnd<'a> {
     /// The block the tick advanced the chain to.
     pub block: BlockNumber,
@@ -105,8 +109,30 @@ pub struct TickEnd<'a> {
     pub dex: &'a Dex,
     /// Each platform's own oracle as of this tick.
     pub oracles: &'a BTreeMap<Platform, PriceOracle>,
-    /// Per-platform position books snapshotted at the tick end.
-    pub positions: BTreeMap<Platform, Vec<Position>>,
+    /// The engine's protocols, lent out for [`TickEnd::for_each_position`].
+    pub(crate) protocols: RefCell<&'a mut ProtocolRegistry>,
+}
+
+impl TickEnd<'_> {
+    /// Visit every platform's observable position book in place, platform by
+    /// platform in registry order and each book in address order — the
+    /// same positions, in the same order, as
+    /// [`Session::snapshot_positions`](crate::Session::snapshot_positions)
+    /// at this tick, without copying them. Platforms without an oracle are
+    /// skipped.
+    ///
+    /// A walk flushes each book (`&mut` access to the protocols behind a
+    /// shared context), so calling this again from inside its own `visit` is
+    /// a programming error and panics.
+    pub fn for_each_position(&self, visit: &mut dyn FnMut(Platform, &Position)) {
+        let mut protocols = self.protocols.borrow_mut();
+        for (platform, protocol) in protocols.iter_mut() {
+            let Some(oracle) = self.oracles.get(platform) else {
+                continue;
+            };
+            protocol.for_each_position(oracle, &mut |position| visit(*platform, position));
+        }
+    }
 }
 
 /// Context handed to [`SimObserver::on_run_end`] after the final snapshot.
@@ -149,8 +175,8 @@ pub trait SimObserver {
     fn on_volume_sample(&mut self, _sample: &VolumeSample) {}
 
     /// A tick finished executing. Only dispatched when
-    /// [`wants_tick_end`](SimObserver::wants_tick_end) returns true, because
-    /// assembling the [`TickEnd`] books costs a full position scan.
+    /// [`wants_tick_end`](SimObserver::wants_tick_end) returns true; reading
+    /// the books through [`TickEnd::for_each_position`] flushes each one.
     fn on_tick_end(&mut self, _tick: &TickEnd<'_>) {}
 
     /// Whether this observer consumes [`on_tick_end`](SimObserver::on_tick_end)

@@ -23,6 +23,7 @@
 //! assert!(report.final_positions.len() >= mid_run_positions.len());
 //! ```
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 use defi_chain::{Blockchain, ChainEvent};
@@ -225,14 +226,14 @@ impl Session {
         self.engine.tick_index += 1;
         self.dispatch_new(observer);
         if observer.wants_tick_end() {
-            let positions = self.snapshot_positions();
+            let engine = &mut self.engine;
             observer.on_tick_end(&TickEnd {
                 block: self.block,
                 tick_index,
-                chain: &self.engine.chain,
-                dex: &self.engine.dex,
-                oracles: &self.engine.oracles,
-                positions,
+                chain: &engine.chain,
+                dex: &engine.dex,
+                oracles: &engine.oracles,
+                protocols: RefCell::new(&mut engine.protocols),
             });
         }
         if self.block >= self.engine.config.end_block {
@@ -251,13 +252,7 @@ impl Session {
             self.start(observer)?;
         }
         let snapshot_block = self.engine.chain.current_block();
-        let mut final_positions = BTreeMap::new();
-        for (platform, protocol) in self.engine.protocols.iter_mut() {
-            let Some(oracle) = self.engine.oracles.get(platform) else {
-                continue;
-            };
-            final_positions.insert(*platform, protocol.book_positions(oracle));
-        }
+        let final_positions = self.snapshot_positions();
         observer.on_run_end(&RunEnd {
             config: &self.engine.config,
             snapshot_block,

@@ -4,12 +4,14 @@
 //! back into the price path (the toxic-spiral dynamic the scripted model
 //! cannot express).
 
+use defi_core::position::Position;
 use defi_oracle::MarketScenario;
 use defi_sim::scenarios::liquidation_spiral;
 use defi_sim::{
-    EngineBuilder, InvariantObserver, NullObserver, ScenarioCatalog, SimConfig, SimulationReport,
+    EngineBuilder, InvariantObserver, NullObserver, ScenarioCatalog, SessionStatus, SimConfig,
+    SimObserver, SimulationReport, TickEnd,
 };
-use defi_types::Token;
+use defi_types::{Platform, Token};
 
 /// The smoke window truncated shortly after the March 2020 crash: long
 /// enough to produce liquidations on every platform, short enough for debug
@@ -113,6 +115,62 @@ fn liquidation_spiral_feeds_sell_pressure_back_into_prices() {
     assert!(
         count(&spiral) >= count(&base),
         "spiral run should not liquidate less than the no-feedback run"
+    );
+}
+
+/// Keeps what [`TickEnd::for_each_position`] visited at the last tick end.
+#[derive(Default)]
+struct TickEndBooks {
+    visited: Vec<(Platform, Position)>,
+}
+
+impl SimObserver for TickEndBooks {
+    fn wants_tick_end(&self) -> bool {
+        true
+    }
+
+    fn on_tick_end(&mut self, tick: &TickEnd<'_>) {
+        self.visited.clear();
+        tick.for_each_position(&mut |platform, position| {
+            self.visited.push((platform, position.clone()));
+        });
+    }
+}
+
+#[test]
+fn tick_end_walk_visits_the_session_snapshot_in_order() {
+    let mut session = EngineBuilder::new(crash_window_config(2021))
+        .with_named_scenario("liquidation-spiral")
+        .build()
+        .session();
+    let mut observer = TickEndBooks::default();
+    let mut walked_maker = false;
+    let mut walked_fixed_spread = false;
+    loop {
+        let status = session.step(&mut observer).expect("step");
+        let snapshot: Vec<(Platform, Position)> = session
+            .snapshot_positions()
+            .into_iter()
+            .flat_map(|(platform, book)| book.into_iter().map(move |p| (platform, p)))
+            .collect();
+        assert_eq!(
+            observer.visited,
+            snapshot,
+            "tick {}: the tick-end walk differs from the snapshot",
+            session.ticks_run()
+        );
+        for (platform, _) in &observer.visited {
+            walked_maker |= *platform == Platform::MakerDao;
+            walked_fixed_spread |= *platform != Platform::MakerDao;
+        }
+        if status == SessionStatus::TicksComplete {
+            break;
+        }
+    }
+    assert!(walked_maker, "the walk never reached the Maker book");
+    assert!(
+        walked_fixed_spread,
+        "the walk never reached a fixed-spread book"
     );
 }
 

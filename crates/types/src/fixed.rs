@@ -455,11 +455,6 @@ impl Wad {
         mul_div(self.0, WAD, rhs.0).map(Wad)
     }
 
-    /// Multiply by an integer.
-    pub fn checked_mul_int(self, rhs: u128) -> Result<Wad, TypeError> {
-        self.0.checked_mul(rhs).map(Wad).ok_or(TypeError::Overflow)
-    }
-
     /// Divide by an integer.
     pub fn checked_div_int(self, rhs: u128) -> Result<Wad, TypeError> {
         if rhs == 0 {
@@ -489,14 +484,6 @@ impl Wad {
     /// Apply a percentage expressed in basis points (1 bp = 0.01 %).
     pub fn bps(self, basis_points: u32) -> Wad {
         Wad(mul_div(self.0, basis_points as u128, 10_000).unwrap_or(u128::MAX))
-    }
-
-    /// Convert to a [`SignedWad`].
-    pub fn to_signed(self) -> SignedWad {
-        SignedWad {
-            negative: false,
-            magnitude: self,
-        }
     }
 
     /// Absolute difference between two values.

@@ -882,6 +882,19 @@ impl BookSource for CdpToy {
     }
 }
 
+/// The observable book [`PositionBook::for_each_position`] visits, in order.
+fn walked_book(
+    book: &mut PositionBook,
+    source: &impl BookSource,
+    oracle: &PriceOracle,
+) -> Vec<Position> {
+    let mut positions = Vec::new();
+    book.for_each_position(source, oracle, &mut |position| {
+        positions.push(position.clone())
+    });
+    positions
+}
+
 /// A `reprice_position` that claims success without recomputing the moved
 /// terms must be caught: after a move that crosses no critical price, the
 /// cached book of the sabotaged source differs from a from-scratch rebuild.
@@ -898,7 +911,7 @@ fn harness_catches_a_sabotaged_term_reprice() {
         let mut oracle = PriceOracle::new(OracleConfig::every_update());
         oracle.set_price(0, Token::ETH, Wad::from_int(100));
         assert_eq!(
-            book.book_positions(&toy, &oracle),
+            walked_book(&mut book, &toy, &oracle),
             toy.rebuild(&oracle),
             "nothing to reprice at the anchor price"
         );
@@ -910,7 +923,7 @@ fn harness_catches_a_sabotaged_term_reprice() {
         book.for_each_liquidatable(&toy, &oracle, &mut |_| discovered += 1);
         assert_eq!(discovered, 0);
         let before = book.stats().term_reprices;
-        let cached = book.book_positions(&toy, &oracle);
+        let cached = walked_book(&mut book, &toy, &oracle);
         assert_eq!(
             book.stats().term_reprices - before,
             toy.cdps.len() as u64,
