@@ -9,15 +9,13 @@
 //! ledger checkpoint and reverts with the transaction — no caller has to
 //! snapshot and restore the AMM around a revert.
 
-use serde::{Deserialize, Serialize};
-
 use defi_chain::Ledger;
 use defi_types::{Address, Token, Wad};
 
 use crate::pool::{AmmError, ConstantProductPool, PoolConfig};
 
 /// A quote for a (possibly two-hop) swap.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SwapQuote {
     /// Input token.
     pub token_in: Token,
@@ -34,7 +32,7 @@ pub struct SwapQuote {
 }
 
 /// The decentralized exchange: a set of constant-product pools.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Dex {
     pools: Vec<ConstantProductPool>,
 }

@@ -1,7 +1,5 @@
 //! The constant-product pool.
 
-use serde::{Deserialize, Serialize};
-
 use defi_chain::Ledger;
 use defi_types::{Address, Token, Wad};
 
@@ -32,7 +30,7 @@ impl core::fmt::Display for AmmError {
 impl std::error::Error for AmmError {}
 
 /// Pool construction parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PoolConfig {
     /// First token of the pair.
     pub token_a: Token,
@@ -60,7 +58,7 @@ impl PoolConfig {
 /// the ledger checkpoint and a swap inside a reverting transaction rolls
 /// back atomically — wherever it happens — instead of relying on callers to
 /// snapshot and restore the AMM by hand.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ConstantProductPool {
     /// The pool's own account on the ledger (holds the reserves).
     pub address: Address,

@@ -6,7 +6,6 @@
 //! duration (Figure 7), the delay of the first bid, and the interval between
 //! bids.
 
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 use defi_chain::{AuctionPhase, Blockchain, ChainEvent};
@@ -15,7 +14,7 @@ use defi_types::{Address, BlockNumber, TimeMap};
 use crate::records::{LiquidationKind, LiquidationRecord};
 
 /// Mean and standard deviation of a sample.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct MeanStd {
     /// Sample mean.
     pub mean: f64,
@@ -43,7 +42,7 @@ impl MeanStd {
 }
 
 /// One point of Figure 7: an auction's duration in hours.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct AuctionDurationPoint {
     /// Block at which the auction was finalised.
     pub block: BlockNumber,
@@ -52,7 +51,7 @@ pub struct AuctionDurationPoint {
 }
 
 /// The §4.3.3 statistics bundle.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AuctionStats {
     /// Number of auctions terminating in the tend phase.
     pub terminated_in_tend: u32,

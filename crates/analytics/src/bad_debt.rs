@@ -7,7 +7,6 @@
 //! in [`defi_core::bad_debt`]; this module applies it to a snapshot of
 //! per-platform position books.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 use defi_core::bad_debt::{measure_bad_debts, BadDebtSummary};
@@ -15,7 +14,7 @@ use defi_core::position::Position;
 use defi_types::{Platform, Wad};
 
 /// One platform's Table 2 row: Type I plus Type II at two fee levels.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct BadDebtRow {
     /// Platform.
     pub platform: Platform,
@@ -28,7 +27,7 @@ pub struct BadDebtRow {
 }
 
 /// The full Table 2.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table2 {
     /// Per-platform rows.
     pub rows: Vec<BadDebtRow>,

@@ -7,7 +7,6 @@
 //! join them (the paper similarly "filter\[s\] the relevant events in the
 //! liquidation transactions that apply to flash loans").
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 use defi_chain::{Blockchain, ChainEvent};
@@ -15,7 +14,7 @@ use defi_types::{Platform, TxHash, Wad};
 
 /// One Table 4 row: flash loans from `flash_pool` funding liquidations on
 /// `liquidation_platform`.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct FlashLoanUsageRow {
     /// Platform the liquidation settled on.
     pub liquidation_platform: Platform,
@@ -28,7 +27,7 @@ pub struct FlashLoanUsageRow {
 }
 
 /// The full Table 4.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table4 {
     /// Rows (one per observed platform × pool combination).
     pub rows: Vec<FlashLoanUsageRow>,

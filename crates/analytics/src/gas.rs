@@ -5,15 +5,13 @@
 //! the paper's headline statistic is that 73.97 % of liquidations pay an
 //! above-average fee — evidence of competition between liquidators.
 
-use serde::{Deserialize, Serialize};
-
 use defi_chain::{Blockchain, GweiPrice};
 use defi_types::{BlockNumber, Platform};
 
 use crate::records::{LiquidationKind, LiquidationRecord};
 
 /// One scatter point of Figure 6.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct GasPoint {
     /// Block of the liquidation.
     pub block: BlockNumber,
@@ -28,7 +26,7 @@ pub struct GasPoint {
 }
 
 /// Figure 6 data plus the §4.3.2 headline share.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GasCompetition {
     /// Scatter points (fixed-spread liquidations only, as in the figure).
     pub points: Vec<GasPoint>,

@@ -1,6 +1,5 @@
 //! Overall statistics: §4.2, Table 1, Figure 4 and Figure 5.
 
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 use defi_types::{BlockNumber, MonthTag, Platform, SignedWad, Wad};
@@ -9,7 +8,7 @@ use crate::records::LiquidationRecord;
 
 /// One row of Table 1: liquidation count, unique liquidators and average
 /// profit per platform.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Table1Row {
     /// Platform.
     pub platform: Platform,
@@ -23,7 +22,7 @@ pub struct Table1Row {
 }
 
 /// Table 1 plus the totals row.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table1 {
     /// Per-platform rows in the paper's order.
     pub rows: Vec<Table1Row>,
@@ -80,7 +79,7 @@ pub fn table1(records: &[LiquidationRecord]) -> Table1 {
 
 /// One point of the Figure 4 series: cumulative collateral sold through
 /// liquidation, per platform.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct AccumulativePoint {
     /// Block.
     pub block: BlockNumber,
@@ -133,7 +132,7 @@ pub fn monthly_profit(
 }
 
 /// §4.2 headline numbers: total liquidated collateral and total profit.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct HeadlineStats {
     /// Total collateral sold through liquidations (USD).
     pub total_collateral_sold: Wad,
@@ -176,7 +175,7 @@ pub fn headline(records: &[LiquidationRecord]) -> HeadlineStats {
 }
 
 /// The most active / most profitable liquidator call-outs of §4.3.1.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TopLiquidators {
     /// Liquidation count of the most active liquidator.
     pub most_active_count: u32,

@@ -6,7 +6,6 @@
 //! liquidations whose price ends below the liquidation price bounds the risk
 //! an *auction* liquidator would have borne (19.07 % in the paper).
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 use defi_oracle::PriceOracle;
@@ -15,7 +14,7 @@ use defi_types::Wad;
 use crate::records::LiquidationRecord;
 
 /// The post-liquidation price-movement patterns of Table 7.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum PriceMovement {
     /// The collateral price does not change during the window.
     Horizontal,
@@ -34,7 +33,7 @@ pub enum PriceMovement {
 }
 
 /// Per-pattern aggregate, mirroring a Table 7 row.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct MovementRow {
     /// Number of liquidations in this pattern.
     pub liquidations: u32,
@@ -45,7 +44,7 @@ pub struct MovementRow {
 }
 
 /// Table 7 plus the Appendix A headline share.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Table7 {
     /// One row per pattern.
     pub rows: BTreeMap<PriceMovement, MovementRow>,
@@ -174,11 +173,6 @@ fn relative(price: Wad, reference: Wad) -> f64 {
     (price.to_f64() - reference.to_f64()) / reference.to_f64().max(1e-12)
 }
 
-/// Expose the classifier for property tests and the bench harness.
-pub fn classify_deviations(deviations: &[f64]) -> PriceMovement {
-    classify(deviations)
-}
-
 /// The Table 7 observation window for a given tick resolution: the oracle
 /// history is tick-resolution, so the paper's 1,440-block window is widened
 /// to at least four ticks so trajectories contain enough samples to classify.
@@ -195,20 +189,17 @@ mod tests {
 
     #[test]
     fn classification_patterns() {
-        assert_eq!(classify_deviations(&[0.0, 0.0]), PriceMovement::Horizontal);
+        assert_eq!(classify(&[0.0, 0.0]), PriceMovement::Horizontal);
+        assert_eq!(classify(&[0.01, 0.02, 0.03]), PriceMovement::Rise);
+        assert_eq!(classify(&[-0.01, -0.05]), PriceMovement::Fall);
+        assert_eq!(classify(&[0.02, -0.02]), PriceMovement::RiseFall);
+        assert_eq!(classify(&[-0.02, 0.02]), PriceMovement::FallRise);
         assert_eq!(
-            classify_deviations(&[0.01, 0.02, 0.03]),
-            PriceMovement::Rise
-        );
-        assert_eq!(classify_deviations(&[-0.01, -0.05]), PriceMovement::Fall);
-        assert_eq!(classify_deviations(&[0.02, -0.02]), PriceMovement::RiseFall);
-        assert_eq!(classify_deviations(&[-0.02, 0.02]), PriceMovement::FallRise);
-        assert_eq!(
-            classify_deviations(&[0.02, -0.02, 0.02, -0.02]),
+            classify(&[0.02, -0.02, 0.02, -0.02]),
             PriceMovement::RiseFluctuation
         );
         assert_eq!(
-            classify_deviations(&[-0.02, 0.02, -0.02, 0.02]),
+            classify(&[-0.02, 0.02, -0.02, 0.02]),
             PriceMovement::FallFluctuation
         );
     }

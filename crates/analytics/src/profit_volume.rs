@@ -7,7 +7,6 @@
 //! liquidations is divided by the monthly average ETH-collateral volume of
 //! DAI-debt positions.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 use defi_core::comparison::{MechanismComparison, ProfitVolumeRatio};
@@ -17,7 +16,7 @@ use defi_types::{MonthTag, Platform, TimeMap, Wad};
 use crate::records::LiquidationRecord;
 
 /// Table 8: monthly DAI/ETH liquidation counts per platform.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Table8 {
     /// `counts[month][platform]` = number of DAI/ETH liquidations.
     pub counts: BTreeMap<MonthTag, BTreeMap<Platform, u32>>,

@@ -6,14 +6,12 @@
 //! USD valuation at the settlement block, the liquidator identity, the gas it
 //! paid and the resulting profit-and-loss.
 
-use serde::{Deserialize, Serialize};
-
 use defi_chain::{AuctionPhase, Blockchain, ChainEvent, GweiPrice};
 use defi_oracle::PriceOracle;
 use defi_types::{Address, BlockNumber, MonthTag, Platform, SignedWad, TimeMap, Token, Wad};
 
 /// Which mechanism settled the liquidation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LiquidationKind {
     /// Atomic fixed-spread `liquidationCall`.
     FixedSpread,
@@ -22,7 +20,7 @@ pub enum LiquidationKind {
 }
 
 /// One settled liquidation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LiquidationRecord {
     /// Platform.
     pub platform: Platform,

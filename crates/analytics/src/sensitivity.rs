@@ -5,7 +5,6 @@
 //! that asset (Algorithm 1). This module sweeps every collateral asset that
 //! appears in a platform's snapshot position book.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 use defi_core::position::Position;
@@ -13,7 +12,7 @@ use defi_core::sensitivity::SensitivityCurve;
 use defi_types::{Platform, Token, Wad};
 
 /// Figure 8 for one platform: one curve per collateral asset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PlatformSensitivity {
     /// Platform.
     pub platform: Platform,

@@ -5,13 +5,11 @@
 //! for 99.97 % of blocks, with a maximum deviation of 11.1 %. This module
 //! computes the same statistics from an oracle's price history.
 
-use serde::{Deserialize, Serialize};
-
 use defi_oracle::PriceOracle;
 use defi_types::{BlockNumber, Token};
 
 /// Stablecoin stability statistics.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StablecoinStability {
     /// Tokens compared.
     pub tokens: Vec<Token>,

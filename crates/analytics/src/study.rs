@@ -14,8 +14,6 @@
 //!   materialised [`SimulationReport`]'s event log after the fact (the
 //!   reference the streaming path is tested against).
 
-use serde::Serialize;
-
 use defi_core::comparison::MechanismComparison;
 use defi_sim::{
     LiquidationObservation, MultiObserver, NullObserver, RunEnd, RunStart, SimError, SimObserver,
@@ -42,7 +40,7 @@ use crate::unprofitable::{table3, Table3};
 const FIGURE8_STEPS: usize = 50;
 
 /// Every artefact of the paper's evaluation, computed from one run.
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 pub struct StudyAnalysis {
     /// The unified liquidation ledger.
     pub records: Vec<LiquidationRecord>,

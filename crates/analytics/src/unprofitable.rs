@@ -6,7 +6,6 @@
 //! drift towards Type I bad debt. Table 3 counts them per platform at two fee
 //! assumptions (10 and 100 USD) and reports the collateral at stake.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 use defi_core::bad_debt::is_unprofitable_liquidation;
@@ -14,7 +13,7 @@ use defi_core::position::Position;
 use defi_types::{Platform, Wad};
 
 /// Counts for one fee assumption.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct UnprofitableSummary {
     /// Number of unprofitable liquidation opportunities.
     pub count: u32,
@@ -36,7 +35,7 @@ impl UnprofitableSummary {
 }
 
 /// One Table 3 row.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct UnprofitableRow {
     /// Platform.
     pub platform: Platform,
@@ -49,7 +48,7 @@ pub struct UnprofitableRow {
 }
 
 /// The full Table 3.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table3 {
     /// Per-platform rows.
     pub rows: Vec<UnprofitableRow>,

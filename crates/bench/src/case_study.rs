@@ -18,8 +18,6 @@
 //!
 //! reporting repay / receive / profit for each, as Table 6 does.
 
-use serde::Serialize;
-
 use defi_chain::{ChainEvent, Ledger};
 use defi_core::params::RiskParams;
 use defi_core::strategy::{optimal_liquidation, StrategyComparison};
@@ -28,7 +26,7 @@ use defi_oracle::{OracleConfig, PriceOracle};
 use defi_types::{Address, Platform, Token, Wad};
 
 /// Table 5: the position before and after the oracle price update.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Table5 {
     /// DAI collateral (token units).
     pub dai_collateral: Wad,
@@ -57,7 +55,7 @@ pub struct Table5 {
 }
 
 /// One strategy row of Table 6.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct StrategyRow {
     /// Strategy label.
     pub label: &'static str,
@@ -70,7 +68,7 @@ pub struct StrategyRow {
 }
 
 /// Table 6: the three strategies side by side.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Table6 {
     /// The original (observed) liquidation.
     pub original: StrategyRow,
@@ -90,7 +88,7 @@ pub struct Table6 {
 }
 
 /// The full case study: Table 5, Table 6 and the §5.2.3 mitigation threshold.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CaseStudy {
     /// Table 5.
     pub table5: Table5,

@@ -1,10 +1,10 @@
 //! Machine-readable JSON rendering of the analysis artefacts.
 //!
 //! The `repro` binary's `--json <dir>` flag writes each selected artefact as
-//! a JSON file alongside the paper-style text rendering. The workspace's
-//! `serde` is an offline API stub with no serializer, so this module carries
-//! a deliberately small hand-rolled JSON value type — enough for the flat
-//! tables and series the artefacts are made of.
+//! a JSON file alongside the paper-style text rendering. The workspace has no
+//! serialization dependency, so this module carries a deliberately small
+//! hand-rolled JSON value type — enough for the flat tables and series the
+//! artefacts are made of.
 
 use std::fmt;
 

@@ -1,18 +1,12 @@
 //! # defi-bench
 //!
-//! The reproduction harness. Two entry points:
-//!
-//! * the **`repro` binary** (`cargo run --release -p defi-bench --bin repro`)
-//!   runs the two-year simulation, pipes it through `defi-analytics`, and
-//!   prints every table and figure series of the paper's evaluation
-//!   (`repro all`, or a single artefact such as `repro table1` / `repro fig8`);
-//! * the **Criterion bench** (`cargo bench -p defi-bench --bench
-//!   paper_benches`) holds the two book-scale groups, `positions_scale`
-//!   (1k–100k-account books plus a 1M-account stress row) and
-//!   `band_index` (accrual-only ticks, in-envelope price wiggles). Their
-//!   untimed asserts between the timed bodies are regression guards;
-//!   `-- --test` runs them all once. End-to-end timing lives in the
-//!   separate `perfbench` package.
+//! The reproduction harness. The **`repro` binary** (`cargo run --release
+//! -p defi-bench --bin repro`) runs the two-year simulation, pipes it through
+//! `defi-analytics`, and prints every table and figure series of the paper's
+//! evaluation (`repro all`, or a single artefact such as `repro table1` /
+//! `repro fig8`). End-to-end timing lives in the separate `perfbench`
+//! package; the book-scale regression guards are
+//! `crates/lending/tests/book_scale.rs`.
 //!
 //! [`artefacts`] is the one list of the study's artefacts (CLI names,
 //! renderer, JSON encoder) that `repro` and the tests share.

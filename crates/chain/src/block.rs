@@ -1,14 +1,12 @@
 //! Block headers and transaction receipts.
 
-use serde::{Deserialize, Serialize};
-
 use defi_types::{Address, BlockNumber, Timestamp, TxHash};
 
 use crate::events::ChainEvent;
 use crate::gas::GweiPrice;
 
 /// A produced block's header and aggregate statistics.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BlockHeader {
     /// Block height.
     pub number: BlockNumber,
@@ -28,7 +26,7 @@ pub struct BlockHeader {
 }
 
 /// Receipt of an executed transaction.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TxReceipt {
     /// Transaction hash.
     pub hash: TxHash,

@@ -13,8 +13,6 @@
 //!    revert-on-error semantics and [`Ledger`] checkpoints make "fork the
 //!    state, try a strategy, roll back" a one-liner.
 
-use serde::{Deserialize, Serialize};
-
 use defi_types::{Address, BlockNumber, TimeMap, TxHash};
 
 use crate::block::{BlockHeader, TxReceipt};
@@ -41,7 +39,7 @@ impl core::fmt::Display for ChainError {
 impl std::error::Error for ChainError {}
 
 /// Static chain configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ChainConfig {
     /// Block at which the simulation starts.
     pub start_block: BlockNumber,
@@ -108,9 +106,6 @@ pub struct Blockchain {
     tx_counter: u64,
     current_block_tx_index: u32,
     current_block_gas_used: u64,
-    receipts: Vec<TxReceipt>,
-    /// Keep only the most recent receipts to bound memory in long runs.
-    max_receipts: usize,
 }
 
 impl Blockchain {
@@ -128,15 +123,13 @@ impl Blockchain {
             tx_counter: 0,
             current_block_tx_index: 0,
             current_block_gas_used: 0,
-            receipts: Vec::new(),
-            max_receipts: 10_000,
         }
     }
 
     /// Reconstruct an archive-style chain from recorded headers and events —
     /// the shape a journal replay needs: [`Blockchain::headers`] and
     /// [`Blockchain::events`] answer exactly as they did at the end of the
-    /// live run, while the ledger, gas market and receipt buffer start empty
+    /// live run, while the ledger and gas market start empty
     /// (no replayed consumer reads them).
     pub fn from_archive(config: ChainConfig, headers: Vec<BlockHeader>, events: EventLog) -> Self {
         let gas_market = GasMarket::new(config.gas.clone());
@@ -154,8 +147,6 @@ impl Blockchain {
             tx_counter: 0,
             current_block_tx_index: 0,
             current_block_gas_used: 0,
-            receipts: Vec::new(),
-            max_receipts: 10_000,
         }
     }
 
@@ -208,11 +199,6 @@ impl Blockchain {
     /// Recorded block headers (one per `advance_to` call that moved the chain).
     pub fn headers(&self) -> &[BlockHeader] {
         &self.headers
-    }
-
-    /// Recently recorded receipts (bounded buffer).
-    pub fn recent_receipts(&self) -> &[TxReceipt] {
-        &self.receipts
     }
 
     /// Current block-median gas price.
@@ -314,11 +300,6 @@ impl Blockchain {
             label: label.to_string(),
             events,
         };
-        if self.receipts.len() >= self.max_receipts {
-            self.receipts.remove(0);
-        }
-        self.receipts.push(receipt.clone());
-
         TxOutcome { receipt, result }
     }
 
@@ -365,7 +346,7 @@ mod tests {
             Wad::from_int(40)
         );
         assert_eq!(chain.events().len(), 1);
-        assert_eq!(chain.recent_receipts().len(), 1);
+        assert_eq!(outcome.receipt.events.len(), 1);
     }
 
     #[test]
@@ -392,8 +373,8 @@ mod tests {
         assert_eq!(chain.ledger().balance(addr(2), Token::DAI), Wad::ZERO);
         assert!(chain.events().is_empty());
         // The failed transaction still produced a receipt (it paid gas).
-        assert_eq!(chain.recent_receipts().len(), 1);
-        assert!(!chain.recent_receipts()[0].success);
+        assert!(!outcome.receipt.success);
+        assert_eq!(outcome.receipt.gas_used, 21_000);
     }
 
     #[test]

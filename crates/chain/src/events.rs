@@ -7,8 +7,6 @@
 //! transaction context (block, sender, gas price, gas used) that the
 //! analytics layer needs to reproduce Figures 4–7 and Tables 1–8.
 
-use serde::{Deserialize, Serialize};
-
 use defi_types::{Address, BlockNumber, Platform, Token, TxHash, Wad};
 
 use crate::gas::GweiPrice;
@@ -17,7 +15,7 @@ use crate::gas::GweiPrice;
 pub type AuctionId = u64;
 
 /// Phase of a MakerDAO tend–dent auction (§3.2.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AuctionPhase {
     /// Bidders compete by raising the debt they repay for the full collateral.
     Tend,
@@ -27,7 +25,7 @@ pub enum AuctionPhase {
 
 /// A fixed-spread liquidation settlement (Aave, Compound, dYdX
 /// `liquidationCall`-style events).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LiquidationEvent {
     /// Platform on which the liquidation settled.
     pub platform: Platform,
@@ -63,7 +61,7 @@ impl LiquidationEvent {
 }
 
 /// Events emitted by the protocols and the oracle during simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ChainEvent {
     /// A fixed-spread liquidation settled atomically.
     Liquidation(LiquidationEvent),
@@ -212,7 +210,7 @@ impl ChainEvent {
 }
 
 /// Event classification mirroring EVM event signatures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EventKind {
     /// Fixed-spread liquidation.
     Liquidation,
@@ -235,7 +233,7 @@ pub enum EventKind {
 }
 
 /// An event together with the transaction context it was emitted in.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LoggedEvent {
     /// Block in which the emitting transaction was included.
     pub block: BlockNumber,
@@ -282,13 +280,6 @@ impl EventFilter {
     /// Restrict to a platform.
     pub fn platform(mut self, platform: Platform) -> Self {
         self.platform = Some(platform);
-        self
-    }
-
-    /// Restrict to a block range (inclusive).
-    pub fn block_range(mut self, from: BlockNumber, to: BlockNumber) -> Self {
-        self.from_block = Some(from);
-        self.to_block = Some(to);
         self
     }
 
@@ -433,7 +424,12 @@ mod tests {
                 .len(),
             1
         );
-        assert_eq!(log.query(&EventFilter::any().block_range(15, 35)).len(), 2);
+        let blocks_15_to_35 = EventFilter {
+            from_block: Some(15),
+            to_block: Some(35),
+            ..EventFilter::any()
+        };
+        assert_eq!(log.query(&blocks_15_to_35).len(), 2);
         assert_eq!(log.liquidations().count(), 2);
     }
 

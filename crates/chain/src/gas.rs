@@ -19,8 +19,6 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rand_distr::{Distribution, Normal};
-use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
 use defi_types::BlockNumber;
 
@@ -29,7 +27,7 @@ pub type GweiPrice = u64;
 
 /// A scripted congestion episode: between `from` and `to` the baseline gas
 /// price is multiplied by `multiplier` and volatility is raised.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CongestionEpisode {
     /// First block of the episode.
     pub from: BlockNumber,
@@ -40,7 +38,7 @@ pub struct CongestionEpisode {
 }
 
 /// Configuration of the gas market.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GasMarketConfig {
     /// Gas price baseline (gwei) at the first block.
     pub initial_baseline: f64,
@@ -59,8 +57,6 @@ pub struct GasMarketConfig {
     pub episodes: Vec<CongestionEpisode>,
     /// Block gas limit (gas units per block).
     pub block_gas_limit: u64,
-    /// Window of the moving average reported alongside Figure 6 (blocks).
-    pub moving_average_window: usize,
     /// RNG seed (the market is deterministic given the seed).
     pub seed: u64,
 }
@@ -76,7 +72,6 @@ impl Default for GasMarketConfig {
             reversion: 0.05,
             episodes: Vec::new(),
             block_gas_limit: 12_500_000,
-            moving_average_window: 6_000,
             seed: 0x6a5,
         }
     }
@@ -117,24 +112,15 @@ pub struct GasMarket {
     rng: StdRng,
     /// Current block-median gas price (gwei, floating for the dynamics).
     current_median: f64,
-    /// History of block medians for the moving average.
-    window: VecDeque<f64>,
-    window_sum: f64,
-    last_block: BlockNumber,
 }
 
 impl GasMarket {
     /// Create a gas market from a configuration.
     pub fn new(config: GasMarketConfig) -> Self {
-        let current = config.initial_baseline;
-        let last_block = config.start_block;
         GasMarket {
             rng: StdRng::seed_from_u64(config.seed),
-            current_median: current,
-            window: VecDeque::with_capacity(config.moving_average_window),
-            window_sum: 0.0,
+            current_median: config.initial_baseline,
             config,
-            last_block,
         }
     }
 
@@ -184,31 +170,12 @@ impl GasMarket {
         let log_target = baseline.max(0.1).ln();
         let log_next = log_current + self.config.reversion * (log_target - log_current) + noise;
         self.current_median = log_next.exp().clamp(1.0, 100_000.0);
-        self.last_block = block;
-
-        self.window.push_back(self.current_median);
-        self.window_sum += self.current_median;
-        if self.window.len() > self.config.moving_average_window {
-            if let Some(old) = self.window.pop_front() {
-                self.window_sum -= old;
-            }
-        }
         self.current_median.round() as GweiPrice
     }
 
     /// Current block-median gas price (gwei).
     pub fn median(&self) -> GweiPrice {
         self.current_median.round() as GweiPrice
-    }
-
-    /// Moving average of the block medians over the configured window
-    /// (the "Average Gas Price" line in Figure 6).
-    pub fn moving_average(&self) -> f64 {
-        if self.window.is_empty() {
-            self.current_median
-        } else {
-            self.window_sum / self.window.len() as f64
-        }
     }
 
     /// A competitive bid around the current median: `aggressiveness` ≥ 0 is
@@ -263,19 +230,6 @@ mod tests {
         for block in 7_500_000..7_500_100 {
             assert_eq!(a.advance(block), b.advance(block));
         }
-    }
-
-    #[test]
-    fn moving_average_tracks_median() {
-        let mut market = GasMarket::new(GasMarketConfig::default());
-        for block in 7_500_000..7_502_000 {
-            market.advance(block);
-        }
-        let avg = market.moving_average();
-        let median = market.median() as f64;
-        assert!(avg > 0.0);
-        // They should be in the same ballpark in calm conditions.
-        assert!(avg < median * 5.0 && median < avg * 5.0);
     }
 
     #[test]

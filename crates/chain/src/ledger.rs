@@ -171,23 +171,6 @@ impl Ledger {
             }
         }
     }
-
-    /// Whether a transaction scope is currently open.
-    pub fn in_checkpoint(&self) -> bool {
-        !self.checkpoints.is_empty()
-    }
-
-    /// All non-zero balances of an account.
-    pub fn account_balances(&self, account: Address) -> Vec<(Token, Wad)> {
-        let mut out: Vec<(Token, Wad)> = self
-            .balances
-            .iter()
-            .filter(|((a, _), v)| *a == account && !v.is_zero())
-            .map(|((_, t), v)| (*t, *v))
-            .collect();
-        out.sort_by_key(|(t, _)| *t);
-        out
-    }
 }
 
 #[cfg(test)]
@@ -250,7 +233,6 @@ mod tests {
         ledger.revert_checkpoint();
         assert_eq!(ledger.balance(addr(1), Token::DAI), Wad::from_int(10));
         assert_eq!(ledger.balance(addr(2), Token::DAI), Wad::ZERO);
-        assert!(!ledger.in_checkpoint());
     }
 
     #[test]
@@ -295,7 +277,6 @@ mod tests {
         ledger.mint(addr(2), Token::DAI, Wad::from_int(4));
         ledger.mint(addr(1), Token::ETH, Wad::from_int(1));
         assert_eq!(ledger.total_supply(Token::DAI), Wad::from_int(7));
-        let balances = ledger.account_balances(addr(1));
-        assert_eq!(balances.len(), 2);
+        assert_eq!(ledger.total_supply(Token::ETH), Wad::from_int(1));
     }
 }

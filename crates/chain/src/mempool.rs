@@ -15,12 +15,10 @@
 //! limit: `gas_above(price, limit) + gas ≤ limit`, the check the simulation
 //! engine runs on every liquidation attempt.
 
-use serde::{Deserialize, Serialize};
-
 use crate::gas::GweiPrice;
 
 /// Background (non-protocol) demand model for one block.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct BackgroundDemand {
     /// Total gas demanded by background transactions, as a multiple of the
     /// block gas limit. Values above 1.0 mean the block is oversubscribed.

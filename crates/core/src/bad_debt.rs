@@ -11,14 +11,12 @@
 //!   liquidator's transaction fee; rational liquidators skip it and it drifts
 //!   towards Type I bad debt.
 
-use serde::{Deserialize, Serialize};
-
 use defi_types::Wad;
 
 use crate::position::Position;
 
 /// Bad-debt classification of a position at a given repayment cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BadDebtType {
     /// Not a bad debt: the borrower has an incentive to maintain or close the
     /// position normally.
@@ -81,7 +79,7 @@ pub fn is_unprofitable_liquidation(
 
 /// Summary row of a bad-debt measurement (one platform, one fee assumption),
 /// mirroring Table 2's cells ("count (share %) / collateral USD locked").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct BadDebtSummary {
     /// Number of positions classified as bad debt.
     pub count: u32,

@@ -10,13 +10,12 @@
 //! bench both use, plus the interpretation helpers (which platform a given
 //! comparison favours).
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 use defi_types::{MonthTag, Platform, Wad};
 
 /// One month's observation for one platform.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProfitVolumeRatio {
     /// Month.
     pub month: MonthTag,
@@ -52,7 +51,7 @@ impl ProfitVolumeRatio {
 }
 
 /// A full Figure 9 dataset: per platform, the monthly ratio series.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct MechanismComparison {
     /// All observations.
     pub observations: Vec<ProfitVolumeRatio>,
@@ -79,29 +78,6 @@ impl MechanismComparison {
             .collect();
         rows.sort_by_key(|(m, _)| *m);
         rows
-    }
-
-    /// Geometric-mean ratio per platform over representative months. The
-    /// geometric mean matches the log-scale comparison of Figure 9 and is
-    /// robust to the order-of-magnitude spread between platforms.
-    pub fn mean_ratio_by_platform(&self, min_liquidations: u32) -> BTreeMap<Platform, f64> {
-        let mut sums: BTreeMap<Platform, (f64, u32)> = BTreeMap::new();
-        for obs in &self.observations {
-            if !obs.is_representative(min_liquidations) {
-                continue;
-            }
-            if let Some(ratio) = obs.ratio() {
-                if ratio > 0.0 {
-                    let entry = sums.entry(obs.platform).or_insert((0.0, 0));
-                    entry.0 += ratio.ln();
-                    entry.1 += 1;
-                }
-            }
-        }
-        sums.into_iter()
-            .filter(|(_, (_, n))| *n > 0)
-            .map(|(platform, (log_sum, n))| (platform, (log_sum / n as f64).exp()))
-            .collect()
     }
 
     /// Median monthly ratio per platform over representative months. The
@@ -212,9 +188,9 @@ mod tests {
         // Aave has one non-representative month with an extreme ratio.
         cmp.push(obs(Platform::AaveV1, (2020, 5), 900_000, 1_000_000, 1));
         cmp.push(obs(Platform::Compound, (2020, 5), 2_000, 1_000_000, 30));
-        let means = cmp.mean_ratio_by_platform(5);
-        assert!(!means.contains_key(&Platform::AaveV1));
-        assert!(means.contains_key(&Platform::Compound));
+        let medians = cmp.median_ratio_by_platform(5);
+        assert!(!medians.contains_key(&Platform::AaveV1));
+        assert!(medians.contains_key(&Platform::Compound));
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! * [`params`] — per-market risk parameters (liquidation threshold,
 //!   liquidation spread, close factor) for the studied platforms.
 //! * [`mechanism`] — the systematization of §3.2: atomic fixed-spread
-//!   liquidation vs. the non-atomic tend–dent auction, with their parameter
-//!   sets and an executable model of each.
+//!   liquidation vs. the non-atomic tend–dent auction, and the auction's
+//!   parameter set.
 //! * [`strategy`] — §5.2: the up-to-close-factor strategy and the *optimal*
 //!   two-step fixed-spread strategy (Algorithm 2), with the closed-form
 //!   profit expressions of Eqs. 6–9.
@@ -50,7 +50,7 @@ pub mod prelude {
     pub use crate::bad_debt::{classify_bad_debt, BadDebtType};
     pub use crate::comparison::ProfitVolumeRatio;
     pub use crate::config::{is_sound_fixed_spread_config, liquidation_improves_health};
-    pub use crate::mechanism::{AuctionParams, FixedSpreadParams, LiquidationMechanism};
+    pub use crate::mechanism::AuctionParams;
     pub use crate::mitigation::{optimal_strategy_mining_power_threshold, MitigationAnalysis};
     pub use crate::params::RiskParams;
     pub use crate::position::{CollateralHolding, DebtHolding, Position};

@@ -8,25 +8,13 @@
 //!   auction) — initiated by anyone, open for bids until a bid-duration or
 //!   auction-length timeout, then finalised.
 //!
-//! [`LiquidationMechanism`] captures both with their parameters, and exposes
-//! the qualitative properties the paper compares them on (atomicity, close
-//! factor granularity, exposure of the liquidator to price risk).
+//! The lending layer states that split once, as `MechanismKind` on its
+//! `LendingProtocol` trait. This module holds the auction's parameter set.
 
-use serde::{Deserialize, Serialize};
-
-use defi_types::{Platform, Wad};
-
-use crate::params::RiskParams;
-
-/// Parameters of an atomic fixed-spread mechanism.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FixedSpreadParams {
-    /// Risk parameters (LT, LS, CF).
-    pub risk: RiskParams,
-}
+use defi_types::Wad;
 
 /// Parameters of a MakerDAO-style tend–dent auction.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AuctionParams {
     /// Maximum auction duration from initiation, in blocks
     /// ("auction length condition").
@@ -66,119 +54,14 @@ impl AuctionParams {
     }
 }
 
-/// A liquidation mechanism, as systematised in §3.2.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum LiquidationMechanism {
-    /// Atomic fixed-spread liquidation.
-    FixedSpread(FixedSpreadParams),
-    /// Non-atomic English (tend–dent) auction.
-    Auction(AuctionParams),
-}
-
-impl LiquidationMechanism {
-    /// The mechanism a platform used during the study window.
-    pub fn of_platform(platform: Platform) -> Self {
-        match platform {
-            Platform::MakerDao => {
-                LiquidationMechanism::Auction(AuctionParams::maker_post_march_2020())
-            }
-            other => LiquidationMechanism::FixedSpread(FixedSpreadParams {
-                risk: RiskParams::platform_default(other),
-            }),
-        }
-    }
-
-    /// Whether a liquidation settles atomically in one transaction.
-    pub fn is_atomic(&self) -> bool {
-        matches!(self, LiquidationMechanism::FixedSpread(_))
-    }
-
-    /// Whether the liquidator bears collateral price risk during the
-    /// liquidation (auction liquidators do, §4.4.1 and Appendix A; atomic
-    /// liquidators can unwind immediately, optionally with a flash loan).
-    pub fn liquidator_bears_price_risk(&self) -> bool {
-        !self.is_atomic()
-    }
-
-    /// Whether the mechanism permits flash-loan funding (requires atomicity).
-    pub fn supports_flash_loans(&self) -> bool {
-        self.is_atomic()
-    }
-
-    /// The close factor restricting a single liquidation, if the mechanism
-    /// has one. Auctions "do not specify a close factor and hence offer a
-    /// more granular method to liquidate collateral" (§4.4.1).
-    pub fn close_factor(&self) -> Option<Wad> {
-        match self {
-            LiquidationMechanism::FixedSpread(p) => Some(p.risk.close_factor),
-            LiquidationMechanism::Auction(_) => None,
-        }
-    }
-
-    /// A short human-readable description used by reports.
-    pub fn describe(&self) -> String {
-        match self {
-            LiquidationMechanism::FixedSpread(p) => format!(
-                "atomic fixed-spread (LT {:.0}%, LS {:.0}%, CF {:.0}%)",
-                p.risk.liquidation_threshold.to_f64() * 100.0,
-                p.risk.liquidation_spread.to_f64() * 100.0,
-                p.risk.close_factor.to_f64() * 100.0
-            ),
-            LiquidationMechanism::Auction(p) => format!(
-                "tend-dent auction (length {} blocks, bid duration {} blocks, penalty {:.0}%)",
-                p.auction_length_blocks,
-                p.bid_duration_blocks,
-                p.liquidation_penalty.to_f64() * 100.0
-            ),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn platform_mechanisms_match_paper() {
-        assert!(LiquidationMechanism::of_platform(Platform::AaveV2).is_atomic());
-        assert!(LiquidationMechanism::of_platform(Platform::Compound).is_atomic());
-        assert!(LiquidationMechanism::of_platform(Platform::DyDx).is_atomic());
-        assert!(!LiquidationMechanism::of_platform(Platform::MakerDao).is_atomic());
-    }
-
-    #[test]
-    fn auction_has_no_close_factor() {
-        assert!(LiquidationMechanism::of_platform(Platform::MakerDao)
-            .close_factor()
-            .is_none());
-        assert_eq!(
-            LiquidationMechanism::of_platform(Platform::DyDx).close_factor(),
-            Some(Wad::ONE)
-        );
-    }
-
-    #[test]
-    fn price_risk_and_flash_loans() {
-        let auction = LiquidationMechanism::of_platform(Platform::MakerDao);
-        let fixed = LiquidationMechanism::of_platform(Platform::Compound);
-        assert!(auction.liquidator_bears_price_risk());
-        assert!(!fixed.liquidator_bears_price_risk());
-        assert!(fixed.supports_flash_loans());
-        assert!(!auction.supports_flash_loans());
-    }
 
     #[test]
     fn march_2020_parameter_change_lengthens_bid_duration() {
         let before = AuctionParams::maker_pre_march_2020();
         let after = AuctionParams::maker_post_march_2020();
         assert!(after.bid_duration_blocks > before.bid_duration_blocks * 10);
-    }
-
-    #[test]
-    fn describe_is_informative() {
-        let text = LiquidationMechanism::of_platform(Platform::Compound).describe();
-        assert!(text.contains("fixed-spread"));
-        let text = LiquidationMechanism::of_platform(Platform::MakerDao).describe();
-        assert!(text.contains("auction"));
     }
 }

@@ -20,8 +20,6 @@
 //! For the paper's case study this threshold is 99.68 %, i.e. the mitigation
 //! effectively removes the incentive.
 
-use serde::{Deserialize, Serialize};
-
 use defi_types::Wad;
 
 use crate::params::RiskParams;
@@ -60,7 +58,7 @@ pub fn optimal_strategy_mining_power_threshold(
 
 /// Full mitigation analysis for one position, bundling expected profits as a
 /// function of mining power.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MitigationAnalysis {
     /// Profit of the up-to-close-factor strategy (single block).
     pub profit_close_factor: f64,

@@ -1,7 +1,5 @@
 //! Per-market risk parameters (§2.3 of the paper).
 
-use serde::{Deserialize, Serialize};
-
 use defi_types::{Platform, Token, Wad};
 
 /// The three parameters that govern a fixed-spread liquidation market.
@@ -11,7 +9,7 @@ use defi_types::{Platform, Token, Wad};
 /// * `liquidation_spread` (LS) — the liquidator's discount/bonus (Eq. 1).
 /// * `close_factor` (CF) — the maximum fraction of the debt repayable in one
 ///   liquidation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RiskParams {
     /// Liquidation threshold LT ∈ (0, 1].
     pub liquidation_threshold: Wad,

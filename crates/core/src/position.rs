@@ -8,12 +8,10 @@
 //! this snapshot type, which keeps them independent of any particular
 //! protocol implementation or data source.
 
-use serde::{Deserialize, Serialize};
-
 use defi_types::{Address, Platform, Token, Wad};
 
 /// One collateral holding inside a position.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CollateralHolding {
     /// Collateral token.
     pub token: Token,
@@ -28,7 +26,7 @@ pub struct CollateralHolding {
 }
 
 /// One debt holding inside a position.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DebtHolding {
     /// Debt token.
     pub token: Token,
@@ -41,7 +39,7 @@ pub struct DebtHolding {
 /// A borrowing position: "the collateral and debts are collectively referred
 /// to as a position. A position may consist of multiple-cryptocurrency
 /// collaterals and debts." (§2.3)
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Position {
     /// Owner of the position.
     pub owner: Address,

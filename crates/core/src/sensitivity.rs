@@ -9,8 +9,6 @@
 //! [`SensitivityCurve`] sweeps the decline percentage to produce the series
 //! plotted per collateral asset in Figure 8.
 
-use serde::{Deserialize, Serialize};
-
 use defi_types::{Token, Wad};
 
 use crate::position::Position;
@@ -68,7 +66,7 @@ pub fn liquidatable_collateral(positions: &[Position], target: Token, decline: f
 }
 
 /// One point of a sensitivity curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SensitivityPoint {
     /// Price decline (fraction, 0.0–1.0).
     pub decline: f64,
@@ -78,7 +76,7 @@ pub struct SensitivityPoint {
 
 /// The Figure 8 series for one collateral asset on one platform: liquidatable
 /// collateral as a function of the price decline percentage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SensitivityCurve {
     /// The collateral asset whose price declines.
     pub token: Token,

@@ -15,15 +15,13 @@
 //! The functions here work on USD values, matching the paper's formulation;
 //! converting to token amounts is the caller's (protocol's) concern.
 
-use serde::{Deserialize, Serialize};
-
 use defi_types::{SignedWad, Wad};
 
 use crate::params::RiskParams;
 use crate::position::Position;
 
 /// The outcome of one or two liquidations executed under a strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LiquidationOutcome {
     /// Debt value repaid in the first liquidation.
     pub repay_1: Wad,
@@ -205,7 +203,7 @@ pub fn optimal_profit_increase_rate(collateral: Wad, debt: Wad, params: RiskPara
 
 /// Side-by-side comparison of the two strategies on one position, as in the
 /// Table 6 case study.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StrategyComparison {
     /// Outcome of the up-to-close-factor strategy.
     pub up_to_close_factor: LiquidationOutcome,

@@ -70,7 +70,7 @@ impl JournalWriter {
         self.frames
     }
 
-    /// Serialize and append one frame; on I/O failure, store the error and
+    /// Encode and append one frame; on I/O failure, store the error and
     /// drop every later frame (surfaced by [`JournalWriter::finish`]).
     fn emit(&mut self, frame: &Frame) {
         if self.error.is_some() {

@@ -8,7 +8,6 @@
 //! that engine; the per-platform differences (markets listed, spreads, close
 //! factor, insurance fund) are configuration — see [`crate::platforms`].
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 use defi_chain::{ChainEvent, Ledger, LiquidationEvent};
@@ -27,7 +26,7 @@ use crate::protocol::{
 };
 
 /// Protocol-wide configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct FixedSpreadConfig {
     /// The platform identity used for events and reports.
     pub platform: Platform,
@@ -51,7 +50,7 @@ pub struct FixedSpreadConfig {
 }
 
 /// One listed market.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Market {
     /// The market's underlying token.
     pub token: Token,
@@ -109,7 +108,7 @@ impl Market {
 }
 
 /// Per-account state: raw collateral amounts and scaled debt amounts.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 struct Account {
     collateral: BTreeMap<Token, Wad>,
     scaled_debt: BTreeMap<Token, Wad>,
@@ -123,7 +122,7 @@ impl Account {
 }
 
 /// Result of a successful `liquidation_call`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LiquidationReceipt {
     /// Debt actually repaid (token units; may be lower than requested when
     /// capped by the close factor or the available collateral).
@@ -1079,11 +1078,6 @@ impl FixedSpreadProtocol {
         }));
         Ok(receipt)
     }
-
-    /// Number of accounts with a non-empty position (diagnostics).
-    pub fn account_count(&self) -> usize {
-        self.accounts.values().filter(|a| !a.is_empty()).count()
-    }
 }
 
 impl LendingProtocol for FixedSpreadProtocol {
@@ -1777,7 +1771,6 @@ mod tests {
         let positions = protocol.positions(&oracle);
         // The lender (collateral only) and the borrower.
         assert_eq!(positions.len(), 2);
-        assert_eq!(protocol.account_count(), 2);
         // Only the borrower is in the observable book: 3 ETH at 3,500.
         let totals = protocol.book_totals(&oracle);
         assert_eq!(

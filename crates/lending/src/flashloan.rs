@@ -13,8 +13,6 @@
 //! liquidators rely on: an unprofitable flash-loan liquidation simply never
 //! happens.
 
-use serde::{Deserialize, Serialize};
-
 use defi_chain::{ChainEvent, Ledger};
 use defi_oracle::PriceOracle;
 use defi_types::{Address, Platform, Token, Wad};
@@ -22,7 +20,7 @@ use defi_types::{Address, Platform, Token, Wad};
 use crate::error::ProtocolError;
 
 /// A flash-loan pool.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct FlashLoanPool {
     /// The platform providing the pool (Aave V1, Aave V2 or dYdX in the paper).
     pub platform: Platform,

@@ -10,8 +10,6 @@
 //! in [`Ray`] precision that compounds per block, so accrual is O(1) per
 //! market regardless of the number of borrowers.
 
-use serde::{Deserialize, Serialize};
-
 use defi_types::{BlockNumber, Ray, Wad, RAY};
 
 /// Blocks per year used to convert annual rates to per-block rates
@@ -19,7 +17,7 @@ use defi_types::{BlockNumber, Ray, Wad, RAY};
 pub const BLOCKS_PER_YEAR: u64 = 2_336_000;
 
 /// The kinked utilization → borrow-rate curve.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct InterestRateModel {
     /// Base annual borrow rate at 0 % utilization (e.g. 0.02 = 2 %).
     pub base_rate: f64,
@@ -101,7 +99,7 @@ pub fn utilization(available_liquidity: Wad, total_debt: Wad) -> f64 {
 }
 
 /// Borrow-index accrual state of one market.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct BorrowIndex {
     /// Current cumulative index (starts at 1 Ray).
     pub index: Ray,

@@ -18,7 +18,6 @@
 //! congestion, letting near-zero tend bids win — emerges naturally from this
 //! mechanism plus the mempool model in `defi-chain`.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 use defi_chain::{AuctionId, AuctionPhase, ChainEvent, Ledger};
@@ -35,7 +34,7 @@ use crate::protocol::{
 };
 
 /// Per-collateral-type ("ilk") risk parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct IlkParams {
     /// Minimum collateralization ratio, e.g. 1.5 = 150 %.
     pub liquidation_ratio: Wad,
@@ -59,7 +58,7 @@ impl Default for IlkParams {
 }
 
 /// A collateralized debt position.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Cdp {
     /// Owner.
     pub owner: Address,
@@ -72,7 +71,7 @@ pub struct Cdp {
 }
 
 /// The best bid of an auction.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Bid {
     /// Bidder address.
     pub bidder: Address,
@@ -85,7 +84,7 @@ pub struct Bid {
 }
 
 /// A running (or finished) tend–dent auction.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Auction {
     /// Identifier.
     pub id: AuctionId,
@@ -129,7 +128,7 @@ impl Auction {
 
 /// Outcome of a finalised auction, mirroring the paper's per-auction
 /// statistics (§4.3.3).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct AuctionOutcome {
     /// Auction identifier.
     pub id: AuctionId,

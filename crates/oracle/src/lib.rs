@@ -13,8 +13,7 @@
 //! declines.
 //!
 //! * [`process`] — stochastic building blocks: geometric Brownian motion,
-//!   jump-diffusion, mean-reverting stablecoin pegs, and piecewise scripted
-//!   shocks.
+//!   mean-reverting stablecoin pegs, and piecewise scripted shocks.
 //! * [`oracle`] — the [`PriceOracle`]: current prices, full update history,
 //!   `price_at(block)` archival queries, and deviation-threshold push
 //!   updates like Chainlink's.
@@ -28,5 +27,5 @@ pub mod process;
 pub mod scenario;
 
 pub use oracle::{OracleConfig, PriceOracle, PricePoint};
-pub use process::{GbmParams, JumpParams, PegParams, PriceProcess, ScheduledShock};
+pub use process::{GbmParams, PegParams, PriceProcess, ScheduledShock};
 pub use scenario::{MarketScenario, ScenarioEvent, SellPressureFeedback, TokenPathSpec};

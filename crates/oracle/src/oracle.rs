@@ -13,12 +13,10 @@
 //! creates *overdue liquidations* when prices gap faster than the oracle
 //! updates (§4.4.2).
 
-use serde::{Deserialize, Serialize};
-
 use defi_types::{BlockNumber, FxHashMap, Price, Token, Wad};
 
 /// One historical oracle write.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PricePoint {
     /// Block at which the price became visible on-chain.
     pub block: BlockNumber,
@@ -27,7 +25,7 @@ pub struct PricePoint {
 }
 
 /// Oracle configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct OracleConfig {
     /// Minimum relative deviation (e.g. 0.005 = 0.5 %) from the last written
     /// price required to push an update outside the heartbeat.
@@ -60,7 +58,7 @@ impl OracleConfig {
 /// monotone *write epoch* so downstream caches (the incremental
 /// `PositionBook`s in `defi-lending`) can ask "which tokens changed since I
 /// last synced?" instead of re-reading every price.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct PriceOracle {
     config: OracleConfig,
     current: FxHashMap<Token, Price>,
@@ -196,12 +194,6 @@ impl PriceOracle {
         tokens.sort();
         tokens
     }
-
-    /// Total number of writes across all tokens (diagnostics, §4.5.2 block
-    /// coverage checks).
-    pub fn total_writes(&self) -> usize {
-        self.history.values().map(|v| v.len()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -317,6 +309,5 @@ mod tests {
         assert_eq!(oracle.tokens(), vec![Token::ETH, Token::DAI]);
         assert_eq!(oracle.price(Token::ETH), Some(usd(100.0)));
         assert_eq!(oracle.price(Token::DAI), Some(usd(1.0)));
-        assert_eq!(oracle.total_writes(), 2);
     }
 }

@@ -1,12 +1,10 @@
 //! Stochastic price processes.
 //!
-//! Each token's USD price evolves under one of three regimes:
+//! Each token's USD price evolves under one of two regimes:
 //!
 //! * **GBM** (geometric Brownian motion) — the default for volatile crypto
 //!   assets; drift and volatility are quoted per year and scaled to the tick
 //!   length in blocks.
-//! * **Jump-diffusion** — GBM plus Poisson-arriving jumps, used when a
-//!   scenario wants fat tails without scripting every episode.
 //! * **Peg** — an Ornstein–Uhlenbeck-style mean reversion around 1 USD for
 //!   stablecoins, with occasional deviation episodes (the paper measures DAI
 //!   trading up to 11.1 % away from USDC, §4.5.2).
@@ -18,8 +16,7 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use rand_distr::{Distribution, Normal, Poisson};
-use serde::{Deserialize, Serialize};
+use rand_distr::{Distribution, Normal};
 
 use defi_types::BlockNumber;
 
@@ -28,7 +25,7 @@ use defi_types::BlockNumber;
 pub const BLOCKS_PER_YEAR: f64 = 2_336_000.0;
 
 /// Geometric Brownian motion parameters (annualised).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct GbmParams {
     /// Annualised drift (e.g. 1.5 = +150 %/year — crypto bull market).
     pub drift: f64,
@@ -54,19 +51,8 @@ impl GbmParams {
     }
 }
 
-/// Jump component parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct JumpParams {
-    /// Expected number of jumps per year.
-    pub intensity: f64,
-    /// Mean of the jump size (log-return), typically negative (crashes).
-    pub mean: f64,
-    /// Standard deviation of the jump size.
-    pub std_dev: f64,
-}
-
 /// Stablecoin peg parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PegParams {
     /// Target price (1.0 for USD-pegged coins).
     pub target: f64,
@@ -104,7 +90,7 @@ impl PegParams {
 ///
 /// `magnitude` is the relative change: `-0.43` reproduces the 13 March 2020
 /// ETH crash, `+0.30` the irregular DAI price spike on Compound's oracle.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ScheduledShock {
     /// Block at which the shock applies (the first tick at or after it).
     pub block: BlockNumber,
@@ -140,17 +126,10 @@ impl ScheduledShock {
 }
 
 /// The price dynamics of one token.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum PriceProcess {
     /// Geometric Brownian motion.
     Gbm(GbmParams),
-    /// GBM plus Poisson jumps.
-    JumpDiffusion {
-        /// Diffusive component.
-        gbm: GbmParams,
-        /// Jump component.
-        jumps: JumpParams,
-    },
     /// Mean-reverting stablecoin peg.
     Peg(PegParams),
     /// Price never moves (useful in unit tests and controlled experiments).
@@ -166,22 +145,6 @@ impl PriceProcess {
         match self {
             PriceProcess::Constant => price,
             PriceProcess::Gbm(p) => gbm_step(price, p, dt, rng),
-            PriceProcess::JumpDiffusion { gbm, jumps } => {
-                let mut next = gbm_step(price, gbm, dt, rng);
-                let expected_jumps = jumps.intensity * dt;
-                if expected_jumps > 0.0 {
-                    let n = Poisson::new(expected_jumps.max(1e-12))
-                        .map(|p| p.sample(rng) as u64)
-                        .unwrap_or(0);
-                    for _ in 0..n {
-                        let size = Normal::new(jumps.mean, jumps.std_dev)
-                            .map(|d| d.sample(rng))
-                            .unwrap_or(0.0);
-                        next *= size.exp();
-                    }
-                }
-                next.max(1e-12)
-            }
             PriceProcess::Peg(p) => {
                 let noise: f64 = Normal::new(0.0, p.noise)
                     .map(|d| d.sample(rng))
@@ -345,39 +308,5 @@ mod tests {
             (level - 1.0).abs() < 0.05,
             "should recover close to 1.0, got {level}"
         );
-    }
-
-    #[test]
-    fn jump_diffusion_produces_fat_tails() {
-        let jd = PriceProcess::JumpDiffusion {
-            gbm: GbmParams {
-                drift: 0.0,
-                volatility: 0.2,
-            },
-            jumps: JumpParams {
-                intensity: 12.0,
-                mean: -0.25,
-                std_dev: 0.1,
-            },
-        };
-        let gbm = PriceProcess::Gbm(GbmParams {
-            drift: 0.0,
-            volatility: 0.2,
-        });
-        let mut big_moves_jd = 0;
-        let mut big_moves_gbm = 0;
-        for seed in 0..200 {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let next = jd.step(100.0, 200_000, &mut rng);
-            if (next / 100.0 - 1.0).abs() > 0.25 {
-                big_moves_jd += 1;
-            }
-            let mut rng = StdRng::seed_from_u64(seed);
-            let next = gbm.step(100.0, 200_000, &mut rng);
-            if (next / 100.0 - 1.0).abs() > 0.25 {
-                big_moves_gbm += 1;
-            }
-        }
-        assert!(big_moves_jd > big_moves_gbm);
     }
 }

@@ -19,7 +19,6 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 use defi_types::{BlockNumber, Platform, Price, Token, Wad};
@@ -27,7 +26,7 @@ use defi_types::{BlockNumber, Platform, Price, Token, Wad};
 use crate::process::{shock_factor, GbmParams, PegParams, PriceProcess, ScheduledShock};
 
 /// Price dynamics specification for one token.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TokenPathSpec {
     /// The token.
     pub token: Token,
@@ -58,7 +57,7 @@ impl TokenPathSpec {
 }
 
 /// Scripted events that are not market-wide price moves.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub enum ScenarioEvent {
     /// A single platform's oracle reports a wrong price for a token
     /// (the November 2020 Compound DAI incident).
@@ -96,7 +95,7 @@ impl ScenarioEvent {
 /// starting point of the next tick's stochastic step. This is the
 /// toxic-liquidation-spiral dynamic (Warmuz et al., 2022): liquidations deepen
 /// the decline that caused them, triggering further liquidations.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SellPressureFeedback {
     /// Fraction of the AMM pool price impact passed through to the market
     /// price (1.0 = the market marks straight to the pool).

@@ -11,7 +11,6 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rand_distr::{Distribution, LogNormal};
-use serde::{Deserialize, Serialize};
 
 use defi_types::{Address, Platform, Token};
 
@@ -39,7 +38,7 @@ fn derived_rng(seed: u64, tag: u64, salt: u64) -> StdRng {
 }
 
 /// A borrower with a (possibly multi-asset) collateral basket and one debt token.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BorrowerAgent {
     /// On-chain identity.
     pub address: Address,
@@ -64,7 +63,7 @@ pub struct BorrowerAgent {
 }
 
 /// A liquidation bot watching one or more fixed-spread platforms.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LiquidatorAgent {
     /// On-chain identity (the paper counts liquidators by unique address).
     pub address: Address,
@@ -87,7 +86,7 @@ pub struct LiquidatorAgent {
 }
 
 /// A MakerDAO keeper participating in tend–dent auctions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KeeperAgent {
     /// On-chain identity.
     pub address: Address,

@@ -28,80 +28,41 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use defi_types::{Address, Platform, Token, Wad};
 
 /// Role tag for the behaviour layer's RNG stream (see `agents::derive_seed`).
 const TAG_BEHAVIOR: u64 = 0xBEE5_0004;
 
-fn default_inventory_usd() -> f64 {
-    250_000.0
-}
-fn default_replenish_usd() -> f64 {
-    25_000.0
-}
-fn default_max_latency() -> u64 {
-    3
-}
-fn default_ttl() -> u64 {
-    8
-}
-fn default_panic_hf() -> f64 {
-    1.03
-}
-fn default_panic_market_drop() -> f64 {
-    0.08
-}
-fn default_panic_probability() -> f64 {
-    0.35
-}
-fn default_panic_deleverage_fraction() -> f64 {
-    0.5
-}
-fn default_panic_share() -> f64 {
-    0.2
-}
-
 /// Configuration for the behavioural agent layer. Disabled by default; the
 /// baseline engine then behaves exactly as before.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BehaviorConfig {
     /// Master switch. When false every other field is ignored.
-    #[serde(default)]
     pub enabled: bool,
     /// Initial per-token inventory of each liquidator, valued in USD at the
     /// price when the token is first needed. Also the replenishment cap.
-    #[serde(default = "default_inventory_usd")]
     pub liquidator_inventory_usd: f64,
     /// USD worth of each touched token restored to a liquidator per tick,
     /// capped at the initial inventory.
-    #[serde(default = "default_replenish_usd")]
     pub inventory_replenish_per_tick_usd: f64,
     /// Upper bound for sampled per-agent reaction latency, in ticks.
-    #[serde(default = "default_max_latency")]
     pub max_latency_ticks: u64,
     /// Ticks a queued opportunity survives before being dropped as stale.
-    #[serde(default = "default_ttl")]
     pub opportunity_ttl_ticks: u64,
     /// Health factor below which a panic-prone borrower considers exiting.
     /// Must sit below the rescue band (1.05) so ordinary management still
     /// fires first for calm borrowers.
-    #[serde(default = "default_panic_hf")]
     pub panic_hf: f64,
     /// Per-tick ETH return at or below `-panic_market_drop` triggers a
     /// market-wide panic among panic-prone borrowers.
-    #[serde(default = "default_panic_market_drop")]
     pub panic_market_drop: f64,
     /// Probability a panic-prone borrower actually exits once triggered.
-    #[serde(default = "default_panic_probability")]
     pub panic_probability: f64,
     /// Fraction of outstanding debt repaid (and matching collateral sold)
     /// in a panic exit.
-    #[serde(default = "default_panic_deleverage_fraction")]
     pub panic_deleverage_fraction: f64,
     /// Share of sampled borrowers that are panic-prone.
-    #[serde(default = "default_panic_share")]
     pub panic_share: f64,
 }
 
@@ -109,15 +70,15 @@ impl Default for BehaviorConfig {
     fn default() -> Self {
         Self {
             enabled: false,
-            liquidator_inventory_usd: default_inventory_usd(),
-            inventory_replenish_per_tick_usd: default_replenish_usd(),
-            max_latency_ticks: default_max_latency(),
-            opportunity_ttl_ticks: default_ttl(),
-            panic_hf: default_panic_hf(),
-            panic_market_drop: default_panic_market_drop(),
-            panic_probability: default_panic_probability(),
-            panic_deleverage_fraction: default_panic_deleverage_fraction(),
-            panic_share: default_panic_share(),
+            liquidator_inventory_usd: 250_000.0,
+            inventory_replenish_per_tick_usd: 25_000.0,
+            max_latency_ticks: 3,
+            opportunity_ttl_ticks: 8,
+            panic_hf: 1.03,
+            panic_market_drop: 0.08,
+            panic_probability: 0.35,
+            panic_deleverage_fraction: 0.5,
+            panic_share: 0.2,
         }
     }
 }
@@ -173,7 +134,7 @@ pub(crate) struct PendingOpportunity {
 }
 
 /// Counters the behaviour layer accumulates over a run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct BehaviorStats {
     /// Opportunities that entered the latency queue.
     pub opportunities_queued: u64,
@@ -192,7 +153,7 @@ pub struct BehaviorStats {
 }
 
 /// Per-liquidator capital outcome, reported at the end of a run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AgentCapital {
     /// Liquidator identity.
     pub address: Address,
@@ -201,7 +162,7 @@ pub struct AgentCapital {
 }
 
 /// End-of-run report of the behavioural layer.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BehaviorReport {
     /// Aggregate counters.
     pub stats: BehaviorStats,

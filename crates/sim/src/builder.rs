@@ -1,8 +1,8 @@
 //! Fluent construction of [`SimulationEngine`]s.
 //!
 //! [`EngineBuilder`] is the one documented way to assemble an engine:
-//! a [`SimConfig`] plus, optionally, a custom protocol set, price scenario
-//! and DEX. Every default reproduces the paper's study setup, so
+//! a [`SimConfig`] plus, optionally, a custom protocol set and price
+//! scenario. Every default reproduces the paper's study setup, so
 //! `EngineBuilder::new(config).build()` is exactly what
 //! [`SimulationEngine::new`] does — and swapping any piece is one call:
 //!
@@ -40,15 +40,11 @@ use crate::scenarios::ScenarioCatalog;
 /// The engine's protocol set: every platform behind the unified trait.
 pub type ProtocolRegistry = BTreeMap<Platform, Box<dyn LendingProtocol>>;
 
-/// Closure that builds (and seeds) the DEX against the freshly created chain.
-pub type DexSetup = Box<dyn FnOnce(&mut Blockchain) -> Dex>;
-
 /// Fluent builder for [`SimulationEngine`].
 pub struct EngineBuilder {
     config: SimConfig,
     protocols: ProtocolRegistry,
     scenario: Option<MarketScenario>,
-    dex_setup: Option<DexSetup>,
     catalog: ScenarioCatalog,
 }
 
@@ -60,7 +56,6 @@ impl EngineBuilder {
             config,
             protocols: paper_protocols(),
             scenario: None,
-            dex_setup: None,
             catalog: ScenarioCatalog::standard(),
         }
     }
@@ -120,13 +115,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Replace the DEX. The closure receives the chain so it can seed pool
-    /// reserves through the ledger.
-    pub fn with_dex(mut self, setup: impl FnOnce(&mut Blockchain) -> Dex + 'static) -> Self {
-        self.dex_setup = Some(Box::new(setup));
-        self
-    }
-
     /// Assemble the engine. The price scenario resolves in order: an explicit
     /// [`with_scenario`](EngineBuilder::with_scenario), then the catalog entry
     /// named by `config.scenario` (set via
@@ -137,7 +125,6 @@ impl EngineBuilder {
             mut config,
             protocols,
             scenario,
-            dex_setup,
             catalog,
         } = self;
         let scenario = match scenario {
@@ -152,8 +139,7 @@ impl EngineBuilder {
                 None => MarketScenario::paper_two_year(config.seed ^ 0xfeed),
             },
         };
-        let dex_setup = dex_setup.unwrap_or_else(|| Box::new(standard_dex));
-        SimulationEngine::from_parts(config, protocols, scenario, dex_setup)
+        SimulationEngine::from_parts(config, protocols, scenario)
     }
 }
 

@@ -1,14 +1,12 @@
 //! Simulation configuration.
 
-use serde::{Deserialize, Serialize};
-
 use defi_chain::CongestionEpisode;
 use defi_types::{BlockNumber, Platform};
 
 use crate::behavior::BehaviorConfig;
 
 /// Population and behaviour parameters for one platform.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PlatformPopulation {
     /// The platform.
     pub platform: Platform,
@@ -51,7 +49,7 @@ impl PlatformPopulation {
 }
 
 /// Full scenario configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimConfig {
     /// RNG seed; the whole simulation is deterministic given the seed.
     pub seed: u64,
@@ -102,7 +100,6 @@ pub struct SimConfig {
     /// Behavioural agent layer: capital-constrained liquidators, latency
     /// staggering and borrower panic exits. Disabled by default, in which
     /// case the engine behaves exactly as the baseline model.
-    #[serde(default)]
     pub behavior: BehaviorConfig,
 }
 

@@ -15,7 +15,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 use defi_amm::Dex;
@@ -36,11 +35,11 @@ use crate::agents::{
     LiquidatorAgent,
 };
 use crate::behavior::{BehaviorEngine, BehaviorReport, PendingOpportunity};
-use crate::builder::{DexSetup, ProtocolRegistry};
+use crate::builder::{standard_dex, ProtocolRegistry};
 use crate::config::SimConfig;
 
 /// A periodic sample of collateral volume, used for Figures 4/9 denominators.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct VolumeSample {
     /// Block of the sample.
     pub block: BlockNumber,
@@ -59,7 +58,7 @@ pub struct VolumeSample {
 /// accumulated per token over the whole run. Surfaced in the report (and the
 /// repro CLI) so truncated spiral pressure is visible rather than silently
 /// dropped.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SkippedVolume {
     /// Token units that found no DEX route.
     pub amount: Wad,
@@ -196,7 +195,6 @@ impl SimulationEngine {
         config: SimConfig,
         protocols: ProtocolRegistry,
         scenario: MarketScenario,
-        dex_setup: DexSetup,
     ) -> Self {
         let rng = StdRng::seed_from_u64(config.seed);
         let mut chain_config = ChainConfig {
@@ -228,7 +226,7 @@ impl SimulationEngine {
         }
 
         // A deep DEX so flash-loan liquidators can unwind collateral.
-        let dex = dex_setup(&mut chain);
+        let dex = standard_dex(&mut chain);
 
         // Agent populations: liquidator bots for fixed-spread platforms,
         // keeper bots for auction platforms. Sampling is seed-derived per

@@ -140,11 +140,6 @@ impl Session {
         &self.engine.market_oracle
     }
 
-    /// A platform's own oracle (what its contracts saw so far).
-    pub fn platform_oracle(&self, platform: Platform) -> Option<&PriceOracle> {
-        self.engine.oracles.get(&platform)
-    }
-
     /// Checkpoint the per-platform position books at the current block — the
     /// same snapshot [`finish`](Session::finish) takes at the end of the run.
     /// Served from each protocol's incremental book (`&mut` so lazily staled

@@ -23,8 +23,6 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use serde::Serialize;
-
 use defi_chain::ChainEvent;
 use defi_core::sensitivity::liquidatable_collateral;
 use defi_types::{SignedWad, Token, Wad};
@@ -36,7 +34,7 @@ use crate::session::SimError;
 /// Deterministic per-run digest returned by [`SweepRunner::run`]: everything
 /// here is a pure function of the run's seed and configuration, so summaries
 /// compare equal across worker counts.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunSummary {
     /// RNG seed of the run.
     pub seed: u64,

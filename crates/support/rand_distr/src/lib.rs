@@ -1,9 +1,8 @@
 //! Offline stand-in for the `rand_distr` crate (0.4 API subset).
 //!
-//! Implements the three distributions the workspace samples — [`Normal`]
-//! (Box–Muller), [`LogNormal`] (exp of a normal) and [`Poisson`] (Knuth's
-//! multiplication method, adequate for the small intensities the price
-//! processes use) — over the vendored [`rand`] stub.
+//! Implements the two distributions the workspace samples — [`Normal`]
+//! (Box–Muller) and [`LogNormal`] (exp of a normal) — over the vendored
+//! [`rand`] stub.
 
 use rand::Rng;
 
@@ -76,42 +75,6 @@ impl Distribution<f64> for LogNormal {
     }
 }
 
-/// Poisson distribution with rate `lambda`.
-#[derive(Debug, Clone, Copy)]
-pub struct Poisson {
-    lambda: f64,
-}
-
-impl Poisson {
-    /// A Poisson distribution; `lambda` must be finite and positive.
-    pub fn new(lambda: f64) -> Result<Self, Error> {
-        if !lambda.is_finite() || lambda <= 0.0 {
-            return Err(Error);
-        }
-        Ok(Poisson { lambda })
-    }
-}
-
-impl Distribution<f64> for Poisson {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        if self.lambda > 30.0 {
-            // Normal approximation for large rates (unused by the sim's tiny
-            // jump intensities, but keeps the stub total-time bounded).
-            return (self.lambda + self.lambda.sqrt() * standard_normal(rng))
-                .round()
-                .max(0.0);
-        }
-        let limit = (-self.lambda).exp();
-        let mut product = rng.gen_f64();
-        let mut count = 0u64;
-        while product > limit {
-            count += 1;
-            product *= rng.gen_f64();
-        }
-        count as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,17 +96,7 @@ mod tests {
     #[test]
     fn invalid_parameters_are_rejected() {
         assert!(Normal::new(0.0, -1.0).is_err());
-        assert!(Poisson::new(0.0).is_err());
         assert!(Normal::new(0.0, 0.0).is_ok()); // degenerate but accepted
-    }
-
-    #[test]
-    fn poisson_mean_tracks_lambda() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let poisson = Poisson::new(3.0).unwrap();
-        let total: f64 = (0..20_000).map(|_| poisson.sample(&mut rng)).sum();
-        let mean = total / 20_000.0;
-        assert!((mean - 3.0).abs() < 0.1, "mean {mean}");
     }
 
     #[test]

@@ -6,14 +6,11 @@
 
 use core::fmt;
 use core::str::FromStr;
-use serde::{Deserialize, Serialize};
 
 use crate::error::TypeError;
 
 /// A 20-byte account or contract address.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Address(pub [u8; 20]);
 
 impl Address {
@@ -97,9 +94,7 @@ impl FromStr for Address {
 }
 
 /// A 32-byte transaction hash.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TxHash(pub [u8; 32]);
 
 impl TxHash {

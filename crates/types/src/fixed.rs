@@ -25,7 +25,6 @@ use core::fmt;
 use core::iter::Sum;
 use core::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 use core::str::FromStr;
-use serde::{Deserialize, Serialize};
 
 /// Scaling factor of a [`Wad`]: 10^18.
 pub const WAD: u128 = 1_000_000_000_000_000_000;
@@ -358,10 +357,7 @@ pub fn mul_div_ceil(a: u128, b: u128, denominator: u128) -> Result<u128, TypeErr
 /// Unsigned fixed-point number with 18 decimal places.
 ///
 /// `Wad::from_int(3)` is `3.0`; `Wad::from_raw(WAD / 2)` is `0.5`.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Wad(pub u128);
 
 impl Wad {
@@ -380,11 +376,6 @@ impl Wad {
     /// Construct from an integer number of whole units.
     pub const fn from_int(value: u64) -> Self {
         Wad(value as u128 * WAD)
-    }
-
-    /// Construct from a ratio of two integers, e.g. `Wad::from_ratio(1, 2)` is 0.5.
-    pub fn from_ratio(numerator: u128, denominator: u128) -> Self {
-        Wad(mul_div(numerator, WAD, denominator).expect("ratio overflow"))
     }
 
     /// Construct from an `f64`. Only intended for configuration and test
@@ -605,10 +596,7 @@ impl FromStr for Wad {
 /// Unsigned fixed-point number with 27 decimal places, used for interest-rate
 /// indexes (the precision Aave and MakerDAO use for per-second/per-block
 /// compounding).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Ray(pub u128);
 
 impl Ray {
@@ -697,7 +685,7 @@ impl fmt::Display for Ray {
 ///
 /// Stored as sign + magnitude so the full unsigned range stays representable;
 /// negative zero is normalised to positive zero.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SignedWad {
     /// True when the value is strictly negative.
     pub negative: bool,

@@ -8,15 +8,14 @@
 //!   the numeric conventions of MakerDAO / Aave / Compound contracts.
 //! * [`address`] — 20-byte account/contract addresses and 32-byte hashes.
 //! * [`token`] — the token universe used in the paper's evaluation (ETH,
-//!   WBTC, DAI, USDC, …) and an asset registry.
+//!   WBTC, DAI, USDC, …).
 //! * [`time`] — block-number ⇄ timestamp ⇄ calendar-month mapping used by the
 //!   measurement pipeline (the paper reports everything by block and month).
 //! * [`error`] — the shared arithmetic/domain error type.
 //! * [`hash`] — the deterministic Fx hasher and the [`FxHashMap`] /
 //!   [`FxHashSet`] aliases every tick-path keyed map uses.
 //!
-//! The types are deliberately `Copy` where cheap, `serde`-serialisable, and
-//! panic-free: all arithmetic that can overflow or divide by zero has
+//! The types are deliberately `Copy` where cheap and panic-free: all arithmetic that can overflow or divide by zero has
 //! checked variants returning [`TypeError`].
 
 #![forbid(unsafe_code)]
@@ -35,12 +34,9 @@ pub use fixed::{mul_div_ceil, mul_div_floor, Ray, SignedWad, Wad, RAY, WAD};
 pub use hash::{FxHashMap, FxHashSet};
 pub use platform::Platform;
 pub use time::{BlockNumber, MonthTag, TimeMap, Timestamp};
-pub use token::{Token, TokenAmount, TokenInfo, TokenRegistry};
+pub use token::Token;
 
-/// USD value expressed as a [`Wad`] (18 decimals). The paper normalises all
+/// A USD-per-token price, 18-decimal fixed point. The paper normalises all
 /// measurements to USD using the protocols' own oracle prices at the
 /// settlement block; we keep that convention throughout the suite.
-pub type UsdValue = Wad;
-
-/// A USD-per-token price, 18-decimal fixed point.
 pub type Price = Wad;

@@ -7,13 +7,12 @@
 
 use core::fmt;
 use core::str::FromStr;
-use serde::{Deserialize, Serialize};
 
 use crate::error::TypeError;
 
 /// One of the lending platforms covered by the study (≥ 85 % of the Ethereum
 /// lending market at the paper's time of writing).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Platform {
     /// Aave version 1 (fixed-spread, close factor 50 %).
     AaveV1,
@@ -46,12 +45,6 @@ impl Platform {
             Platform::DyDx => "dYdX",
             Platform::MakerDao => "MakerDAO",
         }
-    }
-
-    /// Whether the platform uses the atomic fixed-spread liquidation model
-    /// (as opposed to MakerDAO's non-atomic auction).
-    pub fn is_fixed_spread(self) -> bool {
-        !matches!(self, Platform::MakerDao)
     }
 
     /// Protocol inception block on mainnet, as reported in §4.2 footnote 5.
@@ -98,14 +91,6 @@ mod tests {
         assert_eq!(Platform::AaveV1.name(), "Aave V1");
         assert_eq!(Platform::DyDx.name(), "dYdX");
         assert_eq!(Platform::MakerDao.name(), "MakerDAO");
-    }
-
-    #[test]
-    fn fixed_spread_classification() {
-        assert!(Platform::AaveV2.is_fixed_spread());
-        assert!(Platform::Compound.is_fixed_spread());
-        assert!(Platform::DyDx.is_fixed_spread());
-        assert!(!Platform::MakerDao.is_fixed_spread());
     }
 
     #[test]

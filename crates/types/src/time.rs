@@ -8,7 +8,6 @@
 //! paper's monthly buckets without pulling in a date-time crate.
 
 use core::fmt;
-use serde::{Deserialize, Serialize};
 
 /// A block height.
 pub type BlockNumber = u64;
@@ -17,7 +16,7 @@ pub type BlockNumber = u64;
 pub type Timestamp = u64;
 
 /// A calendar month tag, e.g. `2020-03`, used for monthly aggregation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MonthTag {
     /// Calendar year (e.g. 2020).
     pub year: u32,
@@ -32,31 +31,6 @@ impl MonthTag {
             year,
             month: month.clamp(1, 12),
         }
-    }
-
-    /// The month immediately after this one.
-    pub fn next(self) -> MonthTag {
-        if self.month == 12 {
-            MonthTag::new(self.year + 1, 1)
-        } else {
-            MonthTag::new(self.year, self.month + 1)
-        }
-    }
-
-    /// Number of months since year 0 (for ordering and distance computations).
-    pub fn index(self) -> u32 {
-        self.year * 12 + (self.month as u32 - 1)
-    }
-
-    /// Inclusive iterator over months from `self` to `end`.
-    pub fn range_inclusive(self, end: MonthTag) -> Vec<MonthTag> {
-        let mut months = Vec::new();
-        let mut current = self;
-        while current <= end {
-            months.push(current);
-            current = current.next();
-        }
-        months
     }
 }
 
@@ -88,7 +62,7 @@ fn civil_from_days(days: i64) -> (i64, u32, u32) {
 /// Defaults mirror the paper's study window: Ethereum block 7,500,000
 /// (≈ 1 April 2019) to block 12,344,944 (30 April 2021), with an average
 /// block time chosen so the two endpoints line up (~13.45 s).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TimeMap {
     /// Block number at which the mapping is anchored.
     pub genesis_block: BlockNumber,
@@ -113,28 +87,10 @@ impl TimeMap {
         }
     }
 
-    /// A simple mapping anchored at block 0 with a constant block time.
-    pub fn from_block_zero(genesis_timestamp: Timestamp, seconds_per_block: f64) -> Self {
-        TimeMap {
-            genesis_block: 0,
-            genesis_timestamp,
-            seconds_per_block,
-        }
-    }
-
     /// Timestamp of a block.
     pub fn timestamp(&self, block: BlockNumber) -> Timestamp {
         let delta_blocks = block.saturating_sub(self.genesis_block) as f64;
         self.genesis_timestamp + (delta_blocks * self.seconds_per_block) as u64
-    }
-
-    /// Block number closest to a timestamp (clamped to the genesis block).
-    pub fn block_at(&self, timestamp: Timestamp) -> BlockNumber {
-        if timestamp <= self.genesis_timestamp {
-            return self.genesis_block;
-        }
-        let delta = (timestamp - self.genesis_timestamp) as f64 / self.seconds_per_block;
-        self.genesis_block + delta as u64
     }
 
     /// Calendar date (year, month, day) of a block.
@@ -149,11 +105,6 @@ impl TimeMap {
     pub fn month(&self, block: BlockNumber) -> MonthTag {
         let (y, m, _) = self.date(block);
         MonthTag::new(y, m)
-    }
-
-    /// Number of blocks corresponding to a duration in hours.
-    pub fn blocks_per_hours(&self, hours: f64) -> u64 {
-        (hours * 3_600.0 / self.seconds_per_block) as u64
     }
 
     /// Duration in hours between two blocks.
@@ -237,19 +188,8 @@ mod tests {
         let a = MonthTag::new(2019, 11);
         let b = MonthTag::new(2020, 2);
         assert!(a < b);
-        let range = a.range_inclusive(b);
-        assert_eq!(range.len(), 4);
-        assert_eq!(range[0].to_string(), "2019-11");
-        assert_eq!(range[3].to_string(), "2020-02");
-    }
-
-    #[test]
-    fn block_timestamp_roundtrip() {
-        let map = TimeMap::paper_study_window();
-        let block = 9_000_000;
-        let ts = map.timestamp(block);
-        let back = map.block_at(ts);
-        assert!(back.abs_diff(block) <= 1);
+        assert_eq!(a.to_string(), "2019-11");
+        assert_eq!(b.to_string(), "2020-02");
     }
 
     #[test]
@@ -264,8 +204,12 @@ mod tests {
 
     #[test]
     fn hours_between_blocks() {
-        let map = TimeMap::from_block_zero(0, 15.0);
+        let map = TimeMap {
+            genesis_block: 0,
+            genesis_timestamp: 0,
+            seconds_per_block: 15.0,
+        };
         assert!((map.hours_between(0, 240) - 1.0).abs() < 1e-9);
-        assert_eq!(map.blocks_per_hours(6.0), 1440);
+        assert!((map.hours_between(0, 1_440) - 6.0).abs() < 1e-9);
     }
 }

@@ -1,4 +1,4 @@
-//! The token universe of the paper's evaluation and a small asset registry.
+//! The token universe of the paper's evaluation.
 //!
 //! Figure 8 of the paper enumerates the collateral assets listed on each
 //! platform (Aave V2, Compound, dYdX, MakerDAO) at the snapshot block. We
@@ -8,17 +8,15 @@
 
 use core::fmt;
 use core::str::FromStr;
-use serde::{Deserialize, Serialize};
 
 use crate::error::TypeError;
-use crate::fixed::Wad;
 
 /// A token recognised by the suite.
 ///
 /// `Token` is a closed enum rather than an interned string so protocol code
 /// can match on it exhaustively (e.g. the dYdX markets only list ETH, USDC,
 /// DAI) and so it stays `Copy`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[allow(non_camel_case_types)]
 pub enum Token {
     /// Native ether (modelled identically to WETH throughout).
@@ -158,18 +156,6 @@ impl Token {
         }
     }
 
-    /// ERC-20 decimals of the canonical mainnet deployment. The simulator
-    /// keeps all balances in 18-decimal [`Wad`]s, but decimals are preserved
-    /// so displayed amounts can mirror on-chain conventions.
-    pub fn decimals(self) -> u8 {
-        match self {
-            Token::USDC | Token::USDT => 6,
-            Token::WBTC | Token::renBTC => 8,
-            Token::GUSD => 2,
-            _ => 18,
-        }
-    }
-
     /// Whether the token is one of the USD-pegged stablecoins studied in
     /// §4.5.2 of the paper.
     pub fn is_stablecoin(self) -> bool {
@@ -183,40 +169,6 @@ impl Token {
     /// market for the DAI/ETH comparison in §5.1).
     pub fn is_eth(self) -> bool {
         matches!(self, Token::ETH | Token::WETH)
-    }
-
-    /// Reference USD price at the start of the study window (April 2019-ish
-    /// levels), used as the initial value of the simulated price processes.
-    pub fn reference_price(self) -> Wad {
-        let usd = |v: f64| Wad::from_f64(v);
-        match self {
-            Token::ETH | Token::WETH => usd(170.0),
-            Token::WBTC | Token::renBTC => usd(5_300.0),
-            Token::DAI | Token::USDC | Token::USDT | Token::TUSD | Token::PAX | Token::GUSD => {
-                usd(1.0)
-            }
-            Token::BAT => usd(0.35),
-            Token::ZRX => usd(0.30),
-            Token::UNI => usd(3.0),
-            Token::LINK => usd(1.8),
-            Token::MKR => usd(550.0),
-            Token::COMP => usd(90.0),
-            Token::AAVE => usd(40.0),
-            Token::YFI => usd(10_000.0),
-            Token::SNX => usd(0.9),
-            Token::REN => usd(0.08),
-            Token::KNC => usd(0.25),
-            Token::MANA => usd(0.05),
-            Token::ENJ => usd(0.12),
-            Token::CRV => usd(0.8),
-            Token::BAL => usd(12.0),
-            Token::xSUSHI => usd(1.2),
-            Token::REP => usd(16.0),
-            Token::LRC => usd(0.06),
-            Token::UNIV2DAIETH => usd(45.0),
-            Token::UNIV2WBTCETH => usd(450_000_000.0),
-            Token::UNIV2USDCETH => usd(65_000_000.0),
-        }
     }
 }
 
@@ -235,135 +187,6 @@ impl FromStr for Token {
             .copied()
             .find(|t| t.symbol().eq_ignore_ascii_case(s))
             .ok_or(TypeError::UnknownToken)
-    }
-}
-
-/// An amount of a specific token (18-decimal normalised units).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TokenAmount {
-    /// The token.
-    pub token: Token,
-    /// The amount in 18-decimal units regardless of the token's on-chain decimals.
-    pub amount: Wad,
-}
-
-impl TokenAmount {
-    /// Construct a new amount.
-    pub fn new(token: Token, amount: Wad) -> Self {
-        TokenAmount { token, amount }
-    }
-
-    /// A zero amount of the given token.
-    pub fn zero(token: Token) -> Self {
-        TokenAmount {
-            token,
-            amount: Wad::ZERO,
-        }
-    }
-
-    /// USD value of this amount at the given price.
-    pub fn value_at(&self, price: Wad) -> Wad {
-        self.amount.checked_mul(price).unwrap_or(Wad::MAX)
-    }
-}
-
-impl fmt::Display for TokenAmount {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} {}", self.amount, self.token)
-    }
-}
-
-/// Static metadata about a token tracked by the [`TokenRegistry`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct TokenInfo {
-    /// The token.
-    pub token: Token,
-    /// Ticker symbol.
-    pub symbol: String,
-    /// On-chain decimals.
-    pub decimals: u8,
-    /// Whether the token is a USD stablecoin.
-    pub stablecoin: bool,
-    /// Reference price at the study start.
-    pub reference_price: Wad,
-}
-
-/// Registry of the tokens active in a simulation. Protocols consult it when
-/// listing markets; the analytics layer uses it to iterate the asset universe.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct TokenRegistry {
-    tokens: Vec<TokenInfo>,
-}
-
-impl TokenRegistry {
-    /// A registry containing every token the suite knows about.
-    pub fn full() -> Self {
-        let tokens = Token::ALL
-            .iter()
-            .map(|&token| TokenInfo {
-                token,
-                symbol: token.symbol().to_string(),
-                decimals: token.decimals(),
-                stablecoin: token.is_stablecoin(),
-                reference_price: token.reference_price(),
-            })
-            .collect();
-        TokenRegistry { tokens }
-    }
-
-    /// A registry restricted to the given tokens.
-    pub fn with_tokens(tokens: &[Token]) -> Self {
-        let tokens = tokens
-            .iter()
-            .map(|&token| TokenInfo {
-                token,
-                symbol: token.symbol().to_string(),
-                decimals: token.decimals(),
-                stablecoin: token.is_stablecoin(),
-                reference_price: token.reference_price(),
-            })
-            .collect();
-        TokenRegistry { tokens }
-    }
-
-    /// Iterate over the registered tokens.
-    pub fn iter(&self) -> impl Iterator<Item = &TokenInfo> {
-        self.tokens.iter()
-    }
-
-    /// Number of registered tokens.
-    pub fn len(&self) -> usize {
-        self.tokens.len()
-    }
-
-    /// Whether the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.tokens.is_empty()
-    }
-
-    /// Whether a token is registered.
-    pub fn contains(&self, token: Token) -> bool {
-        self.tokens.iter().any(|t| t.token == token)
-    }
-
-    /// Look up a token's metadata.
-    pub fn info(&self, token: Token) -> Option<&TokenInfo> {
-        self.tokens.iter().find(|t| t.token == token)
-    }
-
-    /// The stablecoins in the registry.
-    pub fn stablecoins(&self) -> Vec<Token> {
-        self.tokens
-            .iter()
-            .filter(|t| t.stablecoin)
-            .map(|t| t.token)
-            .collect()
-    }
-}
-
-impl Default for TokenRegistry {
-    fn default() -> Self {
-        TokenRegistry::full()
     }
 }
 
@@ -396,38 +219,5 @@ mod tests {
         assert!(Token::ETH.is_eth());
         assert!(Token::WETH.is_eth());
         assert!(!Token::WBTC.is_eth());
-    }
-
-    #[test]
-    fn registry_full_has_all_tokens() {
-        let reg = TokenRegistry::full();
-        assert_eq!(reg.len(), Token::ALL.len());
-        for token in Token::ALL {
-            assert!(reg.contains(token));
-            assert_eq!(reg.info(token).unwrap().symbol, token.symbol());
-        }
-    }
-
-    #[test]
-    fn registry_subset() {
-        let reg = TokenRegistry::with_tokens(&[Token::ETH, Token::DAI]);
-        assert_eq!(reg.len(), 2);
-        assert!(reg.contains(Token::ETH));
-        assert!(!reg.contains(Token::WBTC));
-        assert_eq!(reg.stablecoins(), vec![Token::DAI]);
-    }
-
-    #[test]
-    fn token_amount_value() {
-        let amt = TokenAmount::new(Token::ETH, Wad::from_int(3));
-        assert_eq!(amt.value_at(Wad::from_int(3500)), Wad::from_int(10_500));
-        assert_eq!(format!("{amt}"), "3 ETH");
-    }
-
-    #[test]
-    fn reference_prices_positive() {
-        for token in Token::ALL {
-            assert!(!token.reference_price().is_zero(), "{token} has zero price");
-        }
     }
 }
