@@ -1,8 +1,11 @@
 //! A registry of pools with simple routing.
 //!
-//! Liquidator agents ask the [`Dex`] for a quote from the seized collateral
-//! token into the debt token; if no direct pair exists the route goes through
-//! ETH (the deepest pairs on mainnet are almost always X/ETH and ETH/stable).
+//! Flash-loan liquidators swap the seized collateral token into the debt
+//! token through the [`Dex`], and the liquidation-spiral pass sells seized
+//! collateral into it; if no direct pair exists the route goes through ETH
+//! (the deepest pairs on mainnet are almost always X/ETH and ETH/stable).
+//! A swap reports its route's price impact with its output, priced once on
+//! the reserves each hop trades against.
 //!
 //! Pool reserves live on the [`Ledger`] (each pool's own account holds them),
 //! so a swap executed inside a transaction scope is journaled with the
@@ -13,23 +16,6 @@ use defi_chain::Ledger;
 use defi_types::{Address, Token, Wad};
 
 use crate::pool::{AmmError, ConstantProductPool, PoolConfig};
-
-/// A quote for a (possibly two-hop) swap.
-#[derive(Debug, Clone, Copy)]
-pub struct SwapQuote {
-    /// Input token.
-    pub token_in: Token,
-    /// Output token.
-    pub token_out: Token,
-    /// Input amount.
-    pub amount_in: Wad,
-    /// Expected output amount.
-    pub amount_out: Wad,
-    /// Whether the route goes through ETH.
-    pub via_eth: bool,
-    /// Estimated relative price impact of the whole route.
-    pub price_impact: f64,
-}
 
 /// The decentralized exchange: a set of constant-product pools.
 #[derive(Debug, Clone, Default)]
@@ -76,61 +62,12 @@ impl Dex {
         self.add_pool(pool);
     }
 
-    /// Quote a swap, routing through ETH when no direct pair exists.
-    pub fn quote(
-        &self,
-        ledger: &Ledger,
-        token_in: Token,
-        token_out: Token,
-        amount_in: Wad,
-    ) -> Result<SwapQuote, AmmError> {
-        if token_in == token_out {
-            return Ok(SwapQuote {
-                token_in,
-                token_out,
-                amount_in,
-                amount_out: amount_in,
-                via_eth: false,
-                price_impact: 0.0,
-            });
-        }
-        if let Some(pool) = self.pool_for(token_in, token_out) {
-            let amount_out = pool.quote_out(ledger, token_in, amount_in)?;
-            let price_impact = pool.price_impact(ledger, token_in, amount_in)?;
-            return Ok(SwapQuote {
-                token_in,
-                token_out,
-                amount_in,
-                amount_out,
-                via_eth: false,
-                price_impact,
-            });
-        }
-        // Two-hop route through ETH.
-        let first = self
-            .pool_for(token_in, Token::ETH)
-            .ok_or(AmmError::UnsupportedToken(token_in))?;
-        let second = self
-            .pool_for(Token::ETH, token_out)
-            .ok_or(AmmError::UnsupportedToken(token_out))?;
-        let eth_out = first.quote_out(ledger, token_in, amount_in)?;
-        let amount_out = second.quote_out(ledger, Token::ETH, eth_out)?;
-        let impact = first.price_impact(ledger, token_in, amount_in)?
-            + second.price_impact(ledger, Token::ETH, eth_out)?;
-        Ok(SwapQuote {
-            token_in,
-            token_out,
-            amount_in,
-            amount_out,
-            via_eth: true,
-            price_impact: impact.min(1.0),
-        })
-    }
-
     /// Execute a swap (routing through ETH when necessary); returns the
-    /// output amount credited to `trader`. Reserve mutations are ledger
-    /// transfers, so inside a transaction scope the whole route reverts
-    /// atomically with the checkpoint.
+    /// output amount credited to `trader` and the route's relative price
+    /// impact: each hop's [`ConstantProductPool::price_impact`] on the
+    /// reserves it trades against, summed over two hops and capped at 1.
+    /// Reserve mutations are ledger transfers, so inside a transaction scope
+    /// the whole route reverts atomically with the checkpoint.
     pub fn swap(
         &self,
         ledger: &mut Ledger,
@@ -138,21 +75,24 @@ impl Dex {
         token_in: Token,
         token_out: Token,
         amount_in: Wad,
-    ) -> Result<Wad, AmmError> {
+    ) -> Result<(Wad, f64), AmmError> {
         if token_in == token_out {
-            return Ok(amount_in);
+            return Ok((amount_in, 0.0));
         }
         if let Some(pool) = self.pool_for(token_in, token_out) {
             return pool.swap(ledger, trader, token_in, amount_in);
         }
-        // Two hops: in -> ETH -> out.
-        let eth_out = self
+        // Two hops: in -> ETH -> out. They never share a pool, so the second
+        // hop's reserves are the ones it would have been priced on up front.
+        let (eth_out, first_impact) = self
             .pool_for(token_in, Token::ETH)
             .ok_or(AmmError::UnsupportedToken(token_in))?
             .swap(ledger, trader, token_in, amount_in)?;
-        self.pool_for(Token::ETH, token_out)
+        let (amount_out, second_impact) = self
+            .pool_for(Token::ETH, token_out)
             .ok_or(AmmError::UnsupportedToken(token_out))?
-            .swap(ledger, trader, Token::ETH, eth_out)
+            .swap(ledger, trader, Token::ETH, eth_out)?;
+        Ok((amount_out, (first_impact + second_impact).min(1.0)))
     }
 
     /// Iterate over the pools.
@@ -187,38 +127,52 @@ mod tests {
         (dex, ledger)
     }
 
-    #[test]
-    fn direct_quote_uses_single_pool() {
-        let (dex, ledger) = setup();
-        let quote = dex
-            .quote(&ledger, Token::ETH, Token::DAI, Wad::from_int(10))
-            .unwrap();
-        assert!(!quote.via_eth);
-        // ~3,000 DAI per ETH minus fee/impact.
-        assert!(quote.amount_out > Wad::from_int(29_000));
-        assert!(quote.amount_out < Wad::from_int(30_000));
+    fn trader() -> Address {
+        Address::from_seed(7)
+    }
+
+    /// Mint `amount` of `token_in` to the trader and swap it into `token_out`.
+    fn sell(
+        dex: &Dex,
+        ledger: &mut Ledger,
+        token_in: Token,
+        token_out: Token,
+        amount: Wad,
+    ) -> Result<(Wad, f64), AmmError> {
+        ledger.mint(trader(), token_in, amount);
+        dex.swap(ledger, trader(), token_in, token_out, amount)
     }
 
     #[test]
-    fn two_hop_quote_routes_via_eth() {
-        let (dex, ledger) = setup();
-        let quote = dex
-            .quote(&ledger, Token::WBTC, Token::DAI, Wad::from_int(1))
-            .unwrap();
-        assert!(quote.via_eth);
+    fn direct_swap_uses_single_pool() {
+        let (dex, mut ledger) = setup();
+        let wbtc_pool = dex.pool_for(Token::WBTC, Token::ETH).unwrap();
+        let wbtc_reserves = wbtc_pool.reserves(&ledger);
+        let (out, _) = sell(&dex, &mut ledger, Token::ETH, Token::DAI, Wad::from_int(10)).unwrap();
+        assert_eq!(wbtc_pool.reserves(&ledger), wbtc_reserves, "no ETH hop");
+        // ~3,000 DAI per ETH minus fee/impact.
+        assert!(out > Wad::from_int(29_000));
+        assert!(out < Wad::from_int(30_000));
+    }
+
+    #[test]
+    fn two_hop_swap_routes_via_eth() {
+        let (dex, mut ledger) = setup();
+        let wbtc_pool = dex.pool_for(Token::WBTC, Token::ETH).unwrap();
+        let wbtc_reserves = wbtc_pool.reserves(&ledger);
+        let (out, _) = sell(&dex, &mut ledger, Token::WBTC, Token::DAI, Wad::from_int(1)).unwrap();
+        assert_ne!(wbtc_pool.reserves(&ledger), wbtc_reserves, "ETH hop");
         // 1 WBTC ≈ 45,000 DAI minus two fees and impact.
-        assert!(quote.amount_out > Wad::from_int(43_000));
-        assert!(quote.amount_out < Wad::from_int(45_000));
+        assert!(out > Wad::from_int(43_000));
+        assert!(out < Wad::from_int(45_000));
     }
 
     #[test]
     fn same_token_is_identity() {
-        let (dex, ledger) = setup();
-        let quote = dex
-            .quote(&ledger, Token::DAI, Token::DAI, Wad::from_int(5))
-            .unwrap();
-        assert_eq!(quote.amount_out, Wad::from_int(5));
-        assert_eq!(quote.price_impact, 0.0);
+        let (dex, mut ledger) = setup();
+        let swapped = sell(&dex, &mut ledger, Token::DAI, Token::DAI, Wad::from_int(5));
+        assert_eq!(swapped, Ok((Wad::from_int(5), 0.0)));
+        assert_eq!(ledger.balance(trader(), Token::DAI), Wad::from_int(5));
     }
 
     #[test]
@@ -226,7 +180,7 @@ mod tests {
         let (dex, mut ledger) = setup();
         let trader = Address::from_seed(42);
         ledger.mint(trader, Token::WBTC, Wad::from_int(2));
-        let out = dex
+        let (out, _) = dex
             .swap(
                 &mut ledger,
                 trader,
@@ -247,30 +201,44 @@ mod tests {
 
     #[test]
     fn missing_pair_is_an_error() {
-        let (dex, ledger) = setup();
-        assert!(dex
-            .quote(&ledger, Token::MKR, Token::DAI, Wad::from_int(1))
-            .is_err());
+        let (dex, mut ledger) = setup();
+        assert!(sell(&dex, &mut ledger, Token::MKR, Token::DAI, Wad::from_int(1)).is_err());
+        assert_eq!(ledger.balance(trader(), Token::MKR), Wad::from_int(1));
     }
 
     #[test]
     fn quote_matches_swap_output() {
         let (dex, mut ledger) = setup();
-        let trader = Address::from_seed(7);
-        ledger.mint(trader, Token::ETH, Wad::from_int(3));
-        let quote = dex
-            .quote(&ledger, Token::ETH, Token::DAI, Wad::from_int(3))
+        let pool = dex.pool_for(Token::ETH, Token::DAI).unwrap();
+        let quote = pool
+            .quote_out(&ledger, Token::ETH, Wad::from_int(3))
             .unwrap();
-        let out = dex
-            .swap(
-                &mut ledger,
-                trader,
-                Token::ETH,
-                Token::DAI,
-                Wad::from_int(3),
-            )
-            .unwrap();
-        assert_eq!(quote.amount_out, out);
+        let (out, _) = sell(&dex, &mut ledger, Token::ETH, Token::DAI, Wad::from_int(3)).unwrap();
+        assert_eq!(quote, out);
+    }
+
+    /// The impact a swap reports is each hop's `price_impact` read on the
+    /// pre-swap ledger — bit for bit, summed and capped over two hops.
+    #[test]
+    fn swap_impact_equals_pool_price_impact_before_the_swap() {
+        let (dex, mut ledger) = setup();
+        let eth_dai = dex.pool_for(Token::ETH, Token::DAI).unwrap();
+        let wbtc_eth = dex.pool_for(Token::WBTC, Token::ETH).unwrap();
+
+        let amount = Wad::from_int(400);
+        let direct = eth_dai.price_impact(&ledger, Token::ETH, amount).unwrap();
+        let (_, impact) = sell(&dex, &mut ledger, Token::ETH, Token::DAI, amount).unwrap();
+        assert!(impact > 0.0);
+        assert_eq!(impact.to_bits(), direct.to_bits());
+
+        let amount = Wad::from_int(30);
+        let eth_out = wbtc_eth.quote_out(&ledger, Token::WBTC, amount).unwrap();
+        let two_hop = (wbtc_eth.price_impact(&ledger, Token::WBTC, amount).unwrap()
+            + eth_dai.price_impact(&ledger, Token::ETH, eth_out).unwrap())
+        .min(1.0);
+        let (_, impact) = sell(&dex, &mut ledger, Token::WBTC, Token::DAI, amount).unwrap();
+        assert!(impact > direct, "a larger two-hop sale moves more");
+        assert_eq!(impact.to_bits(), two_hop.to_bits());
     }
 
     /// A swap inside a reverting ledger checkpoint rolls the pool reserves
@@ -283,12 +251,12 @@ mod tests {
         ledger.mint(trader, Token::ETH, Wad::from_int(25));
         let pool = dex.pool_for(Token::ETH, Token::DAI).unwrap();
         let reserves_before = pool.reserves(&ledger);
-        let quote_before = dex
-            .quote(&ledger, Token::ETH, Token::DAI, Wad::from_int(5))
+        let quote_before = pool
+            .quote_out(&ledger, Token::ETH, Wad::from_int(5))
             .unwrap();
 
         ledger.begin_checkpoint();
-        let out = dex
+        let (out, _) = dex
             .swap(
                 &mut ledger,
                 trader,
@@ -305,9 +273,9 @@ mod tests {
         assert_eq!(pool.reserves(&ledger), reserves_before);
         assert_eq!(ledger.balance(trader, Token::ETH), Wad::from_int(25));
         assert_eq!(ledger.balance(trader, Token::DAI), Wad::ZERO);
-        let quote_after = dex
-            .quote(&ledger, Token::ETH, Token::DAI, Wad::from_int(5))
+        let quote_after = pool
+            .quote_out(&ledger, Token::ETH, Wad::from_int(5))
             .unwrap();
-        assert_eq!(quote_after.amount_out, quote_before.amount_out);
+        assert_eq!(quote_after, quote_before);
     }
 }

@@ -11,13 +11,13 @@
 //!
 //! The implementation follows the x·y=k formula with a configurable fee,
 //! settles balances through the shared [`Ledger`](defi_chain::Ledger), and
-//! exposes price-impact estimates so liquidator agents can decide whether a
-//! liquidation remains profitable after slippage.
+//! reports each swap's price impact, which the liquidation-spiral scenarios
+//! feed back into the market price.
 
 #![forbid(unsafe_code)]
 
 pub mod dex;
 pub mod pool;
 
-pub use dex::{Dex, SwapQuote};
+pub use dex::Dex;
 pub use pool::{AmmError, ConstantProductPool, PoolConfig};

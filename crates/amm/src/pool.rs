@@ -164,31 +164,44 @@ impl ConstantProductPool {
         token_in: Token,
         amount_in: Wad,
     ) -> Result<f64, AmmError> {
+        self.fill(ledger, token_in, amount_in)
+            .map(|(_, price_impact)| price_impact)
+    }
+
+    /// Output amount and relative price impact of swapping `amount_in`, both
+    /// priced once on the current reserves.
+    fn fill(
+        &self,
+        ledger: &Ledger,
+        token_in: Token,
+        amount_in: Wad,
+    ) -> Result<(Wad, f64), AmmError> {
+        let out = self.quote_out(ledger, token_in, amount_in)?;
         let spot = self
             .spot_price(ledger, token_in)
-            .ok_or(AmmError::InsufficientLiquidity)?;
-        let out = self.quote_out(ledger, token_in, amount_in)?;
-        let executed = out.to_f64() / amount_in.to_f64().max(1e-18);
-        let spot = spot.to_f64();
+            .ok_or(AmmError::InsufficientLiquidity)?
+            .to_f64();
         if spot <= 0.0 {
-            return Ok(1.0);
+            return Ok((out, 1.0));
         }
-        Ok(((spot - executed) / spot).clamp(0.0, 1.0))
+        let executed = out.to_f64() / amount_in.to_f64().max(1e-18);
+        Ok((out, ((spot - executed) / spot).clamp(0.0, 1.0)))
     }
 
     /// Execute a swap: pulls `amount_in` from `trader` into the pool account
     /// and pushes the output back. The reserve mutation *is* the pair of
     /// ledger transfers, so it is journaled with any open checkpoint and
-    /// reverts with the transaction. Returns the output amount.
+    /// reverts with the transaction. Returns the output amount and the
+    /// swap's [`price_impact`](Self::price_impact) on the pre-swap reserves.
     pub fn swap(
         &self,
         ledger: &mut Ledger,
         trader: Address,
         token_in: Token,
         amount_in: Wad,
-    ) -> Result<Wad, AmmError> {
+    ) -> Result<(Wad, f64), AmmError> {
         let token_out = self.counterpart(token_in)?;
-        let amount_out = self.quote_out(ledger, token_in, amount_in)?;
+        let (amount_out, price_impact) = self.fill(ledger, token_in, amount_in)?;
         if amount_out >= self.reserve_of(ledger, token_out)? {
             return Err(AmmError::InsufficientLiquidity);
         }
@@ -198,7 +211,7 @@ impl ConstantProductPool {
         ledger
             .transfer(self.address, trader, token_out, amount_out)
             .map_err(|e| AmmError::Ledger(e.to_string()))?;
-        Ok(amount_out)
+        Ok((amount_out, price_impact))
     }
 }
 
@@ -249,7 +262,7 @@ mod tests {
         ledger.mint(trader, Token::ETH, Wad::from_int(50));
         let (ra0, rb0) = pool.reserves(&ledger);
         let k0 = ra0.to_f64() * rb0.to_f64();
-        let out = pool
+        let (out, _) = pool
             .swap(&mut ledger, trader, Token::ETH, Wad::from_int(50))
             .unwrap();
         assert!(!out.is_zero());

@@ -141,21 +141,21 @@ mod tests {
     fn joins_flash_loans_with_liquidations_by_transaction() {
         let mut chain = Blockchain::new(ChainConfig::default());
         // Tx 1: Compound liquidation funded by a dYdX flash loan.
-        chain.execute(Address::from_seed(1), 50, 900_000, "liq", |ctx| {
+        chain.execute(Address::from_seed(1), 50, 900_000, |ctx| {
             ctx.events.push(flash_event(Platform::DyDx, 50_000));
             ctx.events.push(liquidation_event(Platform::Compound));
-            Ok(())
+            Ok::<_, String>(())
         });
         // Tx 2: an unrelated flash loan (not a liquidation) — must be ignored.
-        chain.execute(Address::from_seed(2), 50, 900_000, "arb", |ctx| {
+        chain.execute(Address::from_seed(2), 50, 900_000, |ctx| {
             ctx.events.push(flash_event(Platform::AaveV2, 10_000));
-            Ok(())
+            Ok::<_, String>(())
         });
         // Tx 3: Aave V1 liquidation funded by a dYdX flash loan.
-        chain.execute(Address::from_seed(3), 50, 900_000, "liq", |ctx| {
+        chain.execute(Address::from_seed(3), 50, 900_000, |ctx| {
             ctx.events.push(flash_event(Platform::DyDx, 25_000));
             ctx.events.push(liquidation_event(Platform::AaveV1));
-            Ok(())
+            Ok::<_, String>(())
         });
 
         let table = table4(&chain);

@@ -2,7 +2,6 @@
 
 use defi_types::{Address, BlockNumber, Timestamp, TxHash};
 
-use crate::events::ChainEvent;
 use crate::gas::GweiPrice;
 
 /// A produced block's header and aggregate statistics.
@@ -43,10 +42,6 @@ pub struct TxReceipt {
     /// Whether execution succeeded (failed transactions still pay gas, as on
     /// Ethereum).
     pub success: bool,
-    /// Human-readable label of the action (diagnostics only).
-    pub label: String,
-    /// Events emitted during execution (empty if reverted).
-    pub events: Vec<ChainEvent>,
 }
 
 impl TxReceipt {
@@ -70,8 +65,6 @@ mod tests {
             gas_price: 100,      // gwei
             gas_used: 1_000_000, // gas
             success: true,
-            label: "test".to_string(),
-            events: Vec::new(),
         };
         // 1e6 gas * 100 gwei = 1e8 gwei = 0.1 ETH
         assert!((receipt.fee_eth() - 0.1).abs() < 1e-12);

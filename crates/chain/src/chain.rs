@@ -12,6 +12,11 @@
 //!    strategy; here [`Blockchain::execute`] runs a closure atomically with
 //!    revert-on-error semantics and [`Ledger`] checkpoints make "fork the
 //!    state, try a strategy, roll back" a one-liner.
+//!
+//! [`Blockchain::execute`] is the one place a transaction's outcome takes
+//! shape: the closure's value comes back in [`TxOutcome::result`], its error
+//! text becomes the [`ChainError::Reverted`] reason, its events move into the
+//! log only if it succeeds, and its gas counts toward the block either way.
 
 use defi_types::{Address, BlockNumber, TimeMap, TxHash};
 
@@ -47,10 +52,6 @@ pub struct ChainConfig {
     pub time_map: TimeMap,
     /// Gas market configuration.
     pub gas: GasMarketConfig,
-    /// Default gas consumption assumed for a fixed-spread liquidation call.
-    pub liquidation_gas: u64,
-    /// Default gas consumption assumed for an auction bid.
-    pub auction_bid_gas: u64,
 }
 
 impl Default for ChainConfig {
@@ -59,22 +60,20 @@ impl Default for ChainConfig {
             start_block: 7_500_000,
             time_map: TimeMap::paper_study_window(),
             gas: GasMarketConfig::paper_study(),
-            liquidation_gas: 500_000,
-            auction_bid_gas: 150_000,
         }
     }
 }
 
 /// Result of executing a transaction.
 #[derive(Debug, Clone)]
-pub struct TxOutcome {
+pub struct TxOutcome<T> {
     /// The receipt (recorded in the chain whether or not execution succeeded).
     pub receipt: TxReceipt,
-    /// `Ok(())` on success, the revert reason otherwise.
-    pub result: Result<(), ChainError>,
+    /// The closure's value on success, the revert reason otherwise.
+    pub result: Result<T, ChainError>,
 }
 
-impl TxOutcome {
+impl<T> TxOutcome<T> {
     /// Whether the transaction succeeded.
     pub fn is_success(&self) -> bool {
         self.result.is_ok()
@@ -231,20 +230,22 @@ impl Blockchain {
 
     /// Execute a transaction at the current block.
     ///
-    /// The closure receives a [`TxContext`]; if it returns `Err`, every ledger
-    /// mutation it performed is rolled back and no events are logged — the
-    /// transaction is still recorded as a failed receipt (it pays gas, like a
-    /// reverted Ethereum transaction).
-    pub fn execute<F>(
+    /// The closure receives a [`TxContext`]; its `Ok` value is handed back in
+    /// [`TxOutcome::result`]. If it returns `Err`, every ledger mutation it
+    /// performed is rolled back, no events are logged and the error's text
+    /// becomes the [`ChainError::Reverted`] reason — the transaction is still
+    /// recorded as a failed receipt (it pays gas, like a reverted Ethereum
+    /// transaction).
+    pub fn execute<T, E, F>(
         &mut self,
         sender: Address,
         gas_price: GweiPrice,
         gas_used: u64,
-        label: &str,
         f: F,
-    ) -> TxOutcome
+    ) -> TxOutcome<T>
     where
-        F: FnOnce(&mut TxContext<'_>) -> Result<(), String>,
+        E: core::fmt::Display,
+        F: FnOnce(&mut TxContext<'_>) -> Result<T, E>,
     {
         let block = self.current_block;
         let tx_index = self.current_block_tx_index;
@@ -255,39 +256,34 @@ impl Blockchain {
 
         let mut emitted: Vec<ChainEvent> = Vec::new();
         self.ledger.begin_checkpoint();
-        let result = {
-            let mut ctx = TxContext {
-                ledger: &mut self.ledger,
-                events: &mut emitted,
-                block,
-                sender,
-            };
-            f(&mut ctx)
-        };
-
-        let (success, result, events) = match result {
-            Ok(()) => {
+        let result = f(&mut TxContext {
+            ledger: &mut self.ledger,
+            events: &mut emitted,
+            block,
+            sender,
+        });
+        let result = match result {
+            Ok(value) => {
                 self.ledger.commit_checkpoint();
-                (true, Ok(()), emitted)
+                // Log events with their transaction context.
+                for event in emitted {
+                    self.events.push(LoggedEvent {
+                        block,
+                        tx_index,
+                        tx_hash: hash,
+                        sender,
+                        gas_price,
+                        gas_used,
+                        event,
+                    });
+                }
+                Ok(value)
             }
             Err(reason) => {
                 self.ledger.revert_checkpoint();
-                (false, Err(ChainError::Reverted(reason)), Vec::new())
+                Err(ChainError::Reverted(reason.to_string()))
             }
         };
-
-        // Log events with their transaction context.
-        for event in &events {
-            self.events.push(LoggedEvent {
-                block,
-                tx_index,
-                tx_hash: hash,
-                sender,
-                gas_price,
-                gas_used,
-                event: event.clone(),
-            });
-        }
 
         let receipt = TxReceipt {
             hash,
@@ -296,9 +292,7 @@ impl Blockchain {
             index: tx_index,
             gas_price,
             gas_used,
-            success,
-            label: label.to_string(),
-            events,
+            success: result.is_ok(),
         };
         TxOutcome { receipt, result }
     }
@@ -324,64 +318,112 @@ mod tests {
         Address::from_seed(n)
     }
 
+    fn oracle_update(token: Token) -> ChainEvent {
+        ChainEvent::OracleUpdate {
+            token,
+            price: Wad::ONE,
+        }
+    }
+
     #[test]
     fn successful_tx_commits_and_logs_events() {
         let mut chain = Blockchain::default();
         chain.fund(addr(1), Token::DAI, Wad::from_int(100));
 
-        let outcome = chain.execute(addr(1), 50, 21_000, "transfer", |ctx| {
+        let outcome = chain.execute(addr(1), 50, 21_000, |ctx| {
             ctx.ledger
-                .transfer(addr(1), addr(2), Token::DAI, Wad::from_int(40))
-                .map_err(|e| e.to_string())?;
-            ctx.events.push(ChainEvent::OracleUpdate {
-                token: Token::DAI,
-                price: Wad::ONE,
-            });
-            Ok(())
+                .transfer(addr(1), addr(2), Token::DAI, Wad::from_int(40))?;
+            ctx.events.push(oracle_update(Token::DAI));
+            Ok::<_, crate::ledger::LedgerError>(ctx.block)
         });
 
-        assert!(outcome.is_success());
+        // The closure's value comes back with the outcome.
+        assert_eq!(outcome.result, Ok(chain.current_block()));
         assert_eq!(
             chain.ledger().balance(addr(2), Token::DAI),
             Wad::from_int(40)
         );
         assert_eq!(chain.events().len(), 1);
-        assert_eq!(outcome.receipt.events.len(), 1);
     }
 
     #[test]
     fn reverted_tx_rolls_back_and_logs_nothing() {
         let mut chain = Blockchain::default();
         chain.fund(addr(1), Token::DAI, Wad::from_int(100));
+        let start = chain.current_block();
 
-        let outcome = chain.execute(addr(1), 50, 21_000, "failing", |ctx| {
+        let outcome = chain.execute(addr(1), 50, 21_000, |ctx| {
             ctx.ledger
                 .transfer(addr(1), addr(2), Token::DAI, Wad::from_int(40))
                 .map_err(|e| e.to_string())?;
-            ctx.events.push(ChainEvent::OracleUpdate {
-                token: Token::DAI,
-                price: Wad::ONE,
-            });
-            Err("not profitable".to_string())
+            ctx.events.push(oracle_update(Token::DAI));
+            Err::<(), _>("not profitable".to_string())
         });
 
-        assert!(!outcome.is_success());
+        assert_eq!(
+            outcome.result,
+            Err(ChainError::Reverted("not profitable".to_string()))
+        );
         assert_eq!(
             chain.ledger().balance(addr(1), Token::DAI),
             Wad::from_int(100)
         );
         assert_eq!(chain.ledger().balance(addr(2), Token::DAI), Wad::ZERO);
         assert!(chain.events().is_empty());
-        // The failed transaction still produced a receipt (it paid gas).
+        // The failed transaction still produced a receipt and paid its gas
+        // into the block it executed in.
         assert!(!outcome.receipt.success);
-        assert_eq!(outcome.receipt.gas_used, 21_000);
+        chain.advance_to(start + 1, 0);
+        assert_eq!(chain.headers()[0].gas_used, 21_000);
+    }
+
+    #[test]
+    fn logged_events_keep_emission_order_and_tx_context() {
+        let mut chain = Blockchain::default();
+        let first = chain.execute(addr(1), 30, 40_000, |ctx| {
+            ctx.events.push(oracle_update(Token::DAI));
+            ctx.events.push(oracle_update(Token::USDC));
+            Ok::<_, String>(())
+        });
+        let second = chain.execute(addr(2), 60, 80_000, |ctx| {
+            ctx.events.push(oracle_update(Token::ETH));
+            Ok::<_, String>(())
+        });
+
+        let logged: Vec<_> = chain
+            .events()
+            .iter()
+            .map(|l| {
+                (
+                    &l.event,
+                    l.tx_hash,
+                    l.tx_index,
+                    l.sender,
+                    l.gas_price,
+                    l.gas_used,
+                )
+            })
+            .collect();
+        let (dai, usdc, eth) = (
+            oracle_update(Token::DAI),
+            oracle_update(Token::USDC),
+            oracle_update(Token::ETH),
+        );
+        assert_eq!(
+            logged,
+            vec![
+                (&dai, first.receipt.hash, 0, addr(1), 30, 40_000),
+                (&usdc, first.receipt.hash, 0, addr(1), 30, 40_000),
+                (&eth, second.receipt.hash, 1, addr(2), 60, 80_000),
+            ]
+        );
     }
 
     #[test]
     fn advance_records_headers_and_moves_head() {
         let mut chain = Blockchain::default();
         let start = chain.current_block();
-        chain.execute(addr(1), 10, 21_000, "noop", |_| Ok(()));
+        chain.execute(addr(1), 10, 21_000, |_| Ok::<_, String>(()));
         chain.advance_to(start + 100, 3);
         assert_eq!(chain.current_block(), start + 100);
         assert_eq!(chain.headers().len(), 1);
@@ -394,11 +436,11 @@ mod tests {
     fn tx_hashes_are_unique() {
         let mut chain = Blockchain::default();
         let a = chain
-            .execute(addr(1), 10, 21_000, "a", |_| Ok(()))
+            .execute(addr(1), 10, 21_000, |_| Ok::<_, String>(()))
             .receipt
             .hash;
         let b = chain
-            .execute(addr(1), 10, 21_000, "b", |_| Ok(()))
+            .execute(addr(1), 10, 21_000, |_| Ok::<_, String>(()))
             .receipt
             .hash;
         assert_ne!(a, b);
@@ -411,16 +453,13 @@ mod tests {
         let pool = addr(100);
         chain.fund(pool, Token::USDC, Wad::from_int(1_000_000));
 
-        let outcome = chain.execute(addr(7), 80, 900_000, "flash-loan-liquidation", |ctx| {
+        let outcome = chain.execute(addr(7), 80, 900_000, |ctx| {
             // Borrow from the pool.
             ctx.ledger
-                .transfer(pool, addr(7), Token::USDC, Wad::from_int(500_000))
-                .map_err(|e| e.to_string())?;
+                .transfer(pool, addr(7), Token::USDC, Wad::from_int(500_000))?;
             // ... strategy would run here; repay with a fee.
             ctx.ledger
                 .transfer(addr(7), pool, Token::USDC, Wad::from_int(500_000))
-                .map_err(|e| e.to_string())?;
-            Ok(())
         });
         assert!(outcome.is_success());
         assert_eq!(

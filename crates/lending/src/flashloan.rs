@@ -62,13 +62,14 @@ impl FlashLoanPool {
     }
 
     /// Borrow `amount` of `token`, run `strategy`, and require repayment plus
-    /// fee. Emits a [`ChainEvent::FlashLoan`] on success.
+    /// fee. Emits a [`ChainEvent::FlashLoan`] and returns the strategy's
+    /// value on success.
     ///
     /// The closure receives the ledger so it can move the borrowed funds
     /// around (repay debt, swap collateral, …). Any error from the closure,
     /// or a shortfall at repayment time, aborts the flash loan.
     #[allow(clippy::too_many_arguments)]
-    pub fn flash_loan<F>(
+    pub fn flash_loan<T, F>(
         &self,
         ledger: &mut Ledger,
         events: &mut Vec<ChainEvent>,
@@ -77,9 +78,9 @@ impl FlashLoanPool {
         token: Token,
         amount: Wad,
         strategy: F,
-    ) -> Result<(), ProtocolError>
+    ) -> Result<T, ProtocolError>
     where
-        F: FnOnce(&mut Ledger, &mut Vec<ChainEvent>) -> Result<(), ProtocolError>,
+        F: FnOnce(&mut Ledger, &mut Vec<ChainEvent>) -> Result<T, ProtocolError>,
     {
         let available = self.available(ledger, token);
         if available < amount {
@@ -96,7 +97,7 @@ impl FlashLoanPool {
         ledger.transfer(self.pool_address, borrower, token, amount)?;
 
         // Run the borrower's strategy.
-        strategy(ledger, events)?;
+        let value = strategy(ledger, events)?;
 
         // The borrower must return principal + fee.
         let repayment = amount.saturating_add(fee);
@@ -117,7 +118,7 @@ impl FlashLoanPool {
             amount_usd: oracle.value_of(token, amount),
             fee,
         });
-        Ok(())
+        Ok(value)
     }
 }
 
@@ -148,16 +149,17 @@ mod tests {
         ledger.mint(borrower, Token::USDC, Wad::from_int(100));
 
         let before = pool.available(&ledger, Token::USDC);
-        pool.flash_loan(
+        let value = pool.flash_loan(
             &mut ledger,
             &mut events,
             &oracle,
             borrower,
             Token::USDC,
             Wad::from_int(100_000),
-            |_, _| Ok(()),
-        )
-        .unwrap();
+            |_, _| Ok("strategy value"),
+        );
+        // The strategy's value is handed back to the caller.
+        assert_eq!(value, Ok("strategy value"));
         let after = pool.available(&ledger, Token::USDC);
         // Aave's 9 bps fee on 100,000 = 90 USDC.
         assert_eq!(after, before.saturating_add(Wad::from_int(90)));
@@ -243,7 +245,7 @@ mod tests {
             borrower,
             Token::USDC,
             Wad::from_int(10_000),
-            |_, _| Err(ProtocolError::Arithmetic),
+            |_, _| Err::<(), _>(ProtocolError::Arithmetic),
         );
         assert!(result.is_err());
         assert!(events.is_empty());

@@ -89,7 +89,7 @@ pub struct SimConfig {
     pub scenario: Option<String>,
     /// Whether the named scenario's config adjustments have already been
     /// applied to this configuration. Set by
-    /// [`ScenarioEntry::build`](crate::ScenarioEntry::build) so that building
+    /// [`ScenarioCatalog::build`](crate::ScenarioCatalog::build) so that building
     /// an engine from an already-materialised config (e.g. a report's config)
     /// rebuilds the market without re-applying non-idempotent adjustments
     /// such as gas multipliers or extra congestion episodes.

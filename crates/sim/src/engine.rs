@@ -3,29 +3,34 @@
 //! resulting observable surface (events, gas, positions, volumes) to the
 //! analytics crate.
 //!
-//! Protocols are held behind the unified
-//! [`LendingProtocol`](defi_lending::LendingProtocol) trait in a
+//! Protocols are held behind the unified [`LendingProtocol`] trait in a
 //! [`ProtocolRegistry`], so every loop here — liquidity seeding, borrower
 //! arrivals, accrual, liquidation driving, volume sampling, the end-of-run
 //! snapshot — is registry-driven. The only mechanism-specific dispatch is on
 //! [`MechanismKind`]: atomic fixed-spread platforms are worked by liquidator
 //! bots, auction platforms by keeper bots, both through the one
-//! `execute_liquidation` entry point. Engines are assembled through
+//! `execute_liquidation` entry point. Every agent action (opening a
+//! position, rescue, re-leverage, panic exit, liquidation, bite, bid, deal)
+//! is one transaction sent through one helper, `submit`, which looks up the
+//! platform's protocol and oracle and runs the action inside
+//! [`Blockchain::execute`]; protocol reads outside a transaction share its
+//! lookup, `with_protocol`. Engines are assembled through
 //! [`EngineBuilder`](crate::EngineBuilder).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 
-use defi_amm::Dex;
+use defi_amm::{AmmError, Dex};
 use defi_chain::{
-    mempool::BackgroundDemand, AuctionPhase, Blockchain, ChainConfig, ChainEvent, GweiPrice,
+    chain::TxContext, mempool::BackgroundDemand, AuctionPhase, Blockchain, ChainConfig, ChainEvent,
+    GweiPrice,
 };
 use defi_core::mechanism::AuctionParams;
 use defi_core::position::{CollateralHolding, DebtHolding, Position};
 use defi_lending::{
-    AuctionSnapshot, FlashLoanPool, LiquidationExecution, LiquidationRequest, MechanismKind,
-    Opportunity,
+    AuctionSnapshot, FlashLoanPool, LendingProtocol, LiquidationExecution, LiquidationRequest,
+    MechanismKind, Opportunity,
 };
 use defi_oracle::{MarketScenario, OracleConfig, PriceOracle, ScenarioEvent};
 use defi_types::{Address, BlockNumber, FxHashMap, Platform, Token, Wad};
@@ -123,6 +128,44 @@ impl CoveringLiquidators {
     }
 }
 
+/// Run `f` against `platform`'s protocol and the oracle its contracts read:
+/// the one lookup behind every protocol read that is not a transaction.
+/// `None` if the platform is not registered (the registry and the oracle map
+/// share keys by construction).
+pub(crate) fn with_protocol<R>(
+    protocols: &mut ProtocolRegistry,
+    oracles: &BTreeMap<Platform, PriceOracle>,
+    platform: Platform,
+    f: impl FnOnce(&mut dyn LendingProtocol, &PriceOracle) -> R,
+) -> Option<R> {
+    let oracle = oracles.get(&platform)?;
+    let protocol = protocols.get_mut(&platform)?;
+    Some(f(protocol.as_mut(), oracle))
+}
+
+/// Submit one transaction to `platform`: `f` runs inside
+/// [`Blockchain::execute`] against the platform's protocol and oracle, so
+/// its ledger moves and events commit or revert together. Returns `f`'s
+/// value if the transaction settled, `None` if it reverted (it still paid
+/// its gas) or the platform is not registered.
+#[allow(clippy::too_many_arguments)]
+fn submit<T, E: core::fmt::Display>(
+    chain: &mut Blockchain,
+    protocols: &mut ProtocolRegistry,
+    oracles: &BTreeMap<Platform, PriceOracle>,
+    platform: Platform,
+    sender: Address,
+    gas_price: GweiPrice,
+    gas_used: u64,
+    f: impl FnOnce(&mut dyn LendingProtocol, &PriceOracle, &mut TxContext<'_>) -> Result<T, E>,
+) -> Option<T> {
+    with_protocol(protocols, oracles, platform, |protocol, oracle| {
+        let outcome = chain.execute(sender, gas_price, gas_used, |ctx| f(protocol, oracle, ctx));
+        outcome.result.ok()
+    })
+    .flatten()
+}
+
 /// The simulation engine.
 pub struct SimulationEngine {
     pub(crate) config: SimConfig,
@@ -149,11 +192,9 @@ pub struct SimulationEngine {
     keepers: Vec<KeeperAgent>,
     borrower_counter: FxHashMap<Platform, u64>,
     /// Active platform-specific oracle irregularities:
-    /// (platform, token, multiplier, last block).
+    /// (platform, token, multiplier, last block), oldest first. At most a
+    /// handful are ever active, so price application scans them.
     irregularities: Vec<(Platform, Token, f64, BlockNumber)>,
-    /// Per-tick index of the active irregularities, rebuilt once per tick so
-    /// price application is a hash lookup instead of a linear scan.
-    irregularity_index: FxHashMap<(Platform, Token), f64>,
     pub(crate) volume_samples: Vec<VolumeSample>,
     auction_params_switched: bool,
     pub(crate) tick_index: u64,
@@ -282,7 +323,6 @@ impl SimulationEngine {
             keepers,
             borrower_counter: FxHashMap::default(),
             irregularities: Vec::new(),
-            irregularity_index: FxHashMap::default(),
             volume_samples: Vec::new(),
             auction_params_switched: false,
             tick_index: 0,
@@ -348,10 +388,8 @@ impl SimulationEngine {
                 // 400M USD of depth per market.
                 let amount = Wad::from_f64(400_000_000.0 / price);
                 chain.fund(lender, token, amount);
-                let outcome = chain.execute(lender, 20, user_op_gas, "genesis-deposit", |ctx| {
-                    protocol
-                        .deposit(ctx.ledger, ctx.events, lender, token, amount)
-                        .map_err(|e| e.to_string())
+                let outcome = chain.execute(lender, 20, user_op_gas, |ctx| {
+                    protocol.deposit(ctx.ledger, ctx.events, lender, token, amount)
                 });
                 if let Err(error) = outcome.result {
                     return Err(crate::SimError::GenesisDeposit {
@@ -425,23 +463,16 @@ impl SimulationEngine {
         }
         self.irregularities.retain(|(_, _, _, end)| *end >= block);
 
-        // Index the active irregularities once per tick; the per-token loop
-        // below then pays one hash lookup per oracle instead of a scan over
-        // every irregularity.
-        self.irregularity_index.clear();
-        for &(platform, token, multiplier, _) in &self.irregularities {
-            self.irregularity_index
-                .insert((platform, token), multiplier);
-        }
-
         for (token, price) in &updates {
             self.market_oracle.set_price(block, *token, *price);
             for (platform, oracle) in self.oracles.iter_mut() {
+                // The latest irregularity on a (platform, token) wins.
                 let multiplier = self
-                    .irregularity_index
-                    .get(&(*platform, *token))
-                    .copied()
-                    .unwrap_or(1.0);
+                    .irregularities
+                    .iter()
+                    .rev()
+                    .find(|(p, t, _, _)| p == platform && t == token)
+                    .map_or(1.0, |&(_, _, multiplier, _)| multiplier);
                 if (multiplier - 1.0).abs() > 1e-9 {
                     // Irregular prices are pushed unconditionally (they came
                     // from a signed off-chain message, as on Compound).
@@ -548,10 +579,6 @@ impl SimulationEngine {
     fn open_position_for(&mut self, borrower: &BorrowerAgent, _block: BlockNumber) -> bool {
         let platform = borrower.platform;
         let gas = self.chain.gas_market_mut().competitive_bid(0.0);
-        let Some(protocol) = self.protocols.get_mut(&platform) else {
-            return false;
-        };
-        let mechanism = protocol.mechanism();
         let Some(oracle) = self.oracles.get(&platform) else {
             return false;
         };
@@ -569,23 +596,23 @@ impl SimulationEngine {
         let collateral_value_usd = borrower.collateral_value_usd;
         let target_collateralization = borrower.target_collateralization;
         let debt_token = borrower.debt_token;
-        let chain = &mut self.chain;
-        let outcome = chain.execute(
+        submit(
+            &mut self.chain,
+            &mut self.protocols,
+            &self.oracles,
+            platform,
             address,
             gas,
             self.config.user_op_gas,
-            "open-position",
-            |ctx| {
+            |protocol, oracle, ctx| -> Result<(), Box<dyn std::error::Error>> {
                 for (token, amount) in &deposits {
-                    protocol
-                        .deposit(ctx.ledger, ctx.events, address, *token, *amount)
-                        .map_err(|e| e.to_string())?;
+                    protocol.deposit(ctx.ledger, ctx.events, address, *token, *amount)?;
                 }
                 let capacity = protocol
                     .position(oracle, address)
                     .map(|p| p.borrowing_capacity())
                     .unwrap_or(Wad::ZERO);
-                let desired_debt_usd = match mechanism {
+                let desired_debt_usd = match protocol.mechanism() {
                     MechanismKind::FixedSpread => {
                         collateral_value_usd / target_collateralization.max(1.05)
                     }
@@ -601,16 +628,14 @@ impl SimulationEngine {
                 );
                 let amount = Wad::from_f64(borrow_usd.to_f64() / debt_price);
                 if amount.is_zero() {
-                    return Err("zero borrow".to_string());
+                    return Err("zero borrow".into());
                 }
-                protocol
-                    .borrow(
-                        ctx.ledger, ctx.events, oracle, ctx.block, address, debt_token, amount,
-                    )
-                    .map_err(|e| e.to_string())
+                Ok(protocol.borrow(
+                    ctx.ledger, ctx.events, oracle, ctx.block, address, debt_token, amount,
+                )?)
             },
-        );
-        outcome.is_success()
+        )
+        .is_some()
     }
 
     // ------------------------------------------------------------ liquidation
@@ -629,14 +654,13 @@ impl SimulationEngine {
             match mechanism {
                 MechanismKind::FixedSpread => {
                     self.manage_borrower_positions(platform, block, congested);
-                    let (Some(oracle), Some(protocol)) = (
-                        self.oracles.get(&platform),
-                        self.protocols.get_mut(&platform),
-                    ) else {
-                        continue;
-                    };
                     let mut opportunities = std::mem::take(&mut self.opportunity_scratch);
-                    protocol.liquidatable_into(oracle, &mut opportunities);
+                    with_protocol(
+                        &mut self.protocols,
+                        &self.oracles,
+                        platform,
+                        |protocol, oracle| protocol.liquidatable_into(oracle, &mut opportunities),
+                    );
                     if let Some(behavior) = self.behavior.as_mut() {
                         // Behavioural layer: discoveries enter the latency
                         // queue; execution happens once an agent's latency
@@ -693,40 +717,39 @@ impl SimulationEngine {
             },
         }
         let mut actions: Vec<Action> = Vec::new();
-        {
-            let (Some(oracle), Some(protocol)) = (
-                self.oracles.get(&platform),
-                self.protocols.get_mut(&platform),
-            ) else {
-                return;
-            };
-            let rescue_band = Wad::from_f64(defi_lending::RESCUE_BAND_HF);
-            let releverage_band = Wad::from_f64(defi_lending::RELEVERAGE_BAND_HF);
-            protocol.for_each_at_risk(oracle, rescue_band, releverage_band, &mut |position| {
-                // The at-risk surface starts at HF 1: liquidatable accounts
-                // are the liquidation pass's.
-                let Some(hf) = position.health_factor() else {
-                    return;
-                };
-                if hf < rescue_band {
-                    actions.push(Action::Rescue {
-                        owner: position.owner,
-                        debt_value: position.total_debt_value(),
-                        hf,
-                    });
-                } else if hf > releverage_band {
-                    // Collateral appreciated well beyond the borrower's
-                    // target: many borrowers re-leverage, which is what keeps
-                    // the aggregate book sensitive to price declines
-                    // (Figure 8) throughout the bull market.
-                    actions.push(Action::Releverage {
-                        owner: position.owner,
-                        capacity: position.borrowing_capacity(),
-                        debt_value: position.total_debt_value(),
-                    });
-                }
-            });
-        }
+        let rescue_band = Wad::from_f64(defi_lending::RESCUE_BAND_HF);
+        let releverage_band = Wad::from_f64(defi_lending::RELEVERAGE_BAND_HF);
+        with_protocol(
+            &mut self.protocols,
+            &self.oracles,
+            platform,
+            |protocol, oracle| {
+                protocol.for_each_at_risk(oracle, rescue_band, releverage_band, &mut |position| {
+                    // The at-risk surface starts at HF 1: liquidatable accounts
+                    // are the liquidation pass's.
+                    let Some(hf) = position.health_factor() else {
+                        return;
+                    };
+                    if hf < rescue_band {
+                        actions.push(Action::Rescue {
+                            owner: position.owner,
+                            debt_value: position.total_debt_value(),
+                            hf,
+                        });
+                    } else if hf > releverage_band {
+                        // Collateral appreciated well beyond the borrower's
+                        // target: many borrowers re-leverage, which is what keeps
+                        // the aggregate book sensitive to price declines
+                        // (Figure 8) throughout the bull market.
+                        actions.push(Action::Releverage {
+                            owner: position.owner,
+                            capacity: position.borrowing_capacity(),
+                            debt_value: position.total_debt_value(),
+                        });
+                    }
+                });
+            },
+        );
         for action in actions {
             match action {
                 Action::Rescue {
@@ -779,22 +802,18 @@ impl SimulationEngine {
         }
         let amount = Wad::from_f64((target_debt - current_debt) / debt_price);
         let gas = self.chain.gas_market_mut().competitive_bid(0.1);
-        let Some(protocol) = self.protocols.get_mut(&platform) else {
-            return;
-        };
-        let chain = &mut self.chain;
-        chain.execute(
+        submit(
+            &mut self.chain,
+            &mut self.protocols,
+            &self.oracles,
+            platform,
             address,
             gas,
             self.config.user_op_gas,
-            "re-leverage",
-            |ctx| {
-                protocol
-                    .borrow(
-                        ctx.ledger, ctx.events, oracle, ctx.block, address, debt_token, amount,
-                    )
-                    .map(|_| ())
-                    .map_err(|e| e.to_string())
+            |protocol, oracle, ctx| {
+                protocol.borrow(
+                    ctx.ledger, ctx.events, oracle, ctx.block, address, debt_token, amount,
+                )
             },
         );
     }
@@ -852,22 +871,18 @@ impl SimulationEngine {
         let debt_price = oracle.price_or_zero(debt_token).to_f64().max(1e-9);
         let amount = Wad::from_f64(repay_usd / debt_price);
         self.chain.fund(address, debt_token, amount);
-        let Some(protocol) = self.protocols.get_mut(&platform) else {
-            return;
-        };
-        let chain = &mut self.chain;
-        chain.execute(
+        submit(
+            &mut self.chain,
+            &mut self.protocols,
+            &self.oracles,
+            platform,
             address,
             gas,
             self.config.user_op_gas,
-            "rescue-repay",
-            |ctx| {
-                protocol
-                    .repay(
-                        ctx.ledger, ctx.events, ctx.block, address, debt_token, amount,
-                    )
-                    .map(|_| ())
-                    .map_err(|e| e.to_string())
+            |protocol, _, ctx| {
+                protocol.repay(
+                    ctx.ledger, ctx.events, ctx.block, address, debt_token, amount,
+                )
             },
         );
     }
@@ -960,13 +975,13 @@ impl SimulationEngine {
             }
             // Stale opportunities re-check HF at execution: the position may
             // have been rescued, repaid or already liquidated since discovery.
-            let position = {
-                let (Some(oracle), Some(protocol)) =
-                    (self.oracles.get(&platform), self.protocols.get(&platform))
-                else {
-                    continue;
-                };
-                protocol.position(oracle, entry.borrower)
+            let Some(position) = with_protocol(
+                &mut self.protocols,
+                &self.oracles,
+                platform,
+                |protocol, oracle| protocol.position(oracle, entry.borrower),
+            ) else {
+                continue;
             };
             let still_liquidatable = position
                 .as_ref()
@@ -1149,22 +1164,15 @@ impl SimulationEngine {
         let hf_before = position.health_factor();
         let feedback = self.scenario.feedback().is_some();
         let events_before = self.chain.events().len();
-        let mut receipt_slot: Option<defi_lending::LiquidationReceipt> = None;
-        let (Some(oracle), Some(protocol)) = (
-            self.oracles.get(&platform),
-            self.protocols.get_mut(&platform),
-        ) else {
-            return false;
-        };
         // Pool reserves are ledger balances, so an in-transaction unwind swap
         // reverts with the transaction's checkpoint like everything else.
         let dex = &self.dex;
         let flash_pool = self.flash_pools.get(&liquidator.flash_loan_pool).copied();
-        let chain = &mut self.chain;
 
         if !use_flash {
             // Inventory-funded liquidation: the bot holds the debt asset.
-            chain.fund(liquidator.address, debt.token, repay_amount);
+            self.chain
+                .fund(liquidator.address, debt.token, repay_amount);
         }
 
         let request = LiquidationRequest::FixedSpread {
@@ -1175,78 +1183,75 @@ impl SimulationEngine {
             repay_amount,
             used_flash_loan: use_flash,
         };
-        let receipt_out = &mut receipt_slot;
-        let outcome = chain.execute(
+        let settled = submit(
+            &mut self.chain,
+            &mut self.protocols,
+            &self.oracles,
+            platform,
             liquidator.address,
             gas_price,
             liquidation_gas,
-            "liquidation",
-            |ctx| {
-                if let (true, Some(pool)) = (use_flash, flash_pool) {
-                    pool.flash_loan(
-                        ctx.ledger,
-                        ctx.events,
-                        oracle,
-                        liquidator.address,
-                        debt.token,
-                        repay_amount,
-                        |ledger, events| {
-                            let execution = protocol
-                                .execute_liquidation(ledger, events, oracle, block, &request)?;
-                            let LiquidationExecution::FixedSpread(receipt) = execution else {
-                                return Err(
-                                    defi_lending::ProtocolError::UnsupportedLiquidationRequest {
-                                        platform,
-                                    },
-                                );
-                            };
-                            // Unwind the seized collateral into the debt asset to
-                            // repay the flash loan.
-                            if collateral.token != debt.token {
-                                dex.swap(
-                                    ledger,
-                                    liquidator.address,
-                                    collateral.token,
-                                    debt.token,
-                                    receipt.collateral_seized,
-                                )
-                                .map_err(|e| defi_lending::ProtocolError::Ledger(e.to_string()))?;
-                            }
-                            *receipt_out = Some(receipt);
-                            Ok(())
-                        },
-                    )
-                    .map_err(|e| e.to_string())
-                } else {
-                    protocol
+            |protocol, oracle, ctx| {
+                let Some(pool) = flash_pool.filter(|_| use_flash) else {
+                    return protocol
                         .execute_liquidation(ctx.ledger, ctx.events, oracle, block, &request)
-                        .map(|execution| {
-                            if let LiquidationExecution::FixedSpread(receipt) = execution {
-                                *receipt_out = Some(receipt);
-                            }
-                        })
-                        .map_err(|e| e.to_string())
-                }
+                        .map(|execution| match execution {
+                            LiquidationExecution::FixedSpread(receipt) => Some(receipt),
+                            _ => None,
+                        });
+                };
+                pool.flash_loan(
+                    ctx.ledger,
+                    ctx.events,
+                    oracle,
+                    liquidator.address,
+                    debt.token,
+                    repay_amount,
+                    |ledger, events| {
+                        let execution = protocol
+                            .execute_liquidation(ledger, events, oracle, block, &request)?;
+                        let LiquidationExecution::FixedSpread(receipt) = execution else {
+                            return Err(
+                                defi_lending::ProtocolError::UnsupportedLiquidationRequest {
+                                    platform,
+                                },
+                            );
+                        };
+                        // Unwind the seized collateral into the debt asset to
+                        // repay the flash loan.
+                        if collateral.token != debt.token {
+                            dex.swap(
+                                ledger,
+                                liquidator.address,
+                                collateral.token,
+                                debt.token,
+                                receipt.collateral_seized,
+                            )
+                            .map_err(|e| defi_lending::ProtocolError::Ledger(e.to_string()))?;
+                        }
+                        Ok(Some(receipt))
+                    },
+                )
             },
         );
-        if outcome.is_success() {
-            if feedback && !use_flash {
-                // Flash-loan unwinds already traded through the DEX inside
-                // the transaction; everything else queues for the spiral pass.
-                if let Some(receipt) = &receipt_slot {
-                    self.pending_sell_pressure
-                        .push((collateral.token, receipt.collateral_seized));
-                }
-            }
-            self.record_liquidation_context(events_before, hf_before);
+        let Some(receipt) = settled else {
+            return false;
+        };
+        // Flash-loan unwinds already traded through the DEX inside the
+        // transaction; everything else queues for the spiral pass.
+        if let Some(receipt) = receipt.filter(|_| feedback && !use_flash) {
+            self.pending_sell_pressure
+                .push((collateral.token, receipt.collateral_seized));
         }
-        outcome.is_success()
+        self.record_liquidation_context(events_before, hf_before);
+        true
     }
 
     // --------------------------------------------------------------- auctions
 
     /// One keeper attempts to start an auction on a liquidatable borrower.
-    /// Returns whether the bite settled on-chain.
+    /// Returns whether the bite settled on-chain; a settled bite files
+    /// `hf_at_bite` under the auction id the protocol hands back.
     fn try_bite(
         &mut self,
         platform: Platform,
@@ -1254,51 +1259,31 @@ impl SimulationEngine {
         borrower: Address,
         hf_at_bite: Option<Wad>,
     ) -> bool {
-        let events_before = self.chain.events().len();
         let gas = self.chain.gas_market_mut().competitive_bid(0.3);
-        let (Some(oracle), Some(protocol)) = (
-            self.oracles.get(&platform),
-            self.protocols.get_mut(&platform),
-        ) else {
-            return false;
-        };
-        let chain = &mut self.chain;
         let request = LiquidationRequest::StartAuction {
             keeper: keeper.address,
             borrower,
         };
-        let outcome = chain.execute(
+        let Some(execution) = submit(
+            &mut self.chain,
+            &mut self.protocols,
+            &self.oracles,
+            platform,
             keeper.address,
             gas,
             self.config.auction_gas,
-            "bite",
-            |ctx| {
-                protocol
-                    .execute_liquidation(ctx.ledger, ctx.events, oracle, ctx.block, &request)
-                    .map(|_| ())
-                    .map_err(|e| e.to_string())
+            |protocol, oracle, ctx| {
+                protocol.execute_liquidation(ctx.ledger, ctx.events, oracle, ctx.block, &request)
             },
-        );
-        if outcome.is_success() {
-            if let Some(hf) = hf_at_bite {
-                let started: Vec<u64> = self
-                    .chain
-                    .events()
-                    .as_slice()
-                    .get(events_before..)
-                    .unwrap_or(&[])
-                    .iter()
-                    .filter_map(|logged| match logged.event {
-                        ChainEvent::AuctionStarted { auction_id, .. } => Some(auction_id),
-                        _ => None,
-                    })
-                    .collect();
-                for auction_id in started {
-                    self.auction_bite_hf.insert(auction_id, hf);
-                }
-            }
+        ) else {
+            return false;
+        };
+        if let (LiquidationExecution::AuctionStarted(auction_id), Some(hf)) =
+            (execution, hf_at_bite)
+        {
+            self.auction_bite_hf.insert(auction_id, hf);
         }
-        outcome.is_success()
+        true
     }
 
     /// Process the keeper latency queue of an auction platform: expired or
@@ -1320,15 +1305,17 @@ impl SimulationEngine {
                 }
                 continue;
             }
-            let hf_at_bite = {
-                let (Some(oracle), Some(protocol)) =
-                    (self.oracles.get(&platform), self.protocols.get(&platform))
-                else {
-                    continue;
-                };
-                protocol
-                    .position(oracle, entry.borrower)
-                    .and_then(|p| p.health_factor())
+            let Some(hf_at_bite) = with_protocol(
+                &mut self.protocols,
+                &self.oracles,
+                platform,
+                |protocol, oracle| {
+                    protocol
+                        .position(oracle, entry.borrower)
+                        .and_then(|p| p.health_factor())
+                },
+            ) else {
+                continue;
             };
             if hf_at_bite.is_none_or(|hf| hf >= Wad::ONE) {
                 if let Some(behavior) = self.behavior.as_mut() {
@@ -1375,15 +1362,12 @@ impl SimulationEngine {
         // 1. Start auctions on liquidatable positions — a critical-price
         // range scan on the cached book, not a full CDP rebuild.
         let mut opportunities = std::mem::take(&mut self.opportunity_scratch);
-        {
-            let (Some(oracle), Some(protocol)) = (
-                self.oracles.get(&platform),
-                self.protocols.get_mut(&platform),
-            ) else {
-                return;
-            };
-            protocol.liquidatable_into(oracle, &mut opportunities);
-        }
+        with_protocol(
+            &mut self.protocols,
+            &self.oracles,
+            platform,
+            |protocol, oracle| protocol.liquidatable_into(oracle, &mut opportunities),
+        );
         if let Some(behavior) = self.behavior.as_mut() {
             // Behavioural layer: bites wait out keeper latency like
             // fixed-spread liquidations wait out liquidator latency.
@@ -1442,48 +1426,40 @@ impl SimulationEngine {
                     };
                     let feedback = self.scenario.feedback().is_some();
                     let events_before = self.chain.events().len();
-                    let mut settled: Option<defi_lending::AuctionOutcome> = None;
                     let gas = self.chain.gas_market_mut().competitive_bid(0.1);
-                    let (Some(oracle), Some(protocol)) = (
-                        self.oracles.get(&platform),
-                        self.protocols.get_mut(&platform),
-                    ) else {
-                        continue;
-                    };
-                    let chain = &mut self.chain;
                     let request = LiquidationRequest::SettleAuction {
                         caller: finalizer,
                         auction_id,
                     };
-                    let settled_out = &mut settled;
-                    let outcome =
-                        chain.execute(finalizer, gas, self.config.auction_gas, "deal", |ctx| {
+                    let settled = submit(
+                        &mut self.chain,
+                        &mut self.protocols,
+                        &self.oracles,
+                        platform,
+                        finalizer,
+                        gas,
+                        self.config.auction_gas,
+                        |protocol, oracle, ctx| {
                             protocol
                                 .execute_liquidation(
                                     ctx.ledger, ctx.events, oracle, ctx.block, &request,
                                 )
-                                .map(|execution| {
-                                    if let LiquidationExecution::AuctionSettled(result) = execution
-                                    {
-                                        *settled_out = Some(result);
-                                    }
+                                .map(|execution| match execution {
+                                    LiquidationExecution::AuctionSettled(result) => Some(result),
+                                    _ => None,
                                 })
-                                .map_err(|e| e.to_string())
-                        });
-                    if outcome.is_success() {
-                        if feedback {
-                            if let Some(result) = &settled {
-                                if result.winner.is_some() && !result.collateral_received.is_zero()
-                                {
-                                    self.pending_sell_pressure.push((
-                                        snapshot.collateral_token,
-                                        result.collateral_received,
-                                    ));
-                                }
-                            }
-                        }
-                        self.record_liquidation_context(events_before, None);
+                        },
+                    );
+                    let Some(result) = settled else {
+                        continue;
+                    };
+                    if let Some(result) = result.filter(|r| {
+                        feedback && r.winner.is_some() && !r.collateral_received.is_zero()
+                    }) {
+                        self.pending_sell_pressure
+                            .push((snapshot.collateral_token, result.collateral_received));
                     }
+                    self.record_liquidation_context(events_before, None);
                 }
                 continue;
             }
@@ -1624,30 +1600,22 @@ impl SimulationEngine {
         let escrow = debt_bid.max(auction.debt);
         self.chain.fund(keeper.address, Token::DAI, escrow);
         let gas = self.chain.gas_market_mut().competitive_bid(0.2);
-        let (Some(oracle), Some(protocol)) = (
-            self.oracles.get(&platform),
-            self.protocols.get_mut(&platform),
-        ) else {
-            return;
-        };
-        let chain = &mut self.chain;
-        let address = keeper.address;
         let request = LiquidationRequest::AuctionBid {
-            bidder: address,
+            bidder: keeper.address,
             auction_id: auction.id,
             debt_bid,
             collateral_bid,
         };
-        chain.execute(
-            address,
+        submit(
+            &mut self.chain,
+            &mut self.protocols,
+            &self.oracles,
+            platform,
+            keeper.address,
             gas,
             self.config.auction_gas,
-            "auction-bid",
-            |ctx| {
-                protocol
-                    .execute_liquidation(ctx.ledger, ctx.events, oracle, ctx.block, &request)
-                    .map(|_| ())
-                    .map_err(|e| e.to_string())
+            |protocol, oracle, ctx| {
+                protocol.execute_liquidation(ctx.ledger, ctx.events, oracle, ctx.block, &request)
             },
         );
     }
@@ -1697,16 +1665,17 @@ impl SimulationEngine {
             if !panics {
                 continue;
             }
-            let debt_value = {
-                let (Some(oracle), Some(protocol)) =
-                    (self.oracles.get(&platform), self.protocols.get(&platform))
-                else {
-                    continue;
-                };
-                match protocol.position(oracle, address) {
-                    Some(position) => position.total_debt_value(),
-                    None => continue,
-                }
+            let Some(Some(debt_value)) = with_protocol(
+                &mut self.protocols,
+                &self.oracles,
+                platform,
+                |protocol, oracle| {
+                    protocol
+                        .position(oracle, address)
+                        .map(|position| position.total_debt_value())
+                },
+            ) else {
+                continue;
             };
             if debt_value.is_zero() {
                 continue;
@@ -1757,25 +1726,21 @@ impl SimulationEngine {
         // Panicking borrowers bid hot — they want out *now*.
         let gas = self.chain.gas_market_mut().competitive_bid(0.3);
         self.chain.fund(address, debt_token, amount);
-        let Some(protocol) = self.protocols.get_mut(&platform) else {
-            return;
-        };
-        let chain = &mut self.chain;
-        let outcome = chain.execute(
+        let settled = submit(
+            &mut self.chain,
+            &mut self.protocols,
+            &self.oracles,
+            platform,
             address,
             gas,
             self.config.user_op_gas,
-            "panic-repay",
-            |ctx| {
-                protocol
-                    .repay(
-                        ctx.ledger, ctx.events, ctx.block, address, debt_token, amount,
-                    )
-                    .map(|_| ())
-                    .map_err(|e| e.to_string())
+            |protocol, _, ctx| {
+                protocol.repay(
+                    ctx.ledger, ctx.events, ctx.block, address, debt_token, amount,
+                )
             },
         );
-        if outcome.is_success() {
+        if settled.is_some() {
             if let Some(token) = primary_collateral {
                 let sell_amount = Wad::from_f64(repay_usd / collateral_price);
                 self.pending_sell_pressure.push((token, sell_amount));
@@ -1824,48 +1789,27 @@ impl SimulationEngine {
         }
     }
 
-    /// Quote, then execute, one sell-pressure lot. Any failure — no route, or
-    /// a swap error after a successful quote — leaves the ledger exactly as
-    /// it was and surfaces as an `Err` for the skip accounting.
+    /// Sell one pressure lot under a ledger checkpoint and return the
+    /// route's price impact. The sold lot is minted to the spiral trader, and
+    /// if the swap fails — no route, or a multi-hop route that dies after its
+    /// first hop executed — the checkpoint revert unwinds both the mint and
+    /// any partial hop, so total supply is conserved on every path.
     fn settle_pressure_sale(
         &mut self,
         token: Token,
         target: Token,
         amount: Wad,
-    ) -> Result<f64, String> {
-        let quote = self
-            .dex
-            .quote(self.chain.ledger(), token, target, amount)
-            .map_err(|e| e.to_string())?;
-        self.execute_pressure_sale(token, target, amount)?;
-        Ok(quote.price_impact)
-    }
-
-    /// Execute one pressure sale under a ledger checkpoint: the sold lot is
-    /// minted to the spiral trader, and if the swap fails — including a
-    /// multi-hop route that dies after its first hop executed — the
-    /// checkpoint revert unwinds both the mint and any partial hop, so total
-    /// supply is conserved on every path.
-    fn execute_pressure_sale(
-        &mut self,
-        token: Token,
-        target: Token,
-        amount: Wad,
-    ) -> Result<(), String> {
+    ) -> Result<f64, AmmError> {
         let trader = self.spiral_trader;
         let ledger = self.chain.ledger_mut();
         ledger.begin_checkpoint();
         ledger.mint(trader, token, amount);
-        match self.dex.swap(ledger, trader, token, target, amount) {
-            Ok(_) => {
-                ledger.commit_checkpoint();
-                Ok(())
-            }
-            Err(error) => {
-                ledger.revert_checkpoint();
-                Err(error.to_string())
-            }
+        let sale = self.dex.swap(ledger, trader, token, target, amount);
+        match sale {
+            Ok(_) => ledger.commit_checkpoint(),
+            Err(_) => ledger.revert_checkpoint(),
         }
+        sale.map(|(_, price_impact)| price_impact)
     }
 
     /// Accumulate a lot the feedback pass could not route (no-silent-caps:
@@ -2037,7 +1981,7 @@ mod tests {
             .map(|token| engine.chain.ledger().total_supply(*token))
             .collect();
 
-        let result = engine.execute_pressure_sale(Token::WBTC, Token::MKR, Wad::from_f64(2.0));
+        let result = engine.settle_pressure_sale(Token::WBTC, Token::MKR, Wad::from_f64(2.0));
         assert!(result.is_err(), "no ETH/MKR pool: the swap must fail");
 
         for (token, before) in [Token::WBTC, Token::ETH, Token::MKR]
@@ -2054,6 +1998,26 @@ mod tests {
                 "{token}: spiral trader kept a residual balance"
             );
         }
+    }
+
+    #[test]
+    fn overlapping_irregularities_resolve_to_the_latest() {
+        // Two active irregularities on one (platform, token): the oracle reads
+        // the one scheduled last, as the old per-tick map's overwrite did.
+        let mut engine = SimulationEngine::new(SimConfig::smoke_test(23));
+        engine.seed_initial_prices();
+        let (platform, token) = (Platform::AaveV1, Token::ETH);
+        for multiplier in [1.1, 1.3] {
+            engine
+                .irregularities
+                .push((platform, token, multiplier, BlockNumber::MAX));
+        }
+        engine.update_prices(engine.config.start_block + engine.config.tick_blocks);
+        let market = engine.market_oracle.price_or_zero(token).to_f64();
+        assert_eq!(
+            engine.oracles[&platform].price_or_zero(token),
+            Wad::from_f64(market * 1.3)
+        );
     }
 
     #[test]

@@ -121,26 +121,6 @@ impl ScenarioEntry {
             }
         }
     }
-
-    /// Build the market scenario for this single entry, applying the entry's
-    /// configuration adjustments to `config` in place — exactly once: a
-    /// config whose adjustments were already materialised
-    /// (`scenario_applied`) only has its market rebuilt, so non-idempotent
-    /// tweaks like gas multipliers cannot compound when a built config flows
-    /// through the builder again.
-    pub fn build(&self, config: &mut SimConfig) -> MarketScenario {
-        config.scenario = Some(self.name.clone());
-        if config.scenario_applied {
-            // Market only: run the delta on a scratch copy and discard the
-            // re-applied adjustments (the market depends only on the seed).
-            let mut scratch = config.clone();
-            let base = MarketScenario::paper_two_year(scenario_seed(&scratch));
-            return self.apply_delta(&mut scratch, base);
-        }
-        config.scenario_applied = true;
-        let base = MarketScenario::paper_two_year(scenario_seed(config));
-        self.apply_delta(config, base)
-    }
 }
 
 impl core::fmt::Debug for ScenarioEntry {
@@ -249,8 +229,11 @@ impl ScenarioCatalog {
     /// Build a named (possibly composed) scenario, applying every component's
     /// config adjustments in place left-to-right over one shared base market.
     /// `None` for an unknown name. The canonical composed name is recorded in
-    /// `config.scenario`, and — as with single entries — adjustments apply
-    /// exactly once per config.
+    /// `config.scenario`, and adjustments apply exactly once per config: a
+    /// config whose adjustments were already materialised
+    /// (`scenario_applied`) only has its market rebuilt, so non-idempotent
+    /// tweaks like gas multipliers cannot compound when a built config flows
+    /// through the builder again.
     pub fn build(&self, name: &str, config: &mut SimConfig) -> Option<MarketScenario> {
         let entries = self.resolve(name)?;
         let canonical = entries

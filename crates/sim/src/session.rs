@@ -171,9 +171,12 @@ impl Session {
         platform: Platform,
         f: impl FnOnce(&mut dyn LendingProtocol, &PriceOracle) -> R,
     ) -> Option<R> {
-        let oracle = self.engine.oracles.get(&platform)?;
-        let protocol = self.engine.protocols.get_mut(&platform)?;
-        Some(f(protocol.as_mut(), oracle))
+        crate::engine::with_protocol(
+            &mut self.engine.protocols,
+            &self.engine.oracles,
+            platform,
+            f,
+        )
     }
 
     /// Seed prices and genesis liquidity, dispatching `on_run_start` and the

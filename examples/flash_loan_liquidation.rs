@@ -52,7 +52,7 @@ fn main() {
     let borrower = Address::from_seed(2);
     chain.fund(lender, Token::USDC, Wad::from_int(2_000_000));
     chain.fund(borrower, Token::ETH, Wad::from_int(300));
-    chain.execute(lender, 20, 250_000, "seed pool", |ctx| {
+    chain.execute(lender, 20, 250_000, |ctx| {
         pool.deposit(
             ctx.ledger,
             ctx.events,
@@ -60,17 +60,15 @@ fn main() {
             Token::USDC,
             Wad::from_int(2_000_000),
         )
-        .map_err(|e| e.to_string())
     });
-    chain.execute(borrower, 25, 250_000, "open position", |ctx| {
+    chain.execute(borrower, 25, 250_000, |ctx| {
         pool.deposit(
             ctx.ledger,
             ctx.events,
             borrower,
             Token::ETH,
             Wad::from_int(300),
-        )
-        .map_err(|e| e.to_string())?;
+        )?;
         pool.borrow(
             ctx.ledger,
             ctx.events,
@@ -80,7 +78,6 @@ fn main() {
             Token::USDC,
             Wad::from_int(800_000),
         )
-        .map_err(|e| e.to_string())
     });
 
     // The flash-loan pool and a deep ETH/USDC DEX pool.
@@ -112,51 +109,47 @@ fn main() {
     let liquidator = Address::from_seed(3);
     let repay = Wad::from_int(400_000); // 50% of the debt
     let block = chain.current_block();
-    let outcome = chain.execute(liquidator, 150, 900_000, "flash-loan liquidation", |ctx| {
-        flash_pool
-            .flash_loan(
-                ctx.ledger,
-                ctx.events,
-                &oracle,
-                liquidator,
-                Token::USDC,
-                repay,
-                |ledger, events| {
-                    let receipt = pool.liquidation_call(
+    let outcome = chain.execute(liquidator, 150, 900_000, |ctx| {
+        flash_pool.flash_loan(
+            ctx.ledger,
+            ctx.events,
+            &oracle,
+            liquidator,
+            Token::USDC,
+            repay,
+            |ledger, events| {
+                let receipt = pool.liquidation_call(
+                    ledger,
+                    events,
+                    &oracle,
+                    block,
+                    liquidator,
+                    borrower,
+                    Token::USDC,
+                    Token::ETH,
+                    repay,
+                    true,
+                )?;
+                println!(
+                    "  repaid {} USDC, seized {} ETH ({} USD)",
+                    receipt.debt_repaid, receipt.collateral_seized, receipt.collateral_seized_usd
+                );
+                // Swap the seized ETH back into USDC to repay the flash loan.
+                let (proceeds, _) = dex
+                    .swap(
                         ledger,
-                        events,
-                        &oracle,
-                        block,
                         liquidator,
-                        borrower,
-                        Token::USDC,
                         Token::ETH,
-                        repay,
-                        true,
-                    )?;
-                    println!(
-                        "  repaid {} USDC, seized {} ETH ({} USD)",
-                        receipt.debt_repaid,
+                        Token::USDC,
                         receipt.collateral_seized,
-                        receipt.collateral_seized_usd
-                    );
-                    // Swap the seized ETH back into USDC to repay the flash loan.
-                    let proceeds = dex
-                        .swap(
-                            ledger,
-                            liquidator,
-                            Token::ETH,
-                            Token::USDC,
-                            receipt.collateral_seized,
-                        )
-                        .map_err(|e| {
-                            defi_liquidations_suite::lending::ProtocolError::Ledger(e.to_string())
-                        })?;
-                    println!("  swapped the collateral for {} USDC on the DEX", proceeds);
-                    Ok(())
-                },
-            )
-            .map_err(|e| e.to_string())
+                    )
+                    .map_err(|e| {
+                        defi_liquidations_suite::lending::ProtocolError::Ledger(e.to_string())
+                    })?;
+                println!("  swapped the collateral for {} USDC on the DEX", proceeds);
+                Ok(())
+            },
+        )
     });
 
     assert!(
@@ -170,11 +163,11 @@ fn main() {
     );
     println!(
         "events emitted in the transaction: {:?}",
-        outcome
-            .receipt
-            .events
+        chain
+            .events()
             .iter()
-            .map(|e| e.kind())
+            .filter(|logged| logged.tx_hash == outcome.receipt.hash)
+            .map(|logged| logged.event.kind())
             .collect::<Vec<_>>()
     );
     assert!(!profit.is_zero());

@@ -48,7 +48,7 @@ fn main() {
     // A lender seeds USDC liquidity.
     let lender = Address::from_seed(1);
     chain.fund(lender, Token::USDC, Wad::from_int(1_000_000));
-    chain.execute(lender, 20, 250_000, "lender deposit", |ctx| {
+    chain.execute(lender, 20, 250_000, |ctx| {
         pool.deposit(
             ctx.ledger,
             ctx.events,
@@ -56,21 +56,19 @@ fn main() {
             Token::USDC,
             Wad::from_int(1_000_000),
         )
-        .map_err(|e| e.to_string())
     });
 
     // --- The borrower opens the paper's position ----------------------------
     let borrower = Address::from_seed(2);
     chain.fund(borrower, Token::ETH, Wad::from_int(3));
-    chain.execute(borrower, 25, 250_000, "open position", |ctx| {
+    chain.execute(borrower, 25, 250_000, |ctx| {
         pool.deposit(
             ctx.ledger,
             ctx.events,
             borrower,
             Token::ETH,
             Wad::from_int(3),
-        )
-        .map_err(|e| e.to_string())?;
+        )?;
         pool.borrow(
             ctx.ledger,
             ctx.events,
@@ -80,7 +78,6 @@ fn main() {
             Token::USDC,
             Wad::from_int(8_400),
         )
-        .map_err(|e| e.to_string())
     });
 
     let position = pool.position(&oracle, borrower).expect("position exists");
@@ -104,27 +101,21 @@ fn main() {
     // --- A liquidator repays 50 % of the debt at the fixed spread -----------
     let liquidator = Address::from_seed(3);
     chain.fund(liquidator, Token::USDC, Wad::from_int(4_200));
-    let mut receipt = None;
-    let outcome = chain.execute(liquidator, 120, 500_000, "liquidation call", |ctx| {
-        let r = pool
-            .liquidation_call(
-                ctx.ledger,
-                ctx.events,
-                &oracle,
-                ctx.block,
-                liquidator,
-                borrower,
-                Token::USDC,
-                Token::ETH,
-                Wad::from_int(4_200),
-                false,
-            )
-            .map_err(|e| e.to_string())?;
-        receipt = Some(r);
-        Ok(())
+    let outcome = chain.execute(liquidator, 120, 500_000, |ctx| {
+        pool.liquidation_call(
+            ctx.ledger,
+            ctx.events,
+            &oracle,
+            ctx.block,
+            liquidator,
+            borrower,
+            Token::USDC,
+            Token::ETH,
+            Wad::from_int(4_200),
+            false,
+        )
     });
-    assert!(outcome.is_success());
-    let receipt = receipt.expect("liquidation executed");
+    let receipt = outcome.result.expect("liquidation executed");
 
     println!("\nliquidation settled in tx {}", outcome.receipt.hash);
     println!("debt repaid:         {} USD", receipt.debt_repaid_usd);

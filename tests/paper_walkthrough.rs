@@ -70,7 +70,7 @@ fn protocol_execution_matches_core_math() {
     chain.fund(liquidator, Token::USDC, Wad::from_int(10_000));
 
     assert!(chain
-        .execute(lender, 20, 250_000, "seed", |ctx| {
+        .execute(lender, 20, 250_000, |ctx| {
             pool.deposit(
                 ctx.ledger,
                 ctx.events,
@@ -78,19 +78,17 @@ fn protocol_execution_matches_core_math() {
                 Token::USDC,
                 Wad::from_int(100_000),
             )
-            .map_err(|e| e.to_string())
         })
         .is_success());
     assert!(chain
-        .execute(borrower, 20, 250_000, "open", |ctx| {
+        .execute(borrower, 20, 250_000, |ctx| {
             pool.deposit(
                 ctx.ledger,
                 ctx.events,
                 borrower,
                 Token::ETH,
                 Wad::from_int(3),
-            )
-            .map_err(|e| e.to_string())?;
+            )?;
             pool.borrow(
                 ctx.ledger,
                 ctx.events,
@@ -100,7 +98,6 @@ fn protocol_execution_matches_core_math() {
                 Token::USDC,
                 Wad::from_int(8_400),
             )
-            .map_err(|e| e.to_string())
         })
         .is_success());
 
@@ -116,27 +113,21 @@ fn protocol_execution_matches_core_math() {
     )
     .unwrap();
 
-    let mut receipt = None;
-    let outcome = chain.execute(liquidator, 100, 500_000, "liquidation", |ctx| {
-        receipt = Some(
-            pool.liquidation_call(
-                ctx.ledger,
-                ctx.events,
-                &oracle,
-                ctx.block,
-                liquidator,
-                borrower,
-                Token::USDC,
-                Token::ETH,
-                Wad::from_int(4_200),
-                false,
-            )
-            .map_err(|e| e.to_string())?,
-        );
-        Ok(())
+    let outcome = chain.execute(liquidator, 100, 500_000, |ctx| {
+        pool.liquidation_call(
+            ctx.ledger,
+            ctx.events,
+            &oracle,
+            ctx.block,
+            liquidator,
+            borrower,
+            Token::USDC,
+            Token::ETH,
+            Wad::from_int(4_200),
+            false,
+        )
     });
-    assert!(outcome.is_success());
-    let receipt = receipt.unwrap();
+    let receipt = outcome.result.unwrap();
 
     // The executed profit matches the closed form to within fixed-point dust.
     let diff = receipt
@@ -193,7 +184,7 @@ fn failed_liquidation_reverts_atomically() {
     chain.fund(lender, Token::USDC, Wad::from_int(50_000));
     chain.fund(borrower, Token::ETH, Wad::from_int(3));
     chain.fund(liquidator, Token::USDC, Wad::from_int(5_000));
-    chain.execute(lender, 20, 250_000, "seed", |ctx| {
+    chain.execute(lender, 20, 250_000, |ctx| {
         pool.deposit(
             ctx.ledger,
             ctx.events,
@@ -201,17 +192,15 @@ fn failed_liquidation_reverts_atomically() {
             Token::USDC,
             Wad::from_int(50_000),
         )
-        .map_err(|e| e.to_string())
     });
-    chain.execute(borrower, 20, 250_000, "open", |ctx| {
+    chain.execute(borrower, 20, 250_000, |ctx| {
         pool.deposit(
             ctx.ledger,
             ctx.events,
             borrower,
             Token::ETH,
             Wad::from_int(3),
-        )
-        .map_err(|e| e.to_string())?;
+        )?;
         pool.borrow(
             ctx.ledger,
             ctx.events,
@@ -221,12 +210,11 @@ fn failed_liquidation_reverts_atomically() {
             Token::USDC,
             Wad::from_int(5_000),
         )
-        .map_err(|e| e.to_string())
     });
     let events_before = chain.events().len();
     let liquidator_balance_before = chain.ledger().balance(liquidator, Token::USDC);
 
-    let outcome = chain.execute(liquidator, 100, 500_000, "bad liquidation", |ctx| {
+    let outcome = chain.execute(liquidator, 100, 500_000, |ctx| {
         pool.liquidation_call(
             ctx.ledger,
             ctx.events,
@@ -239,8 +227,6 @@ fn failed_liquidation_reverts_atomically() {
             Wad::from_int(2_500),
             false,
         )
-        .map(|_| ())
-        .map_err(|e| e.to_string())
     });
 
     assert!(!outcome.is_success());

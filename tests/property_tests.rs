@@ -344,7 +344,7 @@ proptest! {
         ledger.mint(trader, Token::ETH, Wad::from_int(trade));
         let (a0, b0) = pool.reserves(&ledger);
         let k0 = a0.to_f64() * b0.to_f64();
-        let out = pool
+        let (out, _) = pool
             .swap(&mut ledger, trader, Token::ETH, Wad::from_int(trade))
             .unwrap();
         let (a1, b1) = pool.reserves(&ledger);
