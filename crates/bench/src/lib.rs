@@ -8,6 +8,9 @@
 //! package; the book-scale regression guards are
 //! `crates/lending/tests/book_scale.rs`.
 //!
+//! The **`abba` binary** compares two perfbench builds in ABBA order (see
+//! [`abba`]).
+//!
 //! [`artefacts`] is the one list of the study's artefacts (CLI names,
 //! renderer, JSON encoder) that `repro` and the tests share.
 //!
@@ -18,6 +21,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod abba;
 pub mod artefacts;
 pub mod case_study;
 pub mod json;

@@ -149,11 +149,6 @@ impl Blockchain {
         }
     }
 
-    /// The chain configuration.
-    pub fn config(&self) -> &ChainConfig {
-        &self.config
-    }
-
     /// Current block height.
     pub fn current_block(&self) -> BlockNumber {
         self.current_block

@@ -254,6 +254,20 @@ const MIN_ENVELOPE_SLACK: f64 = 1e-6;
 /// rides the exact path.
 const ENVELOPE_VALUE_FLOOR: u128 = 1_000_000_000_000;
 
+/// Share of each side's slack that a stablecoin price takes. Any share in
+/// `(0, 1]` keeps [`derive_hf_envelope`] sound, because the weight that
+/// sizes the value-weighted share also sizes the token's own bound; the
+/// constant only moves envelope width between factors. Stablecoins trade
+/// pegged near $1 (§4.5.2), so a quarter of the slack rarely binds, and
+/// the volatile collateral they are borrowed against keeps the rest.
+const STABLE_SLACK_SHARE: f64 = 0.25;
+
+/// Share of the floor-side slack that each borrow index takes. Sound for
+/// any share in `(0, 1]` for the same reason as [`STABLE_SLACK_SHARE`]. An
+/// index grows only by accrued interest, a small fraction of a percent
+/// between derivations, so a sixteenth of the slack rarely binds.
+const INDEX_SLACK_SHARE: f64 = 0.0625;
+
 /// Derive a conservative health-factor band envelope for a fixed-spread
 /// position, from the same quantities
 /// [`fill_position`](crate::BookSource::fill_position) computed
@@ -262,25 +276,37 @@ const ENVELOPE_VALUE_FLOOR: u128 = 1_000_000_000_000;
 /// `(floor, ceiling)`.
 ///
 /// The argument is monotone interval arithmetic on Eq. 4, applied once per
-/// direction. Writing `B = Σ cᵢ·pᵢ·LTᵢ` (borrowing capacity) and
+/// direction. Write `B = Σ cᵢ·pᵢ·LTᵢ` (borrowing capacity) and
 /// `D = Σ dⱼ·Iⱼ/I⁰ⱼ·pⱼ` (debt value, with each borrow index only ever
-/// growing), the derivation sizes two relative slacks, each against the one
-/// band edge its moves push toward:
+/// growing). Each factor takes a fixed share of the slack: a price takes
+/// weight `w = 1`, or `STABLE_SLACK_SHARE` for a stablecoin, and each
+/// borrow index takes `k` = `INDEX_SLACK_SHARE`. The value-weighted
+/// shares `ω_B = Σ cᵢ·pᵢ·LTᵢ·wᵢ / B` and `ω_D = Σ dⱼ·pⱼ·wⱼ / D` (rounded
+/// up and clamped to 1: a larger share only narrows the envelope) then
+/// bound how far each side can move. The derivation sizes two relative
+/// slacks, each against the one band edge its moves push toward:
 ///
-/// * `x` bounds every move *toward the floor* — collateral prices down by
-///   `x`, debt prices up by `x`, each borrow index up to `I·(1+x)` — so
-///   `HF' ≥ HF · (1−x)/((1+x)·(1+x))`, and it suffices that
-///   `(1+x)²/(1−x) ≤ HF/floor · (1−g)`;
+/// * `x` bounds every move *toward the floor* — collateral price `i` down
+///   by `x·wᵢ`, debt price `j` up by `x·wⱼ`, each borrow index up to
+///   `I·(1+x·k)` — so `B' ≥ B·(1−x·ω_B)` and `D' ≤ D·(1+x·ω_D)·(1+x·k)`,
+///   and it suffices that `(1+x·ω_D)(1+x·k)/(1−x·ω_B) ≤ HF/floor · (1−g)`;
 /// * `y` bounds every move *toward the ceiling* — collateral prices up by
-///   `y`, debt prices down by `y` (the index never falls) — so
-///   `HF' ≤ HF · (1+y)/(1−y)`, and it suffices that
-///   `(1+y)/(1−y) ≤ ceiling/HF · (1−g)`
+///   `y·wᵢ`, debt prices down by `y·wⱼ` (the index never falls) — so
+///   `HF' ≤ HF · (1+y·ω_B)/(1−y·ω_D)`, and it suffices that
+///   `(1+y·ω_B)/(1−y·ω_D) ≤ ceiling/HF · (1−g)`
 ///
-/// (guard `g` = `ENVELOPE_GUARD`). Collateral bounds are therefore
-/// `[p−⌊p·x⌋, p+⌊p·y⌋]`, debt bounds `[p−⌊p·y⌋, p+⌊p·x⌋]`, and a token held
-/// on both sides takes the intersection of its two bounds, which keeps
-/// each side's moves within its own slack. A knife-edge account just above
-/// its floor thus keeps a wide bound in the direction its floor never
+/// (guard `g` = `ENVELOPE_GUARD`). With `w ≡ 1` and `k = 1` both reduce to
+/// the uniform worst case `(1+x)²/(1−x)` and `(1+y)/(1−y)`. The weights
+/// move the floor budget onto the volatile collateral, the factor that
+/// actually pushes a position toward liquidation (Perez et al.,
+/// *Liquidations: DeFi on a Knife-edge*), without weakening the proof:
+/// every weight that sizes a share also sizes that token's bound.
+///
+/// Collateral bounds are therefore `[p−⌊p·x·w⌋, p+⌊p·y·w⌋]`, debt bounds
+/// `[p−⌊p·y·w⌋, p+⌊p·x·w⌋]`, and a token held on both sides takes the
+/// intersection of its two bounds, which keeps each side's moves within
+/// its own slack. Each index cap is `I+⌊I·x·k⌋`. A knife-edge account just
+/// above its floor thus keeps a wide bound in the direction its floor never
 /// limits. Each slack is found by halving from 25 % and then refined upward
 /// by a six-step binary search (the inequalities are monotone, so every
 /// probe that passes is certified by the same proof), and the integer
@@ -338,29 +364,53 @@ pub fn derive_hf_envelope(
         Some(f) if !f.is_zero() => (hf / f.to_f64()) * (1.0 - ENVELOPE_GUARD),
         _ => f64::INFINITY,
     };
+    let weight = |token: Token| {
+        if token.is_stablecoin() {
+            STABLE_SLACK_SHARE
+        } else {
+            1.0
+        }
+    };
+    // Rounded up and clamped to 1: a larger share only narrows the envelope.
+    let share = |weighted: f64, total: f64| (weighted / total * (1.0 + 1e-12)).min(1.0);
+    let (mut capacity_weighted, mut capacity_total) = (0.0, 0.0);
+    for c in &position.collateral {
+        let value = c.value_usd.to_f64() * c.liquidation_threshold.to_f64();
+        capacity_weighted += value * weight(c.token);
+        capacity_total += value;
+    }
+    let (mut debt_weighted, mut debt_total) = (0.0, 0.0);
+    for d in &position.debt {
+        let value = d.value_usd.to_f64();
+        debt_weighted += value * weight(d.token);
+        debt_total += value;
+    }
+    let omega_b = share(capacity_weighted, capacity_total);
+    let omega_d = share(debt_weighted, debt_total);
     let Some(to_floor) = largest_certified_slack(|x| {
-        !margin_down.is_finite() || (1.0 + x) * (1.0 + x) / (1.0 - x) <= margin_down
+        !margin_down.is_finite()
+            || (1.0 + x * omega_d) * (1.0 + x * INDEX_SLACK_SHARE) / (1.0 - x * omega_b)
+                <= margin_down
     }) else {
         return false;
     };
-    let Some(to_ceiling) =
-        largest_certified_slack(|y| !margin_up.is_finite() || (1.0 + y) / (1.0 - y) <= margin_up)
-    else {
+    let Some(to_ceiling) = largest_certified_slack(|y| {
+        !margin_up.is_finite() || (1.0 + y * omega_b) / (1.0 - y * omega_d) <= margin_up
+    }) else {
         return false;
     };
     // Shave the raw slacks below the f64 values the inequalities were
     // verified with, so representation rounding cannot widen the envelope.
-    let to_floor_raw = Wad::from_f64(to_floor * (1.0 - 1e-12)).raw();
-    let to_ceiling_raw = Wad::from_f64(to_ceiling * (1.0 - 1e-12)).raw();
+    let slack_raw = |slack: f64, share: f64| Wad::from_f64(slack * share * (1.0 - 1e-12)).raw();
 
-    let collateral = position
-        .collateral
-        .iter()
-        .map(|c| (c.token, to_floor_raw, to_ceiling_raw));
-    let debts = position
-        .debt
-        .iter()
-        .map(|d| (d.token, to_ceiling_raw, to_floor_raw));
+    let collateral = position.collateral.iter().map(|c| {
+        let w = weight(c.token);
+        (c.token, slack_raw(to_floor, w), slack_raw(to_ceiling, w))
+    });
+    let debts = position.debt.iter().map(|d| {
+        let w = weight(d.token);
+        (d.token, slack_raw(to_ceiling, w), slack_raw(to_floor, w))
+    });
     for (token, down_raw, up_raw) in collateral.chain(debts) {
         let price = oracle.price_or_zero(token).raw();
         let lo = price - mul_div_floor(price, down_raw, WAD).unwrap_or(0);
@@ -375,6 +425,7 @@ pub fn derive_hf_envelope(
             None => out.price_bounds.push((token, lo, hi)),
         }
     }
+    let index_raw = slack_raw(to_floor, INDEX_SLACK_SHARE);
     for d in &position.debt {
         let cap = if floor.is_none() {
             // Accrual only grows the debt, which cannot cross an open lower
@@ -386,7 +437,7 @@ pub fn derive_hf_envelope(
                 return false;
             };
             let index = market.index.index.raw();
-            index.saturating_add(mul_div_floor(index, to_floor_raw, WAD).unwrap_or(0))
+            index.saturating_add(mul_div_floor(index, index_raw, WAD).unwrap_or(0))
         };
         if out.index_caps.iter().any(|(t, _)| *t == d.token) {
             continue;

@@ -190,6 +190,10 @@ pub struct SimulationEngine {
     /// every engine build).
     covering: FxHashMap<Platform, CoveringLiquidators>,
     keepers: Vec<KeeperAgent>,
+    /// `keepers` as indexes ranked by `(latency_ticks, address)`, the order
+    /// delayed bites try them in; built on the first due bite for the same
+    /// reason as `covering`.
+    keepers_by_latency: Option<Vec<usize>>,
     borrower_counter: FxHashMap<Platform, u64>,
     /// Active platform-specific oracle irregularities:
     /// (platform, token, multiplier, last block), oldest first. At most a
@@ -321,6 +325,7 @@ impl SimulationEngine {
             liquidators,
             covering: FxHashMap::default(),
             keepers,
+            keepers_by_latency: None,
             borrower_counter: FxHashMap::default(),
             irregularities: Vec::new(),
             volume_samples: Vec::new(),
@@ -415,7 +420,7 @@ impl SimulationEngine {
         self.replenish_behavior_inventory();
         self.spawn_borrowers(block);
         self.accrue_protocols(block);
-        self.run_market_panic_exits(block);
+        self.run_market_panic_exits();
         self.drive_liquidations(block, congested);
         self.apply_sell_pressure_feedback();
 
@@ -548,7 +553,7 @@ impl SimulationEngine {
                     index,
                     self.config.behavior.panic_share,
                 );
-                if self.open_position_for(&borrower, block) {
+                if self.open_position_for(&borrower) {
                     // A repeated address keeps resolving to its first agent.
                     self.borrower_index
                         .entry((platform, borrower.address))
@@ -576,7 +581,7 @@ impl SimulationEngine {
     /// (their buffer sits inside the liquidation threshold), while CDP
     /// owners size their buffer *on top of* the protocol's required
     /// collateralization ratio — i.e. relative to the borrowing capacity.
-    fn open_position_for(&mut self, borrower: &BorrowerAgent, _block: BlockNumber) -> bool {
+    fn open_position_for(&mut self, borrower: &BorrowerAgent) -> bool {
         let platform = borrower.platform;
         let gas = self.chain.gas_market_mut().competitive_bid(0.0);
         let Some(oracle) = self.oracles.get(&platform) else {
@@ -653,7 +658,7 @@ impl SimulationEngine {
         for (platform, mechanism) in platforms {
             match mechanism {
                 MechanismKind::FixedSpread => {
-                    self.manage_borrower_positions(platform, block, congested);
+                    self.manage_borrower_positions(platform, congested);
                     let mut opportunities = std::mem::take(&mut self.opportunity_scratch);
                     with_protocol(
                         &mut self.protocols,
@@ -695,12 +700,7 @@ impl SimulationEngine {
     /// re-valued — and the few positions in the actionable bands are
     /// extracted and acted on afterwards (the actions mutate the protocol,
     /// never the scan's snapshot — same semantics the old full walk had).
-    fn manage_borrower_positions(
-        &mut self,
-        platform: Platform,
-        block: BlockNumber,
-        congested: bool,
-    ) {
+    fn manage_borrower_positions(&mut self, platform: Platform, congested: bool) {
         enum Action {
             /// HF in [1, RESCUE_BAND_HF): the borrower may rescue-repay (or,
             /// under the behavioural layer, panic-exit).
@@ -757,14 +757,14 @@ impl SimulationEngine {
                     debt_value,
                     hf,
                 } => {
-                    self.maybe_manage_position(platform, owner, debt_value, hf, block, congested);
+                    self.maybe_manage_position(platform, owner, debt_value, hf, congested);
                 }
                 Action::Releverage {
                     owner,
                     capacity,
                     debt_value,
                 } => {
-                    self.maybe_releverage_position(platform, owner, capacity, debt_value, block);
+                    self.maybe_releverage_position(platform, owner, capacity, debt_value);
                 }
             }
         }
@@ -779,7 +779,6 @@ impl SimulationEngine {
         owner: Address,
         capacity: Wad,
         debt_value: Wad,
-        _block: BlockNumber,
     ) {
         if !self.rng.gen_bool(0.10) {
             return;
@@ -829,7 +828,6 @@ impl SimulationEngine {
         owner: Address,
         debt_value: Wad,
         hf: Wad,
-        _block: BlockNumber,
         congested: bool,
     ) {
         let Some(agent) = self.borrower(platform, owner) else {
@@ -1296,8 +1294,12 @@ impl SimulationEngine {
             None => return,
         };
         let tick_blocks = self.config.tick_blocks.max(1);
-        let mut keepers = self.keepers.clone();
-        keepers.sort_by_key(|k| (k.latency_ticks, k.address));
+        let keepers = &self.keepers;
+        self.keepers_by_latency.get_or_insert_with(|| {
+            let mut ranking: Vec<usize> = (0..keepers.len()).collect();
+            ranking.sort_by_key(|&index| keepers.get(index).map(|k| (k.latency_ticks, k.address)));
+            ranking
+        });
         for entry in pending {
             if block > entry.expires_at_block {
                 if let Some(behavior) = self.behavior.as_mut() {
@@ -1323,12 +1325,17 @@ impl SimulationEngine {
                 }
                 continue;
             }
-            let ready = keepers.iter().find(|k| {
-                entry
-                    .discovered_block
-                    .saturating_add(k.latency_ticks.saturating_mul(tick_blocks))
-                    <= block
-            });
+            let ready = self
+                .keepers_by_latency
+                .iter()
+                .flatten()
+                .filter_map(|&index| self.keepers.get(index))
+                .find(|k| {
+                    entry
+                        .discovered_block
+                        .saturating_add(k.latency_ticks.saturating_mul(tick_blocks))
+                        <= block
+                });
             let Some(keeper) = ready.cloned() else {
                 if let Some(behavior) = self.behavior.as_mut() {
                     behavior.requeue(entry);
@@ -1635,7 +1642,7 @@ impl SimulationEngine {
     /// When the market gaps down hard within one tick, panic-prone borrowers
     /// deleverage en masse regardless of their own health factor, each gated
     /// by the panic-probability draw.
-    fn run_market_panic_exits(&mut self, _block: BlockNumber) {
+    fn run_market_panic_exits(&mut self) {
         let eth_price = self.market_oracle.price_or_zero(Token::ETH).to_f64();
         let triggered = match self.behavior.as_mut() {
             Some(behavior) => behavior.market_panic_triggered(eth_price),

@@ -383,15 +383,17 @@ impl SimObserver for InvariantObserver {
         tick.for_each_position(&mut |platform, position| {
             let oracle = &tick.oracles[&platform];
             let has_debt = !position.total_debt_value().is_zero();
-            if has_debt && position.health_factor().is_none() {
+            // One evaluation feeds every check; `Position::is_liquidatable`
+            // is `HF < 1` on this same health factor.
+            let hf = position.health_factor();
+            if has_debt && hf.is_none() {
                 self.report(
                     block,
                     format!("{platform}: indebted position without a health factor"),
                 );
             }
-            if position.is_liquidatable()
-                && position.health_factor().map(|hf| hf >= Wad::ONE) == Some(true)
-            {
+            let liquidatable = hf.is_some_and(|hf| hf < Wad::ONE);
+            if liquidatable && hf.is_some_and(|hf| hf >= Wad::ONE) {
                 self.report(
                     block,
                     format!("{platform}: position flagged liquidatable with HF ≥ 1"),

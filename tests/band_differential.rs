@@ -335,21 +335,22 @@ fn sharded_book_matches_shadow_through_a_crash() {
 }
 
 /// Deterministic work guard: envelope derivations over the default smoke
-/// window, per fixed-spread book, may not exceed the counts the directional
-/// envelopes reach (one symmetric slack sized by the nearer band edge needs
-/// about twice as many). The counts are a pure function of the seed, so any
-/// rise is a change in envelope width or in when the engine reads a book,
-/// not host noise. Lower a ceiling when a change cuts derivations. dYdX's
+/// window, per fixed-spread book, may not exceed the counts the weighted
+/// directional envelopes reach (giving every price and index the same
+/// slack needs about a third more, and one symmetric slack sized by the
+/// nearer band edge about twice that). The counts are a pure function of
+/// the seed, so any rise is a change in envelope width or in when the
+/// engine reads a book, not host noise. Lower a ceiling when a change cuts derivations. dYdX's
 /// insurance write-off reads the book's liquidatable set every 20 ticks;
 /// accounts a liquidation dirtied re-value there and once more after their
 /// write-off, which costs 3 derivations over the window.
 #[test]
 fn smoke_window_envelope_derives_stay_within_ceilings() {
     const CEILINGS: [(Platform, u64); 4] = [
-        (Platform::AaveV1, 731),
+        (Platform::AaveV1, 555),
         (Platform::AaveV2, 0),
-        (Platform::Compound, 1_766),
-        (Platform::DyDx, 1_067),
+        (Platform::Compound, 1_387),
+        (Platform::DyDx, 866),
     ];
     let mut session = EngineBuilder::new(SimConfig::smoke_test(20_211_102))
         .build()
@@ -1037,8 +1038,11 @@ fn directional_envelopes_ride_moves_away_from_the_floor() {
     );
 
     // HF 1.10: 4.8 % above the rescue floor, a factor 2 below the
-    // re-leverage ceiling. The floor caps the downward slack near 1.5 %,
-    // the ceiling allows (1+y)/(1−y) ≤ 2, i.e. y just under 1/3.
+    // re-leverage ceiling. ETH collateral takes the whole slack (ω_B = 1),
+    // USDC debt a quarter (ω_D = 1/4) and the index a sixteenth, so the
+    // floor allows (1+x/4)(1+x/16)/(1−x) ≤ 1.1/1.05, i.e. x just under
+    // 3.5 %, and the ceiling allows (1+y)/(1−y/4) ≤ 2, i.e. y ≤ 2/3, which
+    // the search's 45 % cap clips to about 44.7 %: some 13× the floor side.
     let (state, mut book, mut oracle, address) = toy_single(1.10);
     let view = ToyView(&state, ToyEnvelope::Complete);
     let mut position = Position::new(address);
@@ -1057,14 +1061,30 @@ fn directional_envelopes_ride_moves_away_from_the_floor() {
         .find(|(t, _, _)| *t == Token::ETH)
         .expect("ETH is bounded");
     let anchor = Wad::from_int(3_000).raw();
+    let floor_side = (anchor - eth_lo) as f64 / anchor as f64;
     assert!(
-        (eth_hi - anchor) > 15 * (anchor - eth_lo),
+        (0.033..0.035).contains(&floor_side),
+        "the floor-side slack is {floor_side}, not just under 3.5 %"
+    );
+    assert!(
+        (eth_hi - anchor) > 12 * (anchor - eth_lo),
         "the ceiling side is not wider than the floor side: [{eth_lo}, {eth_hi}] around {anchor}"
+    );
+    // The pegged debt takes a quarter of each side's slack.
+    let &(_, usdc_lo, usdc_hi) = envelope
+        .price_bounds
+        .iter()
+        .find(|(t, _, _)| *t == Token::USDC)
+        .expect("USDC is bounded");
+    let usdc = Wad::ONE.raw();
+    assert!(
+        (usdc_hi - usdc_lo) as f64 / (usdc as f64) < (eth_hi - eth_lo) as f64 / anchor as f64,
+        "the USDC bound [{usdc_lo}, {usdc_hi}] is not narrower than ETH's [{eth_lo}, {eth_hi}]"
     );
 
     // A +30 % rally in 3 % steps: every step lies inside the certified
     // upper bound, so none re-derives. (A symmetric slack sized by the
-    // floor would break on the first step.)
+    // floor would break by the second step.)
     let rally = (1..=10).map(|step| 3_000.0 * (1.0 + 0.03 * step as f64));
     let derives = derives_along(&state, &mut book, &mut oracle, rally);
     assert!(
@@ -1106,15 +1126,15 @@ fn band_edges(hf: Wad) -> (Option<Wad>, Option<Wad>) {
 
 /// Evaluate `hf_at(eth_raw, usdc_raw, index)` at every corner of the
 /// envelope's ETH × USDC price box — the health factor is monotone in each
-/// price, so the corners are its extremes — with the USDC borrow index both
-/// at `index` (where the upward corners sit: accrual only lowers HF) and at
-/// its certified cap (where the downward corners sit). An uncapped index
-/// (open floor) is only evaluated at `index`.
+/// price, so the corners are its extremes — with the `debt_token` borrow
+/// index both at `index` (where the upward corners sit: accrual only lowers
+/// HF) and at its certified cap (where the downward corners sit). An
+/// uncapped index (open floor) is only evaluated at `index`.
 fn corners_stay_in_band(
     envelope: &HfEnvelope,
     floor: Option<Wad>,
     ceiling: Option<Wad>,
-    index: Ray,
+    (debt_token, index): (Token, Ray),
     hf_at: impl Fn(u128, u128, Ray) -> Option<Wad>,
 ) -> Result<(), prop::TestCaseError> {
     let bound = |token: Token| -> Result<(u128, u128), prop::TestCaseError> {
@@ -1130,9 +1150,9 @@ fn corners_stay_in_band(
     let cap = envelope
         .index_caps
         .iter()
-        .find(|(t, _)| *t == Token::USDC)
+        .find(|(t, _)| *t == debt_token)
         .map(|&(_, cap)| cap)
-        .ok_or_else(|| prop::TestCaseError::Fail("USDC has no index cap".into()))?;
+        .ok_or_else(|| prop::TestCaseError::Fail(format!("{debt_token} has no index cap")))?;
     let mut indexes = vec![index];
     if cap != u128::MAX {
         indexes.push(Ray::from_raw(cap));
@@ -1197,7 +1217,7 @@ proptest! {
             let mut envelope = HfEnvelope::default();
             // A position too close to an edge rides the exact path.
             if view.hf_envelope(&oracle, &position, floor, ceiling, &mut envelope) {
-                corners_stay_in_band(&envelope, floor, ceiling, state.index, |eth, usdc, index| {
+                corners_stay_in_band(&envelope, floor, ceiling, (Token::USDC, state.index), |eth, usdc, index| {
                     let mut corner_state = state.clone();
                     corner_state.index = index;
                     let mut corner = PriceOracle::new(OracleConfig::every_update());
@@ -1245,22 +1265,72 @@ proptest! {
             Wad::from_f64(usdc_wobble).raw(),
             state.index,
         );
-        let Some(hf) = anchor.as_ref().and_then(|p| p.health_factor()) else {
-            return Ok(());
+        if let Some(hf) = anchor.as_ref().and_then(|p| p.health_factor()) {
+            let (floor, ceiling) = band_edges(hf);
+            let mut envelope = HfEnvelope::default();
+            if derive_hf_envelope(
+                &state.markets(),
+                &oracle,
+                anchor.as_ref().expect("checked above"),
+                floor,
+                ceiling,
+                &mut envelope,
+            ) {
+                corners_stay_in_band(&envelope, floor, ceiling, (Token::USDC, state.index), |eth, usdc, index| {
+                    dual(eth, usdc, index).and_then(|p| p.health_factor())
+                })?;
+            }
+        }
+
+        // The mirror shape: USDC collateral against scaled ETH debt, so the
+        // stablecoin weight sits on the collateral side and the volatile
+        // price on the debt side, under an ETH borrow index that has grown
+        // by `index_growth`.
+        let mut markets = state.markets();
+        if let Some(eth_market) = markets.get_mut(&Token::ETH) {
+            eth_market.index.index = state.index;
+        }
+        let stable_amount = Wad::from_f64(collateral.to_f64() * price / usdc_wobble);
+        let scaled_eth_debt =
+            Wad::from_f64(collateral.to_f64() * 0.85 * usage / index_growth);
+        let mirror = |eth: u128, usdc: u128, index: Ray| -> Option<Position> {
+            let (eth, usdc) = (Wad::from_raw(eth), Wad::from_raw(usdc));
+            let mut slot = Position::new(address);
+            slot.collateral.push(defi_liquidations_suite::core::position::CollateralHolding {
+                token: Token::USDC,
+                amount: stable_amount,
+                value_usd: stable_amount.checked_mul(usdc).unwrap_or(Wad::MAX),
+                liquidation_threshold: Wad::from_f64(0.85),
+                liquidation_spread: Wad::from_f64(0.05),
+            });
+            let amount = scaled_eth_debt.to_ray().ok()?.checked_mul(index).ok()?.to_wad();
+            slot.debt.push(defi_liquidations_suite::core::position::DebtHolding {
+                token: Token::ETH,
+                amount,
+                value_usd: amount.checked_mul(eth).unwrap_or(Wad::MAX),
+            });
+            Some(slot)
         };
-        let (floor, ceiling) = band_edges(hf);
-        let mut envelope = HfEnvelope::default();
-        if derive_hf_envelope(
-            &state.markets(),
-            &oracle,
-            anchor.as_ref().expect("checked above"),
-            floor,
-            ceiling,
-            &mut envelope,
-        ) {
-            corners_stay_in_band(&envelope, floor, ceiling, state.index, |eth, usdc, index| {
-                dual(eth, usdc, index).and_then(|p| p.health_factor())
-            })?;
+        let anchor = mirror(
+            Wad::from_f64(price).raw(),
+            Wad::from_f64(usdc_wobble).raw(),
+            state.index,
+        );
+        if let Some(hf) = anchor.as_ref().and_then(|p| p.health_factor()) {
+            let (floor, ceiling) = band_edges(hf);
+            let mut envelope = HfEnvelope::default();
+            if derive_hf_envelope(
+                &markets,
+                &oracle,
+                anchor.as_ref().expect("checked above"),
+                floor,
+                ceiling,
+                &mut envelope,
+            ) {
+                corners_stay_in_band(&envelope, floor, ceiling, (Token::ETH, state.index), |eth, usdc, index| {
+                    mirror(eth, usdc, index).and_then(|p| p.health_factor())
+                })?;
+            }
         }
     }
 }
