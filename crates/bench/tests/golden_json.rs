@@ -8,11 +8,17 @@
 //! why) rather than loosening the comparison. Streaming parity and replay
 //! parity compare two paths through the same analytics functions, so a bug
 //! in a shared function is invisible to them; only these files catch it.
+//!
+//! The default run leaves the behavioural layer off, so one more file,
+//! `golden/capital-crunch-spiral.txt`, pins the smoke run of the
+//! `capital-crunch-spiral` scenario: its headline JSON plus the behaviour
+//! report (the counters and the per-agent capital exhaustions), rendered
+//! by [`behavior_rendering`].
 
 use defi_analytics::StudyAnalysis;
 use defi_bench::artefacts::STUDY_ARTEFACTS;
 use defi_bench::json;
-use defi_sim::{SimConfig, SimulationEngine};
+use defi_sim::{BehaviorReport, EngineBuilder, SimConfig, SimulationEngine};
 
 /// The `repro` binary's default seed (the paper's publication date).
 const REPRO_DEFAULT_SEED: u64 = 20_211_102;
@@ -59,4 +65,46 @@ fn smoke_json_artefacts_match_the_committed_golden_files() {
             "{name}.json drifted from the golden file.\n--- expected ---\n{golden}\n--- actual ---\n{actual}"
         );
     }
+}
+
+/// One line per behaviour counter, then one `agent ADDRESS EXHAUSTIONS`
+/// line per liquidator that ran out of capital, in address order.
+fn behavior_rendering(report: &BehaviorReport) -> String {
+    let stats = report.stats;
+    let mut out = format!(
+        "opportunities_queued {}\nexecuted_delayed {}\nstale_dropped {}\n\
+         inventory_exhaustions {}\npanic_exits {}\npanic_sell_usd {:?}\n",
+        stats.opportunities_queued,
+        stats.executed_delayed,
+        stats.stale_dropped,
+        stats.inventory_exhaustions,
+        stats.panic_exits,
+        stats.panic_sell_usd,
+    );
+    for agent in &report.agents {
+        out.push_str(&format!("agent {} {}\n", agent.address, agent.exhaustions));
+    }
+    out
+}
+
+#[test]
+fn capital_crunch_spiral_smoke_run_matches_the_committed_golden_file() {
+    let engine = EngineBuilder::new(SimConfig::smoke_test(REPRO_DEFAULT_SEED))
+        .with_named_scenario("capital-crunch-spiral")
+        .build();
+    let (analysis, report) = StudyAnalysis::stream(engine).expect("smoke run");
+    let headline = STUDY_ARTEFACTS
+        .iter()
+        .find(|artefact| artefact.name == "headline")
+        .expect("headline artefact");
+    let behavior = report
+        .behavior
+        .as_ref()
+        .expect("the scenario enables the layer");
+    let actual = rendered(&(headline.json)(&analysis)) + &behavior_rendering(behavior);
+    let golden = include_str!("golden/capital-crunch-spiral.txt");
+    assert!(
+        actual == golden,
+        "capital-crunch-spiral.txt drifted from the golden file.\n--- expected ---\n{golden}\n--- actual ---\n{actual}"
+    );
 }
