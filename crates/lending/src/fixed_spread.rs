@@ -344,10 +344,9 @@ pub fn derive_hf_envelope(
     if capacity.raw() < ENVELOPE_VALUE_FLOOR || debt.raw() < ENVELOPE_VALUE_FLOOR {
         return false;
     }
-    let Some(hf) = position.health_factor() else {
-        return false;
-    };
-    let hf = hf.to_f64();
+    // `Position::health_factor` on the sums just taken: the floor makes the
+    // debt non-zero.
+    let hf = capacity.checked_div(debt).unwrap_or(Wad::MAX).to_f64();
     let margin_up = match ceiling {
         Some(c) => {
             if hf <= 0.0 {

@@ -11,10 +11,12 @@
 //!   rate per tick. A bot can run out mid-cascade; the opportunity stays
 //!   queued until someone can fund it or it goes stale.
 //! - **Latency**: a discovered [`Opportunity`](defi_lending::Opportunity) is
-//!   not executed immediately — it is queued, and the first agent whose
-//!   latency has elapsed (ties broken by address) and whose inventory covers
-//!   the repay executes it. Stale opportunities re-check HF at execution and
-//!   are dropped if the position recovered.
+//!   not executed immediately — it is queued, whatever the platform's
+//!   mechanism, and each tick the platform's due entries are handed to the
+//!   agents whose latency has elapsed, ranked by `(latency_ticks, address)`:
+//!   the first funded liquidator, or the first keeper. Due entries re-check
+//!   HF at execution and are dropped stale if the position recovered or the
+//!   TTL lapsed; the engine settles each with one `Outcome`.
 //! - **Panic exits**: a configurable share of borrowers deleverage hard when
 //!   their HF or the market drops past a threshold, selling collateral into
 //!   the DEX and adding to the spiral's sell pressure.
@@ -133,6 +135,23 @@ pub(crate) struct PendingOpportunity {
     pub expires_at_block: u64,
 }
 
+/// How the engine settled one due queue entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Outcome {
+    /// An agent acted on it.
+    Executed,
+    /// Nobody could act this tick — no agent ready or funded, a stale
+    /// keeper sat it out, or the transaction was excluded, unprofitable or
+    /// reverted: it stays queued with its discovery block and TTL.
+    Requeue,
+    /// The TTL lapsed or the position recovered.
+    Stale,
+    /// Nobody ever can: no bot covers the platform, the position has no
+    /// collateral to seize, or the platform is not registered. Counted
+    /// nowhere.
+    Dropped,
+}
+
 /// Counters the behaviour layer accumulates over a run.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct BehaviorStats {
@@ -179,13 +198,18 @@ pub(crate) struct BehaviorEngine {
     capital: BTreeMap<Address, LiquidatorCapital>,
     queue: VecDeque<PendingOpportunity>,
     queued_keys: BTreeSet<(Platform, Address)>,
+    /// The agents working each platform as `(latency_ticks, index into
+    /// their population)`, ranked by `(latency_ticks, address)`: built on
+    /// the platform's first due entry.
+    rankings: BTreeMap<Platform, Vec<(u64, usize)>>,
     last_eth_price: Option<f64>,
+    /// Blocks per tick (at least 1): latencies and TTLs are counted in ticks.
     tick_blocks: u64,
-    pub(crate) stats: BehaviorStats,
+    stats: BehaviorStats,
 }
 
 impl BehaviorEngine {
-    pub(crate) fn new(config: BehaviorConfig, run_seed: u64) -> Self {
+    pub(crate) fn new(config: BehaviorConfig, run_seed: u64, tick_blocks: u64) -> Self {
         let seed = crate::agents::derive_seed(run_seed, TAG_BEHAVIOR, 0);
         Self {
             config,
@@ -193,8 +217,9 @@ impl BehaviorEngine {
             capital: BTreeMap::new(),
             queue: VecDeque::new(),
             queued_keys: BTreeSet::new(),
+            rankings: BTreeMap::new(),
             last_eth_price: None,
-            tick_blocks: 1,
+            tick_blocks: tick_blocks.max(1),
             stats: BehaviorStats::default(),
         }
     }
@@ -208,7 +233,7 @@ impl BehaviorEngine {
         let ttl_blocks = self
             .config
             .opportunity_ttl_ticks
-            .saturating_mul(self.tick_blocks.max(1));
+            .saturating_mul(self.tick_blocks);
         self.queue.push_back(PendingOpportunity {
             platform,
             borrower,
@@ -218,30 +243,86 @@ impl BehaviorEngine {
         self.stats.opportunities_queued += 1;
     }
 
-    /// Drain the pending entries for one platform, removing them from the
-    /// dedupe set. Entries the caller cannot act on yet must be re-queued
-    /// with [`Self::requeue`].
-    pub(crate) fn take_platform_queue(&mut self, platform: Platform) -> Vec<PendingOpportunity> {
-        let mut taken = Vec::new();
-        let mut rest = VecDeque::with_capacity(self.queue.len());
-        for entry in self.queue.drain(..) {
-            if entry.platform == platform {
-                self.queued_keys.remove(&(entry.platform, entry.borrower));
-                taken.push(entry);
+    /// Drain `platform`'s pending entries in queue order, freeing their
+    /// dedupe slots. An entry past its TTL is settled stale; the rest are
+    /// due, and the caller settles each with [`Self::settle`].
+    pub(crate) fn take_due(&mut self, platform: Platform, block: u64) -> Vec<PendingOpportunity> {
+        let mut due = Vec::new();
+        for entry in std::mem::take(&mut self.queue) {
+            if entry.platform != platform {
+                self.queue.push_back(entry);
+                continue;
+            }
+            self.queued_keys.remove(&(platform, entry.borrower));
+            if block > entry.expires_at_block {
+                self.settle(entry, Outcome::Stale);
             } else {
-                rest.push_back(entry);
+                due.push(entry);
             }
         }
-        self.queue = rest;
-        taken
+        due
     }
 
-    /// Put an entry back on the queue (inventory shortfall or latency not yet
-    /// elapsed), preserving its discovery block and TTL.
-    pub(crate) fn requeue(&mut self, entry: PendingOpportunity) {
-        if self.queued_keys.insert((entry.platform, entry.borrower)) {
-            self.queue.push_back(entry);
+    /// Settle one taken entry: count it, or put it back on the queue with
+    /// its discovery block and TTL.
+    pub(crate) fn settle(&mut self, entry: PendingOpportunity, outcome: Outcome) {
+        match outcome {
+            Outcome::Executed => self.stats.executed_delayed += 1,
+            Outcome::Requeue => {
+                if self.queued_keys.insert((entry.platform, entry.borrower)) {
+                    self.queue.push_back(entry);
+                }
+            }
+            Outcome::Stale => self.stats.stale_dropped += 1,
+            Outcome::Dropped => {}
         }
+    }
+
+    /// The agents ready to act on `entry` at `block`, in the order they are
+    /// tried: the platform's ranking by `(latency_ticks, address)`, cut at
+    /// the first agent whose latency has not elapsed (latency only grows
+    /// along the ranking, so the ready agents are a prefix). `agents` lists
+    /// the platform's population as `(index, latency_ticks, address)`; it
+    /// is read once, on the platform's first due entry, and the indexes it
+    /// gives are returned.
+    pub(crate) fn ready_agents<I>(
+        &mut self,
+        entry: &PendingOpportunity,
+        block: u64,
+        agents: impl FnOnce() -> I,
+    ) -> impl Iterator<Item = usize> + '_
+    where
+        I: IntoIterator<Item = (usize, u64, Address)>,
+    {
+        self.rankings.entry(entry.platform).or_insert_with(|| {
+            // Ties keep population order, as the index is the last key.
+            let mut ranked: Vec<(u64, Address, usize)> = agents()
+                .into_iter()
+                .map(|(index, latency, address)| (latency, address, index))
+                .collect();
+            ranked.sort_unstable();
+            ranked
+                .into_iter()
+                .map(|(latency, _, index)| (latency, index))
+                .collect()
+        });
+        let this = &*self;
+        let entry = *entry;
+        this.rankings
+            .get(&entry.platform)
+            .into_iter()
+            .flatten()
+            .take_while(move |&&(latency, _)| this.latency_elapsed(&entry, latency, block))
+            .map(|&(_, index)| index)
+    }
+
+    /// Whether an agent of `latency_ticks` may act on `entry` at `block`:
+    /// `discovered_block + latency_ticks × tick_blocks ≤ block`.
+    fn latency_elapsed(&self, entry: &PendingOpportunity, latency_ticks: u64, block: u64) -> bool {
+        entry
+            .discovered_block
+            .saturating_add(latency_ticks.saturating_mul(self.tick_blocks))
+            <= block
     }
 
     /// Whether `liquidator` holds at least `amount` of `token`, lazily
@@ -349,22 +430,12 @@ impl BehaviorEngine {
     }
 }
 
-// `tick_blocks` is stamped by the engine at construction (the config does not
-// know the tick size); kept as a plain field to avoid threading it through
-// every `queue` call.
-impl BehaviorEngine {
-    pub(crate) fn with_tick_blocks(mut self, tick_blocks: u64) -> Self {
-        self.tick_blocks = tick_blocks;
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn engine(config: BehaviorConfig) -> BehaviorEngine {
-        BehaviorEngine::new(config, 9).with_tick_blocks(600)
+        BehaviorEngine::new(config, 9, 600)
     }
 
     #[test]
@@ -399,15 +470,76 @@ mod tests {
         b.queue(Platform::Compound, borrower, 101);
         b.queue(Platform::AaveV1, borrower, 100);
         assert_eq!(b.stats.opportunities_queued, 2);
-        let compound = b.take_platform_queue(Platform::Compound);
+        let compound = b.take_due(Platform::Compound, 100);
         assert_eq!(compound.len(), 1);
         assert_eq!(compound[0].discovered_block, 100);
         // TTL: 8 ticks of 600 blocks.
         assert_eq!(compound[0].expires_at_block, 100 + 8 * 600);
         // Taken entries may be re-queued; the dedupe slot was freed.
-        b.requeue(compound[0]);
-        assert_eq!(b.take_platform_queue(Platform::Compound).len(), 1);
-        assert_eq!(b.take_platform_queue(Platform::AaveV1).len(), 1);
+        b.settle(compound[0], Outcome::Requeue);
+        assert_eq!(b.take_due(Platform::Compound, 100).len(), 1);
+        assert_eq!(b.take_due(Platform::AaveV1, 100).len(), 1);
+    }
+
+    /// One Compound entry discovered at block 100, taken due at once.
+    fn due_entry(b: &mut BehaviorEngine) -> PendingOpportunity {
+        b.queue(Platform::Compound, Address::from_seed(1), 100);
+        b.take_due(Platform::Compound, 100)[0]
+    }
+
+    #[test]
+    fn an_agent_is_ready_exactly_when_its_latency_has_elapsed() {
+        let mut b = engine(BehaviorConfig::capital_constrained());
+        let entry = due_entry(&mut b);
+        let bot = || [(0, 2, Address::from_seed(2))];
+        // Two ticks of 600 blocks after discovery, inclusive.
+        assert_eq!(b.ready_agents(&entry, 100 + 2 * 600 - 1, bot).count(), 0);
+        assert_eq!(
+            b.ready_agents(&entry, 100 + 2 * 600, bot)
+                .collect::<Vec<_>>(),
+            [0]
+        );
+    }
+
+    #[test]
+    fn agents_of_equal_latency_are_tried_in_address_order() {
+        let mut b = engine(BehaviorConfig::capital_constrained());
+        let entry = due_entry(&mut b);
+        let (x, y) = (Address::from_seed(2), Address::from_seed(3));
+        let (low, high) = (x.min(y), x.max(y));
+        let agents = || [(0, 1, high), (1, 2, low), (2, 1, low)];
+        // Index 1 waits a tick longer; the latency-1 pair goes in address
+        // order, and equal addresses in population order.
+        assert_eq!(
+            b.ready_agents(&entry, 100 + 600, agents)
+                .collect::<Vec<_>>(),
+            [2, 0]
+        );
+        assert_eq!(
+            b.ready_agents(&entry, 100 + 1_200, agents)
+                .collect::<Vec<_>>(),
+            [2, 0, 1]
+        );
+    }
+
+    #[test]
+    fn an_entry_nobody_is_ready_for_is_requeued_until_its_ttl() {
+        let mut b = engine(BehaviorConfig::capital_constrained());
+        let mut entry = due_entry(&mut b);
+        // A 9-tick latency outlasts the 8-tick TTL.
+        let slow = || [(0, 9, Address::from_seed(2))];
+        let expires = 100 + 8 * 600;
+        for block in (100..=expires).step_by(600) {
+            assert_eq!(b.ready_agents(&entry, block, slow).count(), 0);
+            b.settle(entry, Outcome::Requeue);
+            assert_eq!(b.stats.stale_dropped, 0, "requeued, not stale, at {block}");
+            match b.take_due(Platform::Compound, block + 600).first() {
+                Some(&next) => entry = next,
+                None => assert_eq!(block, expires, "dropped before its TTL lapsed"),
+            }
+        }
+        assert_eq!(b.stats.stale_dropped, 1);
+        assert!(b.take_due(Platform::Compound, expires + 1_200).is_empty());
     }
 
     #[test]

@@ -6,16 +6,20 @@
 //! Protocols are held behind the unified [`LendingProtocol`] trait in a
 //! [`ProtocolRegistry`], so every loop here — liquidity seeding, borrower
 //! arrivals, accrual, liquidation driving, volume sampling, the end-of-run
-//! snapshot — is registry-driven. The only mechanism-specific dispatch is on
-//! [`MechanismKind`]: atomic fixed-spread platforms are worked by liquidator
-//! bots, auction platforms by keeper bots, both through the one
-//! `execute_liquidation` entry point. Every agent action (opening a
-//! position, rescue, re-leverage, panic exit, liquidation, bite, bid, deal)
-//! is one transaction sent through one helper, `submit`, which looks up the
-//! platform's protocol and oracle and runs the action inside
-//! [`Blockchain::execute`]; protocol reads outside a transaction share its
-//! lookup, `with_protocol`. Engines are assembled through
-//! [`EngineBuilder`](crate::EngineBuilder).
+//! snapshot — is registry-driven. Every platform's liquidation opportunities
+//! flow through one pipeline, `work_opportunities`: discovery, then either
+//! straight to the executor of the platform's [`MechanismKind`] or, under
+//! the behavioural layer, into the latency queue, whose due entries are
+//! re-checked, handed to the same executors and settled with one `Outcome`
+//! each. The mechanism decides only who acts and how: liquidator bots make
+//! atomic fixed-spread calls, keeper bots bite to start auctions (and bid
+//! on and settle them), all through the one `execute_liquidation` entry
+//! point. Every agent action (opening a position, rescue, re-leverage,
+//! panic exit, liquidation, bite, bid, deal) is one transaction sent
+//! through one helper, `submit`, which looks up the platform's protocol
+//! and oracle and runs the action inside [`Blockchain::execute`]; protocol
+//! reads outside a transaction share its lookup, `with_protocol`. Engines
+//! are assembled through [`EngineBuilder`](crate::EngineBuilder).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -39,7 +43,7 @@ use crate::agents::{
     sample_borrower, sample_keepers, sample_liquidators, BorrowerAgent, KeeperAgent,
     LiquidatorAgent,
 };
-use crate::behavior::{BehaviorEngine, BehaviorReport, PendingOpportunity};
+use crate::behavior::{BehaviorEngine, BehaviorReport, Outcome, PendingOpportunity};
 use crate::builder::{standard_dex, ProtocolRegistry};
 use crate::config::SimConfig;
 
@@ -99,33 +103,17 @@ pub struct SimulationReport {
     pub behavior: Option<BehaviorReport>,
 }
 
-/// The liquidator bots covering one fixed-spread platform, as indexes into
-/// the engine's population.
-#[derive(Debug)]
-struct CoveringLiquidators {
-    /// Population order: the baseline model draws a bot from it.
-    by_population: Vec<usize>,
-    /// Ranked by `(latency_ticks, address)`: the behavioural model's order.
-    by_latency: Vec<usize>,
-}
+/// The tokens the flash-loan pools lend, so the only debt a flash-funded
+/// liquidation can repay.
+const FLASH_LOAN_TOKENS: [Token; 4] = [Token::DAI, Token::USDC, Token::USDT, Token::ETH];
 
-impl CoveringLiquidators {
-    /// The bots of `liquidators` that watch `platform`.
-    fn of(liquidators: &[LiquidatorAgent], platform: Platform) -> CoveringLiquidators {
-        let by_population: Vec<usize> = liquidators
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| l.platforms.contains(&platform))
-            .map(|(index, _)| index)
-            .collect();
-        let mut by_latency = by_population.clone();
-        by_latency
-            .sort_by_key(|&index| liquidators.get(index).map(|l| (l.latency_ticks, l.address)));
-        CoveringLiquidators {
-            by_population,
-            by_latency,
-        }
-    }
+/// What every liquidation of one tick reads: the block, whether gas is
+/// congested, and the market ETH price fees are valued at.
+#[derive(Debug, Clone, Copy)]
+struct TickConditions {
+    block: BlockNumber,
+    congested: bool,
+    eth_price: f64,
 }
 
 /// Run `f` against `platform`'s protocol and the oracle its contracts read:
@@ -184,16 +172,13 @@ pub struct SimulationEngine {
     /// Agents in `borrowers` per platform (no agent ever leaves).
     borrowers_per_platform: FxHashMap<Platform, usize>,
     liquidators: Vec<LiquidatorAgent>,
-    /// The bots covering each fixed-spread platform, built on the platform's
-    /// first liquidation attempt (the population never changes after
+    /// The bots covering each fixed-spread platform, as indexes into
+    /// `liquidators` in population order; built on the platform's first
+    /// liquidation attempt (the population never changes after
     /// construction, and building them with the engine would lengthen
     /// every engine build).
-    covering: FxHashMap<Platform, CoveringLiquidators>,
+    covering: FxHashMap<Platform, Vec<usize>>,
     keepers: Vec<KeeperAgent>,
-    /// `keepers` as indexes ranked by `(latency_ticks, address)`, the order
-    /// delayed bites try them in; built on the first due bite for the same
-    /// reason as `covering`.
-    keepers_by_latency: Option<Vec<usize>>,
     borrower_counter: FxHashMap<Platform, u64>,
     /// Active platform-specific oracle irregularities:
     /// (platform, token, multiplier, last block), oldest first. At most a
@@ -264,7 +249,7 @@ impl SimulationEngine {
         let mut flash_pools = BTreeMap::new();
         for platform in [Platform::AaveV1, Platform::AaveV2, Platform::DyDx] {
             let pool = FlashLoanPool::for_platform(platform);
-            for token in [Token::DAI, Token::USDC, Token::USDT, Token::ETH] {
+            for token in FLASH_LOAN_TOKENS {
                 pool.seed(chain.ledger_mut(), token, Wad::from_int(500_000_000));
             }
             flash_pools.insert(platform, pool);
@@ -305,10 +290,10 @@ impl SimulationEngine {
             max_latency,
         );
 
-        let behavior = config.behavior.enabled.then(|| {
-            BehaviorEngine::new(config.behavior.clone(), config.seed)
-                .with_tick_blocks(config.tick_blocks)
-        });
+        let behavior = config
+            .behavior
+            .enabled
+            .then(|| BehaviorEngine::new(config.behavior.clone(), config.seed, config.tick_blocks));
 
         SimulationEngine {
             rng,
@@ -325,7 +310,6 @@ impl SimulationEngine {
             liquidators,
             covering: FxHashMap::default(),
             keepers,
-            keepers_by_latency: None,
             borrower_counter: FxHashMap::default(),
             irregularities: Vec::new(),
             volume_samples: Vec::new(),
@@ -645,50 +629,122 @@ impl SimulationEngine {
 
     // ------------------------------------------------------------ liquidation
 
-    /// Work every platform's liquidatable positions with the agent population
-    /// matching its mechanism: liquidator bots race fixed-spread calls,
-    /// keeper bots run auctions. Both act through `execute_liquidation`.
+    /// Work every platform in registry order: a fixed-spread platform's
+    /// borrowers manage their positions first, then the platform's
+    /// opportunities run through `work_opportunities`, and an auction
+    /// platform's keepers bid on and settle its open auctions.
     fn drive_liquidations(&mut self, block: BlockNumber, congested: bool) {
         let platforms: Vec<(Platform, MechanismKind)> = self
             .protocols
             .iter()
             .map(|(platform, protocol)| (*platform, protocol.mechanism()))
             .collect();
-        let eth_price = self.market_oracle.price_or_zero(Token::ETH).to_f64();
+        let tick = TickConditions {
+            block,
+            congested,
+            eth_price: self.market_oracle.price_or_zero(Token::ETH).to_f64(),
+        };
         for (platform, mechanism) in platforms {
             match mechanism {
-                MechanismKind::FixedSpread => {
-                    self.manage_borrower_positions(platform, congested);
-                    let mut opportunities = std::mem::take(&mut self.opportunity_scratch);
-                    with_protocol(
-                        &mut self.protocols,
-                        &self.oracles,
-                        platform,
-                        |protocol, oracle| protocol.liquidatable_into(oracle, &mut opportunities),
-                    );
-                    if let Some(behavior) = self.behavior.as_mut() {
-                        // Behavioural layer: discoveries enter the latency
-                        // queue; execution happens once an agent's latency
-                        // has elapsed (possibly this very tick for
-                        // zero-latency agents).
-                        for opportunity in &opportunities {
-                            behavior.queue(platform, opportunity.borrower, block);
-                        }
-                        opportunities.clear();
-                        self.opportunity_scratch = opportunities;
-                        self.process_due_liquidations(platform, block, congested, eth_price);
-                    } else {
-                        for opportunity in &opportunities {
-                            self.attempt_liquidation(opportunity, block, congested, eth_price);
-                        }
-                        opportunities.clear();
-                        self.opportunity_scratch = opportunities;
-                    }
-                }
-                MechanismKind::Auction => {
-                    self.run_auction_keepers(platform, block, congested);
+                MechanismKind::FixedSpread => self.manage_borrower_positions(platform, congested),
+                // Without keepers nobody bites, bids or settles.
+                MechanismKind::Auction if self.keepers.is_empty() => continue,
+                MechanismKind::Auction => {}
+            }
+            self.work_opportunities(platform, mechanism, tick);
+            if mechanism == MechanismKind::Auction {
+                self.run_auction_keepers(platform, block, congested);
+            }
+        }
+    }
+
+    /// The one opportunity pipeline. Discovery fills the reused scratch
+    /// with `platform`'s liquidatable positions. Without the behavioural
+    /// layer each goes straight to its mechanism's executor. With it each
+    /// is queued instead, and the platform's due entries (those past their
+    /// TTL are dropped stale) go through `execute_due` to the same
+    /// executors and are settled with the outcome they return; a
+    /// zero-latency agent acts on the tick of discovery.
+    fn work_opportunities(
+        &mut self,
+        platform: Platform,
+        mechanism: MechanismKind,
+        tick: TickConditions,
+    ) {
+        let mut opportunities = std::mem::take(&mut self.opportunity_scratch);
+        with_protocol(
+            &mut self.protocols,
+            &self.oracles,
+            platform,
+            |protocol, oracle| protocol.liquidatable_into(oracle, &mut opportunities),
+        );
+        match self.behavior.as_mut() {
+            Some(behavior) => {
+                for opportunity in &opportunities {
+                    behavior.queue(platform, opportunity.borrower, tick.block);
                 }
             }
+            None => {
+                for opportunity in &opportunities {
+                    self.execute(mechanism, opportunity, None, tick);
+                }
+            }
+        }
+        opportunities.clear();
+        self.opportunity_scratch = opportunities;
+
+        let Some(behavior) = self.behavior.as_mut() else {
+            return;
+        };
+        for entry in behavior.take_due(platform, tick.block) {
+            let outcome = self.execute_due(mechanism, &entry, tick);
+            if let Some(behavior) = self.behavior.as_mut() {
+                behavior.settle(entry, outcome);
+            }
+        }
+    }
+
+    /// A due entry re-checks the health factor at execution — the position
+    /// may have been rescued, repaid or already liquidated since discovery
+    /// — and a position still liquidatable goes to its mechanism's executor.
+    fn execute_due(
+        &mut self,
+        mechanism: MechanismKind,
+        entry: &PendingOpportunity,
+        tick: TickConditions,
+    ) -> Outcome {
+        let Some(position) = with_protocol(
+            &mut self.protocols,
+            &self.oracles,
+            entry.platform,
+            |protocol, oracle| protocol.position(oracle, entry.borrower),
+        ) else {
+            return Outcome::Dropped;
+        };
+        let Some(position) = position.filter(Position::is_liquidatable) else {
+            return Outcome::Stale;
+        };
+        let opportunity = Opportunity {
+            platform: entry.platform,
+            borrower: entry.borrower,
+            position,
+            mechanism,
+        };
+        self.execute(mechanism, &opportunity, Some(entry), tick)
+    }
+
+    /// Hand one opportunity to its mechanism's executor; `due` is its queue
+    /// entry under the behavioural layer.
+    fn execute(
+        &mut self,
+        mechanism: MechanismKind,
+        opportunity: &Opportunity,
+        due: Option<&PendingOpportunity>,
+        tick: TickConditions,
+    ) -> Outcome {
+        match mechanism {
+            MechanismKind::FixedSpread => self.liquidate(opportunity, due, tick),
+            MechanismKind::Auction => self.bite(opportunity, due, tick),
         }
     }
 
@@ -885,58 +941,116 @@ impl SimulationEngine {
         );
     }
 
-    /// One liquidator bot races a fixed-spread liquidation of `opportunity`
-    /// (baseline model: a random covering bot acts instantly with unlimited
-    /// inventory).
-    fn attempt_liquidation(
+    /// A liquidator bot races a fixed-spread liquidation. Without the
+    /// behavioural layer a random covering bot acts at once with unlimited
+    /// inventory; with it, `ready_liquidator` picks the bot.
+    fn liquidate(
         &mut self,
         opportunity: &Opportunity,
-        block: BlockNumber,
-        congested: bool,
-        eth_price: f64,
-    ) {
+        due: Option<&PendingOpportunity>,
+        tick: TickConditions,
+    ) -> Outcome {
         let platform = opportunity.platform;
-        let position = &opportunity.position;
-        // Choose a liquidator covering this platform. The pick is drawn
-        // before the exposures are checked (the RNG stream depends on it),
-        // but the agent is only cloned for a position with something to
-        // seize — most opportunities are collateral-free debtors.
-        let covering = self
-            .covering
-            .entry(platform)
-            .or_insert_with(|| CoveringLiquidators::of(&self.liquidators, platform));
-        if covering.by_population.is_empty() {
-            return;
+        let liquidators = &self.liquidators;
+        let covering = self.covering.entry(platform).or_insert_with(|| {
+            let covers = |(index, l): (usize, &LiquidatorAgent)| {
+                l.platforms.contains(&platform).then_some(index)
+            };
+            liquidators.iter().enumerate().filter_map(covers).collect()
+        });
+        if covering.is_empty() {
+            return Outcome::Dropped;
         }
-        let pick = self.rng.gen_range(0..covering.by_population.len());
-        let Some((collateral, debt)) = Self::pick_exposures(position) else {
-            return;
+        // The random pick is drawn before the exposures are checked (the
+        // RNG stream depends on it), but the agent is only cloned for a
+        // position with something to seize — most opportunities are
+        // collateral-free debtors.
+        let drawn = match due {
+            None => covering.get(self.rng.gen_range(0..covering.len())).copied(),
+            Some(_) => None,
         };
-        let Some(liquidator) = covering
-            .by_population
-            .get(pick)
-            .and_then(|&index| self.liquidators.get(index))
-            .cloned()
-        else {
-            return;
+        let Some((collateral, debt)) = Self::pick_exposures(&opportunity.position) else {
+            return Outcome::Dropped;
         };
-        let use_flash = liquidator.uses_flash_loans
-            && self.rng.gen_bool(0.75)
-            && matches!(
-                debt.token,
-                Token::DAI | Token::USDC | Token::USDT | Token::ETH
-            );
-        self.execute_fixed_spread(
-            platform,
-            position,
-            collateral,
-            debt,
-            &liquidator,
-            use_flash,
-            block,
-            congested,
-            eth_price,
-        );
+        let (liquidator, use_flash) = match due {
+            Some(entry) => match self.ready_liquidator(platform, entry, tick.block, debt) {
+                Ok(picked) => picked,
+                Err(outcome) => return outcome,
+            },
+            None => {
+                let Some(liquidator) = drawn.and_then(|index| self.liquidators.get(index)).cloned()
+                else {
+                    return Outcome::Dropped;
+                };
+                let use_flash = liquidator.uses_flash_loans
+                    && self.rng.gen_bool(0.75)
+                    && FLASH_LOAN_TOKENS.contains(&debt.token);
+                (liquidator, use_flash)
+            }
+        };
+        // Excluded or unprofitable this tick: gas conditions change tick to
+        // tick, so a queued entry stays pending until its TTL lapses.
+        if self.execute_fixed_spread(opportunity, collateral, debt, &liquidator, use_flash, tick) {
+            Outcome::Executed
+        } else {
+            Outcome::Requeue
+        }
+    }
+
+    /// The behavioural pick for a due fixed-spread entry: of the covering
+    /// bots whose latency has elapsed, tried in latency order, the first
+    /// whose inventory covers the repay acts, else a flash-capable one
+    /// borrows the repay. `Err` settles the entry: requeued when nobody is
+    /// ready, or when everyone ready is out of capital — the cascade has
+    /// outrun the liquidators, the cohort is recorded exhausted, and
+    /// replenishment may fund the entry before its TTL lapses.
+    fn ready_liquidator(
+        &mut self,
+        platform: Platform,
+        entry: &PendingOpportunity,
+        block: BlockNumber,
+        debt: DebtHolding,
+    ) -> Result<(LiquidatorAgent, bool), Outcome> {
+        let (Some(behavior), Some(covering), Some(protocol)) = (
+            self.behavior.as_mut(),
+            self.covering.get(&platform),
+            self.protocols.get(&platform),
+        ) else {
+            return Err(Outcome::Dropped);
+        };
+        let repay_amount = debt
+            .amount
+            .checked_mul(protocol.close_factor())
+            .unwrap_or(Wad::ZERO);
+        let debt_price = self.market_oracle.price_or_zero(debt.token).to_f64();
+        let liquidators = &self.liquidators;
+        let ranked = || {
+            covering.iter().filter_map(|&index| {
+                let l = liquidators.get(index)?;
+                Some((index, l.latency_ticks, l.address))
+            })
+        };
+        let ready: Vec<&LiquidatorAgent> = behavior
+            .ready_agents(entry, block, ranked)
+            .filter_map(|index| liquidators.get(index))
+            .collect();
+        if ready.is_empty() {
+            return Err(Outcome::Requeue);
+        }
+        let funded = ready
+            .iter()
+            .find(|l| behavior.can_cover(l.address, debt.token, repay_amount, debt_price));
+        if let Some(l) = funded {
+            return Ok(((*l).clone(), false));
+        }
+        if FLASH_LOAN_TOKENS.contains(&debt.token) {
+            if let Some(l) = ready.iter().find(|l| l.uses_flash_loans) {
+                return Ok(((*l).clone(), true));
+            }
+        }
+        let addresses: Vec<Address> = ready.iter().map(|l| l.address).collect();
+        behavior.record_exhaustion(&addresses);
+        Err(Outcome::Requeue)
     }
 
     /// Seize the most valuable collateral, repay the largest debt.
@@ -950,168 +1064,26 @@ impl SimulationEngine {
         Some((collateral, debt))
     }
 
-    /// Process the latency queue of a fixed-spread platform: expire stale
-    /// entries, re-check each surviving borrower's health factor at execution
-    /// time, and hand still-liquidatable positions to the first ready agent.
-    fn process_due_liquidations(
-        &mut self,
-        platform: Platform,
-        block: BlockNumber,
-        congested: bool,
-        eth_price: f64,
-    ) {
-        let pending = match self.behavior.as_mut() {
-            Some(behavior) => behavior.take_platform_queue(platform),
-            None => return,
-        };
-        for entry in pending {
-            if block > entry.expires_at_block {
-                if let Some(behavior) = self.behavior.as_mut() {
-                    behavior.stats.stale_dropped += 1;
-                }
-                continue;
-            }
-            // Stale opportunities re-check HF at execution: the position may
-            // have been rescued, repaid or already liquidated since discovery.
-            let Some(position) = with_protocol(
-                &mut self.protocols,
-                &self.oracles,
-                platform,
-                |protocol, oracle| protocol.position(oracle, entry.borrower),
-            ) else {
-                continue;
-            };
-            let still_liquidatable = position
-                .as_ref()
-                .and_then(|p| p.health_factor())
-                .is_some_and(|hf| hf < Wad::ONE);
-            let Some(position) = position.filter(|_| still_liquidatable) else {
-                if let Some(behavior) = self.behavior.as_mut() {
-                    behavior.stats.stale_dropped += 1;
-                }
-                continue;
-            };
-            self.attempt_liquidation_behavioral(
-                platform, &position, entry, block, congested, eth_price,
-            );
-        }
-    }
-
-    /// Behavioural execution of one due opportunity: the covering liquidators
-    /// are ranked by `(latency, address)`; the first whose latency has
-    /// elapsed *and* whose inventory covers the repay executes it. If no
-    /// funded bot exists, a flash-capable bot may step in; otherwise the
-    /// cohort is recorded as capital-exhausted and the opportunity requeued
-    /// (replenishment may re-enable it before the TTL lapses).
-    fn attempt_liquidation_behavioral(
-        &mut self,
-        platform: Platform,
-        position: &Position,
-        entry: PendingOpportunity,
-        block: BlockNumber,
-        congested: bool,
-        eth_price: f64,
-    ) {
-        let tick_blocks = self.config.tick_blocks.max(1);
-        let covering = self
-            .covering
-            .entry(platform)
-            .or_insert_with(|| CoveringLiquidators::of(&self.liquidators, platform));
-        if covering.by_latency.is_empty() {
-            return;
-        }
-        let Some((collateral, debt)) = Self::pick_exposures(position) else {
-            return;
-        };
-        let Some(close_factor) = self.protocols.get(&platform).map(|p| p.close_factor()) else {
-            return;
-        };
-        let repay_amount = debt.amount.checked_mul(close_factor).unwrap_or(Wad::ZERO);
-        let debt_price = self.market_oracle.price_or_zero(debt.token).to_f64();
-
-        let elapsed: Vec<&LiquidatorAgent> = covering
-            .by_latency
-            .iter()
-            .filter_map(|&index| self.liquidators.get(index))
-            .filter(|l| {
-                entry
-                    .discovered_block
-                    .saturating_add(l.latency_ticks.saturating_mul(tick_blocks))
-                    <= block
-            })
-            .collect();
-        if elapsed.is_empty() {
-            if let Some(behavior) = self.behavior.as_mut() {
-                behavior.requeue(entry);
-            }
-            return;
-        }
-
-        // First ready bot with inventory; otherwise a flash-capable ready bot.
-        let mut executor: Option<(LiquidatorAgent, bool)> = None;
-        if let Some(behavior) = self.behavior.as_mut() {
-            for agent in &elapsed {
-                if behavior.can_cover(agent.address, debt.token, repay_amount, debt_price) {
-                    executor = Some(((*agent).clone(), false));
-                    break;
-                }
-            }
-        }
-        if executor.is_none()
-            && matches!(
-                debt.token,
-                Token::DAI | Token::USDC | Token::USDT | Token::ETH
-            )
-        {
-            if let Some(agent) = elapsed.iter().find(|l| l.uses_flash_loans) {
-                executor = Some(((*agent).clone(), true));
-            }
-        }
-        let Some((agent, use_flash)) = executor else {
-            // Everyone ready is out of capital: the cascade has outrun the
-            // liquidators. Requeue — replenishment may fund it next tick.
-            let addresses: Vec<Address> = elapsed.iter().map(|l| l.address).collect();
-            if let Some(behavior) = self.behavior.as_mut() {
-                behavior.record_exhaustion(&addresses);
-                behavior.requeue(entry);
-            }
-            return;
-        };
-
-        let executed = self.execute_fixed_spread(
-            platform, position, collateral, debt, &agent, use_flash, block, congested, eth_price,
-        );
-        if executed {
-            if let Some(behavior) = self.behavior.as_mut() {
-                if !use_flash {
-                    behavior.consume(agent.address, debt.token, repay_amount, debt_price);
-                }
-                behavior.stats.executed_delayed += 1;
-            }
-        } else if let Some(behavior) = self.behavior.as_mut() {
-            // Excluded or unprofitable this tick: keep it pending until the
-            // TTL lapses (gas conditions change tick to tick).
-            behavior.requeue(entry);
-        }
-    }
-
     /// Execute one fixed-spread liquidation for a chosen liquidator: gas
     /// bidding, mempool inclusion, the §4.4.3 profitability check, then an
-    /// inventory- or flash-loan-funded `execute_liquidation`. Returns whether
-    /// the liquidation settled on-chain.
-    #[allow(clippy::too_many_arguments)]
+    /// inventory- or flash-loan-funded `execute_liquidation`. A settled
+    /// inventory-funded repay draws on the bot's behavioural inventory.
+    /// Returns whether the liquidation settled on-chain.
     fn execute_fixed_spread(
         &mut self,
-        platform: Platform,
-        position: &Position,
+        opportunity: &Opportunity,
         collateral: CollateralHolding,
         debt: DebtHolding,
         liquidator: &LiquidatorAgent,
         use_flash: bool,
-        block: BlockNumber,
-        congested: bool,
-        eth_price: f64,
+        tick: TickConditions,
     ) -> bool {
+        let TickConditions {
+            block,
+            congested,
+            eth_price,
+        } = tick;
+        let (platform, position) = (opportunity.platform, &opportunity.position);
         let Some(close_factor) = self.protocols.get(&platform).map(|p| p.close_factor()) else {
             return false;
         };
@@ -1235,6 +1207,10 @@ impl SimulationEngine {
         let Some(receipt) = settled else {
             return false;
         };
+        if let Some(behavior) = self.behavior.as_mut().filter(|_| !use_flash) {
+            let debt_price = self.market_oracle.price_or_zero(debt.token).to_f64();
+            behavior.consume(liquidator.address, debt.token, repay_amount, debt_price);
+        }
         // Flash-loan unwinds already traded through the DEX inside the
         // transaction; everything else queues for the spiral pass.
         if let Some(receipt) = receipt.filter(|_| feedback && !use_flash) {
@@ -1247,26 +1223,49 @@ impl SimulationEngine {
 
     // --------------------------------------------------------------- auctions
 
-    /// One keeper attempts to start an auction on a liquidatable borrower.
-    /// Returns whether the bite settled on-chain; a settled bite files
-    /// `hf_at_bite` under the auction id the protocol hands back.
-    fn try_bite(
+    /// A keeper bites the opportunity, starting an auction: a random keeper
+    /// without the behavioural layer, the first ready one in latency order
+    /// with it. A keeper stale under congestion mostly sits it out. A
+    /// settled bite files the position's health factor under the auction id
+    /// the protocol hands back.
+    fn bite(
         &mut self,
-        platform: Platform,
-        keeper: &KeeperAgent,
-        borrower: Address,
-        hf_at_bite: Option<Wad>,
-    ) -> bool {
+        opportunity: &Opportunity,
+        due: Option<&PendingOpportunity>,
+        tick: TickConditions,
+    ) -> Outcome {
+        let keeper = match due {
+            None => self.pick_keeper(),
+            Some(entry) => {
+                let keepers = &self.keepers;
+                let ranked = || {
+                    keepers
+                        .iter()
+                        .enumerate()
+                        .map(|(index, k)| (index, k.latency_ticks, k.address))
+                };
+                self.behavior.as_mut().and_then(|behavior| {
+                    let first = behavior.ready_agents(entry, tick.block, ranked).next();
+                    first.and_then(|index| keepers.get(index)).cloned()
+                })
+            }
+        };
+        let Some(keeper) = keeper else {
+            return Outcome::Requeue;
+        };
+        if tick.congested && keeper.stale_under_congestion && self.rng.gen_bool(0.8) {
+            return Outcome::Requeue; // overdue liquidation
+        }
         let gas = self.chain.gas_market_mut().competitive_bid(0.3);
         let request = LiquidationRequest::StartAuction {
             keeper: keeper.address,
-            borrower,
+            borrower: opportunity.borrower,
         };
         let Some(execution) = submit(
             &mut self.chain,
             &mut self.protocols,
             &self.oracles,
-            platform,
+            opportunity.platform,
             keeper.address,
             gas,
             self.config.auction_gas,
@@ -1274,130 +1273,20 @@ impl SimulationEngine {
                 protocol.execute_liquidation(ctx.ledger, ctx.events, oracle, ctx.block, &request)
             },
         ) else {
-            return false;
+            return Outcome::Requeue;
         };
         if let (LiquidationExecution::AuctionStarted(auction_id), Some(hf)) =
-            (execution, hf_at_bite)
+            (execution, opportunity.position.health_factor())
         {
             self.auction_bite_hf.insert(auction_id, hf);
         }
-        true
+        Outcome::Executed
     }
 
-    /// Process the keeper latency queue of an auction platform: expired or
-    /// recovered entries are dropped; the first keeper whose latency has
-    /// elapsed (by `(latency, address)`) bites, with stale keepers still
-    /// liable to sit out under congestion.
-    fn process_due_bites(&mut self, platform: Platform, block: BlockNumber, congested: bool) {
-        let pending = match self.behavior.as_mut() {
-            Some(behavior) => behavior.take_platform_queue(platform),
-            None => return,
-        };
-        let tick_blocks = self.config.tick_blocks.max(1);
-        let keepers = &self.keepers;
-        self.keepers_by_latency.get_or_insert_with(|| {
-            let mut ranking: Vec<usize> = (0..keepers.len()).collect();
-            ranking.sort_by_key(|&index| keepers.get(index).map(|k| (k.latency_ticks, k.address)));
-            ranking
-        });
-        for entry in pending {
-            if block > entry.expires_at_block {
-                if let Some(behavior) = self.behavior.as_mut() {
-                    behavior.stats.stale_dropped += 1;
-                }
-                continue;
-            }
-            let Some(hf_at_bite) = with_protocol(
-                &mut self.protocols,
-                &self.oracles,
-                platform,
-                |protocol, oracle| {
-                    protocol
-                        .position(oracle, entry.borrower)
-                        .and_then(|p| p.health_factor())
-                },
-            ) else {
-                continue;
-            };
-            if hf_at_bite.is_none_or(|hf| hf >= Wad::ONE) {
-                if let Some(behavior) = self.behavior.as_mut() {
-                    behavior.stats.stale_dropped += 1;
-                }
-                continue;
-            }
-            let ready = self
-                .keepers_by_latency
-                .iter()
-                .flatten()
-                .filter_map(|&index| self.keepers.get(index))
-                .find(|k| {
-                    entry
-                        .discovered_block
-                        .saturating_add(k.latency_ticks.saturating_mul(tick_blocks))
-                        <= block
-                });
-            let Some(keeper) = ready.cloned() else {
-                if let Some(behavior) = self.behavior.as_mut() {
-                    behavior.requeue(entry);
-                }
-                continue;
-            };
-            if congested && keeper.stale_under_congestion && self.rng.gen_bool(0.8) {
-                if let Some(behavior) = self.behavior.as_mut() {
-                    behavior.requeue(entry);
-                }
-                continue;
-            }
-            if self.try_bite(platform, &keeper, entry.borrower, hf_at_bite) {
-                if let Some(behavior) = self.behavior.as_mut() {
-                    behavior.stats.executed_delayed += 1;
-                }
-            } else if let Some(behavior) = self.behavior.as_mut() {
-                behavior.requeue(entry);
-            }
-        }
-    }
-
-    /// Keeper bots work an auction-mechanism platform: bite liquidatable
-    /// positions, bid on open auctions, settle terminated ones — all through
-    /// the unified `execute_liquidation` entry point.
+    /// Keeper bots bid on an auction platform's open auctions and settle
+    /// the terminated ones, through the unified `execute_liquidation` entry
+    /// point.
     fn run_auction_keepers(&mut self, platform: Platform, block: BlockNumber, congested: bool) {
-        if self.keepers.is_empty() {
-            return;
-        }
-
-        // 1. Start auctions on liquidatable positions — a critical-price
-        // range scan on the cached book, not a full CDP rebuild.
-        let mut opportunities = std::mem::take(&mut self.opportunity_scratch);
-        with_protocol(
-            &mut self.protocols,
-            &self.oracles,
-            platform,
-            |protocol, oracle| protocol.liquidatable_into(oracle, &mut opportunities),
-        );
-        if let Some(behavior) = self.behavior.as_mut() {
-            // Behavioural layer: bites wait out keeper latency like
-            // fixed-spread liquidations wait out liquidator latency.
-            for opportunity in &opportunities {
-                behavior.queue(platform, opportunity.borrower, block);
-            }
-            opportunities.clear();
-            self.opportunity_scratch = opportunities;
-            self.process_due_bites(platform, block, congested);
-        } else {
-            for opportunity in &opportunities {
-                let keeper = self.keepers[self.rng.gen_range(0..self.keepers.len())].clone(); // lint:allow(hot-index) gen_range(0..len) is in bounds, and keepers is checked non-empty at fn entry
-                if congested && keeper.stale_under_congestion && self.rng.gen_bool(0.8) {
-                    continue; // overdue liquidation
-                }
-                let hf_at_bite = opportunity.position.health_factor();
-                self.try_bite(platform, &keeper, opportunity.borrower, hf_at_bite);
-            }
-            opportunities.clear();
-            self.opportunity_scratch = opportunities;
-        }
-
-        // 2. Bid on / finalise open auctions.
         let Some(params) = self
             .protocols
             .get(&platform)
@@ -1495,6 +1384,14 @@ impl SimulationEngine {
         }
     }
 
+    /// A keeper drawn uniformly from the population. The draw comes first,
+    /// so the RNG stream does not depend on the lookup; every caller has
+    /// checked that keepers exist.
+    fn pick_keeper(&mut self) -> Option<KeeperAgent> {
+        let pick = self.rng.gen_range(0..self.keepers.len());
+        self.keepers.get(pick).cloned()
+    }
+
     /// One keeper considers one bid on one open auction.
     fn run_bidding_round(
         &mut self,
@@ -1517,7 +1414,9 @@ impl SimulationEngine {
             .unwrap_or(Wad::ZERO);
 
         // Pick a keeper willing to act in this round.
-        let keeper = self.keepers[self.rng.gen_range(0..self.keepers.len())].clone(); // lint:allow(hot-index) gen_range(0..len) is in bounds; run_auction_keepers checks keepers non-empty before any round runs
+        let Some(keeper) = self.pick_keeper() else {
+            return;
+        };
         let keeper_active = if congested {
             if keeper.stale_under_congestion {
                 false

@@ -30,8 +30,7 @@
 //!   entry values its holdings at the platform oracle's current price (no
 //!   stale or saturated valuations — the "no negative balances" failure mode
 //!   of unsigned arithmetic is a saturated blow-up, which the sanity ceiling
-//!   catches); health factors exist exactly for indebted positions and agree
-//!   with `is_liquidatable`; and no DEX pool is drained to zero on either
+//!   catches); and no DEX pool is drained to zero on either
 //!   side (pool reserves *are* ledger balances since they moved into the
 //!   journaled ledger, so reserve-vs-ledger conservation now holds by
 //!   construction and depletion is the remaining failure mode).
@@ -378,27 +377,10 @@ impl SimObserver for InvariantObserver {
         }
 
         // Position books, walked in place: valuations track the platform
-        // oracle, health factors exist exactly for indebted positions,
-        // nothing saturated. The walk visits only platforms with an oracle.
+        // oracle, nothing saturated. The walk visits only platforms with an
+        // oracle.
         tick.for_each_position(&mut |platform, position| {
             let oracle = &tick.oracles[&platform];
-            let has_debt = !position.total_debt_value().is_zero();
-            // One evaluation feeds every check; `Position::is_liquidatable`
-            // is `HF < 1` on this same health factor.
-            let hf = position.health_factor();
-            if has_debt && hf.is_none() {
-                self.report(
-                    block,
-                    format!("{platform}: indebted position without a health factor"),
-                );
-            }
-            let liquidatable = hf.is_some_and(|hf| hf < Wad::ONE);
-            if liquidatable && hf.is_some_and(|hf| hf >= Wad::ONE) {
-                self.report(
-                    block,
-                    format!("{platform}: position flagged liquidatable with HF ≥ 1"),
-                );
-            }
             for holding in &position.collateral {
                 let expected = holding
                     .amount
