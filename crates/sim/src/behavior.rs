@@ -198,10 +198,10 @@ pub(crate) struct BehaviorEngine {
     capital: BTreeMap<Address, LiquidatorCapital>,
     queue: VecDeque<PendingOpportunity>,
     queued_keys: BTreeSet<(Platform, Address)>,
-    /// The agents working each platform as `(latency_ticks, index into
-    /// their population)`, ranked by `(latency_ticks, address)`: built on
-    /// the platform's first due entry.
-    rankings: BTreeMap<Platform, Vec<(u64, usize)>>,
+    /// The agents working each platform as `(latency_ticks, address, index
+    /// into their population)`, sorted: built on the platform's first due
+    /// entry.
+    rankings: BTreeMap<Platform, Vec<(u64, Address, usize)>>,
     last_eth_price: Option<f64>,
     /// Blocks per tick (at least 1): latencies and TTLs are counted in ticks.
     tick_blocks: u64,
@@ -296,15 +296,12 @@ impl BehaviorEngine {
     {
         self.rankings.entry(entry.platform).or_insert_with(|| {
             // Ties keep population order, as the index is the last key.
-            let mut ranked: Vec<(u64, Address, usize)> = agents()
+            let mut ranked: Vec<_> = agents()
                 .into_iter()
                 .map(|(index, latency, address)| (latency, address, index))
                 .collect();
             ranked.sort_unstable();
             ranked
-                .into_iter()
-                .map(|(latency, _, index)| (latency, index))
-                .collect()
         });
         let this = &*self;
         let entry = *entry;
@@ -312,8 +309,8 @@ impl BehaviorEngine {
             .get(&entry.platform)
             .into_iter()
             .flatten()
-            .take_while(move |&&(latency, _)| this.latency_elapsed(&entry, latency, block))
-            .map(|&(_, index)| index)
+            .take_while(move |&&(latency, ..)| this.latency_elapsed(&entry, latency, block))
+            .map(|&(.., index)| index)
     }
 
     /// Whether an agent of `latency_ticks` may act on `entry` at `block`:

@@ -953,10 +953,12 @@ impl SimulationEngine {
         let platform = opportunity.platform;
         let liquidators = &self.liquidators;
         let covering = self.covering.entry(platform).or_insert_with(|| {
-            let covers = |(index, l): (usize, &LiquidatorAgent)| {
-                l.platforms.contains(&platform).then_some(index)
-            };
-            liquidators.iter().enumerate().filter_map(covers).collect()
+            liquidators
+                .iter()
+                .enumerate()
+                .filter(|(_, l)| l.platforms.contains(&platform))
+                .map(|(index, _)| index)
+                .collect()
         });
         if covering.is_empty() {
             return Outcome::Dropped;
