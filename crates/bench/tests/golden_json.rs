@@ -14,11 +14,15 @@
 //! `capital-crunch-spiral` scenario: its headline JSON plus the behaviour
 //! report (the counters and the per-agent capital exhaustions), rendered
 //! by [`behavior_rendering`].
+//!
+//! `golden/sweep.json` pins `repro --smoke --sweep seeds=2 --workers 2
+//! --json <dir>`: two smoke-window seeds fanned across two workers, with
+//! their per-run summaries and per-scenario aggregates.
 
 use defi_analytics::StudyAnalysis;
 use defi_bench::artefacts::STUDY_ARTEFACTS;
 use defi_bench::json;
-use defi_sim::{BehaviorReport, EngineBuilder, SimConfig, SimulationEngine};
+use defi_sim::{BehaviorReport, EngineBuilder, SimConfig, SimulationEngine, SweepRunner};
 
 /// The `repro` binary's default seed (the paper's publication date).
 const REPRO_DEFAULT_SEED: u64 = 20_211_102;
@@ -106,5 +110,18 @@ fn capital_crunch_spiral_smoke_run_matches_the_committed_golden_file() {
     assert!(
         actual == golden,
         "capital-crunch-spiral.txt drifted from the golden file.\n--- expected ---\n{golden}\n--- actual ---\n{actual}"
+    );
+}
+
+#[test]
+fn smoke_sweep_json_matches_the_committed_golden_file() {
+    let grid = SweepRunner::seed_grid(&SimConfig::smoke_test(REPRO_DEFAULT_SEED), 2);
+    let runner = SweepRunner::new(2);
+    let summaries = runner.run(&grid).expect("smoke sweep");
+    let actual = rendered(&json::sweep_json(&summaries, runner.workers()));
+    let golden = include_str!("golden/sweep.json");
+    assert!(
+        actual == golden,
+        "sweep.json drifted from the golden file.\n--- expected ---\n{golden}\n--- actual ---\n{actual}"
     );
 }
