@@ -19,6 +19,7 @@
 //! | [`profit_volume`] | §5.1 profit–volume comparison, Figure 9, Table 8 |
 //! | [`price_movement`] | Appendix A post-liquidation price movements, Table 7 |
 //! | [`study`] | one-call [`StudyAnalysis`] bundling all of the above |
+//! | [`sweep`] | the study run over a seed or scenario grid, one [`RunSummary`](sweep::RunSummary) per run |
 //!
 //! Each artefact has exactly one implementation: a pure batch function over
 //! the ledger, the chain, the market oracle, the final position books or the
@@ -41,6 +42,7 @@ pub mod records;
 pub mod sensitivity;
 pub mod stablecoin;
 pub mod study;
+pub mod sweep;
 pub mod unprofitable;
 
 pub use records::{LiquidationKind, LiquidationRecord};

@@ -23,14 +23,16 @@
 //! analytics crate's `StudyCollector` observer instead of materialising a
 //! report and re-scanning it. `--json <dir>` additionally writes every
 //! selected artefact as a machine-readable JSON file. `--sweep seeds=N` fans
-//! N seeds of the scenario across `SweepRunner` workers and prints per-run
-//! summaries with mean/std aggregates instead of the single-run artefacts.
+//! N seeds of the scenario across `SweepRunner` workers, streams each through
+//! the same study pipeline, and prints per-run summaries with mean/std
+//! aggregates instead of the single-run artefacts.
 
 #![forbid(unsafe_code)]
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
+use defi_analytics::sweep::sweep_summaries;
 use defi_analytics::{StudyAnalysis, StudyCollector};
 use defi_bench::artefacts::{self, STUDY_ARTEFACTS};
 use defi_bench::case_study::{run_case_study, CaseStudyInput};
@@ -39,9 +41,8 @@ use defi_core::config::is_sound_fixed_spread_config;
 use defi_core::params::RiskParams;
 use defi_journal::{JournalReader, JournalWriter};
 use defi_sim::{
-    EngineBuilder, InvariantObserver, MultiObserver, RunSummary, ScenarioCatalog, Session,
-    SessionStatus, SimConfig, SimError, SimObserver, SimulationEngine, SimulationReport,
-    SweepRunner,
+    EngineBuilder, InvariantObserver, MultiObserver, ScenarioCatalog, Session, SessionStatus,
+    SimConfig, SimError, SimObserver, SimulationEngine, SimulationReport, SweepRunner,
 };
 use defi_types::Platform;
 
@@ -94,7 +95,7 @@ fn run_sweep(
         runner.workers()
     );
     let started = std::time::Instant::now();
-    let summaries: Vec<RunSummary> = match runner.run_with_catalog(&grid, catalog) {
+    let summaries = match sweep_summaries(&runner, &grid, catalog) {
         Ok(summaries) => summaries,
         Err(error) => {
             eprintln!("sweep failed: {error}");
@@ -327,9 +328,9 @@ fn main() {
         std::process::exit(2);
     }
     if check_invariants && sweep.is_some() {
-        // The sweep path runs its own summarising observer per worker; it
-        // does not audit invariants, so refuse instead of silently ignoring
-        // the flag and reporting a false "clean" exit.
+        // Each sweep run streams through the study pipeline alone; it does
+        // not audit invariants, so refuse instead of silently ignoring the
+        // flag and reporting a false "clean" exit.
         eprintln!("--check-invariants cannot be combined with --sweep");
         std::process::exit(2);
     }

@@ -8,8 +8,9 @@
 
 use std::fmt;
 
+use defi_analytics::sweep::RunSummary;
 use defi_analytics::StudyAnalysis;
-use defi_sim::{RunSummary, ScenarioCatalog};
+use defi_sim::ScenarioCatalog;
 use defi_types::{Platform, SignedWad, Wad};
 
 use crate::case_study::CaseStudy;
@@ -615,10 +616,17 @@ pub struct ScenarioAggregate {
     pub eth_decline_43_liquidatable_usd: defi_analytics::auctions::MeanStd,
 }
 
-/// Group sweep summaries by scenario and aggregate the headline metrics.
+/// Group sweep summaries by scenario, in scenario-name order with input order
+/// kept inside each group, and aggregate the headline metrics. Pooling a
+/// depeg run with a gas-spike run into one mean says nothing about either.
 pub fn scenario_aggregates(summaries: &[RunSummary]) -> Vec<ScenarioAggregate> {
     use defi_analytics::auctions::MeanStd;
-    defi_sim::group_by_scenario(summaries)
+    let mut groups: std::collections::BTreeMap<&str, Vec<&RunSummary>> =
+        std::collections::BTreeMap::new();
+    for summary in summaries {
+        groups.entry(&summary.scenario).or_default().push(summary);
+    }
+    groups
         .into_iter()
         .map(|(scenario, group)| {
             let liquidations: Vec<f64> = group.iter().map(|s| s.liquidations as f64).collect();
@@ -768,6 +776,32 @@ mod tests {
         // Groups carry their run counts.
         assert!(text.contains("\"runs\": 2"));
         assert!(text.contains("\"runs\": 1"));
+    }
+
+    #[test]
+    fn scenario_aggregates_partition_in_name_order() {
+        use defi_analytics::sweep::sweep_summaries;
+        use defi_sim::{SimConfig, SweepRunner};
+
+        let mut base = SimConfig::smoke_test(5);
+        base.end_block = base.start_block + 2 * base.tick_blocks;
+        base.scenario = None;
+        let grid = {
+            let mut configs =
+                SweepRunner::scenario_grid(&base, &["paper-two-year", "stablecoin-depeg"]);
+            configs.extend(SweepRunner::scenario_grid(&base, &["paper-two-year"]));
+            configs
+        };
+        let runner = SweepRunner::new(2);
+        let summaries = sweep_summaries(&runner, &grid, &ScenarioCatalog::standard()).unwrap();
+        let groups = scenario_aggregates(&summaries);
+        assert_eq!(groups.len(), 2);
+        assert_eq!(groups[0].scenario, "paper-two-year");
+        assert_eq!(groups[0].runs, 2);
+        assert_eq!(groups[1].scenario, "stablecoin-depeg");
+        assert_eq!(groups[1].runs, 1);
+        let total: usize = groups.iter().map(|group| group.runs).sum();
+        assert_eq!(total, summaries.len());
     }
 
     #[test]

@@ -19,10 +19,13 @@
 //! --json <dir>`: two smoke-window seeds fanned across two workers, with
 //! their per-run summaries and per-scenario aggregates.
 
+use defi_analytics::sweep::sweep_summaries;
 use defi_analytics::StudyAnalysis;
 use defi_bench::artefacts::STUDY_ARTEFACTS;
 use defi_bench::json;
-use defi_sim::{BehaviorReport, EngineBuilder, SimConfig, SimulationEngine, SweepRunner};
+use defi_sim::{
+    BehaviorReport, EngineBuilder, ScenarioCatalog, SimConfig, SimulationEngine, SweepRunner,
+};
 
 /// The `repro` binary's default seed (the paper's publication date).
 const REPRO_DEFAULT_SEED: u64 = 20_211_102;
@@ -117,7 +120,8 @@ fn capital_crunch_spiral_smoke_run_matches_the_committed_golden_file() {
 fn smoke_sweep_json_matches_the_committed_golden_file() {
     let grid = SweepRunner::seed_grid(&SimConfig::smoke_test(REPRO_DEFAULT_SEED), 2);
     let runner = SweepRunner::new(2);
-    let summaries = runner.run(&grid).expect("smoke sweep");
+    let summaries =
+        sweep_summaries(&runner, &grid, &ScenarioCatalog::standard()).expect("smoke sweep");
     let actual = rendered(&json::sweep_json(&summaries, runner.workers()));
     let golden = include_str!("golden/sweep.json");
     assert!(

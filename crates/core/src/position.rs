@@ -156,10 +156,14 @@ impl Position {
 
     /// "If HF < 1, the collateral becomes eligible for liquidation." (§2.3)
     pub fn is_liquidatable(&self) -> bool {
-        match self.health_factor() {
-            Some(hf) => hf < Wad::ONE,
-            None => false,
-        }
+        self.liquidatable_health_factor().is_some()
+    }
+
+    /// The health factor of a liquidatable position (HF < 1), `None` for
+    /// any other: the [`is_liquidatable`](Position::is_liquidatable) test
+    /// that keeps the value it read.
+    pub fn liquidatable_health_factor(&self) -> Option<Wad> {
+        self.health_factor().filter(|hf| *hf < Wad::ONE)
     }
 
     /// "A debt is under-collateralized if CR < 1" (§2.3). Such positions are

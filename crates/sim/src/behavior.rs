@@ -26,7 +26,7 @@
 //! this state is journaled — it is reconstructed from `SimConfig` on a re-run
 //! (see CONTRACTS.md, "The agent-state contract").
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -196,7 +196,8 @@ pub(crate) struct BehaviorEngine {
     pub(crate) config: BehaviorConfig,
     rng: StdRng,
     capital: BTreeMap<Address, LiquidatorCapital>,
-    queue: VecDeque<PendingOpportunity>,
+    /// Each platform's pending entries, oldest first.
+    queues: BTreeMap<Platform, Vec<PendingOpportunity>>,
     queued_keys: BTreeSet<(Platform, Address)>,
     /// The agents working each platform as `(latency_ticks, address, index
     /// into their population)`, sorted: built on the platform's first due
@@ -215,7 +216,7 @@ impl BehaviorEngine {
             config,
             rng: StdRng::seed_from_u64(seed),
             capital: BTreeMap::new(),
-            queue: VecDeque::new(),
+            queues: BTreeMap::new(),
             queued_keys: BTreeSet::new(),
             rankings: BTreeMap::new(),
             last_eth_price: None,
@@ -234,25 +235,24 @@ impl BehaviorEngine {
             .config
             .opportunity_ttl_ticks
             .saturating_mul(self.tick_blocks);
-        self.queue.push_back(PendingOpportunity {
-            platform,
-            borrower,
-            discovered_block: block,
-            expires_at_block: block.saturating_add(ttl_blocks),
-        });
+        self.queues
+            .entry(platform)
+            .or_default()
+            .push(PendingOpportunity {
+                platform,
+                borrower,
+                discovered_block: block,
+                expires_at_block: block.saturating_add(ttl_blocks),
+            });
         self.stats.opportunities_queued += 1;
     }
 
-    /// Drain `platform`'s pending entries in queue order, freeing their
-    /// dedupe slots. An entry past its TTL is settled stale; the rest are
-    /// due, and the caller settles each with [`Self::settle`].
+    /// Take `platform`'s pending entries whole, in queue order, freeing
+    /// their dedupe slots. An entry past its TTL is settled stale; the rest
+    /// are due, and the caller settles each with [`Self::settle`].
     pub(crate) fn take_due(&mut self, platform: Platform, block: u64) -> Vec<PendingOpportunity> {
         let mut due = Vec::new();
-        for entry in std::mem::take(&mut self.queue) {
-            if entry.platform != platform {
-                self.queue.push_back(entry);
-                continue;
-            }
+        for entry in self.queues.remove(&platform).unwrap_or_default() {
             self.queued_keys.remove(&(platform, entry.borrower));
             if block > entry.expires_at_block {
                 self.settle(entry, Outcome::Stale);
@@ -263,14 +263,14 @@ impl BehaviorEngine {
         due
     }
 
-    /// Settle one taken entry: count it, or put it back on the queue with
-    /// its discovery block and TTL.
+    /// Settle one taken entry: count it, or append it to its platform's
+    /// queue with its discovery block and TTL.
     pub(crate) fn settle(&mut self, entry: PendingOpportunity, outcome: Outcome) {
         match outcome {
             Outcome::Executed => self.stats.executed_delayed += 1,
             Outcome::Requeue => {
                 if self.queued_keys.insert((entry.platform, entry.borrower)) {
-                    self.queue.push_back(entry);
+                    self.queues.entry(entry.platform).or_default().push(entry);
                 }
             }
             Outcome::Stale => self.stats.stale_dropped += 1,
@@ -462,11 +462,12 @@ mod tests {
     #[test]
     fn queue_dedupes_and_takes_per_platform() {
         let mut b = engine(BehaviorConfig::capital_constrained());
-        let borrower = Address::from_seed(1);
+        let (borrower, other) = (Address::from_seed(1), Address::from_seed(2));
         b.queue(Platform::Compound, borrower, 100);
+        b.queue(Platform::AaveV1, other, 100);
         b.queue(Platform::Compound, borrower, 101);
-        b.queue(Platform::AaveV1, borrower, 100);
-        assert_eq!(b.stats.opportunities_queued, 2);
+        b.queue(Platform::AaveV1, borrower, 101);
+        assert_eq!(b.stats.opportunities_queued, 3);
         let compound = b.take_due(Platform::Compound, 100);
         assert_eq!(compound.len(), 1);
         assert_eq!(compound[0].discovered_block, 100);
@@ -475,7 +476,13 @@ mod tests {
         // Taken entries may be re-queued; the dedupe slot was freed.
         b.settle(compound[0], Outcome::Requeue);
         assert_eq!(b.take_due(Platform::Compound, 100).len(), 1);
-        assert_eq!(b.take_due(Platform::AaveV1, 100).len(), 1);
+        // Taking Compound left AaveV1's two entries in their order.
+        let aave: Vec<_> = b
+            .take_due(Platform::AaveV1, 101)
+            .iter()
+            .map(|entry| (entry.borrower, entry.discovered_block))
+            .collect();
+        assert_eq!(aave, [(other, 100), (borrower, 101)]);
     }
 
     /// One Compound entry discovered at block 100, taken due at once.

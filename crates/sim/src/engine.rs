@@ -706,7 +706,8 @@ impl SimulationEngine {
 
     /// A due entry re-checks the health factor at execution — the position
     /// may have been rescued, repaid or already liquidated since discovery
-    /// — and a position still liquidatable goes to its mechanism's executor.
+    /// — and a position still liquidatable goes to its mechanism's executor
+    /// with the health factor the re-check read.
     fn execute_due(
         &mut self,
         mechanism: MechanismKind,
@@ -721,7 +722,10 @@ impl SimulationEngine {
         ) else {
             return Outcome::Dropped;
         };
-        let Some(position) = position.filter(Position::is_liquidatable) else {
+        let Some(position) = position else {
+            return Outcome::Stale;
+        };
+        let Some(hf) = position.liquidatable_health_factor() else {
             return Outcome::Stale;
         };
         let opportunity = Opportunity {
@@ -730,16 +734,17 @@ impl SimulationEngine {
             position,
             mechanism,
         };
-        self.execute(mechanism, &opportunity, Some(entry), tick)
+        self.execute(mechanism, &opportunity, Some((entry, hf)), tick)
     }
 
     /// Hand one opportunity to its mechanism's executor; `due` is its queue
-    /// entry under the behavioural layer.
+    /// entry under the behavioural layer, with the position's health factor
+    /// at the re-check.
     fn execute(
         &mut self,
         mechanism: MechanismKind,
         opportunity: &Opportunity,
-        due: Option<&PendingOpportunity>,
+        due: Option<(&PendingOpportunity, Wad)>,
         tick: TickConditions,
     ) -> Outcome {
         match mechanism {
@@ -947,7 +952,7 @@ impl SimulationEngine {
     fn liquidate(
         &mut self,
         opportunity: &Opportunity,
-        due: Option<&PendingOpportunity>,
+        due: Option<(&PendingOpportunity, Wad)>,
         tick: TickConditions,
     ) -> Outcome {
         let platform = opportunity.platform;
@@ -971,11 +976,11 @@ impl SimulationEngine {
             None => covering.get(self.rng.gen_range(0..covering.len())).copied(),
             Some(_) => None,
         };
-        let Some((collateral, debt)) = Self::pick_exposures(&opportunity.position) else {
+        let Some(exposures @ (_, debt)) = Self::pick_exposures(&opportunity.position) else {
             return Outcome::Dropped;
         };
         let (liquidator, use_flash) = match due {
-            Some(entry) => match self.ready_liquidator(platform, entry, tick.block, debt) {
+            Some((entry, _)) => match self.ready_liquidator(platform, entry, tick.block, debt) {
                 Ok(picked) => picked,
                 Err(outcome) => return outcome,
             },
@@ -992,7 +997,15 @@ impl SimulationEngine {
         };
         // Excluded or unprofitable this tick: gas conditions change tick to
         // tick, so a queued entry stays pending until its TTL lapses.
-        if self.execute_fixed_spread(opportunity, collateral, debt, &liquidator, use_flash, tick) {
+        let checked_hf = due.map(|(_, hf)| hf);
+        if self.execute_fixed_spread(
+            opportunity,
+            exposures,
+            &liquidator,
+            use_flash,
+            checked_hf,
+            tick,
+        ) {
             Outcome::Executed
         } else {
             Outcome::Requeue
@@ -1070,14 +1083,16 @@ impl SimulationEngine {
     /// bidding, mempool inclusion, the §4.4.3 profitability check, then an
     /// inventory- or flash-loan-funded `execute_liquidation`. A settled
     /// inventory-funded repay draws on the bot's behavioural inventory.
+    /// `checked_hf` is the health factor a due entry's re-check read; the
+    /// direct path reads it here, once the gas and profit checks pass.
     /// Returns whether the liquidation settled on-chain.
     fn execute_fixed_spread(
         &mut self,
         opportunity: &Opportunity,
-        collateral: CollateralHolding,
-        debt: DebtHolding,
+        (collateral, debt): (CollateralHolding, DebtHolding),
         liquidator: &LiquidatorAgent,
         use_flash: bool,
+        checked_hf: Option<Wad>,
         tick: TickConditions,
     ) -> bool {
         let TickConditions {
@@ -1133,7 +1148,7 @@ impl SimulationEngine {
         }
 
         let borrower = position.owner;
-        let hf_before = position.health_factor();
+        let hf_before = checked_hf.or_else(|| position.health_factor());
         let feedback = self.scenario.feedback().is_some();
         let events_before = self.chain.events().len();
         // Pool reserves are ledger balances, so an in-transaction unwind swap
@@ -1233,12 +1248,12 @@ impl SimulationEngine {
     fn bite(
         &mut self,
         opportunity: &Opportunity,
-        due: Option<&PendingOpportunity>,
+        due: Option<(&PendingOpportunity, Wad)>,
         tick: TickConditions,
     ) -> Outcome {
         let keeper = match due {
             None => self.pick_keeper(),
-            Some(entry) => {
+            Some((entry, _)) => {
                 let keepers = &self.keepers;
                 let ranked = || {
                     keepers
@@ -1277,9 +1292,10 @@ impl SimulationEngine {
         ) else {
             return Outcome::Requeue;
         };
-        if let (LiquidationExecution::AuctionStarted(auction_id), Some(hf)) =
-            (execution, opportunity.position.health_factor())
-        {
+        let hf = due
+            .map(|(_, hf)| hf)
+            .or_else(|| opportunity.position.health_factor());
+        if let (LiquidationExecution::AuctionStarted(auction_id), Some(hf)) = (execution, hf) {
             self.auction_bite_hf.insert(auction_id, hf);
         }
         Outcome::Executed

@@ -36,7 +36,8 @@
 //!   (`step` / `run_to_end` / `finish`), of which `SimulationEngine::run` is
 //!   a thin compatibility wrapper.
 //! * [`sweep`] — the [`SweepRunner`] fanning grids of configurations across
-//!   scoped worker threads for sensitivity-style studies.
+//!   scoped worker threads for sensitivity-style studies; it runs whatever
+//!   job it is given, and computes no metric itself.
 
 #![forbid(unsafe_code)]
 
@@ -63,4 +64,4 @@ pub use observer::{
 };
 pub use scenarios::{ScenarioCatalog, ScenarioEntry, ScenarioParseError, UserScenarioSpec};
 pub use session::{Session, SessionStatus, SimError};
-pub use sweep::{group_by_scenario, RunSummary, SweepRunner};
+pub use sweep::SweepRunner;

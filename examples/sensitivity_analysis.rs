@@ -7,16 +7,19 @@
 //! the 13 March 2020 crash).
 //!
 //! Part 2 repeats the 43 %-decline measurement across a grid of seeds fanned
-//! over `SweepRunner` workers, showing how sensitive the headline number is
-//! to the simulated borrower population rather than to one particular run.
+//! over `SweepRunner` workers. Each seed runs through the study pipeline
+//! (`defi_analytics::sweep::sweep_summaries`) and is read off as a
+//! `RunSummary`, showing how sensitive the headline number is to the
+//! simulated borrower population rather than to one particular run.
 //!
 //! ```sh
 //! cargo run --release --example sensitivity_analysis
 //! ```
 
 use defi_liquidations_suite::analytics::sensitivity::figure8;
+use defi_liquidations_suite::analytics::sweep::sweep_summaries;
 use defi_liquidations_suite::core::sensitivity::liquidatable_collateral;
-use defi_liquidations_suite::sim::{SimConfig, SimulationEngine, SweepRunner};
+use defi_liquidations_suite::sim::{ScenarioCatalog, SimConfig, SimulationEngine, SweepRunner};
 use defi_liquidations_suite::types::Token;
 
 fn main() {
@@ -68,7 +71,8 @@ fn main() {
     let seeds = 4;
     let runner = SweepRunner::new(4);
     let grid = SweepRunner::seed_grid(&SimConfig::smoke_test(8), seeds);
-    let summaries = runner.run(&grid).expect("seed sweep");
+    let summaries =
+        sweep_summaries(&runner, &grid, &ScenarioCatalog::standard()).expect("seed sweep");
     println!(
         "== 43% ETH decline across {} seeds ({} workers) ==",
         seeds,
