@@ -68,11 +68,6 @@ impl LiquidationRecord {
         SignedWad::sub_wads(self.collateral_received_usd, self.debt_repaid_usd)
     }
 
-    /// Net profit after the transaction fee.
-    pub fn net_profit(&self) -> SignedWad {
-        self.gross_profit().sub(SignedWad::positive(self.fee_usd))
-    }
-
     /// Whether this record belongs to the DAI-debt / ETH-collateral market
     /// studied in §5.1.
     pub fn is_dai_eth(&self) -> bool {
@@ -207,7 +202,6 @@ mod tests {
     fn profit_accounting() {
         let r = record(Platform::Compound, 1_000, 1_080, 30);
         assert_eq!(r.gross_profit(), SignedWad::positive(Wad::from_int(80)));
-        assert_eq!(r.net_profit(), SignedWad::positive(Wad::from_int(50)));
         assert!(r.is_dai_eth());
     }
 
@@ -215,7 +209,6 @@ mod tests {
     fn losses_are_negative() {
         let r = record(Platform::MakerDao, 1_000, 900, 30);
         assert!(r.gross_profit().is_negative());
-        assert_eq!(r.net_profit(), SignedWad::negative(Wad::from_int(130)));
     }
 
     #[test]

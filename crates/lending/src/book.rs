@@ -88,6 +88,12 @@
 //! [`for_each_liquidatable`](PositionBook::for_each_liquidatable) — handing
 //! it a read-view of its own state that implements [`BookSource`].
 //!
+//! One query reads without flushing: [`audit`](PositionBook::audit) takes
+//! `&self` and visits the in-book entries as they stand, each with its
+//! [`Validity`] — current, certified by an envelope or a critical price,
+//! or pending a flush. It is what the tick-end audit checks: a lagging
+//! valuation is legal only while its certificate holds.
+//!
 //! # Sharding
 //!
 //! A book starts as one shard and splits once, at the dirty mark that
@@ -223,6 +229,18 @@ impl HfBand {
             HfBand::Releverage
         } else {
             HfBand::Quiet
+        }
+    }
+
+    /// The band's `(floor, ceiling)` under the (`rescue`, `releverage`)
+    /// thresholds; `None` is an open edge. A certified envelope keeps the
+    /// health factor strictly between the two.
+    fn edges(self, rescue: Wad, releverage: Wad) -> (Option<Wad>, Option<Wad>) {
+        match self {
+            HfBand::Liquidatable => (None, Some(Wad::ONE)),
+            HfBand::Rescue => (Some(Wad::ONE), Some(rescue)),
+            HfBand::Quiet => (Some(rescue), Some(releverage)),
+            HfBand::Releverage => (Some(releverage), None),
         }
     }
 
@@ -430,6 +448,9 @@ struct Entry {
     /// re-valuation provably holds (`None`: the account rides the exact
     /// path and re-values on every relevant change).
     envelope: Option<HfEnvelope>,
+    /// The band `envelope` certifies (`None` with an envelope: a debt-free
+    /// account, which has no health factor at any price).
+    band: Option<HfBand>,
     /// Oracle write epoch the valuation was computed at.
     valued_epoch: u64,
     /// Book index epoch ([`BookClock::index_epoch`]) the valuation was
@@ -451,6 +472,7 @@ impl Entry {
             in_book: false,
             critical: None,
             envelope: None,
+            band: None,
             valued_epoch: 0,
             index_epoch: 0,
             tokens: Vec::new(),
@@ -475,6 +497,109 @@ impl Entry {
                 .iter()
                 .any(|&token| oracle.token_epoch(token) > self.valued_epoch)
     }
+
+    /// What keeps this in-book valuation valid, read without flushing. The
+    /// book still owes the entry a flush when it is `dirty`, holds a token
+    /// written after the book's last sync (`synced_epoch`), or owes a
+    /// market whose accrual no flush has stamped yet (`unsynced_markets`).
+    fn validity(
+        &self,
+        oracle: &PriceOracle,
+        clock: &BookClock,
+        synced_epoch: u64,
+        unsynced_markets: &[Token],
+        dirty: bool,
+    ) -> Validity<'_> {
+        let index_lag = self.index_stale(clock);
+        let mut unsynced = dirty
+            || self
+                .debt_tokens
+                .iter()
+                .any(|token| unsynced_markets.contains(token));
+        let mut price_lag = false;
+        for &token in &self.tokens {
+            let written = oracle.token_epoch(token);
+            unsynced |= written > synced_epoch;
+            price_lag |= written > self.valued_epoch;
+        }
+        if unsynced {
+            return Validity::Pending;
+        }
+        if !price_lag && !index_lag {
+            return Validity::Current;
+        }
+        if let Some(envelope) = &self.envelope {
+            let (rescue, releverage) = clock.bands;
+            let (floor, ceiling) = self
+                .band
+                .map_or((None, None), |band| band.edges(rescue, releverage));
+            return Validity::Envelope {
+                envelope,
+                floor,
+                ceiling,
+            };
+        }
+        // The critical index watches prices only: a lagging borrow index
+        // is certified by nothing.
+        match self.critical {
+            Some((token, crit)) if !index_lag => Validity::Critical { token, crit },
+            _ => Validity::Uncertified,
+        }
+    }
+}
+
+/// What keeps one in-book entry's cached valuation valid, as the read-only
+/// walk [`PositionBook::audit`] reports it. A lagging valuation is legal
+/// only while a certificate covers it: the book then serves its verdict
+/// without re-valuing it, and only the certificate says the verdict is
+/// still right.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Validity<'a> {
+    /// No price or borrow index the valuation depends on moved since it
+    /// was computed: every value term is exact at the current oracle.
+    Current,
+    /// The valuation lags moves the book has synced, under a certified
+    /// envelope: while every price sits inside its bound and every borrow
+    /// index at or below its cap, the health factor stays strictly between
+    /// `floor` and `ceiling` (`None`: an open edge; both `None`: a
+    /// debt-free account, which has no health factor at all).
+    Envelope {
+        /// The certified price bounds and index caps.
+        envelope: &'a HfEnvelope,
+        /// Lower edge of the certified band.
+        floor: Option<Wad>,
+        /// Upper edge of the certified band.
+        ceiling: Option<Wad>,
+    },
+    /// The valuation lags price moves the book has synced, under the exact
+    /// critical price: the account is below the liquidation threshold iff
+    /// the raw oracle price of `token` is below `crit`.
+    Critical {
+        /// The one price the health factor depends on.
+        token: Token,
+        /// The raw threshold price.
+        crit: u128,
+    },
+    /// The valuation lags a synced move with no certificate covering it —
+    /// a book fault: the flush should have re-valued it.
+    Uncertified,
+    /// The entry is dirty, or a price or borrow index it depends on moved
+    /// after the book's last sync: the next flush re-values or re-checks it,
+    /// so nothing about it can be judged yet.
+    Pending,
+}
+
+/// One in-book entry as [`PositionBook::audit`] hands it out.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AuditEntry<'a> {
+    /// The cached valuation, as the book holds it.
+    pub position: &'a Position,
+    /// What keeps it valid.
+    pub validity: Validity<'a>,
+    /// `(market, current raw borrow index)` for every market the owning
+    /// protocol accrues ([`BookSource::borrow_index`]): what an envelope's
+    /// caps are checked against.
+    pub borrow_indexes: &'a [(Token, u128)],
 }
 
 /// Book-wide valuation inputs the shards read but never write: the band
@@ -1041,6 +1166,9 @@ impl BookShard {
         let exists = source.fill_position(oracle, address, &mut entry.position);
         let mut liquidatable = false;
         let mut band = HfBand::Quiet;
+        // The band an envelope certifies; `None` for a debt-free account,
+        // which has no health factor at any price.
+        let mut certified = None;
         let mut banded = false;
         if exists {
             source.sensitive_tokens(&entry.position, &mut new_tokens);
@@ -1066,12 +1194,8 @@ impl BookShard {
                     None => {}
                     Some(hf) => {
                         band = HfBand::classify(hf, rescue, releverage);
-                        let (floor, ceiling) = match band {
-                            HfBand::Liquidatable => (None, Some(Wad::ONE)),
-                            HfBand::Rescue => (Some(Wad::ONE), Some(rescue)),
-                            HfBand::Quiet => (Some(rescue), Some(releverage)),
-                            HfBand::Releverage => (Some(releverage), None),
-                        };
+                        certified = Some(band);
+                        let (floor, ceiling) = band.edges(rescue, releverage);
                         let derive_start = std::time::Instant::now();
                         let derived = source.hf_envelope(
                             oracle,
@@ -1098,6 +1222,7 @@ impl BookShard {
             }
             entry.in_book = source.in_book(&entry.position);
             entry.critical = critical;
+            entry.band = certified;
             entry.valued_epoch = oracle.epoch();
             entry.index_epoch = clock.index_epoch;
         }
@@ -1632,6 +1757,56 @@ impl PositionBook {
     }
 
     // --------------------------------------------------------------- queries
+
+    /// Visit every in-book entry in address order **without flushing**,
+    /// each with what keeps its cached valuation valid ([`Validity`]).
+    /// Nothing is re-valued and no counter moves, so an audited run does
+    /// exactly the book work of an unaudited one: the audit checks the lazy
+    /// banded state the run relies on, not a drain of it.
+    ///
+    /// Accounts marked dirty but never valued have no entry yet and are not
+    /// visited; entries a pending mark or an unsynced move will change are
+    /// reported [`Validity::Pending`]. `source` is read for the current
+    /// borrow indexes only.
+    pub fn audit<S: BookSource>(
+        &self,
+        source: &S,
+        oracle: &PriceOracle,
+        visit: &mut dyn FnMut(&AuditEntry<'_>),
+    ) {
+        let mut indexes = [(Token::ETH, 0u128); Token::ALL.len()];
+        let mut markets = 0;
+        for token in Token::ALL {
+            if let (Some(index), Some(slot)) =
+                (source.borrow_index(token), indexes.get_mut(markets))
+            {
+                *slot = (token, index);
+                markets += 1;
+            }
+        }
+        let borrow_indexes = indexes.get(..markets).unwrap_or_default();
+        // A rewound oracle makes the next flush re-value the whole book.
+        let rewound = oracle.epoch() < self.synced_epoch;
+        for shard in &self.shards {
+            for (address, entry) in &shard.entries {
+                if !entry.in_book {
+                    continue;
+                }
+                let dirty = rewound || shard.dirty.contains(address);
+                visit(&AuditEntry {
+                    position: &entry.position,
+                    validity: entry.validity(
+                        oracle,
+                        &self.clock,
+                        self.synced_epoch,
+                        &self.pending_index_tokens,
+                        dirty,
+                    ),
+                    borrow_indexes,
+                });
+            }
+        }
+    }
 
     /// Bring every cached valuation up to date and visit the observable
     /// book in place, in address order — byte-identical to the legacy

@@ -18,7 +18,7 @@ use defi_types::{
     mul_div_ceil, mul_div_floor, Address, BlockNumber, FxHashMap, Platform, Token, Wad, WAD,
 };
 
-use crate::book::{BookSource, BookStats, BookTotals, HfEnvelope, PositionBook};
+use crate::book::{AuditEntry, BookSource, BookStats, BookTotals, HfEnvelope, PositionBook};
 use crate::error::ProtocolError;
 use crate::interest::{utilization, BorrowIndex, InterestRateModel};
 use crate::protocol::{
@@ -1194,6 +1194,15 @@ impl LendingProtocol for FixedSpreadProtocol {
     fn for_each_position(&mut self, oracle: &PriceOracle, visit: &mut dyn FnMut(&Position)) {
         let (book, view) = self.split_book();
         book.for_each_position(&view, oracle, visit);
+    }
+
+    fn audit_book(&self, oracle: &PriceOracle, visit: &mut dyn FnMut(&AuditEntry<'_>)) {
+        let view = FixedSpreadView {
+            platform: self.config.platform,
+            markets: &self.markets,
+            accounts: &self.accounts,
+        };
+        self.book.audit(&view, oracle, visit);
     }
 
     fn book_totals(&mut self, oracle: &PriceOracle) -> BookTotals {

@@ -43,8 +43,8 @@ pub mod platforms;
 pub mod protocol;
 
 pub use book::{
-    BookSource, BookStats, BookTotals, HfEnvelope, PositionBook, BOOK_SHARD_COUNT,
-    RELEVERAGE_BAND_HF, RESCUE_BAND_HF,
+    AuditEntry, BookSource, BookStats, BookTotals, HfEnvelope, PositionBook, Validity,
+    BOOK_SHARD_COUNT, RELEVERAGE_BAND_HF, RESCUE_BAND_HF,
 };
 pub use error::ProtocolError;
 pub use fixed_spread::{

@@ -26,7 +26,7 @@ use defi_core::position::{CollateralHolding, DebtHolding, Position};
 use defi_oracle::PriceOracle;
 use defi_types::{mul_div_ceil, Address, BlockNumber, FxHashMap, Platform, Token, Wad, WAD};
 
-use crate::book::{BookSource, BookStats, BookTotals, PositionBook};
+use crate::book::{AuditEntry, BookSource, BookStats, BookTotals, PositionBook};
 use crate::error::ProtocolError;
 use crate::protocol::{
     AuctionSnapshot, BidSnapshot, LendingProtocol, LiquidationExecution, LiquidationRequest,
@@ -935,6 +935,14 @@ impl LendingProtocol for MakerProtocol {
     fn for_each_position(&mut self, oracle: &PriceOracle, visit: &mut dyn FnMut(&Position)) {
         let (book, view) = self.split_book();
         book.for_each_position(&view, oracle, visit);
+    }
+
+    fn audit_book(&self, oracle: &PriceOracle, visit: &mut dyn FnMut(&AuditEntry<'_>)) {
+        let view = MakerView {
+            ilks: &self.ilks,
+            cdps: &self.cdps,
+        };
+        self.book.audit(&view, oracle, visit);
     }
 
     fn book_totals(&mut self, oracle: &PriceOracle) -> BookTotals {

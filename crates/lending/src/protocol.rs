@@ -30,7 +30,7 @@ use defi_core::position::Position;
 use defi_oracle::PriceOracle;
 use defi_types::{Address, BlockNumber, Platform, Token, Wad};
 
-use crate::book::{BookStats, BookTotals};
+use crate::book::{AuditEntry, BookStats, BookTotals, Validity};
 use crate::error::ProtocolError;
 use crate::fixed_spread::LiquidationReceipt;
 use crate::maker::AuctionOutcome;
@@ -164,7 +164,9 @@ pub struct AuctionSnapshot {
 ///
 /// Each book query has one entry point, and each implementation answers it
 /// with one [`PositionBook`](crate::book::PositionBook) call on its own
-/// book. [`liquidatable`](LendingProtocol::liquidatable) and
+/// book; the read-only [`audit_book`](LendingProtocol::audit_book) is
+/// provided only so wrappers that predate it still compile.
+/// [`liquidatable`](LendingProtocol::liquidatable) and
 /// [`book_positions`](LendingProtocol::book_positions) are provided
 /// collectors over the visits
 /// [`liquidatable_into`](LendingProtocol::liquidatable_into) and
@@ -242,6 +244,26 @@ pub trait LendingProtocol {
     /// cache (see [`crate::book::PositionBook`]); every visited valuation is
     /// identical to a from-scratch rebuild at current prices.
     fn for_each_position(&mut self, oracle: &PriceOracle, visit: &mut dyn FnMut(&Position));
+
+    /// Visit the observable book's cached entries in address order
+    /// without re-valuing any, each with what keeps its valuation valid
+    /// (served by [`PositionBook::audit`](crate::book::PositionBook::audit))
+    /// — what the tick-end audit reads. Takes `&self`: the walk changes
+    /// nothing, so an audited run does the book work of an unaudited one.
+    ///
+    /// Provided, so a wrapper that does not forward it still compiles and
+    /// is still audited: the default visits
+    /// [`reference_positions`](LendingProtocol::reference_positions) as
+    /// current entries, at the cost of a from-scratch rebuild.
+    fn audit_book(&self, oracle: &PriceOracle, visit: &mut dyn FnMut(&AuditEntry<'_>)) {
+        for position in self.reference_positions(oracle) {
+            visit(&AuditEntry {
+                position: &position,
+                validity: Validity::Current,
+                borrow_indexes: &[],
+            });
+        }
+    }
 
     /// The observable book as an owned snapshot. Provided: collects
     /// [`for_each_position`](LendingProtocol::for_each_position).

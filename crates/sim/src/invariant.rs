@@ -26,14 +26,32 @@
 //!   [`SimObserver::on_liquidation`] must carry a discovery health factor
 //!   below 1 (the engine records it when the opportunity is found);
 //! * **per-tick state** (via [`SimObserver::on_tick_end`], which the observer
-//!   opts into): the chain head matches the tick block; every position book
-//!   entry values its holdings at the platform oracle's current price (no
-//!   stale or saturated valuations — the "no negative balances" failure mode
-//!   of unsigned arithmetic is a saturated blow-up, which the sanity ceiling
-//!   catches); and no DEX pool is drained to zero on either
-//!   side (pool reserves *are* ledger balances since they moved into the
-//!   journaled ledger, so reserve-vs-ledger conservation now holds by
-//!   construction and depletion is the remaining failure mode).
+//!   opts into): the chain head matches the tick block; no DEX pool is
+//!   drained to zero on either side (pool reserves *are* ledger balances
+//!   since they moved into the journaled ledger, so reserve-vs-ledger
+//!   conservation holds by construction and depletion is the remaining
+//!   failure mode); and every position book, read as it stands through
+//!   [`LendingProtocol::audit_book`](defi_lending::LendingProtocol::audit_book)
+//!   — no entry is re-valued, so an audited
+//!   run does exactly the book work of an unaudited one and the audit
+//!   checks the lazy state that run relies on
+//!   ([`InvariantObserver::check_book_entry`]):
+//!   - a **current** entry values each holding at the platform oracle's
+//!     price (amount × price; MakerDAO's DAI debt at par);
+//!   - a **lagging** entry is legal only under a certificate that holds:
+//!     every envelope price bound contains the current price and every
+//!     index cap covers the current borrow index (the book has synced
+//!     those moves, so a broken certificate is a missed re-valuation);
+//!   - the health factor recomputed from a lagging entry's cached amounts
+//!     at current prices lies strictly inside its certified band, or on
+//!     the certified side of its critical price;
+//!   - no valuation is saturated (the "no negative balances" failure mode
+//!     of unsigned arithmetic is a saturated blow-up, which the sanity
+//!     ceiling catches).
+//!
+//!   Entries the book still owes a flush (dirty, or lagging a move after
+//!   its last sync) are skipped: the next flush re-values or re-checks
+//!   them.
 //!
 //! Violations are recorded (not panicked) by default so a run can be audited
 //! post-hoc; [`InvariantObserver::strict`] panics at the first violation.
@@ -41,6 +59,9 @@
 use std::collections::BTreeMap;
 
 use defi_chain::{ChainEvent, LoggedEvent};
+use defi_core::position::{CollateralHolding, DebtHolding, Position};
+use defi_lending::{AuditEntry, Validity};
+use defi_oracle::PriceOracle;
 use defi_types::{BlockNumber, Platform, Token, Wad};
 
 use crate::observer::{LiquidationObservation, RunEnd, RunStart, SimObserver, TickEnd};
@@ -52,7 +73,7 @@ const MAX_SPREAD: f64 = 0.25;
 
 /// Sanity ceiling on any single USD valuation (catches saturated u128
 /// arithmetic masquerading as astronomically large balances).
-const MAX_SANE_USD: f64 = 1e15;
+const MAX_SANE_USD: Wad = Wad::from_int(1_000_000_000_000_000);
 
 /// One recorded invariant violation.
 #[derive(Debug, Clone)]
@@ -69,6 +90,55 @@ impl core::fmt::Display for InvariantViolation {
     }
 }
 
+/// How far below 1 a critical-price account's recomputed health factor may
+/// read while its price sits at or above the critical price (raw Wad units,
+/// 10⁻¹²): the threshold `1 / ratio` is truncated, so at the exact boundary
+/// the health factor reads a few raw units below 1 while the bite is
+/// refused.
+const CRITICAL_BOUNDARY_DUST: Wad = Wad::from_raw(1_000_000);
+
+/// A collateral holding's value at the oracle's current price, by the
+/// arithmetic every `fill_position` uses.
+fn collateral_value(oracle: &PriceOracle, holding: &CollateralHolding) -> Wad {
+    holding
+        .amount
+        .checked_mul(oracle.price_or_zero(holding.token))
+        .unwrap_or(Wad::MAX)
+}
+
+/// A debt holding's value at the oracle's current price. MakerDAO's vat
+/// accounts DAI debt at its 1-USD par price regardless of the market price.
+fn debt_value(platform: Platform, oracle: &PriceOracle, holding: &DebtHolding) -> Wad {
+    if platform == Platform::MakerDao && holding.token == Token::DAI {
+        holding.amount
+    } else {
+        holding
+            .amount
+            .checked_mul(oracle.price_or_zero(holding.token))
+            .unwrap_or(Wad::MAX)
+    }
+}
+
+/// The health factor of `position`'s cached amounts at the oracle's
+/// current prices: [`Position::health_factor`] of a fresh valuation with
+/// the same amounts, computed without building one.
+fn health_factor_at(platform: Platform, oracle: &PriceOracle, position: &Position) -> Option<Wad> {
+    let capacity = position.collateral.iter().fold(Wad::ZERO, |acc, holding| {
+        acc.saturating_add(
+            collateral_value(oracle, holding)
+                .checked_mul(holding.liquidation_threshold)
+                .unwrap_or(Wad::ZERO),
+        )
+    });
+    let debt = position.debt.iter().fold(Wad::ZERO, |acc, holding| {
+        acc.saturating_add(debt_value(platform, oracle, holding))
+    });
+    if debt.is_zero() {
+        return None;
+    }
+    Some(capacity.checked_div(debt).unwrap_or(Wad::MAX))
+}
+
 /// Lot recorded when an auction starts, checked at every later step.
 #[derive(Debug, Clone, Copy)]
 struct AuctionLot {
@@ -80,12 +150,6 @@ struct AuctionLot {
 /// `a ≤ b` up to fixed-point rounding dust.
 fn le_dust(a: Wad, b: Wad) -> bool {
     a.to_f64() <= b.to_f64() * (1.0 + 1e-9) + 1e-9
-}
-
-/// `a ≈ b` within a relative tolerance.
-fn approx(a: Wad, b: Wad, rel: f64) -> bool {
-    let (a, b) = (a.to_f64(), b.to_f64());
-    (a - b).abs() <= rel * a.abs().max(b.abs()).max(1.0)
 }
 
 /// Streaming invariant checker; see the module docs for the invariant list.
@@ -150,6 +214,134 @@ impl InvariantObserver {
                 .map(|v| v.to_string())
                 .collect::<Vec<_>>()
                 .join("; ")
+        );
+    }
+
+    /// Audit one entry of a position book's read-only walk
+    /// ([`PositionBook::audit`](defi_lending::PositionBook::audit)) against
+    /// `platform`'s oracle, recording a violation at `block` for each
+    /// broken invariant (see the module docs). Reads the entry only: it
+    /// neither re-values nor copies the position.
+    pub fn check_book_entry(
+        &mut self,
+        block: BlockNumber,
+        platform: Platform,
+        oracle: &PriceOracle,
+        entry: &AuditEntry<'_>,
+    ) {
+        let position = entry.position;
+        // The sanity ceiling holds every cached term, however stale; a
+        // current entry's terms are exactly what a fresh valuation computes.
+        let current = entry.validity == Validity::Current;
+        for holding in &position.collateral {
+            if holding.value_usd > MAX_SANE_USD {
+                self.report(block, format!("{platform}: saturated collateral valuation"));
+            }
+            if current {
+                let expected = collateral_value(oracle, holding);
+                if holding.value_usd != expected {
+                    self.report(
+                        block,
+                        format!(
+                            "{platform}: {} collateral valued {} USD, oracle says {}",
+                            holding.token, holding.value_usd, expected
+                        ),
+                    );
+                }
+            }
+        }
+        for holding in &position.debt {
+            if holding.value_usd > MAX_SANE_USD {
+                self.report(block, format!("{platform}: saturated debt valuation"));
+            }
+            if current {
+                let expected = debt_value(platform, oracle, holding);
+                if holding.value_usd != expected {
+                    self.report(
+                        block,
+                        format!(
+                            "{platform}: {} debt valued {} USD, oracle says {}",
+                            holding.token, holding.value_usd, expected
+                        ),
+                    );
+                }
+            }
+        }
+        match entry.validity {
+            Validity::Current | Validity::Pending => {}
+            Validity::Envelope {
+                envelope,
+                floor,
+                ceiling,
+            } => {
+                for &(token, lo, hi) in &envelope.price_bounds {
+                    let price = oracle.price(token).map_or(0, |p| p.raw());
+                    if price < lo || price > hi {
+                        let what =
+                            format!("{token} price {price} is outside its bound [{lo}, {hi}]");
+                        self.report_lagging(block, platform, position, what);
+                    }
+                }
+                for &(token, cap) in &envelope.index_caps {
+                    let index = entry
+                        .borrow_indexes
+                        .iter()
+                        .find(|(market, _)| *market == token)
+                        .map(|&(_, index)| index);
+                    if index.is_none_or(|index| index > cap) {
+                        let what = format!("{token} borrow index {index:?} is above its cap {cap}");
+                        self.report_lagging(block, platform, position, what);
+                    }
+                }
+                let in_band = match health_factor_at(platform, oracle, position) {
+                    Some(hf) => {
+                        floor.is_none_or(|floor| hf > floor)
+                            && ceiling.is_none_or(|ceiling| hf < ceiling)
+                    }
+                    // Only a debt-free account has no health factor.
+                    None => position.debt.is_empty(),
+                };
+                if !in_band {
+                    let what = format!("health factor left its band ({floor:?}, {ceiling:?})");
+                    self.report_lagging(block, platform, position, what);
+                }
+            }
+            Validity::Critical { token, crit } => {
+                let price = oracle.price(token).map_or(0, |p| p.raw());
+                let agrees = health_factor_at(platform, oracle, position).is_some_and(|hf| {
+                    if price < crit {
+                        hf < Wad::ONE
+                    } else {
+                        hf.saturating_add(CRITICAL_BOUNDARY_DUST) >= Wad::ONE
+                    }
+                });
+                if !agrees {
+                    let what = format!(
+                        "health factor disagrees with {token} price {price} vs critical {crit}"
+                    );
+                    self.report_lagging(block, platform, position, what);
+                }
+            }
+            Validity::Uncertified => {
+                let what = "no certificate covers it".to_string();
+                self.report_lagging(block, platform, position, what);
+            }
+        }
+    }
+
+    /// Record a violation by a valuation that lags synced moves, naming the
+    /// account.
+    fn report_lagging(
+        &mut self,
+        block: BlockNumber,
+        platform: Platform,
+        position: &Position,
+        what: String,
+    ) {
+        let owner = position.owner.short();
+        self.report(
+            block,
+            format!("{platform} {owner}: lagging valuation: {what}"),
         );
     }
 
@@ -376,54 +568,16 @@ impl SimObserver for InvariantObserver {
             );
         }
 
-        // Position books, walked in place: valuations track the platform
-        // oracle, nothing saturated. The walk visits only platforms with an
-        // oracle.
-        tick.for_each_position(&mut |platform, position| {
-            let oracle = &tick.oracles[&platform];
-            for holding in &position.collateral {
-                let expected = holding
-                    .amount
-                    .checked_mul(oracle.price_or_zero(holding.token))
-                    .unwrap_or(Wad::MAX);
-                if !approx(holding.value_usd, expected, 1e-6) {
-                    self.report(
-                        block,
-                        format!(
-                            "{platform}: {} collateral valued {} USD, oracle says {}",
-                            holding.token, holding.value_usd, expected
-                        ),
-                    );
-                }
-                if holding.value_usd.to_f64() > MAX_SANE_USD {
-                    self.report(block, format!("{platform}: saturated collateral valuation"));
-                }
-            }
-            for holding in &position.debt {
-                // MakerDAO's vat accounts DAI debt at its 1-USD par
-                // price regardless of the market price.
-                let expected = if platform == Platform::MakerDao && holding.token == Token::DAI {
-                    holding.amount
-                } else {
-                    holding
-                        .amount
-                        .checked_mul(oracle.price_or_zero(holding.token))
-                        .unwrap_or(Wad::MAX)
-                };
-                if !approx(holding.value_usd, expected, 1e-6) {
-                    self.report(
-                        block,
-                        format!(
-                            "{platform}: {} debt valued {} USD, oracle says {}",
-                            holding.token, holding.value_usd, expected
-                        ),
-                    );
-                }
-                if holding.value_usd.to_f64() > MAX_SANE_USD {
-                    self.report(block, format!("{platform}: saturated debt valuation"));
-                }
-            }
-        });
+        // Position books, read as they stand: platforms without an oracle
+        // are skipped.
+        for (platform, protocol) in tick.protocols.iter() {
+            let Some(oracle) = tick.oracles.get(platform) else {
+                continue;
+            };
+            protocol.audit_book(oracle, &mut |entry| {
+                self.check_book_entry(block, *platform, oracle, entry);
+            });
+        }
 
         // AMM depletion: pool reserves *are* the pool account's journaled
         // ledger balances (reserve-vs-ledger conservation holds by
@@ -627,6 +781,80 @@ mod tests {
         let mut observer = InvariantObserver::new();
         observer.on_event(&logged(10, liquidation_event(1_000, 1_120)));
         assert!(observer.is_clean());
+    }
+
+    /// A lagging entry is held to its certificate: a price outside an
+    /// envelope bound or a borrow index above a cap (moves the book has
+    /// synced) is a violation, and so is a lagging entry with no
+    /// certificate; a pending entry is not judged.
+    #[test]
+    fn lagging_entries_are_held_to_their_certificates() {
+        use defi_core::position::{CollateralHolding, DebtHolding, Position};
+        use defi_lending::HfEnvelope;
+        use defi_oracle::{OracleConfig, PriceOracle};
+
+        let mut oracle = PriceOracle::new(OracleConfig::every_update());
+        oracle.set_price(0, Token::ETH, Wad::from_int(2_000));
+        oracle.set_price(0, Token::USDC, Wad::ONE);
+        // 1 ETH at 0.8 against 1,000 USDC: HF 1.6 at the current prices.
+        let position = Position::new(Address::from_seed(9))
+            .with_collateral(CollateralHolding {
+                token: Token::ETH,
+                amount: Wad::ONE,
+                value_usd: Wad::from_int(2_100),
+                liquidation_threshold: Wad::from_f64(0.8),
+                liquidation_spread: Wad::from_f64(0.1),
+            })
+            .with_debt(DebtHolding {
+                token: Token::USDC,
+                amount: Wad::from_int(1_000),
+                value_usd: Wad::from_int(1_000),
+            });
+        let eth = Wad::from_int(2_000).raw();
+        let usdc = Wad::ONE.raw();
+        let envelope = |eth_hi: u128, cap: u128| HfEnvelope {
+            price_bounds: vec![
+                (Token::ETH, eth / 2, eth_hi),
+                (Token::USDC, usdc / 2, usdc * 2),
+            ],
+            index_caps: vec![(Token::USDC, cap)],
+        };
+        let violations = |validity: Validity<'_>| {
+            let mut observer = InvariantObserver::new();
+            observer.check_book_entry(
+                1,
+                Platform::Compound,
+                &oracle,
+                &AuditEntry {
+                    position: &position,
+                    validity,
+                    borrow_indexes: &[(Token::USDC, 1_000)],
+                },
+            );
+            observer.violations().len()
+        };
+        let holding = envelope(eth * 2, 1_000);
+        let quiet = |envelope| Validity::Envelope {
+            envelope,
+            floor: Some(Wad::from_f64(1.05)),
+            ceiling: Some(Wad::from_f64(2.2)),
+        };
+        let below_price = envelope(eth - 1, 1_000);
+        let below_index = envelope(eth * 2, 999);
+        assert_eq!(violations(quiet(&holding)), 0);
+        assert_eq!(violations(quiet(&below_price)), 1);
+        assert_eq!(violations(quiet(&below_index)), 1);
+        // HF 1.6 is outside a rescue-band certificate.
+        let rescue = Validity::Envelope {
+            envelope: &holding,
+            floor: Some(Wad::ONE),
+            ceiling: Some(Wad::from_f64(1.05)),
+        };
+        assert_eq!(violations(rescue), 1);
+        assert_eq!(violations(Validity::Uncertified), 1);
+        assert_eq!(violations(Validity::Pending), 0);
+        // The stale 2,100 USD collateral term is wrong for a current entry.
+        assert_eq!(violations(Validity::Current), 1);
     }
 
     #[test]

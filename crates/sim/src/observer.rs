@@ -35,7 +35,6 @@
 //! assert_eq!(report.snapshot_block, report.config.end_block);
 //! ```
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 use defi_amm::Dex;
@@ -90,14 +89,16 @@ pub struct LiquidationObservation<'a> {
 }
 
 /// Context handed to [`SimObserver::on_tick_end`] after a tick has fully
-/// executed — the engine's oracles, chain and DEX, and a walk of its
-/// position books in place
-/// ([`for_each_position`](TickEnd::for_each_position)), so invariant
-/// checkers can audit conservation and solvency per tick.
+/// executed — the engine's oracles, chain, DEX and protocols, all
+/// read-only, so invariant checkers can audit conservation and solvency
+/// per tick.
 ///
-/// The session only dispatches this context when
-/// [`SimObserver::wants_tick_end`] returns true; an observer that never
-/// walks the books pays no book flush for it.
+/// The books are read through
+/// [`LendingProtocol::audit_book`](defi_lending::LendingProtocol::audit_book),
+/// which walks each book's cached entries without re-valuing any: an
+/// observed run does exactly the book work of an unobserved one. The
+/// session only dispatches this context when
+/// [`SimObserver::wants_tick_end`] returns true.
 pub struct TickEnd<'a> {
     /// The block the tick advanced the chain to.
     pub block: BlockNumber,
@@ -109,30 +110,8 @@ pub struct TickEnd<'a> {
     pub dex: &'a Dex,
     /// Each platform's own oracle as of this tick.
     pub oracles: &'a BTreeMap<Platform, PriceOracle>,
-    /// The engine's protocols, lent out for [`TickEnd::for_each_position`].
-    pub(crate) protocols: RefCell<&'a mut ProtocolRegistry>,
-}
-
-impl TickEnd<'_> {
-    /// Visit every platform's observable position book in place, platform by
-    /// platform in registry order and each book in address order — the
-    /// same positions, in the same order, as
-    /// [`Session::snapshot_positions`](crate::Session::snapshot_positions)
-    /// at this tick, without copying them. Platforms without an oracle are
-    /// skipped.
-    ///
-    /// A walk flushes each book (`&mut` access to the protocols behind a
-    /// shared context), so calling this again from inside its own `visit` is
-    /// a programming error and panics.
-    pub fn for_each_position(&self, visit: &mut dyn FnMut(Platform, &Position)) {
-        let mut protocols = self.protocols.borrow_mut();
-        for (platform, protocol) in protocols.iter_mut() {
-            let Some(oracle) = self.oracles.get(platform) else {
-                continue;
-            };
-            protocol.for_each_position(oracle, &mut |position| visit(*platform, position));
-        }
-    }
+    /// The engine's protocols, in registry order.
+    pub protocols: &'a ProtocolRegistry,
 }
 
 /// Context handed to [`SimObserver::on_run_end`] after the final snapshot.
@@ -175,8 +154,9 @@ pub trait SimObserver {
     fn on_volume_sample(&mut self, _sample: &VolumeSample) {}
 
     /// A tick finished executing. Only dispatched when
-    /// [`wants_tick_end`](SimObserver::wants_tick_end) returns true; reading
-    /// the books through [`TickEnd::for_each_position`] flushes each one.
+    /// [`wants_tick_end`](SimObserver::wants_tick_end) returns true. The
+    /// context is read-only: the books are walked as they stand, never
+    /// flushed.
     fn on_tick_end(&mut self, _tick: &TickEnd<'_>) {}
 
     /// Whether this observer consumes [`on_tick_end`](SimObserver::on_tick_end)

@@ -23,7 +23,6 @@
 //! assert!(report.final_positions.len() >= mid_run_positions.len());
 //! ```
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 use defi_chain::{Blockchain, ChainEvent};
@@ -224,14 +223,14 @@ impl Session {
         self.engine.tick_index += 1;
         self.dispatch_new(observer);
         if observer.wants_tick_end() {
-            let engine = &mut self.engine;
+            let engine = &self.engine;
             observer.on_tick_end(&TickEnd {
                 block: self.block,
                 tick_index,
                 chain: &engine.chain,
                 dex: &engine.dex,
                 oracles: &engine.oracles,
-                protocols: RefCell::new(&mut engine.protocols),
+                protocols: &engine.protocols,
             });
         }
         if self.block >= self.engine.config.end_block {

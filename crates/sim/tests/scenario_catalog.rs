@@ -4,14 +4,17 @@
 //! back into the price path (the toxic-spiral dynamic the scripted model
 //! cannot express).
 
+use std::collections::{BTreeMap, BTreeSet};
+
 use defi_core::position::Position;
+use defi_lending::{BookStats, Validity};
 use defi_oracle::MarketScenario;
 use defi_sim::scenarios::liquidation_spiral;
 use defi_sim::{
     EngineBuilder, InvariantObserver, NullObserver, ScenarioCatalog, SessionStatus, SimConfig,
     SimObserver, SimulationReport, TickEnd,
 };
-use defi_types::{Platform, Token};
+use defi_types::{Address, Platform, Token};
 
 /// The smoke window truncated shortly after the March 2020 crash: long
 /// enough to produce liquidations on every platform, short enough for debug
@@ -118,10 +121,23 @@ fn liquidation_spiral_feeds_sell_pressure_back_into_prices() {
     );
 }
 
-/// Keeps what [`TickEnd::for_each_position`] visited at the last tick end.
+/// How the read-only audit walk classified one entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Seen {
+    Current,
+    Envelope,
+    Critical,
+    Uncertified,
+    Pending,
+}
+
+/// Keeps what the audit walk ([`defi_lending::LendingProtocol::audit_book`])
+/// visited at the last tick end, and how often it met each kind of entry
+/// over the run.
 #[derive(Default)]
 struct TickEndBooks {
-    visited: Vec<(Platform, Position)>,
+    visited: Vec<(Platform, Position, Seen)>,
+    seen: BTreeMap<Seen, usize>,
 }
 
 impl SimObserver for TickEndBooks {
@@ -131,12 +147,29 @@ impl SimObserver for TickEndBooks {
 
     fn on_tick_end(&mut self, tick: &TickEnd<'_>) {
         self.visited.clear();
-        tick.for_each_position(&mut |platform, position| {
-            self.visited.push((platform, position.clone()));
-        });
+        for (platform, protocol) in tick.protocols.iter() {
+            let Some(oracle) = tick.oracles.get(platform) else {
+                continue;
+            };
+            protocol.audit_book(oracle, &mut |entry| {
+                let seen = match entry.validity {
+                    Validity::Current => Seen::Current,
+                    Validity::Envelope { .. } => Seen::Envelope,
+                    Validity::Critical { .. } => Seen::Critical,
+                    Validity::Uncertified => Seen::Uncertified,
+                    Validity::Pending => Seen::Pending,
+                };
+                *self.seen.entry(seen).or_default() += 1;
+                self.visited.push((*platform, entry.position.clone(), seen));
+            });
+        }
     }
 }
 
+/// The tick-end audit walk visits the session snapshot's accounts in the
+/// snapshot's order, and a current entry is byte-equal to the snapshot's
+/// position. Entries the book still owes a flush (pending) are left out on
+/// both sides: the snapshot's flush re-values them, and may drop them.
 #[test]
 fn tick_end_walk_visits_the_session_snapshot_in_order() {
     let mut session = EngineBuilder::new(crash_window_config(2021))
@@ -148,18 +181,42 @@ fn tick_end_walk_visits_the_session_snapshot_in_order() {
     let mut walked_fixed_spread = false;
     loop {
         let status = session.step(&mut observer).expect("step");
+        let pending: BTreeSet<(Platform, Address)> = observer
+            .visited
+            .iter()
+            .filter(|(_, _, seen)| *seen == Seen::Pending)
+            .map(|(platform, position, _)| (*platform, position.owner))
+            .collect();
         let snapshot: Vec<(Platform, Position)> = session
             .snapshot_positions()
             .into_iter()
             .flat_map(|(platform, book)| book.into_iter().map(move |p| (platform, p)))
+            .filter(|(platform, p)| !pending.contains(&(*platform, p.owner)))
             .collect();
+        let audited: Vec<&(Platform, Position, Seen)> = observer
+            .visited
+            .iter()
+            .filter(|(_, _, seen)| *seen != Seen::Pending)
+            .collect();
+        let tick = session.ticks_run();
         assert_eq!(
-            observer.visited,
-            snapshot,
-            "tick {}: the tick-end walk differs from the snapshot",
-            session.ticks_run()
+            audited
+                .iter()
+                .map(|(platform, position, _)| (*platform, position.owner))
+                .collect::<Vec<_>>(),
+            snapshot
+                .iter()
+                .map(|(platform, position)| (*platform, position.owner))
+                .collect::<Vec<_>>(),
+            "tick {tick}: the audit walk visits other accounts than the snapshot"
         );
-        for (platform, _) in &observer.visited {
+        for ((platform, position, seen), (_, expected)) in audited.iter().zip(&snapshot) {
+            if *seen == Seen::Current {
+                assert_eq!(
+                    position, expected,
+                    "tick {tick}: {platform}: a current entry differs from the snapshot"
+                );
+            }
             walked_maker |= *platform == Platform::MakerDao;
             walked_fixed_spread |= *platform != Platform::MakerDao;
         }
@@ -172,6 +229,73 @@ fn tick_end_walk_visits_the_session_snapshot_in_order() {
         walked_fixed_spread,
         "the walk never reached a fixed-spread book"
     );
+    assert_eq!(
+        observer.seen.get(&Seen::Uncertified),
+        None,
+        "{:?}",
+        observer.seen
+    );
+    // The walk met lagging entries under both kinds of certificate.
+    assert!(
+        observer.seen.contains_key(&Seen::Envelope) && observer.seen.contains_key(&Seen::Critical),
+        "{:?}",
+        observer.seen
+    );
+}
+
+/// Every `BookStats` field that counts work or state, with the wall-clock
+/// fields zeroed.
+fn work(stats: BookStats) -> BookStats {
+    BookStats {
+        envelope_derive_nanos: 0,
+        flush_nanos: 0,
+        freshen_nanos: 0,
+        visit_nanos: 0,
+        ..stats
+    }
+}
+
+/// Step a smoke run of `scenario` to its last tick and read every book's
+/// counters, before `finish` takes its snapshot.
+fn book_work(scenario: &str, observer: &mut dyn SimObserver) -> Vec<(Platform, BookStats)> {
+    let mut session = EngineBuilder::new(SimConfig::smoke_test(2021))
+        .with_named_scenario(scenario)
+        .build()
+        .session();
+    while session.step(observer).expect("step") == SessionStatus::Running {}
+    session
+        .platforms()
+        .into_iter()
+        .filter_map(|platform| {
+            session.inspect_protocol(platform, |protocol, _| {
+                (platform, work(protocol.book_stats()))
+            })
+        })
+        .collect()
+}
+
+/// Attaching the invariant observer changes no book work: on every catalog
+/// scenario, an audited smoke run ends with every book counter equal to
+/// the unaudited run's. The audit reads the books as they stand; an audit
+/// that drained them would multiply the revaluations.
+#[test]
+fn the_audit_leaves_every_book_counter_as_the_unaudited_run_has_it() {
+    let catalog = ScenarioCatalog::standard();
+    let mut audited_entries = 0;
+    for entry in catalog.entries() {
+        let unaudited = book_work(&entry.name, &mut NullObserver);
+        let mut observer = InvariantObserver::new();
+        let audited = book_work(&entry.name, &mut observer);
+        observer.assert_clean();
+        assert_eq!(
+            audited, unaudited,
+            "{}: the audit changed the book work",
+            entry.name
+        );
+        assert!(unaudited.iter().any(|(_, stats)| stats.revaluations > 0));
+        audited_entries += 1;
+    }
+    assert!(audited_entries >= 6);
 }
 
 #[test]

@@ -35,7 +35,12 @@
 //!   write epoch), a sabotaged clone omits exactly that hook and the
 //!   differential check must *fail*, proving the harness would catch a
 //!   protocol that forgets its contract; a critical-price source whose term
-//!   reprice skips the recomputation must be caught the same way.
+//!   reprice skips the recomputation must be caught the same way;
+//! * **the audit has teeth** — the tick-end audit reads a book without
+//!   re-valuing it (`PositionBook::audit` through
+//!   `InvariantObserver::check_book_entry`), and it must fail on an
+//!   envelope certified past its band edge, a dishonest term reprice and a
+//!   `fill_position` that mis-values.
 
 use std::collections::BTreeMap;
 
@@ -52,7 +57,7 @@ use defi_liquidations_suite::lending::{
 use defi_liquidations_suite::oracle::{OracleConfig, PriceOracle};
 use defi_liquidations_suite::prelude::*;
 use defi_liquidations_suite::sim::{
-    EngineBuilder, NullObserver, ScenarioCatalog, SessionStatus, SimConfig,
+    EngineBuilder, InvariantObserver, NullObserver, ScenarioCatalog, SessionStatus, SimConfig,
 };
 use defi_liquidations_suite::types::{mul_div_ceil, Platform, Ray, WAD};
 use proptest::prelude::*;
@@ -432,12 +437,16 @@ impl ToyState {
 
 /// Which conditions the toy view's envelope derivation emits. The two
 /// incomplete modes drop the USDC condition a compliant derivation must
-/// carry, so the book has to refuse their envelopes.
+/// carry, so the book has to refuse their envelopes. `PastBandEdge` keeps
+/// every condition but widens each price bound to every price: a
+/// dishonest certificate that still holds once the health factor has left
+/// its band.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum ToyEnvelope {
     Complete,
     NoUsdcBound,
     NoUsdcCap,
+    PastBandEdge,
 }
 
 struct ToyView<'a>(&'a ToyState, ToyEnvelope);
@@ -529,6 +538,11 @@ impl BookSource for ToyView<'_> {
             ToyEnvelope::Complete => {}
             ToyEnvelope::NoUsdcBound => out.price_bounds.retain(|&(t, _, _)| t != Token::USDC),
             ToyEnvelope::NoUsdcCap => out.index_caps.retain(|&(t, _)| t != Token::USDC),
+            ToyEnvelope::PastBandEdge => {
+                for bound in &mut out.price_bounds {
+                    *bound = (bound.0, 0, u128::MAX);
+                }
+            }
         }
         derived
     }
@@ -783,6 +797,8 @@ fn envelopes_absorb_accrual_until_their_caps_and_rewiden() {
 struct CdpToy {
     cdps: BTreeMap<Address, (Wad, Wad)>,
     sabotaged: bool,
+    /// Value the collateral 1 % above amount × price in `fill_position`.
+    misvalued: bool,
 }
 
 impl CdpToy {
@@ -796,7 +812,11 @@ impl CdpToy {
                 (Address::from_seed(50_000 + i), (Wad::from_int(10), debt))
             })
             .collect();
-        CdpToy { cdps, sabotaged }
+        CdpToy {
+            cdps,
+            sabotaged,
+            misvalued: false,
+        }
     }
 
     /// Every CDP rebuilt from scratch through `fill_position`.
@@ -820,13 +840,15 @@ impl BookSource for CdpToy {
         slot.owner = account;
         slot.collateral.clear();
         slot.debt.clear();
+        let mut price = oracle.price_or_zero(Token::ETH);
+        if self.misvalued {
+            price = price.checked_mul(Wad::from_f64(1.01)).unwrap_or(Wad::MAX);
+        }
         slot.collateral
             .push(defi_liquidations_suite::core::position::CollateralHolding {
                 token: Token::ETH,
                 amount: collateral,
-                value_usd: collateral
-                    .checked_mul(oracle.price_or_zero(Token::ETH))
-                    .unwrap_or(Wad::MAX),
+                value_usd: collateral.checked_mul(price).unwrap_or(Wad::MAX),
                 liquidation_threshold: Wad::ONE
                     .checked_div(Wad::from_f64(Self::RATIO))
                     .unwrap_or(Wad::ZERO),
@@ -942,6 +964,138 @@ fn harness_catches_a_sabotaged_term_reprice() {
                 toy.rebuild(&oracle),
                 "honest term path is byte-identical"
             );
+        }
+    }
+}
+
+// ------------------------------------------------------ the audit's teeth
+
+/// Every violation the tick-end audit records on one book's read-only
+/// walk: [`PositionBook::audit`] through the invariant observer's
+/// per-entry check, as `platform`'s book. Reads the book only.
+fn audit_violations(
+    book: &PositionBook,
+    source: &impl BookSource,
+    oracle: &PriceOracle,
+    platform: Platform,
+) -> Vec<String> {
+    let mut observer = InvariantObserver::new();
+    book.audit(source, oracle, &mut |entry| {
+        observer.check_book_entry(0, platform, oracle, entry)
+    });
+    observer
+        .violations()
+        .iter()
+        .map(|violation| violation.description.clone())
+        .collect()
+}
+
+/// An envelope certified past its band edge must fail the audit. The toy's
+/// dishonest derivation bounds every price by `[0, ∞)`, so after a 10 %
+/// ETH drop no envelope breaks, nothing re-values, and accounts whose
+/// health factor left its band keep their stale verdicts — discovery
+/// misses the ones that fell below 1. The audit recomputes each lagging
+/// health factor at current prices and catches them; the honest twin
+/// re-values the accounts its envelopes stop covering and stays clean. A
+/// draining walk could not see the sabotage: it re-values every lagging
+/// entry first, and the fresh terms are exact.
+#[test]
+fn audit_catches_an_envelope_certified_past_its_band_edge() {
+    for mode in [ToyEnvelope::Complete, ToyEnvelope::PastBandEdge] {
+        let (state, mut book, oracle) = toy_setup(30);
+        let view = ToyView(&state, mode);
+        book.for_each_liquidatable(&view, &oracle, &mut |_| {});
+        assert_eq!(
+            audit_violations(&book, &view, &oracle, Platform::Compound),
+            Vec::<String>::new(),
+            "clean at the anchor"
+        );
+
+        let mut crashed = oracle.clone();
+        crashed.set_price(1, Token::ETH, Wad::from_f64(2_700.0));
+        let mut discovered = 0usize;
+        book.for_each_liquidatable(&view, &crashed, &mut |_| discovered += 1);
+        let violations = audit_violations(&book, &view, &crashed, Platform::Compound);
+        if mode == ToyEnvelope::PastBandEdge {
+            assert_eq!(discovered, 0, "the stale verdicts hide every crossing");
+            assert!(!violations.is_empty(), "the audit missed the sabotage");
+            assert!(
+                violations.iter().all(|v| v.contains("left its band")),
+                "{violations:?}"
+            );
+        } else {
+            assert!(discovered > 0, "the drop must cross some accounts");
+            assert_eq!(violations, Vec::<String>::new());
+        }
+
+        book.for_each_position(&view, &crashed, &mut |_| {});
+        assert_eq!(
+            audit_violations(&book, &view, &crashed, Platform::Compound),
+            Vec::<String>::new(),
+            "after a drain every entry is current and its terms are exact"
+        );
+    }
+}
+
+/// A dishonest term reprice must fail the audit: the CDPs a crossing move
+/// hands to discovery freshen through the term path, the sabotaged hook
+/// leaves their stale collateral terms behind while the book stamps them
+/// current, and the audit holds current entries to amount × price. The
+/// honest twin is clean, the CDPs the move did not cross lag under their
+/// critical prices in both, and only the repriced ones are reported.
+#[test]
+fn audit_catches_a_dishonest_term_reprice() {
+    for sabotaged in [false, true] {
+        let toy = CdpToy::new(20, sabotaged);
+        let mut book = PositionBook::new();
+        for &owner in toy.cdps.keys() {
+            book.mark_dirty(owner);
+        }
+        let mut oracle = PriceOracle::new(OracleConfig::every_update());
+        oracle.set_price(0, Token::ETH, Wad::from_int(100));
+        book.for_each_liquidatable(&toy, &oracle, &mut |_| {});
+        assert_eq!(
+            audit_violations(&book, &toy, &oracle, Platform::MakerDao),
+            Vec::<String>::new()
+        );
+
+        // 95 crosses the tightest CDPs (critical prices from ≈ 99.93 up).
+        oracle.set_price(1, Token::ETH, Wad::from_int(95));
+        let mut discovered = 0usize;
+        book.for_each_liquidatable(&toy, &oracle, &mut |_| discovered += 1);
+        assert!(discovered > 0 && discovered < toy.cdps.len());
+        assert_eq!(book.stats().term_reprices, discovered as u64);
+        let violations = audit_violations(&book, &toy, &oracle, Platform::MakerDao);
+        if sabotaged {
+            assert_eq!(violations.len(), discovered, "{violations:?}");
+            assert!(violations.iter().all(|v| v.contains("collateral valued")));
+        } else {
+            assert_eq!(violations, Vec::<String>::new());
+        }
+    }
+}
+
+/// A `fill_position` that mis-values must fail the audit: every entry it
+/// filled is current, and its collateral terms are 1 % above
+/// amount × price.
+#[test]
+fn audit_catches_a_misvaluing_fill_position() {
+    for misvalued in [false, true] {
+        let mut toy = CdpToy::new(20, false);
+        toy.misvalued = misvalued;
+        let mut book = PositionBook::new();
+        for &owner in toy.cdps.keys() {
+            book.mark_dirty(owner);
+        }
+        let mut oracle = PriceOracle::new(OracleConfig::every_update());
+        oracle.set_price(0, Token::ETH, Wad::from_int(100));
+        book.for_each_liquidatable(&toy, &oracle, &mut |_| {});
+        let violations = audit_violations(&book, &toy, &oracle, Platform::MakerDao);
+        if misvalued {
+            assert_eq!(violations.len(), toy.cdps.len(), "{violations:?}");
+            assert!(violations.iter().all(|v| v.contains("collateral valued")));
+        } else {
+            assert_eq!(violations, Vec::<String>::new());
         }
     }
 }
