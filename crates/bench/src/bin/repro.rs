@@ -193,10 +193,10 @@ fn stream_study(
 }
 
 /// Per-phase tick-time breakdown of every protocol's incremental book: where
-/// the wall-clock went (flush, at-risk visit, envelope re-derive)
-/// and which cache path served the freshenings (term reprices of
-/// critical-price accounts vs light refreshes of envelope-held ones vs full
-/// revaluations) — wall-clock attribution for perf work without a profiler.
+/// the wall-clock went (flush, at-risk visit, envelope re-derive) and which
+/// cache path served the freshenings (light refreshes of envelope-held
+/// accounts vs full revaluations) — wall-clock attribution for perf work
+/// without a profiler.
 fn print_book_timings(session: &mut Session) {
     println!("== book per-phase timings ==");
     for platform in session.platforms() {
@@ -215,10 +215,9 @@ fn print_book_timings(session: &mut Session) {
             stats.envelope_derives,
         );
         println!(
-            "  {:<10} revaluations {} (term reprices {} | light refreshes {} | envelope skips {} | envelope checks {}) | scratch grows {}",
+            "  {:<10} revaluations {} (light refreshes {} | envelope skips {} | envelope checks {}) | scratch grows {}",
             "",
             stats.revaluations,
-            stats.term_reprices,
             stats.light_refreshes,
             stats.envelope_skips,
             stats.envelope_checks,

@@ -1,9 +1,12 @@
 //! The `repro` command line rejects input it would otherwise ignore: an
 //! unknown artefact name, `--workers` without `--sweep`, an empty sweep, zero
 //! workers, or a scenario file with a value no run can use exits with status
-//! 2 and says why instead of printing nothing.
+//! 2 and says why instead of printing nothing. Valid input runs: an artefact
+//! renders, and `--timings` prints each book's per-phase table.
 
 use std::process::{Command, Output};
+
+use defi_types::Platform;
 
 fn repro(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -66,6 +69,31 @@ fn a_valid_artefact_name_still_runs() {
     let output = repro(&["configs"]);
     assert_eq!(output.status.code(), Some(0));
     assert!(String::from_utf8_lossy(&output.stdout).contains("Appendix C"));
+}
+
+#[test]
+fn timings_print_one_block_per_platform() {
+    let output = repro(&["--smoke", "--timings", "headline"]);
+    assert_eq!(output.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    let tables: Vec<&str> = stdout.split("== book per-phase timings ==").collect();
+    assert_eq!(tables.len(), 2, "one timings table: {stdout}");
+    let table = tables.get(1).copied().unwrap_or_default();
+    let heads: Vec<&str> = table
+        .lines()
+        .filter(|line| line.contains(" flush ") && line.contains("| visit "))
+        .collect();
+    assert_eq!(heads.len(), Platform::ALL.len(), "{table}");
+    for platform in Platform::ALL {
+        let head = format!("  {:<10} flush ", platform.name());
+        let blocks = heads.iter().filter(|line| line.starts_with(&head)).count();
+        assert_eq!(blocks, 1, "{platform}: {table}");
+    }
+    assert_eq!(
+        table.matches(" revaluations ").count(),
+        Platform::ALL.len(),
+        "{table}"
+    );
 }
 
 #[test]

@@ -24,7 +24,9 @@
 //! which HF crosses 1, and the book keeps those accounts in a per-token
 //! `BTreeMap<raw price, accounts>`. Discovery then becomes a range scan over
 //! each token's ordered map (`crit > current price` ⇔ liquidatable) instead
-//! of a full-book filter.
+//! of a full-book filter. A critical-price account keeps no health-factor
+//! band: it is never at risk, so the at-risk walk never visits it, and
+//! discovery serves it.
 //!
 //! Multivariate accounts (every fixed-spread borrower: collateral *and* debt
 //! prices float, and the borrow index accrues per block) carry a
@@ -49,24 +51,15 @@
 //! once a token it holds is written, or a market it owes accrues, after
 //! that. Those two epochs are the only staleness record: discovery
 //! re-values exactly the members it returns, and full refreshes walk the
-//! entries in address order and freshen every one whose epochs lag. The lazy
-//! freshening path is picked by what certifies the verdict, one path each:
+//! entries in address order and freshen every one whose epochs lag. An
+//! **envelope-held** account whose certified envelope still covers the
+//! current prices and indexes freshens through a cheap **light refresh**:
+//! rebuild the position with `fill_position` and fold the valuation delta,
+//! instead of re-deriving the envelope — the band verdict and index
+//! memberships provably cannot have changed.
 //!
-//! * an **envelope-held** account whose certified envelope still covers the
-//!   current prices and indexes takes a cheap **light refresh**: rebuild the
-//!   position with `fill_position` and fold the valuation delta, instead of
-//!   re-deriving the envelope — the band verdict and index memberships
-//!   provably cannot have changed;
-//! * a **critical-price** account whose only pending change is an oracle
-//!   move (no borrow index it owes advanced) takes the **term path**: the
-//!   cached [`Position`] is a term cache — per token it holds the raw amount
-//!   and the USD value term the last `fill_position` computed — so the owning
-//!   protocol re-prices exactly the moved tokens' terms in place
-//!   ([`BookSource::reprice_position`]), O(moved tokens) instead of O(account
-//!   holdings), with arithmetic byte-identical by construction.
-//!
-//! Anything else — a dirty mark, an index move under a critical price, a
-//! broken envelope — takes the full re-valuation. Envelopes are
+//! Anything else — a dirty mark, a lagging critical-price account, a broken
+//! envelope — takes the full re-valuation. Envelopes are
 //! **directional**: each price bound is sized by the one band edge its move
 //! pushes toward (collateral down and debt up toward the floor, the reverse
 //! toward the ceiling), so an account hugging its floor still keeps a wide
@@ -308,11 +301,9 @@ pub struct BookStats {
     /// violated — and repaired. Must stay 0; the band-differential harness
     /// asserts it.
     pub stale_violations: u64,
-    /// Freshenings of critical-price accounts served by the O(moved-token)
-    /// term path ([`BookSource::reprice_position`]): only the moved tokens'
-    /// USD value terms were recomputed, the rest of the valuation was
-    /// reused. Always 0 for a book without critical prices. Counted inside
-    /// `revaluations` as well.
+    /// Always 0: critical-price accounts freshen through the full
+    /// re-valuation. Kept only because the `perfbench/` harness still sums
+    /// it; remove it with the next benchmark change.
     pub term_reprices: u64,
     /// Freshenings of envelope-held accounts served by the light path's
     /// `fill_position` rebuild under an envelope that still holds. Counted
@@ -404,34 +395,6 @@ pub trait BookSource {
         _floor: Option<Wad>,
         _ceiling: Option<Wad>,
         _out: &mut HfEnvelope,
-    ) -> bool {
-        false
-    }
-
-    /// Recompute **in place** exactly the USD value terms of `position` that
-    /// depend on the oracle prices of `moved` tokens, using arithmetic
-    /// byte-identical to what [`fill_position`](Self::fill_position) would
-    /// produce at the current oracle state — the O(moved-token) term path.
-    ///
-    /// The book calls this only for accounts that
-    /// [`critical_price`](Self::critical_price) covers, and only when it can
-    /// prove every *other* input is unchanged since the position was last
-    /// filled: the account was not mutated (not dirty), no borrow index it
-    /// owes moved (its index epoch is current), and only oracle prices
-    /// advanced — so token amounts, thresholds, spreads and the holding sets
-    /// themselves are still exact, and repricing the moved tokens'
-    /// `value_usd` terms reproduces `fill_position` bit for bit (see
-    /// CONTRACTS.md, "The term-cache contract"). Envelope-held accounts
-    /// always freshen through `fill_position`.
-    ///
-    /// Return `false` (the default) to decline; the caller then takes the
-    /// full re-valuation. An implementation that returns `false` must leave
-    /// `position` unmodified.
-    fn reprice_position(
-        &self,
-        _oracle: &PriceOracle,
-        _position: &mut Position,
-        _moved: &[Token],
     ) -> bool {
         false
     }
@@ -774,8 +737,6 @@ struct Upkeep {
     envelope_skips: u64,
     /// Accounts the invalidation pass examined one by one.
     envelope_checks: u64,
-    /// Freshenings served by the O(moved-token) term path.
-    term_reprices: u64,
     /// Freshenings served by the light path's full position rebuild.
     light_refreshes: u64,
     /// Envelope derivations requested from the source.
@@ -787,31 +748,19 @@ struct Upkeep {
     scratch_tokens: Vec<Token>,
     scratch_debt_tokens: Vec<Token>,
     scratch_addresses: Vec<Address>,
-    scratch_moved: Vec<Token>,
     scratch_envelope: HfEnvelope,
 }
 
 impl Upkeep {
     /// Cheap freshening of one lazily stale entry whose verdict bookkeeping
-    /// provably cannot have changed, in place. The path is picked by what
-    /// certifies the verdict:
-    ///
-    /// * **term path** — a critical-price account (its verdict lives in the
-    ///   critical index, which reads no oracle input) that is *price*-stale
-    ///   only (its index epoch is current, so every cached amount and
-    ///   threshold is still exact): ask the source to recompute exactly the
-    ///   moved tokens' USD value terms in place
-    ///   ([`BookSource::reprice_position`]) — O(moved tokens) instead of a
-    ///   full position rebuild;
-    /// * **light path** — an envelope-held account whose certified envelope
-    ///   covers the current prices and indexes: rebuild the position via
-    ///   `fill_position`, keeping the band verdict, envelope and every index
-    ///   membership.
-    ///
-    /// Both keep the running amount sums in step with the slot. Returns
-    /// `false` when the path's precondition fails, with the sums still
-    /// consistent with the slot; the caller then takes the full revalue
-    /// path ([`BookShard::revalue`]).
+    /// provably cannot have changed, in place: an envelope-held account
+    /// whose certified envelope covers the current prices and indexes
+    /// rebuilds its position via `fill_position`, keeping the band verdict,
+    /// envelope and every index membership. Keeps the running amount sums
+    /// in step with the slot. Returns `false` when the precondition fails —
+    /// always for a critical-price account, which carries no envelope —
+    /// with the sums still consistent with the slot; the caller then takes
+    /// the full revalue path ([`BookShard::revalue`]).
     fn light_refresh<S: BookSource>(
         &mut self,
         source: &S,
@@ -820,100 +769,56 @@ impl Upkeep {
         address: Address,
         entry: &mut Entry,
     ) -> bool {
+        // The certified envelope must cover the *current* oracle prices and
+        // borrow indexes. An accepted envelope bounds every sensitive token
+        // and caps every debt market (`revalue` refuses one that does not),
+        // so these are all its conditions.
+        let holds_now = entry.envelope.as_ref().is_some_and(|envelope| {
+            envelope.price_bounds.iter().all(|&(token, lo, hi)| {
+                let raw = oracle.price(token).map_or(0, |p| p.raw());
+                raw >= lo && raw <= hi
+            }) && envelope.index_caps.iter().all(|&(token, cap)| {
+                source
+                    .borrow_index(token)
+                    .is_some_and(|current| current <= cap)
+            })
+        });
+        if !holds_now {
+            return false;
+        }
+        // From here the slot is rebuilt in place; every bail-out path below
+        // hands over to `revalue`, which re-fills from scratch anyway. The
+        // running sums follow the slot across the rebuild, so `revalue`
+        // finds them consistent with it.
         let in_book = entry.in_book;
-        let termed = entry.critical.is_some();
-        if termed {
-            // Term path. The holding sets are invariant under pure price
-            // moves (amounts belong to the account state, which is not
-            // dirty), so the exposure lists and membership indexes need no
-            // comparison at all.
-            if entry.index_stale(clock) {
-                return false;
-            }
-            let mut moved = std::mem::take(&mut self.scratch_moved);
-            let moved_cap = moved.capacity();
-            moved.clear();
-            moved.extend(
-                entry
-                    .tokens
-                    .iter()
-                    .copied()
-                    .filter(|&token| oracle.token_epoch(token) > entry.valued_epoch),
-            );
-            // The slot changes in place: take its contribution out of the
-            // running sums and put the repriced one back, so a bail-out to
-            // `revalue` below finds them consistent with the slot.
-            if in_book {
-                self.totals.fold(&entry.position, false);
-            }
-            let repriced =
-                !moved.is_empty() && source.reprice_position(oracle, &mut entry.position, &moved);
-            if in_book {
-                self.totals.fold(&entry.position, true);
-            }
-            self.scratch_grows += (moved.capacity() > moved_cap) as u64;
-            self.scratch_moved = moved;
-            // A reprice that flips observability (possible only for exotic
-            // `in_book` rules) hands over to `revalue`, which re-fills the
-            // slot from scratch anyway.
-            if !repriced || source.in_book(&entry.position) != in_book {
-                return false;
-            }
-        } else {
-            // Light path: the certified envelope must cover the *current*
-            // oracle prices and borrow indexes. An accepted envelope bounds
-            // every sensitive token and caps every debt market (`revalue`
-            // refuses one that does not), so these are all its conditions.
-            let holds_now = entry.envelope.as_ref().is_some_and(|envelope| {
-                envelope.price_bounds.iter().all(|&(token, lo, hi)| {
-                    let raw = oracle.price(token).map_or(0, |p| p.raw());
-                    raw >= lo && raw <= hi
-                }) && envelope.index_caps.iter().all(|&(token, cap)| {
-                    source
-                        .borrow_index(token)
-                        .is_some_and(|current| current <= cap)
-                })
-            });
-            if !holds_now {
-                return false;
-            }
-            // From here the slot is rebuilt in place; every bail-out path
-            // below hands over to `revalue`, which re-fills from scratch
-            // anyway. The running sums follow the slot across the rebuild,
-            // so `revalue` finds them consistent with it.
-            if in_book {
-                self.totals.fold(&entry.position, false);
-            }
-            let filled = source.fill_position(oracle, address, &mut entry.position);
-            if in_book {
-                self.totals.fold(&entry.position, true);
-            }
-            if !filled || source.in_book(&entry.position) != in_book {
-                return false;
-            }
-            // The membership indexes key off the exposure lists: any change
-            // there needs the full delta bookkeeping.
-            let mut new_tokens = std::mem::take(&mut self.scratch_tokens);
-            new_tokens.clear();
-            source.sensitive_tokens(&entry.position, &mut new_tokens);
-            let tokens_same = new_tokens == entry.tokens;
-            self.scratch_tokens = new_tokens;
-            let mut new_debt_tokens = std::mem::take(&mut self.scratch_debt_tokens);
-            new_debt_tokens.clear();
-            source.debt_tokens(&entry.position, &mut new_debt_tokens);
-            let debt_same = new_debt_tokens == entry.debt_tokens;
-            self.scratch_debt_tokens = new_debt_tokens;
-            if !tokens_same || !debt_same {
-                return false;
-            }
+        if in_book {
+            self.totals.fold(&entry.position, false);
+        }
+        let filled = source.fill_position(oracle, address, &mut entry.position);
+        if in_book {
+            self.totals.fold(&entry.position, true);
+        }
+        if !filled || source.in_book(&entry.position) != in_book {
+            return false;
+        }
+        // The membership indexes key off the exposure lists: any change
+        // there needs the full delta bookkeeping.
+        let mut new_tokens = std::mem::take(&mut self.scratch_tokens);
+        new_tokens.clear();
+        source.sensitive_tokens(&entry.position, &mut new_tokens);
+        let tokens_same = new_tokens == entry.tokens;
+        self.scratch_tokens = new_tokens;
+        let mut new_debt_tokens = std::mem::take(&mut self.scratch_debt_tokens);
+        new_debt_tokens.clear();
+        source.debt_tokens(&entry.position, &mut new_debt_tokens);
+        let debt_same = new_debt_tokens == entry.debt_tokens;
+        self.scratch_debt_tokens = new_debt_tokens;
+        if !tokens_same || !debt_same {
+            return false;
         }
 
         self.revaluations += 1;
-        if termed {
-            self.term_reprices += 1;
-        } else {
-            self.light_refreshes += 1;
-        }
+        self.light_refreshes += 1;
         entry.valued_epoch = oracle.epoch();
         entry.index_epoch = clock.index_epoch;
         true
@@ -1004,8 +909,8 @@ impl BookShard {
             // Freshen the valuations the indexes left lazily stale, read off
             // each entry's own epochs in one address-order pass that
             // freshens each entry in place. Their band verdicts never went
-            // stale. The accounts the term and light paths decline take the
-            // full revalue after the pass; each account's freshening reads
+            // stale. The accounts the light path declines take the full
+            // revalue after the pass; each account's freshening reads
             // and writes only its own entry and memberships, so the split
             // into two passes changes no valuation.
             let mut declined = std::mem::take(&mut upkeep.scratch_addresses);
@@ -1062,8 +967,8 @@ impl BookShard {
     // ----------------------------------------------------------- revaluation
 
     /// Hand one account's entry to `visit`, freshened first if its
-    /// valuation lags: one entry lookup unless the term and light paths
-    /// decline and the full revalue runs. An account without an entry is
+    /// valuation lags: one entry lookup unless the light path declines and
+    /// the full revalue runs. An account without an entry is
     /// not visited.
     fn visit_fresh<S: BookSource>(
         &mut self,
@@ -1509,13 +1414,6 @@ impl PositionBook {
         }
     }
 
-    /// Whether any account sits in the critical-price index.
-    fn has_critical(&self) -> bool {
-        self.shards
-            .iter()
-            .any(|shard| shard.critical.values().any(|map| !map.is_empty()))
-    }
-
     /// Cache-maintenance counters: the gauges folded over the shards, the
     /// counters read off the book's upkeep.
     pub fn stats(&self) -> BookStats {
@@ -1526,7 +1424,6 @@ impl PositionBook {
             envelope_skips: upkeep.envelope_skips,
             envelope_checks: upkeep.envelope_checks,
             stale_violations: upkeep.stale_violations,
-            term_reprices: upkeep.term_reprices,
             light_refreshes: upkeep.light_refreshes,
             envelope_derives: upkeep.envelope_derives,
             envelope_derive_nanos: upkeep.envelope_derive_nanos,
@@ -1859,18 +1756,19 @@ impl PositionBook {
     }
 
     /// Visit every *at-risk* observable position — health factor in
-    /// `[1, rescue)` or above `releverage` — in
-    /// address order, with each visited valuation freshened to current
-    /// prices and indexes. Quiet-band accounts whose envelope holds are
-    /// skipped without re-valuation: this is the banded fast path of the
-    /// engine's borrower-management pass, exactly equivalent to filtering a
-    /// full book walk by health factor. Liquidatable accounts (HF below 1)
-    /// are not visited: discovery hands them out.
+    /// `[1, rescue)` or above `releverage` — in address order, with each
+    /// visited valuation freshened to current prices and indexes: the
+    /// banded flush, then one fused pass over the at-risk sets. Quiet-band
+    /// accounts whose envelope holds are skipped without re-valuation:
+    /// this is the banded fast path of the engine's borrower-management
+    /// pass, exactly equivalent to filtering a full book walk of the
+    /// accounts without a critical price by health factor. Liquidatable
+    /// accounts (HF below 1) are not visited: discovery hands them out.
+    /// Nor is any critical-price account: it keeps no band, so it is never
+    /// at risk, and a book of them (a Maker CDP book) visits nothing.
     ///
     /// Changing the thresholds re-classifies the whole book (one-off full
-    /// re-valuation). Books containing critical-price-indexed accounts (a
-    /// Maker CDP book) are served by the exact full walk — indexed accounts
-    /// keep no HF band. That walk is the only exact at-risk walk.
+    /// re-valuation).
     pub fn for_each_at_risk<S: BookSource>(
         &mut self,
         source: &S,
@@ -1883,33 +1781,7 @@ impl PositionBook {
             self.clock.bands = (rescue, releverage);
             self.invalidate_all();
         }
-        // A flush can index new accounts, so a book without critical prices
-        // is checked again after its banded flush.
-        if !self.has_critical() {
-            self.flush(source, oracle, false);
-        }
-        if self.has_critical() {
-            // Indexed (single-price) accounts read their liquidation status
-            // off the critical-price maps and maintain no band — serve mixed
-            // books through the exact full walk instead.
-            self.flush(source, oracle, true);
-            let visit_start = std::time::Instant::now();
-            for shard in &self.shards {
-                for entry in shard.entries.values() {
-                    if !entry.in_book {
-                        continue;
-                    }
-                    let Some(hf) = entry.position.health_factor() else {
-                        continue;
-                    };
-                    if hf >= Wad::ONE && (hf < rescue || hf > releverage) {
-                        visit(&entry.position);
-                    }
-                }
-            }
-            self.visit_nanos += visit_start.elapsed().as_nanos() as u64;
-            return;
-        }
+        self.flush(source, oracle, false);
         // One fused pass in shard order (= address order): freshen each
         // stale at-risk member, then visit it.
         let visit_start = std::time::Instant::now();
@@ -2074,7 +1946,8 @@ mod tests {
     /// Compare every book surface against a from-scratch rebuild of the toy
     /// state: `for_each_position`, `for_each_liquidatable` (the toy's own
     /// liquidation rule, read off the critical price when it reports one),
-    /// `for_each_at_risk` and `totals`. The cheap surfaces run first, so
+    /// `for_each_at_risk` (the health-factor filter over the accounts
+    /// without a critical price) and `totals`. The cheap surfaces run first, so
     /// they are checked before a full query drains the book.
     fn assert_matches_rebuild(
         book: &mut PositionBook,
@@ -2107,6 +1980,7 @@ mod tests {
         );
         let expected_at_risk: Vec<Position> = rebuild
             .iter()
+            .filter(|p| source.critical_price(p.owner, p).is_none())
             .filter(|p| {
                 p.health_factor()
                     .is_some_and(|hf| hf >= Wad::ONE && (hf < rescue || hf > releverage))
@@ -2189,13 +2063,12 @@ mod tests {
     }
 
     /// The work counters of a book, by name.
-    fn work_counters(stats: &BookStats) -> [(&'static str, u64); 7] {
+    fn work_counters(stats: &BookStats) -> [(&'static str, u64); 6] {
         [
             ("revaluations", stats.revaluations),
             ("envelope_skips", stats.envelope_skips),
             ("envelope_checks", stats.envelope_checks),
             ("light_refreshes", stats.light_refreshes),
-            ("term_reprices", stats.term_reprices),
             ("envelope_derives", stats.envelope_derives),
             ("stale_violations", stats.stale_violations),
         ]
@@ -2398,30 +2271,43 @@ mod tests {
         assert_eq!(totals.open_positions, 2);
     }
 
-    /// Books containing critical-price-indexed accounts serve the at-risk
-    /// iteration through the exact full walk — and it still equals the
-    /// health-factor filter over the observable book.
+    /// A critical-price account keeps no band, so it is never at risk:
+    /// after a price move the walk over a book of them visits nothing and
+    /// re-values nothing, though the health-factor filter finds accounts
+    /// in the rescue band. The multivariate twin, whose accounts are
+    /// banded, visits exactly that filtered set.
     #[test]
-    fn at_risk_iteration_falls_back_to_exact_for_indexed_books() {
-        let (source, mut book, mut oracle) = setup(20);
-        oracle.set_price(1, Token::ETH, Wad::from_int(95));
-        let rescue = Wad::from_f64(RESCUE_BAND_HF);
-        let releverage = Wad::from_f64(RELEVERAGE_BAND_HF);
-        let mut seen = Vec::new();
-        book.for_each_at_risk(&source, &oracle, rescue, releverage, &mut |position| {
-            seen.push(position.owner)
-        });
-        let expected: Vec<Address> = book_positions(&mut book, &source, &oracle)
-            .into_iter()
-            .filter(|p| {
-                p.health_factor()
-                    .is_some_and(|hf| hf >= Wad::ONE && (hf < rescue || hf > releverage))
-            })
-            .map(|p| p.owner)
-            .collect();
-        assert_eq!(seen, expected);
-        assert!(!seen.is_empty());
-        assert!(seen.len() < 20, "some accounts must be quiet");
+    fn indexed_accounts_are_never_at_risk() {
+        for multivariate in [false, true] {
+            let (mut source, mut book, mut oracle) = setup(20);
+            source.multivariate = multivariate;
+            book_positions(&mut book, &source, &oracle);
+            oracle.set_price(1, Token::ETH, Wad::from_int(95));
+            let rescue = Wad::from_f64(RESCUE_BAND_HF);
+            let releverage = Wad::from_f64(RELEVERAGE_BAND_HF);
+            let before = book.stats().revaluations;
+            let mut seen = Vec::new();
+            book.for_each_at_risk(&source, &oracle, rescue, releverage, &mut |position| {
+                seen.push(position.owner)
+            });
+            let revalued = book.stats().revaluations - before;
+            let filtered: Vec<Address> = book_positions(&mut book, &source, &oracle)
+                .into_iter()
+                .filter(|p| {
+                    p.health_factor()
+                        .is_some_and(|hf| hf >= Wad::ONE && (hf < rescue || hf > releverage))
+                })
+                .map(|p| p.owner)
+                .collect();
+            assert!(!filtered.is_empty());
+            assert!(filtered.len() < 20, "some accounts must be quiet");
+            if multivariate {
+                assert_eq!(seen, filtered);
+            } else {
+                assert_eq!(seen, Vec::<Address>::new());
+                assert_eq!(revalued, 0, "the walk re-valued a critical-price account");
+            }
+        }
     }
 
     #[test]

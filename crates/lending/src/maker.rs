@@ -245,26 +245,6 @@ impl BookSource for MakerView<'_> {
         let crit = mul_div_ceil(required.raw(), WAD, cdp.collateral.raw()).unwrap_or(u128::MAX);
         Some((cdp.collateral_token, crit))
     }
-
-    fn reprice_position(
-        &self,
-        oracle: &PriceOracle,
-        position: &mut Position,
-        moved: &[Token],
-    ) -> bool {
-        // Term path: only the collateral value term depends on an oracle
-        // price (DAI debt is valued at the vat's 1-USD par, and
-        // `sensitive_tokens` reports collateral only, so `moved` can never
-        // name the debt side). Same arithmetic as `fill_cdp_position` on the
-        // same cached amount — byte-identical by construction.
-        for holding in &mut position.collateral {
-            if moved.contains(&holding.token) {
-                let price = oracle.price_or_zero(holding.token);
-                holding.value_usd = holding.amount.checked_mul(price).unwrap_or(Wad::MAX);
-            }
-        }
-        true
-    }
 }
 
 /// Build `slot` in place as the CDP's valuation snapshot — the one valuation
@@ -950,8 +930,8 @@ impl LendingProtocol for MakerProtocol {
         book.totals(&view, oracle)
     }
 
-    /// CDPs keep no band: the book serves this slice through its exact full
-    /// walk.
+    /// CDPs keep no band, so none is ever at risk and this visits nothing:
+    /// discovery serves them.
     fn for_each_at_risk(
         &mut self,
         oracle: &PriceOracle,

@@ -287,9 +287,10 @@ pub trait LendingProtocol {
     ///
     /// Served by [`PositionBook::for_each_at_risk`](crate::book::PositionBook::for_each_at_risk):
     /// band-indexed books (fixed-spread pools) skip far-from-threshold
-    /// accounts whose certified envelope holds, critical-price books (Maker)
-    /// take the exact full walk — the engine's borrower-management pass
-    /// consumes this surface every tick.
+    /// accounts whose certified envelope holds — the engine's
+    /// borrower-management pass consumes this surface every tick. A
+    /// critical-price account keeps no band and is never at risk, so
+    /// MakerDAO's walk visits nothing; discovery serves its CDPs.
     ///
     /// ```
     /// use defi_lending::book::{RELEVERAGE_BAND_HF, RESCUE_BAND_HF};
@@ -332,8 +333,8 @@ pub trait LendingProtocol {
     /// incremental book ([`BookStats`]). Counters are monotone within a run,
     /// so the difference between two reads attributes wall-clock
     /// (flush / at-risk visit / envelope re-derive) and cache-path
-    /// traffic (term reprices, light refreshes, full revaluations) to the
-    /// interval between them.
+    /// traffic (light refreshes, full revaluations) to the interval between
+    /// them.
     fn book_stats(&self) -> BookStats;
 
     /// The observable book rebuilt from scratch, bypassing every cache —

@@ -175,8 +175,8 @@ fn fixed_spread_tick_guards(n: u64) -> (FixedSpreadProtocol, PriceOracle, u64) {
 }
 
 /// Maker CDP discovery must be a range scan: a price move that crosses
-/// nobody re-values nobody, and a crossing move refreshes the crossed CDPs
-/// through the term path only.
+/// nobody re-values nobody, and a crossing move re-values exactly the CDPs
+/// discovery returns.
 fn maker_discovery_guards(n: u64) {
     let (mut maker, mut oracle) = scale_maker_pool(n);
     let block = 11u64;
@@ -193,23 +193,15 @@ fn maker_discovery_guards(n: u64) {
         after - before
     );
 
-    // Critical-price CDPs never take the light or the full `fill_position`
-    // rebuild inside Maker discovery.
-    let stats_before = maker.book_stats();
+    // No flush work reaches a critical-price CDP: the crossing move
+    // re-values the crossed CDPs discovery hands out, and nothing else.
     oracle.set_price(block + 2, Token::ETH, Wad::from_int(3_430));
-    maker.liquidatable(&oracle);
-    let stats_after = maker.book_stats();
-    let revalued = stats_after.revaluations - stats_before.revaluations;
-    let termed = stats_after.term_reprices - stats_before.term_reprices;
-    assert!(
-        revalued > 0,
-        "the crossing move should refresh crossed CDPs"
-    );
+    let discovered = maker.liquidatable(&oracle).len() as u64;
+    let revalued = maker.book_stats().revaluations - after;
+    assert!(discovered > 0, "the crossing move should cross some CDPs");
     assert_eq!(
-        revalued,
-        termed,
-        "{} crossed CDPs took a rebuild path instead of the term reprice",
-        revalued - termed
+        revalued, discovered,
+        "a crossing move re-valued {revalued} CDPs for {discovered} discovered"
     );
 }
 
@@ -256,9 +248,8 @@ fn band_index_guards(mut protocol: FixedSpreadProtocol, mut oracle: PriceOracle)
     assert!(after.banded_accounts > 0, "no account was ever certified");
 
     // Fixed-spread accounts are envelope-held, so in-envelope wiggles
-    // freshen them through the light path and never through the
-    // critical-price term reprice. One full wiggle cycle, so the price
-    // really moves.
+    // freshen them through the light path. One full wiggle cycle, so the
+    // price really moves.
     let before = protocol.book_stats();
     for _ in 0..7 {
         block += 1;
@@ -268,10 +259,6 @@ fn band_index_guards(mut protocol: FixedSpreadProtocol, mut oracle: PriceOracle)
         protocol.liquidatable(&oracle);
     }
     let after = protocol.book_stats();
-    assert_eq!(
-        after.term_reprices, before.term_reprices,
-        "a fixed-spread tick took the term path"
-    );
     assert!(
         after.light_refreshes > before.light_refreshes,
         "the wiggles freshened no envelope-held account"

@@ -784,9 +784,10 @@ mod tests {
     }
 
     /// A lagging entry is held to its certificate: a price outside an
-    /// envelope bound or a borrow index above a cap (moves the book has
-    /// synced) is a violation, and so is a lagging entry with no
-    /// certificate; a pending entry is not judged.
+    /// envelope bound, a borrow index above a cap (moves the book has
+    /// synced) or a health factor on the wrong side of a critical price is
+    /// a violation, and so is a lagging entry with no certificate; a
+    /// pending entry is not judged.
     #[test]
     fn lagging_entries_are_held_to_their_certificates() {
         use defi_core::position::{CollateralHolding, DebtHolding, Position};
@@ -851,6 +852,15 @@ mod tests {
             ceiling: Some(Wad::from_f64(1.05)),
         };
         assert_eq!(violations(rescue), 1);
+        // ETH at 2,000 with HF 1.6: a critical price below the current
+        // price certifies the healthy verdict, one above it claims the
+        // account is liquidatable.
+        let critical = |crit| Validity::Critical {
+            token: Token::ETH,
+            crit,
+        };
+        assert_eq!(violations(critical(eth - 1)), 0);
+        assert_eq!(violations(critical(eth + 1)), 1);
         assert_eq!(violations(Validity::Uncertified), 1);
         assert_eq!(violations(Validity::Pending), 0);
         // The stale 2,100 USD collateral term is wrong for a current entry.

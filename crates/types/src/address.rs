@@ -51,10 +51,11 @@ impl Address {
         self.0 == [0u8; 20]
     }
 
-    /// Short display form (`0x1234…abcd`) used in reports.
+    /// Short display form (`0x1234…abcd`) used in reports: the first and
+    /// the last two bytes in hex.
     pub fn short(&self) -> String {
-        let full = self.to_string();
-        format!("{}…{}", &full[..6], &full[full.len() - 4..])
+        let [a, b, .., y, z] = self.0;
+        format!("0x{a:02x}{b:02x}…{y:02x}{z:02x}")
     }
 }
 
@@ -169,6 +170,13 @@ mod tests {
     fn short_form() {
         let a = Address::ZERO;
         assert_eq!(a.short(), "0x0000…0000");
+        // The same bytes as slicing the full form.
+        let seeded = Address::from_seed(7);
+        let full = seeded.to_string();
+        assert_eq!(
+            seeded.short(),
+            format!("{}…{}", &full[..6], &full[full.len() - 4..])
+        );
     }
 
     #[test]

@@ -34,13 +34,12 @@
 //!   notification hooks (`mark_dirty`, `note_index_change`, the oracle
 //!   write epoch), a sabotaged clone omits exactly that hook and the
 //!   differential check must *fail*, proving the harness would catch a
-//!   protocol that forgets its contract; a critical-price source whose term
-//!   reprice skips the recomputation must be caught the same way;
+//!   protocol that forgets its contract;
 //! * **the audit has teeth** — the tick-end audit reads a book without
 //!   re-valuing it (`PositionBook::audit` through
 //!   `InvariantObserver::check_book_entry`), and it must fail on an
-//!   envelope certified past its band edge, a dishonest term reprice and a
-//!   `fill_position` that mis-values.
+//!   envelope certified past its band edge and on a `fill_position` that
+//!   mis-values.
 
 use std::collections::BTreeMap;
 
@@ -115,15 +114,21 @@ fn audit_platform(
         "{scenario} tick {tick}: {platform} banded discovery diverged from the shadow scan"
     );
 
-    // Banded at-risk iteration == exhaustive HF-filtered walk.
-    let expected_at_risk: Vec<(Address, Position)> = shadow
-        .iter()
-        .filter(|p| {
-            p.health_factor()
-                .is_some_and(|hf| hf >= Wad::ONE && (hf < rescue() || hf > releverage()))
-        })
-        .map(|p| (p.owner, p.clone()))
-        .collect();
+    // Banded at-risk iteration == exhaustive HF-filtered walk. MakerDAO's
+    // CDPs carry critical prices and keep no band, so its walk visits
+    // nothing.
+    let expected_at_risk: Vec<(Address, Position)> = if platform == Platform::MakerDao {
+        Vec::new()
+    } else {
+        shadow
+            .iter()
+            .filter(|p| {
+                p.health_factor()
+                    .is_some_and(|hf| hf >= Wad::ONE && (hf < rescue() || hf > releverage()))
+            })
+            .map(|p| (p.owner, p.clone()))
+            .collect()
+    };
     let mut seen_at_risk: Vec<(Address, Position)> = Vec::new();
     protocol.for_each_at_risk(oracle, rescue(), releverage(), &mut |position| {
         seen_at_risk.push((position.owner, position.clone()));
@@ -790,13 +795,9 @@ fn envelopes_absorb_accrual_until_their_caps_and_rewiden() {
 
 /// A Maker-shaped critical-price source: account `i` locks ETH against
 /// par-valued DAI debt and is liquidatable below 150 % collateralization, so
-/// every debtor carries an exact critical price and its price-stale
-/// freshening takes the term path. `sabotaged` makes `reprice_position`
-/// claim success without recomputing the moved terms — a deliberate
-/// violation of the term-cache contract.
+/// every debtor carries an exact critical price.
 struct CdpToy {
     cdps: BTreeMap<Address, (Wad, Wad)>,
-    sabotaged: bool,
     /// Value the collateral 1 % above amount × price in `fill_position`.
     misvalued: bool,
 }
@@ -804,7 +805,7 @@ struct CdpToy {
 impl CdpToy {
     const RATIO: f64 = 1.5;
 
-    fn new(n: u64, sabotaged: bool) -> Self {
+    fn new(n: u64) -> Self {
         let cdps = (0..n)
             .map(|i| {
                 // Collateralization spreads from 150.1 % upwards at 100 USD.
@@ -814,21 +815,8 @@ impl CdpToy {
             .collect();
         CdpToy {
             cdps,
-            sabotaged,
             misvalued: false,
         }
-    }
-
-    /// Every CDP rebuilt from scratch through `fill_position`.
-    fn rebuild(&self, oracle: &PriceOracle) -> Vec<Position> {
-        let mut out = Vec::new();
-        for &owner in self.cdps.keys() {
-            let mut slot = Position::new(owner);
-            if self.fill_position(oracle, owner, &mut slot) {
-                out.push(slot);
-            }
-        }
-        out
     }
 }
 
@@ -880,91 +868,6 @@ impl BookSource for CdpToy {
             .unwrap_or(Wad::MAX);
         let crit = mul_div_ceil(required.raw(), WAD, collateral.raw()).unwrap_or(u128::MAX);
         Some((Token::ETH, crit))
-    }
-
-    fn reprice_position(
-        &self,
-        oracle: &PriceOracle,
-        position: &mut Position,
-        moved: &[Token],
-    ) -> bool {
-        if self.sabotaged {
-            // Contract violation on purpose: claim the terms were updated
-            // while leaving the stale bytes in place.
-            return true;
-        }
-        // Honest term path: same arithmetic as `fill_position` on the same
-        // cached amounts, restricted to the moved tokens.
-        for holding in &mut position.collateral {
-            if moved.contains(&holding.token) {
-                let price = oracle.price_or_zero(holding.token);
-                holding.value_usd = holding.amount.checked_mul(price).unwrap_or(Wad::MAX);
-            }
-        }
-        true
-    }
-}
-
-/// The observable book [`PositionBook::for_each_position`] visits, in order.
-fn walked_book(
-    book: &mut PositionBook,
-    source: &impl BookSource,
-    oracle: &PriceOracle,
-) -> Vec<Position> {
-    let mut positions = Vec::new();
-    book.for_each_position(source, oracle, &mut |position| {
-        positions.push(position.clone())
-    });
-    positions
-}
-
-/// A `reprice_position` that claims success without recomputing the moved
-/// terms must be caught: after a move that crosses no critical price, the
-/// cached book of the sabotaged source differs from a from-scratch rebuild.
-/// The honest twin equals the rebuild — and both books served the move
-/// through the term path, so the sabotage was exercised.
-#[test]
-fn harness_catches_a_sabotaged_term_reprice() {
-    for sabotaged in [false, true] {
-        let toy = CdpToy::new(20, sabotaged);
-        let mut book = PositionBook::new();
-        for &owner in toy.cdps.keys() {
-            book.mark_dirty(owner);
-        }
-        let mut oracle = PriceOracle::new(OracleConfig::every_update());
-        oracle.set_price(0, Token::ETH, Wad::from_int(100));
-        assert_eq!(
-            walked_book(&mut book, &toy, &oracle),
-            toy.rebuild(&oracle),
-            "nothing to reprice at the anchor price"
-        );
-
-        // The tightest CDP's critical price is ≈ 99.93: 99.95 crosses
-        // nobody, so every CDP freshens lazily.
-        oracle.set_price(1, Token::ETH, Wad::from_f64(99.95));
-        let mut discovered = 0usize;
-        book.for_each_liquidatable(&toy, &oracle, &mut |_| discovered += 1);
-        assert_eq!(discovered, 0);
-        let before = book.stats().term_reprices;
-        let cached = walked_book(&mut book, &toy, &oracle);
-        assert_eq!(
-            book.stats().term_reprices - before,
-            toy.cdps.len() as u64,
-            "every CDP must freshen through the term path"
-        );
-        if sabotaged {
-            assert_ne!(
-                cached,
-                toy.rebuild(&oracle),
-                "stale term bytes must not survive the differential"
-            );
-        } else {
-            assert_eq!(
-                cached,
-                toy.rebuild(&oracle),
-                "honest term path is byte-identical"
-            );
-        }
     }
 }
 
@@ -1037,51 +940,13 @@ fn audit_catches_an_envelope_certified_past_its_band_edge() {
     }
 }
 
-/// A dishonest term reprice must fail the audit: the CDPs a crossing move
-/// hands to discovery freshen through the term path, the sabotaged hook
-/// leaves their stale collateral terms behind while the book stamps them
-/// current, and the audit holds current entries to amount × price. The
-/// honest twin is clean, the CDPs the move did not cross lag under their
-/// critical prices in both, and only the repriced ones are reported.
-#[test]
-fn audit_catches_a_dishonest_term_reprice() {
-    for sabotaged in [false, true] {
-        let toy = CdpToy::new(20, sabotaged);
-        let mut book = PositionBook::new();
-        for &owner in toy.cdps.keys() {
-            book.mark_dirty(owner);
-        }
-        let mut oracle = PriceOracle::new(OracleConfig::every_update());
-        oracle.set_price(0, Token::ETH, Wad::from_int(100));
-        book.for_each_liquidatable(&toy, &oracle, &mut |_| {});
-        assert_eq!(
-            audit_violations(&book, &toy, &oracle, Platform::MakerDao),
-            Vec::<String>::new()
-        );
-
-        // 95 crosses the tightest CDPs (critical prices from ≈ 99.93 up).
-        oracle.set_price(1, Token::ETH, Wad::from_int(95));
-        let mut discovered = 0usize;
-        book.for_each_liquidatable(&toy, &oracle, &mut |_| discovered += 1);
-        assert!(discovered > 0 && discovered < toy.cdps.len());
-        assert_eq!(book.stats().term_reprices, discovered as u64);
-        let violations = audit_violations(&book, &toy, &oracle, Platform::MakerDao);
-        if sabotaged {
-            assert_eq!(violations.len(), discovered, "{violations:?}");
-            assert!(violations.iter().all(|v| v.contains("collateral valued")));
-        } else {
-            assert_eq!(violations, Vec::<String>::new());
-        }
-    }
-}
-
 /// A `fill_position` that mis-values must fail the audit: every entry it
 /// filled is current, and its collateral terms are 1 % above
 /// amount × price.
 #[test]
 fn audit_catches_a_misvaluing_fill_position() {
     for misvalued in [false, true] {
-        let mut toy = CdpToy::new(20, false);
+        let mut toy = CdpToy::new(20);
         toy.misvalued = misvalued;
         let mut book = PositionBook::new();
         for &owner in toy.cdps.keys() {

@@ -618,45 +618,6 @@ mod incremental_book {
                 prop_assert_eq!(maker.book_positions(&oracle), maker.positions(&oracle));
             }
         }
-
-        /// Maker: critical-price entries never consult the oracle for their
-        /// liquidation verdict, so every price-stale walk of a valued CDP
-        /// must be served by the term path — on every move of a random
-        /// sequence, byte-identically to the rebuild.
-        #[test]
-        fn maker_term_cache_is_exact_under_oracle_moves(
-            moves in prop::collection::vec(0u16..1_000, 1..25),
-        ) {
-            let mut maker = maker_protocol();
-            let mut ledger = Ledger::new();
-            let mut events = Vec::new();
-            let mut oracle = PriceOracle::new(OracleConfig::every_update());
-            oracle.set_price(0, Token::ETH, Wad::from_int(3_000));
-            oracle.set_price(0, Token::DAI, Wad::ONE);
-            for i in 0..6u64 {
-                let owner = Address::from_seed(7_200 + i);
-                ledger.mint(owner, Token::ETH, Wad::from_int(10));
-                maker
-                    .lock_collateral(&mut ledger, &mut events, owner, Token::ETH, Wad::from_int(10))
-                    .unwrap();
-                maker
-                    .draw_dai(&mut ledger, &mut events, &oracle, owner, Wad::from_int(5_000 + i * 2_000))
-                    .unwrap();
-            }
-            // Prime the book so every CDP is valued and non-dirty.
-            let _ = maker.book_positions(&oracle);
-
-            let mut block = 1u64;
-            for tweak in moves {
-                block += 1;
-                let factor = 0.4 + (tweak % 1_200) as f64 / 1_000.0;
-                oracle.set_price(block, Token::ETH, Wad::from_f64(3_000.0 * factor));
-                let before = maker.book_stats().term_reprices;
-                prop_assert_eq!(maker.book_positions(&oracle), maker.positions(&oracle));
-                prop_assert_eq!(discovered(&mut maker, &oracle), maker.liquidatable_cdps(&oracle));
-                prop_assert!(maker.book_stats().term_reprices > before);
-            }
-        }
     }
 
     /// Driving the engine through the object-safe trait keeps the cached

@@ -665,8 +665,10 @@ fn engine_builder_runs_all_platforms_through_the_registry() {
 
 /// The PR 5 discovery surfaces every implementation must satisfy:
 /// `reference_positions` is the cache-less shadow of `book_positions`, the
-/// banded `for_each_at_risk` equals the exact health-factor filter, and
-/// fixed-spread markets expose their per-market risk parameters.
+/// banded `for_each_at_risk` equals the exact health-factor filter (and
+/// visits nothing on an auction book, whose CDPs carry critical prices and
+/// keep no band), and fixed-spread markets expose their per-market risk
+/// parameters.
 fn check_discovery_surfaces(protocol: &mut dyn LendingProtocol, oracle: &PriceOracle) {
     let platform = protocol.platform();
     let shadow = protocol.reference_positions(oracle);
@@ -683,14 +685,18 @@ fn check_discovery_surfaces(protocol: &mut dyn LendingProtocol, oracle: &PriceOr
 
     let rescue = Wad::from_f64(defi_liquidations_suite::lending::RESCUE_BAND_HF);
     let releverage = Wad::from_f64(defi_liquidations_suite::lending::RELEVERAGE_BAND_HF);
-    let expected: Vec<Address> = shadow
-        .iter()
-        .filter(|p| {
-            p.health_factor()
-                .is_some_and(|hf| hf >= Wad::ONE && (hf < rescue || hf > releverage))
-        })
-        .map(|p| p.owner)
-        .collect();
+    let expected: Vec<Address> = if protocol.mechanism() == MechanismKind::Auction {
+        Vec::new()
+    } else {
+        shadow
+            .iter()
+            .filter(|p| {
+                p.health_factor()
+                    .is_some_and(|hf| hf >= Wad::ONE && (hf < rescue || hf > releverage))
+            })
+            .map(|p| p.owner)
+            .collect()
+    };
     let mut seen: Vec<Address> = Vec::new();
     protocol.for_each_at_risk(oracle, rescue, releverage, &mut |p| seen.push(p.owner));
     assert_eq!(
